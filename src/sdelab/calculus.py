@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -22,9 +23,12 @@ from .expr import (
     CallableField,
     Const,
     Expr,
+    Program,
+    batched,
     coord,
     differentiate,
     evaluate,
+    gradient,
     mul,
     parse_expr,
     powc,
@@ -42,9 +46,9 @@ __all__ = [
     "DensityField",
     "QuadratureRule",
     "VectorField",
-    "ScalarField",
     "build_coefficient_set",
     "coefficient_set_from_drift",
+    "add_half_a_log_grad",
     "log_derivative_beta",
     "decompose_drift",
     "apply_generator",
@@ -87,68 +91,21 @@ class DegenerateDiffusionError(CalculusError):
 # fields
 
 
-class ScalarField:
-    """Point function ``(n, d) -> (n,)``; wraps an AST or a raw callable."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], expr: Optional[Expr] = None):
-        self._fn = fn
-        self.expr = expr
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.asarray(self._fn(pts), dtype=float)
-        out = np.broadcast_to(out, (pts.shape[0],)).copy()
-        return out[0] if single else out
-
-
 class VectorField:
-    """Point function ``(n, d) -> (n, m)``; componentwise ASTs or a callable."""
+    """Point function ``(n, d) -> (n, m)``: a compiled program or a raw callable."""
 
-    def __init__(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        dim: int,
-        exprs: Optional[List[Expr]] = None,
-    ):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], exprs: Optional[Tuple[Expr, ...]] = None):
         self._fn = fn
-        self.dim = dim
         self.exprs = exprs
 
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.asarray(self._fn(pts), dtype=float)
-        out = np.broadcast_to(out, (pts.shape[0], self.dim)).copy()
-        return out[0] if single else out
+    @batched
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self._fn(pts)
 
     @classmethod
     def from_exprs(cls, exprs: Sequence[Expr]) -> "VectorField":
-        exprs = list(exprs)
-
-        def fn(pts):
-            return np.stack([evaluate(e, pts) for e in exprs], axis=-1)
-
-        return cls(fn, len(exprs), exprs)
-
-
-def eval_matrix(entries: Sequence[Sequence[Expr]], pts: np.ndarray) -> np.ndarray:
-    """Evaluate a matrix of expressions at ``pts`` -> ``(n, d, d)``."""
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    d = len(entries)
-    n = pts.shape[0]
-    out = np.empty((n, d, d))
-    for i in range(d):
-        for j in range(d):
-            out[:, i, j] = evaluate(entries[i][j], pts)
-    return out[0] if single else out
+        exprs = tuple(exprs)
+        return cls(Program(exprs), exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +158,31 @@ class CoefficientSet:
     def C(self) -> List[List[Expr]]:
         return [[self.c_entry(i, j) for j in range(self.d)] for i in range(self.d)]
 
+    @cached_property
+    def _A_program(self) -> Program:
+        return Program([e for row in self.A for e in row])
+
+    @cached_property
+    def _G_field(self) -> VectorField:
+        return VectorField.from_exprs(self.G)
+
+    @cached_property
+    def _H_field(self) -> VectorField:
+        return VectorField.from_exprs(self.H)
+
     def eval_A(self, pts) -> np.ndarray:
-        return eval_matrix(self.A, pts)
+        """``A`` at ``(n, d)`` points as ``(n, d, d)``, or at one point as ``(d, d)``."""
+        out = self._A_program(pts)
+        return out.reshape(out.shape[:-1] + (self.d, self.d))
 
     def eval_G(self, pts) -> np.ndarray:
-        return VectorField.from_exprs(list(self.G))(pts)
+        return self._G_field(pts)
 
     def eval_H(self, pts) -> np.ndarray:
-        return VectorField.from_exprs(list(self.H))(pts)
+        return self._H_field(pts)
 
     def drift_field(self) -> VectorField:
-        return VectorField.from_exprs(list(self.G))
+        return self._G_field
 
     def a_is_constant(self) -> bool:
         return all(ex.fold_const(e) is not None for row in self.a_upper for e in row)
@@ -266,9 +237,8 @@ def _coerce(e, d: int) -> Expr:
     raise TypeError(f"cannot coerce {e!r} to an expression")
 
 
-def probe_ellipticity(A_entries, pts: np.ndarray) -> EllipticityReport:
-    vals = eval_matrix(A_entries, pts)
-    eigs = np.linalg.eigvalsh(vals)
+def probe_ellipticity(cs: CoefficientSet, pts: np.ndarray) -> EllipticityReport:
+    eigs = np.linalg.eigvalsh(cs.eval_A(pts))
     mins = eigs[:, 0]
     k = int(np.argmin(mins))
     report = EllipticityReport(
@@ -340,7 +310,7 @@ def build_coefficient_set(
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != d or len(probes) == 0:
         raise ShapeError("probes must be a non-empty (n, d) array")
-    report = probe_ellipticity([[cs_tmp.a_entry(i, j) for j in range(d)] for i in range(d)], probes)
+    report = probe_ellipticity(cs_tmp, probes)
 
     return CoefficientSet(
         d=d,
@@ -394,6 +364,7 @@ class DensityField:
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes) if axes is not None else None
         self.values = np.asarray(values, dtype=float) if values is not None else None
         self._grad_values = None
+        self._grad_programs: dict = {}  # analytic mode: d -> program of [d_1 rho, ..., d_d rho]
         if self.values is not None:
             if self.axes is None or self.values.shape != tuple(len(a) for a in self.axes):
                 raise ShapeError("grid values must match the axes shape")
@@ -406,8 +377,9 @@ class DensityField:
                     witness=witness,
                 )
         else:
+            self._rho = Program(self.expr)
             if probes is not None:
-                vals = evaluate(self.expr, probes)
+                vals = self._rho(probes)
                 self.positivity_min = float(np.nanmin(vals))
                 if not np.isfinite(self.positivity_min) or self.positivity_min <= 0:
                     k = int(np.nanargmin(vals))
@@ -440,47 +412,36 @@ class DensityField:
 
     # -- evaluation
 
-    def rho(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+    @batched
+    def rho(self, pts: np.ndarray) -> np.ndarray:
         if self.expr is not None:
-            out = evaluate(self.expr, pts)
-        else:
-            out = self._interp(self.values, pts)
-        return out[0] if single else out
+            return self._rho(pts)
+        return self._interp(self.values, pts)
 
-    def grad_rho(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+    @batched
+    def grad_rho(self, pts: np.ndarray) -> np.ndarray:
         if self.expr is not None:
             d = pts.shape[1]
-            out = np.stack(
-                [evaluate(differentiate(self.expr, k, piecewise=True), pts) for k in range(d)],
-                axis=-1,
-            )
-        else:
-            if self._grad_values is None:
-                self._grad_values = [
-                    _grid_derivative(self.values, self.axes, axis) for axis in range(len(self.axes))
-                ]
-            out = np.stack([self._interp(g, pts) for g in self._grad_values], axis=-1)
-        return out[0] if single else out
+            if d not in self._grad_programs:
+                self._grad_programs[d] = Program(gradient(self.expr, d, piecewise=True))
+            return self._grad_programs[d](pts)
+        if self._grad_values is None:
+            self._grad_values = [
+                _grid_derivative(self.values, self.axes, axis) for axis in range(len(self.axes))
+            ]
+        return np.stack([self._interp(g, pts) for g in self._grad_values], axis=-1)
 
-    def log_grad(self, pts) -> np.ndarray:
+    @batched
+    def log_grad(self, pts: np.ndarray) -> np.ndarray:
         """grad(rho)/rho; raises if rho <= 0 at an evaluation point."""
         r = self.rho(pts)
-        if np.any(~np.isfinite(r)) or np.any(np.atleast_1d(r) <= 0):
-            bad = np.atleast_2d(pts)[np.argmin(np.atleast_1d(r))]
+        if np.any(~np.isfinite(r)) or np.any(r <= 0):
+            bad = pts[np.argmin(r)]
             raise PositivityError(
-                f"density non-positive at evaluation point {np.asarray(bad).tolist()}",
-                witness=tuple(float(v) for v in np.atleast_1d(bad)),
+                f"density non-positive at evaluation point {bad.tolist()}",
+                witness=tuple(float(v) for v in bad),
             )
-        g = self.grad_rho(pts)
-        return g / np.expand_dims(r, -1)
+        return self.grad_rho(pts) / r[:, None]
 
     def _interp(self, grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; exact at grid nodes."""
@@ -586,7 +547,7 @@ class QuadratureRule:
 
 def integrate(f, rule: QuadratureRule) -> float:
     """Tensor-product quadrature of a point function; deterministic summation."""
-    fn = ex.as_point_function(f) if not isinstance(f, (ScalarField,)) else f
+    fn = ex.as_point_function(f)
     pts, w = rule.points_and_weights()
     vals = np.asarray(fn(pts), dtype=float)
     vals = np.broadcast_to(vals, w.shape)
@@ -599,7 +560,7 @@ def integrate_masked(f, rule: QuadratureRule) -> Tuple[float, int]:
     Isolated singular points of otherwise integrable fields land on nodes for
     centered rules; skipping them is reported, never silent.
     """
-    fn = ex.as_point_function(f) if not isinstance(f, (ScalarField,)) else f
+    fn = ex.as_point_function(f)
     pts, w = rule.points_and_weights()
     with np.errstate(all="ignore"):
         vals = np.asarray(fn(pts), dtype=float)
@@ -612,6 +573,18 @@ def integrate_masked(f, rule: QuadratureRule) -> Tuple[float, int]:
 
 # ---------------------------------------------------------------------------
 # drift decomposition and generators
+
+
+def add_half_a_log_grad(start: Sequence[Expr], cs: CoefficientSet, rho: Expr) -> List[Expr]:
+    """``start_i + sum_j 1/2 a_ij d_j rho / rho`` for each ``i``, symbolic."""
+    log_grad = [ex.div(differentiate(rho, j, piecewise=True), rho) for j in range(cs.d)]
+    out = []
+    for i in range(cs.d):
+        s = start[i]
+        for j in range(cs.d):
+            s = ex.add(s, mul(Const(0.5), mul(cs.a_entry(i, j), log_grad[j])))
+        out.append(s)
+    return out
 
 
 def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
@@ -629,22 +602,7 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
         div_a.append(mul(Const(0.5), s))
 
     if rho.mode == "analytic":
-        comps = []
-        for i in range(d):
-            s = div_a[i]
-            for j in range(d):
-                s = ex.add(
-                    s,
-                    mul(
-                        Const(0.5),
-                        mul(
-                            cs.a_entry(i, j),
-                            ex.div(differentiate(rho.expr, j, piecewise=True), rho.expr),
-                        ),
-                    ),
-                )
-            comps.append(s)
-        return VectorField.from_exprs(comps)
+        return VectorField.from_exprs(add_half_a_log_grad(div_a, cs, rho.expr))
 
     div_a_field = VectorField.from_exprs(div_a)
 
@@ -653,7 +611,7 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
         lg = rho.log_grad(pts)
         return div_a_field(pts) + 0.5 * np.einsum("nij,nj->ni", A, lg)
 
-    return VectorField(fn, d)
+    return VectorField(fn)
 
 
 @dataclass(frozen=True)
@@ -678,7 +636,7 @@ def decompose_drift(
     if beta.exprs is not None:
         B = VectorField.from_exprs([sub(cs.G[i], beta.exprs[i]) for i in range(cs.d)])
     else:
-        B = VectorField(lambda pts: cs.eval_G(pts) - beta(pts), cs.d)
+        B = VectorField(lambda pts: cs.eval_G(pts) - beta(pts))
 
     if rule is None:
         rule = QuadratureRule.box(3.0, cs.d, 241 if cs.d <= 2 else 81)
@@ -688,11 +646,10 @@ def decompose_drift(
     residuals = []
     skipped = 0
     for f in bumps:
-        grads = [differentiate(f, k, piecewise=True) for k in range(cs.d)]
+        grad_f = Program(gradient(f, cs.d, piecewise=True))
 
-        def integrand(pts, _grads=grads):
-            g = np.stack([evaluate(gk, pts) for gk in _grads], axis=-1)
-            return np.einsum("ni,ni->n", B(pts), g) * rho.rho(pts)
+        def integrand(pts, grad_f=grad_f):
+            return np.einsum("ni,ni->n", B(pts), grad_f(pts)) * rho.rho(pts)
 
         val, skip = integrate_masked(integrand, rule)
         residuals.append(val)
@@ -739,27 +696,21 @@ def default_bump_library(lo, hi, d: int) -> List[Expr]:
 
 
 def _f_derivatives(f, d: int, piecewise: bool):
-    """grad and hessian evaluators for an AST or CallableField."""
+    """``pts -> (grad (n, d), hessian (n, d, d))`` for an AST or CallableField."""
     if isinstance(f, Expr):
-        grads = [differentiate(f, k, piecewise) for k in range(d)]
-        hess = [[differentiate(grads[i], j, piecewise) for j in range(d)] for i in range(d)]
+        grads = gradient(f, d, piecewise)
+        program = Program(grads + [differentiate(g, j, piecewise) for g in grads for j in range(d)])
 
-        def grad_fn(pts):
-            return np.stack([evaluate(g, pts) for g in grads], axis=-1)
+        def derivatives(pts):
+            out = program(pts)
+            grad = np.ascontiguousarray(out[:, :d])
+            return grad, np.ascontiguousarray(out[:, d:]).reshape(len(pts), d, d)
 
-        def hess_fn(pts):
-            n = pts.shape[0]
-            out = np.empty((n, d, d))
-            for i in range(d):
-                for j in range(d):
-                    out[:, i, j] = evaluate(hess[i][j], pts)
-            return out
-
-        return grad_fn, hess_fn
+        return derivatives
     if isinstance(f, CallableField):
         if f.grad is None or f.hess is None:
             raise CalculusError("CallableField needs grad= and hess= for generator application")
-        return f.grad, f.hess
+        return lambda pts: (f.grad(pts), f.hess(pts))
     raise TypeError(f"generator argument must be an AST or CallableField, got {f!r}")
 
 
@@ -769,8 +720,8 @@ def apply_generator(
     f,
     mode: str = "L",
     piecewise: bool = False,
-) -> ScalarField:
-    """Pointwise ``1/2 sum a_ij d_ij f + <drift, grad f>``.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Point function ``(n, d) -> (n,)``: ``1/2 sum a_ij d_ij f + <drift, grad f>``.
 
     ``mode`` selects the drift: ``L`` uses G, ``L_adjoint`` uses
     ``2 beta - G`` and ``L_zero`` uses ``beta`` (both need ``rho``).
@@ -780,13 +731,13 @@ def apply_generator(
     if mode != "L" and rho is None:
         raise CalculusError(f"mode {mode} requires a density")
     d = cs.d
-    grad_fn, hess_fn = _f_derivatives(f, d, piecewise)
+    derivatives = _f_derivatives(f, d, piecewise)
     beta = log_derivative_beta(cs, rho) if mode != "L" else None
     gfield = cs.drift_field()
 
     def fn(pts):
         A = cs.eval_A(pts)
-        Hs = hess_fn(pts)
+        grad, Hs = derivatives(pts)
         out = 0.5 * np.einsum("nij,nij->n", A, Hs)
         if mode == "L":
             drift = gfield(pts)
@@ -794,9 +745,9 @@ def apply_generator(
             drift = beta(pts)
         else:
             drift = 2.0 * beta(pts) - gfield(pts)
-        return out + np.einsum("ni,ni->n", drift, grad_fn(pts))
+        return out + np.einsum("ni,ni->n", drift, grad)
 
-    return ScalarField(fn)
+    return fn
 
 
 @dataclass(frozen=True)
@@ -824,23 +775,23 @@ def invariance_residual(
     """
     d = cs.d
     leak = False
+    fmax = 1.0
     if isinstance(f, Expr):
-        boundary_pts = _box_boundary_samples(rule)
-        inner = np.abs(evaluate(f, rule.points_and_weights()[0]))
-        fmax = float(np.nanmax(inner)) if len(inner) else 1.0
-        btrace = float(np.nanmax(np.abs(evaluate(f, boundary_pts))))
+        pts = rule.points_and_weights()[0]
+        fmax = float(np.nanmax(np.abs(evaluate(f, pts))))
+        btrace = float(np.nanmax(np.abs(evaluate(f, _box_boundary_samples(rule)))))
         if btrace > 1e-12 * max(fmax, 1e-300):
             leak = True
             c = [(rule.lo[k] + rule.hi[k]) / 2 for k in range(d)]
             r = [(rule.hi[k] - rule.lo[k]) / 2 * 0.95 for k in range(d)]
             f = mul(f, bump_expression(c, r, d))
+            fmax = float(np.nanmax(np.abs(evaluate(f, pts))))
     lf = apply_generator(cs, None, f, mode="L", piecewise=True)
 
     def integrand(pts):
         return lf(pts) * rho.rho(pts)
 
     residual, skipped = integrate_masked(integrand, rule)
-    fmax = float(np.nanmax(np.abs(evaluate(f, rule.points_and_weights()[0])))) if isinstance(f, Expr) else 1.0
     mu_box = integrate(lambda pts: rho.rho(pts), rule)
     return ResidualReport(
         residual=residual, scale=fmax * abs(mu_box), support_leak=leak, skipped_points=skipped

@@ -34,7 +34,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, parse_expr
+from .expr import CallableField, Const, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +118,18 @@ def _need(cfg: dict, key: str, typ, path: str):
     return val
 
 
+# the simulation block each check type reads its data from
+_CHECK_BLOCKS = {
+    "moment_value": "moments",
+    "moment_bound": "moments",
+    "ergodic_value": "ergodic",
+    "ks_below_critical": "transition",
+    "mean_at": "transition",
+    "exit_prob": "exit",
+    "exit_mean_time": "exit",
+}
+
+
 def validate_config(cfg: dict) -> None:
     """Structural validation with the failing field path in errors."""
     if not isinstance(cfg, dict):
@@ -156,6 +168,8 @@ def validate_config(cfg: dict) -> None:
         if sorted(ladder) != ladder or len(ladder) == 0:
             raise ConfigError("R_ladder must be nonempty and increasing", "$.density.solve.R_ladder")
         _need(solve, "n", int, "$.density.solve")
+    if not isinstance(cfg.get("criteria", []), list):
+        raise ConfigError("expected list", "$.criteria")
     for i, c in enumerate(cfg.get("criteria", [])):
         cid = _need(c, "id", str, f"$.criteria[{i}]")
         if cid not in crit.CATALOG:
@@ -165,14 +179,23 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"bad expect {expect!r}", f"$.criteria[{i}].expect")
     sim = cfg.get("simulation")
     if sim is not None:
-        for key in ("dt", "horizon", "seed", "paths"):
-            _need(sim, key, float if key in ("dt", "horizon") else int, "$.simulation")
+        for key in ("dt", "horizon"):
+            if not _need(sim, key, float, "$.simulation") > 0:
+                raise ConfigError("must be positive", f"$.simulation.{key}")
+        for key in ("seed", "paths"):
+            _need(sim, key, int, "$.simulation")
         radii = _need(sim, "radii", list, "$.simulation")
         if sorted(radii) != radii:
             raise ConfigError("radii must be increasing", "$.simulation.radii")
         x0 = _need(sim, "x0", list, "$.simulation")
         if len(x0) != d:
             raise ConfigError(f"x0 must have {d} components", "$.simulation.x0")
+        for i, chk in enumerate(sim.get("checks", [])):
+            kind = _need(chk, "type", str, f"$.simulation.checks[{i}]")
+            if kind in _CHECK_BLOCKS and _CHECK_BLOCKS[kind] not in sim:
+                raise ConfigError(
+                    f"{kind} check needs a simulation.{_CHECK_BLOCKS[kind]} block", f"$.simulation.checks[{i}]"
+                )
     return None
 
 
@@ -197,25 +220,8 @@ def build_problem(cfg: dict):
         k = H.get("beta_of_density", 0)
         if not analytic or k >= len(analytic):
             raise ConfigError("beta_of_density points at a missing density", "$.coefficients.H")
-        rho_e = analytic[k].expr
-        import sdelab.expr as ex
-
-        H = []
         base = calc.build_coefficient_set(A, C, None, d=d, integrability_p=p_meta)
-        for i in range(d):
-            s = ex.Const(0.0)
-            for j in range(d):
-                s = ex.add(
-                    s,
-                    ex.mul(
-                        ex.Const(0.5),
-                        ex.mul(
-                            base.a_entry(i, j),
-                            ex.div(ex.differentiate(rho_e, j, piecewise=True), rho_e),
-                        ),
-                    ),
-                )
-            H.append(s)
+        H = calc.add_half_a_log_grad([Const(0.0)] * d, base, analytic[k].expr)
 
     if "G" in coeffs:
         cs = calc.coefficient_set_from_drift(A, coeffs["G"], d=d, C=C, integrability_p=p_meta)
@@ -382,7 +388,6 @@ def run_criteria_stage(cfg: dict, cs, analytic, density_stage) -> List[dict]:
             cs, rho, Bbar=vt.get("Bbar"), n_max=float(vt.get("n_max", 1e6))
         )
         blob = verdict.to_json()
-        blob["id"] = "VOLUME_RECURRENCE"
         expect = vt.get("expect", "holds-on-grid")
         blob["expect"] = expect
         blob["as_expected"] = verdict.verdict == expect

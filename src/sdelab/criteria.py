@@ -118,45 +118,30 @@ class RegionSpec:
             grids = np.meshgrid(*axes, indexing="ij")
             return np.stack([g.reshape(-1) for g in grids], axis=-1)
         radii = np.linspace(self.r_min, self.r_max, self.n_radial)
-        dirs = _directions(d, self.n_angular)
+        dirs = _sphere(d, self.n_angular)[0]
         pts = radii[:, None, None] * dirs[None, :, :]
         return pts.reshape(-1, d)
 
 
-def _directions(d: int, n_angular: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        th = 2 * math.pi * np.arange(n_angular) / n_angular
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    if d == 3:
-        n_pol = max(4, int(round(math.sqrt(n_angular))))
-        n_az = n_pol
-        z, _ = np.polynomial.legendre.leggauss(n_pol)
-        phi = 2 * math.pi * np.arange(n_az) / n_az
-        Z, P = np.meshgrid(z, phi, indexing="ij")
-        s = np.sqrt(1 - Z**2)
-        return np.stack([s * np.cos(P), s * np.sin(P), Z], axis=-1).reshape(-1, 3)
-    raise CriterionError(f"no angular sampling for d={d}")
-
-
-def _sphere_weights(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
+def _sphere(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
     """Directions and quadrature weights on the unit sphere (sum = surface)."""
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if d == 2:
-        dirs = _directions(2, n_angular)
-        w = np.full(len(dirs), 2 * math.pi / len(dirs))
-        return dirs, w
-    n_pol = max(4, int(round(math.sqrt(n_angular))))
-    n_az = n_pol
-    z, wz = np.polynomial.legendre.leggauss(n_pol)
-    phi = 2 * math.pi * np.arange(n_az) / n_az
-    Z, P = np.meshgrid(z, phi, indexing="ij")
-    W = np.broadcast_to(wz[:, None], Z.shape) * (2 * math.pi / n_az)
-    s = np.sqrt(1 - Z**2)
-    dirs = np.stack([s * np.cos(P), s * np.sin(P), Z], axis=-1).reshape(-1, 3)
-    return dirs, W.reshape(-1)
+        th = 2 * math.pi * np.arange(n_angular) / n_angular
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return dirs, np.full(len(dirs), 2 * math.pi / len(dirs))
+    if d == 3:
+        n_pol = max(4, int(round(math.sqrt(n_angular))))
+        n_az = n_pol
+        z, wz = np.polynomial.legendre.leggauss(n_pol)
+        phi = 2 * math.pi * np.arange(n_az) / n_az
+        Z, P = np.meshgrid(z, phi, indexing="ij")
+        W = np.broadcast_to(wz[:, None], Z.shape) * (2 * math.pi / n_az)
+        s = np.sqrt(1 - Z**2)
+        dirs = np.stack([s * np.cos(P), s * np.sin(P), Z], axis=-1).reshape(-1, 3)
+        return dirs, W.reshape(-1)
+    raise CriterionError(f"no angular sampling for d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +250,10 @@ def lyapunov_margin(
     op = apply_generator(cs, rho, candidate, mode=mode, piecewise=True)
     with np.errstate(all="ignore"):
         lhs = op(pts)
-        if isinstance(rhs, Expr):
-            rhs_vals = evaluate(rhs, pts)
-        elif isinstance(rhs, (int, float)):
+        if isinstance(rhs, (int, float)):
             rhs_vals = np.full(len(pts), float(rhs))
         else:
-            rhs_vals = np.asarray(rhs(pts), dtype=float)
+            rhs_vals = np.asarray(ex.as_point_function(rhs)(pts), dtype=float)
     return _finish_margin(pts, lhs, rhs_vals)
 
 
@@ -289,7 +272,7 @@ def growth_report(
     """
     fn = ex.as_point_function(candidate)
     radii = np.geomspace(max(r_start, 1e-3), r_stop, n_levels)
-    dirs = _directions(d, n_angular)
+    dirs = _sphere(d, n_angular)[0]
     infs = []
     for r in radii:
         vals = fn(r * dirs)
@@ -556,10 +539,9 @@ def _handle_non_invariance(spec, cs, rho, **_):
     # certificate direction: (op u) - alpha u >= 0
     op = apply_generator(cs, rho, u, mode=mode, piecewise=True)
     with np.errstate(all="ignore"):
-        lhs_vals = np.asarray(ex.as_point_function(u)(pts), dtype=float) * alpha
+        uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
         op_vals = op(pts)
-    result = _finish_margin(pts, lhs_vals, op_vals)
-    uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
+    result = _finish_margin(pts, uvals * alpha, op_vals)
     notes = [
         f"candidate sampled range [{np.nanmin(uvals):.3g}, {np.nanmax(uvals):.3g}]"
         " (boundedness declared, checked on grid only)",
@@ -583,7 +565,6 @@ def _handle_recurrence_supersolution(spec, cs, rho, **_):
 def _handle_recurrence_growth(spec, cs, rho, **_):
     region = _default_region(cs, spec, exterior=True)
     pts = region.points(cs.d)
-    spec.constants.setdefault("M", 0.0)
     lhs, rhs = _growth_lhs_rhs(spec, cs, pts, "zero")
     result = _finish_margin(pts, lhs, rhs)
     return _margin_verdict(spec, region, result)
@@ -704,7 +685,7 @@ def _radial_cumulative(
     per_decade: int = 64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid."""
-    dirs, w = _sphere_weights(d, n_angular)
+    dirs, w = _sphere(d, n_angular)
     r_lin = np.linspace(0.0, 1.0, 65)
     decades = max(1, int(math.ceil(math.log10(max(r_max, 1.0 + 1e-9)))))
     r_log = np.geomspace(1.0, r_max, decades * per_decade + 1)
@@ -767,6 +748,7 @@ def volume_test_integrands(
         div_ct.append(ex.mul(ex.Const(0.5), s))
     div_field = VectorField.from_exprs(div_ct)
     c_is_zero = all(e == ex.Const(0.0) for row in cs.c_upper for e in row)
+    c_program = ex.Program([e for row in cs.C for e in row])
     bbar_field = (
         VectorField.from_exprs([_coerce_candidate(b, d) for b in Bbar]) if Bbar else None
     )
@@ -776,8 +758,7 @@ def volume_test_integrands(
         if c_is_zero:
             vec_rho = np.zeros((len(pts), d))
         else:
-            C = calc.eval_matrix(cs.C, pts)
-            ct = np.swapaxes(C, 1, 2)
+            ct = np.swapaxes(c_program(pts).reshape(len(pts), d, d), 1, 2)
             grad = rho.grad_rho(pts)
             vec_rho = div_field(pts) * r[:, None] + 0.5 * np.einsum("nij,nj->ni", ct, grad)
         if bbar_field is not None:
@@ -816,7 +797,7 @@ def recurrence_volume_test(
     vs = v[sel]
     if np.any(vs <= 0):
         return CriterionVerdict(
-            id="RECURRENCE_SUPERSOLUTION",
+            id="VOLUME_RECURRENCE",
             region=f"volume test up to n={n_max:g}",
             verdict="inconclusive",
             conclusion="recurrence (volume test)",
@@ -863,7 +844,7 @@ def recurrence_volume_test(
         if kind == "growing":
             notes.append("ln(v2 v 1)/a_n not trending to zero")
     return CriterionVerdict(
-        id="RECURRENCE_SUPERSOLUTION",
+        id="VOLUME_RECURRENCE",
         region=f"volume test up to n={n_max:g}",
         verdict=verdict,
         conclusion="recurrent (volume-integral test)" if verdict == "holds-on-grid" else "recurrence (volume test)",

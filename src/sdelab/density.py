@@ -171,11 +171,11 @@ def assemble_system(
     def ev(expr_, pts):
         vals = evaluate(expr_, pts)
         if not np.all(np.isfinite(vals)):
-            k = int(np.argmax(~np.isfinite(np.atleast_1d(vals))))
+            k = int(np.argmax(~np.isfinite(vals)))
             raise DensityError(
                 f"coefficient evaluation failed at face center {pts[k].tolist()}"
             )
-        return np.broadcast_to(np.asarray(vals, dtype=float), (len(pts),))
+        return vals
 
     zero = np.zeros(d, dtype=np.int64)
     for k in range(d):

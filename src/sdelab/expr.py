@@ -12,14 +12,21 @@ Differentiating through ``max``/``min`` requires the caller to pass
 (= ``p`` where ``a >= b``, else ``q``).  At exact ties the first branch wins,
 matching the convention that piecewise candidates like ``max(norm2(x), N0^2)``
 are differentiated from their max-branch.
+
+Evaluation compiles expressions once into a :class:`Program`: the unique
+subexpressions of a whole set (hash-consed, so shared subterms of drifts and
+derivatives run once) in topological order, each a numpy operation per point
+batch.  :func:`evaluate` compiles a one-off program for a single call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +57,8 @@ __all__ = [
     "gradient",
     "eval_expr",
     "evaluate",
+    "Program",
+    "batched",
     "const",
     "coord",
     "add",
@@ -654,7 +663,106 @@ def gradient(e: Expr, dimension: int, piecewise: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: expressions compiled into CSE'd numpy programs
+
+
+def batched(method):
+    """Let a method written for ``(n, d)`` point batches also take one point ``(d,)``."""
+
+    @functools.wraps(method)
+    def wrapper(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            return method(self, pts[None, :])[0]
+        return method(self, pts)
+
+    return wrapper
+
+
+_OPS = {
+    Coord: lambda pts, axis: pts[:, axis],
+    Norm2: lambda pts: np.einsum("ij,ij->i", pts, pts),
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: np.power,  # a negative base with a fractional exponent gives nan
+    Exp: np.exp,
+    Ln: np.log,
+    Sqrt: np.sqrt,
+    Max: np.maximum,
+    Min: np.minimum,
+    SelGe: lambda a, b, then, orelse: np.where(a >= b, then, orelse),
+}
+
+_PTS = 0  # slot of the evaluation points
+
+
+class Program:
+    """Expressions compiled once into a straight-line numpy program.
+
+    Structurally equal subexpressions are hash-consed into one slot, and the
+    unique nodes run in topological order, each once per call with the numpy
+    operation of its node type.  Constants are keyed by value *and* sign
+    (``Const(0.0) == Const(-0.0)`` as dataclasses).  A slot is released after
+    its last use, and all scratch space lives inside the call, so one program
+    may serve several threads.
+
+    A single expression maps ``(n, d)`` points to ``(n,)``; a sequence of
+    ``m`` expressions maps them to ``(n, m)``.
+    """
+
+    def __init__(self, exprs: Union[Expr, Sequence[Expr]]):
+        self._scalar = isinstance(exprs, Expr)
+        self._init: list = [None]  # slot values before a run: points, constants, None
+        code = []  # (slot, fn, argument slots) in topological order
+        slots: dict = {}  # structural key -> slot
+
+        def intern(key: tuple, value=None) -> int:
+            if key not in slots:
+                slots[key] = len(self._init)
+                self._init.append(value)
+                if value is None:  # an operation on the slots named in its key
+                    code.append((slots[key], _OPS[key[0]], key[1:]))
+            return slots[key]
+
+        def const(value) -> int:
+            return intern((Const, type(value), value, math.copysign(1.0, value)), value)
+
+        def visit(e: Expr) -> int:
+            if isinstance(e, Const):
+                return const(e.value)
+            if isinstance(e, Coord):
+                args = (_PTS, const(e.axis))
+            elif isinstance(e, Norm2):
+                args = (_PTS,)
+            elif isinstance(e, Pow):
+                args = (visit(e.base), const(e.exponent))
+            else:
+                args = tuple(visit(c) for c in children(e))
+            return intern((type(e), *args))
+
+        self._outputs = tuple(visit(e) for e in ([exprs] if self._scalar else exprs))
+        last = {a: i for i, (_, _, args) in enumerate(code) for a in args}
+        temporary = [self._init[a] is None and a not in self._outputs for a in range(len(self._init))]
+        self._code = tuple(
+            (slot, fn, args, tuple(a for a in args if temporary[a] and last[a] == i))
+            for i, (slot, fn, args) in enumerate(code)
+        )
+
+    @batched
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        v = list(self._init)
+        v[_PTS] = pts
+        with np.errstate(all="ignore"):
+            for slot, fn, args, dead in self._code:
+                v[slot] = fn(*[v[a] for a in args])
+                for a in dead:  # last use: release the intermediate
+                    v[a] = None
+        out = np.empty((pts.shape[0], len(self._outputs)))
+        for k, slot in enumerate(self._outputs):
+            out[:, k] = v[slot]
+        return out[:, 0] if self._scalar else out
 
 
 def evaluate(e: Expr, points: np.ndarray) -> np.ndarray:
@@ -662,53 +770,10 @@ def evaluate(e: Expr, points: np.ndarray) -> np.ndarray:
 
     Out-of-domain points produce ``nan``/``inf`` entries (callers sample grids
     and must mask); use :func:`eval_expr` for strict scalar evaluation.
+    Callers that evaluate the same expressions repeatedly hold a
+    :class:`Program` instead.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    with np.errstate(all="ignore"):
-        out = _eval(e, pts)
-        out = np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
-    return out[0] if single else out
-
-
-def _eval(e: Expr, pts: np.ndarray):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        return pts[:, e.axis]
-    if isinstance(e, Add):
-        return _eval(e.left, pts) + _eval(e.right, pts)
-    if isinstance(e, Sub):
-        return _eval(e.left, pts) - _eval(e.right, pts)
-    if isinstance(e, Mul):
-        return _eval(e.left, pts) * _eval(e.right, pts)
-    if isinstance(e, Div):
-        return _eval(e.left, pts) / _eval(e.right, pts)
-    if isinstance(e, Pow):
-        base = _eval(e.base, pts)
-        if float(e.exponent).is_integer():
-            return np.power(base, e.exponent)
-        # fractional exponent of a negative base is a domain failure -> nan
-        return np.power(np.asarray(base, dtype=float), e.exponent)
-    if isinstance(e, Exp):
-        return np.exp(_eval(e.arg, pts))
-    if isinstance(e, Ln):
-        return np.log(_eval(e.arg, pts))
-    if isinstance(e, Sqrt):
-        return np.sqrt(_eval(e.arg, pts))
-    if isinstance(e, Norm2):
-        return np.einsum("ij,ij->i", pts, pts)
-    if isinstance(e, Max):
-        return np.maximum(_eval(e.left, pts), _eval(e.right, pts))
-    if isinstance(e, Min):
-        return np.minimum(_eval(e.left, pts), _eval(e.right, pts))
-    if isinstance(e, SelGe):
-        a = _eval(e.a, pts)
-        b = _eval(e.b, pts)
-        return np.where(a >= b, _eval(e.then, pts), _eval(e.orelse, pts))
-    raise TypeError(f"unknown node {e!r}")
+    return Program(e)(points)
 
 
 def eval_expr(e: Expr, point) -> float:
@@ -726,16 +791,10 @@ def eval_expr(e: Expr, point) -> float:
 
 
 def _locate_domain_failure(e: Expr, pt: np.ndarray) -> Expr:
+    """Deepest node on a non-finite path: its children all evaluate finitely."""
     for c in children(e):
-        v = evaluate(c, pt)
-        if not np.isfinite(v):
+        if not np.isfinite(evaluate(c, pt)):
             return _locate_domain_failure(c, pt)
-    if isinstance(e, Ln) and evaluate(e.arg, pt) <= 0:
-        return e
-    if isinstance(e, Div) and evaluate(e.right, pt) == 0:
-        return e
-    if isinstance(e, Sqrt) and evaluate(e.arg, pt) < 0:
-        return e
     return e
 
 
@@ -753,7 +812,7 @@ PointFunction = Union[Expr, CallableField, Callable[[np.ndarray], np.ndarray]]
 def as_point_function(f: PointFunction) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt an AST, CallableField, or raw callable to ``(n, d) -> (n,)``."""
     if isinstance(f, Expr):
-        return lambda pts: evaluate(f, pts)
+        return Program(f)
     if isinstance(f, CallableField):
         return f.value
     if callable(f):

@@ -61,6 +61,28 @@ def test_validation_reports_field_path():
     cfg3["coefficients"]["A"] = [["ln(x9)", "0"], ["1"]]
     with pytest.raises(ConfigError, match=r"coefficients\.A"):
         validate_config(cfg3)
+    cfg4 = tiny_bm_config(criteria={"id": "RECURRENCE_SUPERSOLUTION"})
+    with pytest.raises(ConfigError, match=r"\$\.criteria: expected list"):
+        validate_config(cfg4)
+    for key, value in (("dt", -1e-3), ("horizon", 0.0)):
+        cfg5 = tiny_bm_config()
+        cfg5["simulation"][key] = value
+        with pytest.raises(ConfigError, match=rf"simulation\.{key}: must be positive"):
+            validate_config(cfg5)
+    for kind, block in (
+        ("moment_value", "moments"),
+        ("moment_bound", "moments"),
+        ("ergodic_value", "ergodic"),
+        ("ks_below_critical", "transition"),
+        ("mean_at", "transition"),
+        ("exit_prob", "exit"),
+        ("exit_mean_time", "exit"),
+    ):
+        cfg6 = tiny_bm_config()
+        cfg6["simulation"].pop("moments")
+        cfg6["simulation"]["checks"] = [{"type": kind}]
+        with pytest.raises(ConfigError, match=rf"simulation\.checks\[0\]: {kind} check needs a simulation\.{block}"):
+            validate_config(cfg6)
 
 
 def test_config_round_trip_canonical():

@@ -141,6 +141,68 @@ def test_vectorized_matches_scalar():
         assert vec[i] == pytest.approx(eval_expr(t, pts[i]), rel=1e-14)
 
 
+# --- compiled programs -------------------------------------------------------
+
+
+def _tree_walk(e, pts):
+    """Reference: recursive evaluation, one numpy operation per visited node."""
+    binary = {ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply, ex.Div: np.divide,
+              ex.Max: np.maximum, ex.Min: np.minimum}
+    unary = {ex.Exp: np.exp, ex.Ln: np.log, ex.Sqrt: np.sqrt}
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Coord):
+        return pts[:, e.axis]
+    if isinstance(e, ex.Norm2):
+        return np.einsum("ij,ij->i", pts, pts)
+    if isinstance(e, ex.Pow):
+        return np.power(_tree_walk(e.base, pts), e.exponent)
+    if isinstance(e, ex.SelGe):
+        a, b = _tree_walk(e.a, pts), _tree_walk(e.b, pts)
+        return np.where(a >= b, _tree_walk(e.then, pts), _tree_walk(e.orelse, pts))
+    if type(e) in unary:
+        return unary[type(e)](_tree_walk(e.arg, pts))
+    return binary[type(e)](_tree_walk(e.left, pts), _tree_walk(e.right, pts))
+
+
+def _program_sets():
+    from sdelab import cli
+    from sdelab.calculus import default_bump_library
+
+    for name in cli.BUILTIN_NAMES:
+        cs, _ = cli.build_problem(cli.load_config(name))
+        yield pytest.param(cs.d, list(cs.G), id=name)
+    bump = default_bump_library((-3.0, -3.0), (3.0, 3.0), 2)[2]
+    grads = ex.gradient(bump, 2, piecewise=True)
+    hess = [differentiate(g, j, piecewise=True) for g in grads for j in range(2)]
+    yield pytest.param(2, [bump] + grads + hess, id="bump_hessian")
+
+
+@pytest.mark.parametrize("d, exprs", list(_program_sets()))
+def test_program_set_matches_members_alone(d, exprs):
+    # sharing subterms across a set changes no value: byte-equal to each
+    # member compiled on its own and to a recursive tree walk, at random
+    # points and at the origin
+    pts = np.random.default_rng(7).normal(scale=2.0, size=(500, d))
+    pts[0] = 0.0
+    together = ex.Program(exprs)(pts)
+    alone = np.stack([evaluate(e, pts) for e in exprs], axis=-1)
+    with np.errstate(all="ignore"):
+        walked = np.stack([np.broadcast_to(_tree_walk(e, pts), (500,)) for e in exprs], axis=-1)
+    assert together.shape == (500, len(exprs))
+    assert together.tobytes() == alone.tobytes() == walked.tobytes()
+    assert ex.Program(exprs)(pts[3]).tobytes() == alone[3].tobytes()
+
+
+def test_program_keeps_signed_zero_constants_apart():
+    # Const(0.0) == Const(-0.0) as dataclasses; hash-consing must not merge them
+    exprs = [parse_expr("max(x1, 0)", 1), parse_expr("max(x1, -0)", 1)]
+    assert exprs[0] == exprs[1]
+    out = ex.Program(exprs)(np.array([[-1.0]]))
+    assert out[0, 0] == 0.0 and out[0, 1] == 0.0
+    assert list(np.signbit(out[0])) == [False, True]
+
+
 # --- random smooth expression corpus ---------------------------------------
 
 _SMOOTH_LEAVES = ["x1", "x2", "1.5", "0.25", "-2.0"]

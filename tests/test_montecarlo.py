@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sdelab import montecarlo
 from sdelab.calculus import DensityField, build_coefficient_set
+from sdelab.expr import parse_expr
 from sdelab.montecarlo import (
     MonteCarloError,
     SimulationConfig,
@@ -57,12 +59,26 @@ def test_ou_mean_decay():
     assert abs(X[:, 0].mean() - 2.0 * math.exp(-1.0)) <= 3 * se
 
 
-def test_seed_determinism_across_threads():
-    cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=600, seed=77, radii=(8.0, 16.0))
-    a = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], threads=1)
-    b = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], threads=4)
+def test_seed_determinism_across_threads(monkeypatch):
+    # 64-path batches so that the thread pool really runs several batches
+    batches = []
+
+    def bounds_64(paths, n_steps, d):
+        bounds = [(s, min(s + 64, paths)) for s in range(0, paths, 64)]
+        batches.append(len(bounds))
+        return bounds
+
+    monkeypatch.setattr(montecarlo, "_batch_bounds", bounds_64)
+    # the tight clip and the inner radius make clip counts and exit times non-trivial
+    cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=600, seed=77, radii=(1.5, 16.0), clip=0.012)
+    acc = {"r2": parse_expr("norm2(x)", 2)}
+    a = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc, threads=1)
+    b = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc, threads=4)
+    assert batches == [10, 10]
+    assert a.clip_counts.sum() > 0 and np.isfinite(a.exit_times[1.5]).any()
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.clip_counts, b.clip_counts)
+    assert np.array_equal(a.accumulators["r2"], b.accumulators["r2"])
     for r in cfg.radii:
         assert np.array_equal(
             a.exit_times[r], b.exit_times[r], equal_nan=True
