@@ -196,6 +196,8 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(
                     f"{kind} check needs a simulation.{_CHECK_BLOCKS[kind]} block", f"$.simulation.checks[{i}]"
                 )
+            if kind == "moment_bound" and "bound" not in sim["moments"]:
+                raise ConfigError("moment_bound check needs a bound", "$.simulation.moments.bound")
     return None
 
 
@@ -566,12 +568,15 @@ def _jsonable(obj):
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # np.float64 is a float whose repr is "np.float64(...)"
     return str(v)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Sequence[Sequence], preamble: Optional[str] = None
+) -> None:
+    lines = [] if preamble is None else [preamble]
+    lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -602,12 +607,8 @@ def emit_report(report: dict, out_dir: Path, formats: Sequence[str] = ("json", "
             pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
             vals = approx.values.reshape(-1)
             header = ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"]
-            first = [f"# R={_fmt(mesh.R)}", f"n={mesh.n}", f"d={mesh.d}"]
             rows = [[i] + [pts[i, k] for k in range(mesh.d)] + [vals[i]] for i in range(len(vals))]
-            lines = [",".join(first), ",".join(header)]
-            for row in rows:
-                lines.append(",".join(_fmt(v) for v in row))
-            path.write_text("\n".join(lines) + "\n", newline="\n")
+            _write_csv(path, header, rows, preamble=f"# R={_fmt(mesh.R)},n={mesh.n},d={mesh.d}")
             written.append(path)
         sim = stages.get("simulation", {})
         if sim.get("moments"):
@@ -713,18 +714,9 @@ def run_scenario(
     formats: Sequence[str] = ("json", "csv"),
 ) -> dict:
     """Execute the requested stages; returns the report with an exit code."""
-    validate_config(cfg)
-    if seed_override is not None and "simulation" in cfg:
-        cfg = json.loads(json.dumps(cfg))
-        cfg["simulation"]["seed"] = seed_override
     report: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
-        "scenario": json.loads(canonical_config(cfg)),
-        "seed_record": {
-            "master_seed": cfg.get("simulation", {}).get("seed"),
-            "overridden": seed_override is not None,
-        },
         "stages": {},
         "timings": {},
         "status": {"exit_code": 0, "notes": []},
@@ -732,9 +724,16 @@ def run_scenario(
     exit_code = 0
     notes: List[str] = report["status"]["notes"]
 
-    cs = None
-    analytic: List[DensityField] = []
     try:
+        validate_config(cfg)
+        if seed_override is not None and "simulation" in cfg:
+            cfg = json.loads(json.dumps(cfg))
+            cfg["simulation"]["seed"] = seed_override
+        report["scenario"] = json.loads(canonical_config(cfg))
+        report["seed_record"] = {
+            "master_seed": cfg.get("simulation", {}).get("seed"),
+            "overridden": seed_override is not None,
+        }
         cs, analytic = build_problem(cfg)
     except (ConfigError, calc.CalculusError) as err:
         report["stages"]["build"] = {"error": str(err)}

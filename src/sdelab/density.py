@@ -37,7 +37,6 @@ __all__ = [
     "convergence_order",
 ]
 
-DENSE_FALLBACK_NODES = 5000
 PECLET_WARN = 2.0
 
 
@@ -46,9 +45,7 @@ class DensityError(Exception):
 
 
 class SolverError(DensityError):
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history or []
+    pass
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,6 @@ def solve_density(
     n: int,
     boundary: Union[str, Expr] = "ones",
     *,
-    rtol: float = 1e-10,
     singular_points=None,
 ) -> DensityApproximation:
     """Solve the discrete balance normalized so the origin value is exactly 1.
@@ -325,11 +321,10 @@ def solve_density(
     decades for confining drifts and is numerically singular in doubles, so
     the system is reparametrized the way the construction itself normalizes:
     the origin value is fixed to 1 and the boundary amplitude ``tau`` becomes
-    the extra unknown (a sparse column swap).  Interior systems up to 5000
-    unknowns use a dense direct solve; larger ones BiCGStab with an
-    incomplete-LU preconditioner at relative tolerance ``rtol``, falling back
-    to a complete sparse LU when the iteration breaks down or violates the
-    positivity the construction guarantees.
+    the extra unknown (a sparse column swap).  Every mesh is solved by one
+    sparse LU factorization (SuperLU with minimum-degree ordering on
+    ``A^T + A``); a singular factor or a relative residual above 1e-7 raises
+    :class:`SolverError`.
     """
     mesh = make_mesh(R, n, cs.d, singular_points)
     system = assemble_system(cs, mesh, boundary)
@@ -352,38 +347,13 @@ def solve_density(
     )
     r = -np.asarray(A[:, origin_flat].todense()).ravel()
 
-    history: List[float] = []
-    if N <= DENSE_FALLBACK_NODES:
-        x = np.linalg.solve(M.toarray(), r)
-        iterations = 0
-        method = "dense-direct"
-    else:
-        ilu = spla.spilu(M.tocsc(), drop_tol=1e-5, fill_factor=20)
-        prec = spla.LinearOperator(M.shape, ilu.solve)
-
-        def cb(xk):
-            history.append(float(np.linalg.norm(r - M @ xk)))
-
-        x, info = spla.bicgstab(
-            M, r, rtol=rtol, atol=0.0, maxiter=min(10 * N, 400), M=prec, callback=cb
-        )
-        iterations = len(history)
-        method = "bicgstab+ilu"
-        # with positive boundary data the true normalized solution is positive
-        # (Harnack); an iterate violating that beyond rounding is garbage
-        boundary_positive = np.nanmin(system.boundary_values) > 0
-        bad = info != 0 or not np.all(np.isfinite(x))
-        if not bad and boundary_positive:
-            bad = float(np.min(x)) < -1e-10 * float(np.max(np.abs(x)))
-        if bad:
-            x = spla.splu(M.tocsc()).solve(r)
-            method = "sparse-lu-fallback"
+    try:
+        x = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(r)
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"sparse LU failed: {err}") from err
     res = float(np.linalg.norm(r - M @ x) / max(np.linalg.norm(r), 1e-300))
     if not np.all(np.isfinite(x)) or res > 1e-7:
-        raise SolverError(
-            f"linear solve failed (method {method}, relative residual {res:.3e})",
-            residual_history=history,
-        )
+        raise SolverError(f"linear solve failed (relative residual {res:.3e})")
 
     tau = float(x[origin_flat])
     interior = x.copy()
@@ -402,9 +372,9 @@ def solve_density(
         positivity_min=pos_min,
         valid=pos_min > -1e-10 * float(np.max(grid)),
         diagnostics={
-            "method": method,
+            "method": "sparse-lu",
             "relative_residual": res,
-            "iterations": iterations,
+            "iterations": 0,
             "boundary_amplitude_tau": tau,
             "peclet_max": system.peclet_max,
             "peclet_warning": system.peclet_warning,

@@ -83,6 +83,16 @@ def test_validation_reports_field_path():
         cfg6["simulation"]["checks"] = [{"type": kind}]
         with pytest.raises(ConfigError, match=rf"simulation\.checks\[0\]: {kind} check needs a simulation\.{block}"):
             validate_config(cfg6)
+    cfg7 = tiny_bm_config()
+    cfg7["simulation"]["checks"] = [{"type": "moment_bound"}]
+    with pytest.raises(ConfigError, match=r"\$\.simulation\.moments\.bound: moment_bound check needs a bound"):
+        validate_config(cfg7)
+
+
+def test_run_scenario_reports_malformed_config():
+    report = run_scenario(tiny_bm_config(dimension=0))
+    assert report["status"]["exit_code"] == 4
+    assert report["stages"]["build"]["error"].startswith("$.dimension:")
 
 
 def test_config_round_trip_canonical():
@@ -210,3 +220,9 @@ def test_density_solve_emits_grid_csv(tmp_path):
     assert grid[0].startswith("# R=2.0,n=16,d=2")
     assert grid[1] == "index,x1,x2,value"
     assert len(grid) == 2 + 17 * 17
+    for line in grid[2:]:
+        index, *numbers = line.split(",")
+        int(index)
+        assert len(numbers) == 3
+        for text in numbers:
+            float(text)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sdelab import density
 from sdelab.calculus import DensityField, QuadratureRule, build_coefficient_set
 from sdelab.density import (
     BoxMesh,
+    SolverError,
     assemble_system,
     convergence_order,
     invariance_of_solution,
@@ -94,6 +96,41 @@ def test_solve_manufactured_ou():
     assert err <= 5e-3
     assert approx.valid
     assert approx.diagnostics["peclet_max"] <= 2.0
+
+
+@pytest.mark.parametrize(
+    "d, rate, R, n",
+    [(2, 10.0, 2.0, 128), (3, 1.0, 4.0, 16)],
+    ids=["d2-rate10-n128", "d3-n16"],
+)
+def test_sparse_lu_solves_dirichlet_system(d, rate, R, n):
+    cs = cs_ou(rate=rate, d=d)
+    boundary = f"exp(-{rate}*norm2(x))"
+    approx = solve_density(cs, R=R, n=n, boundary=boundary)
+    diag = approx.diagnostics
+    assert diag["method"] == "sparse-lu"
+    assert diag["iterations"] == 0
+    assert diag["relative_residual"] <= 1e-12
+    assert approx.origin_value() == 1.0
+    # undo the origin normalization: the grid divided by tau carries the
+    # original boundary data and must satisfy the unnormalized Dirichlet
+    # system up to rounding.  The scale is max(|A| |u| + |b|), not |b| alone:
+    # at rate 10 the boundary data exp(-40) sits below the rounding of the
+    # interior terms, so a residual relative to |b| alone measures rounding.
+    system = assemble_system(cs, approx.mesh, boundary)
+    u = approx.values / diag["boundary_amplitude_tau"]
+    interior = u[(slice(1, n),) * d].reshape(-1)
+    scale = np.max(abs(system.matrix) @ np.abs(interior) + np.abs(system.rhs))
+    assert np.max(np.abs(system.residual_of(u))) <= 1e-13 * scale
+
+
+def test_singular_factor_raises_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(density.spla, "splu", singular)
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_density(cs_ou(), R=2.0, n=8)
 
 
 def test_solve_manufactured_ou_order():
