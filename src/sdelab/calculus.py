@@ -766,13 +766,22 @@ def invariance_residual(
     rho: DensityField,
     f,
     rule: QuadratureRule,
-) -> ResidualReport:
+) -> Union[ResidualReport, List[ResidualReport]]:
     """Quadrature of ``integral Lf rho dx``; near zero for invariant pairs.
 
     ``f`` must be compactly supported inside the rule's box; if its boundary
     trace is non-negligible it is multiplied by a built-in cutoff bump and the
-    leak is reported (the residual is still returned).
+    leak is reported (the residual is still returned).  Given a list of test
+    functions, returns one report per function; the mass of ``rho`` on the
+    box, which scales every report, is integrated once.
     """
+    mu_box = integrate(lambda pts: rho.rho(pts), rule)
+    if isinstance(f, list):
+        return [_residual_report(cs, rho, g, rule, mu_box) for g in f]
+    return _residual_report(cs, rho, f, rule, mu_box)
+
+
+def _residual_report(cs, rho, f, rule, mu_box: float) -> ResidualReport:
     d = cs.d
     leak = False
     fmax = 1.0
@@ -792,7 +801,6 @@ def invariance_residual(
         return lf(pts) * rho.rho(pts)
 
     residual, skipped = integrate_masked(integrand, rule)
-    mu_box = integrate(lambda pts: rho.rho(pts), rule)
     return ResidualReport(
         residual=residual, scale=fmax * abs(mu_box), support_leak=leak, skipped_points=skipped
     )

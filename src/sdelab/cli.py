@@ -18,6 +18,7 @@ byte-identical across reruns with the same seed, independent of --threads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -105,8 +106,14 @@ def canonical_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
+def _object(val, path: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError("expected dict", path)
+    return val
+
+
 def _need(cfg: dict, key: str, typ, path: str):
-    if key not in cfg:
+    if key not in _object(cfg, path):
         raise ConfigError(f"missing required field", f"{path}.{key}")
     val = cfg[key]
     if typ is float:
@@ -159,7 +166,7 @@ def validate_config(cfg: dict) -> None:
     for key in ("A", "C", "H", "G"):
         if key in coeffs:
             check_exprs(coeffs[key], f"$.coefficients.{key}")
-    densities = cfg.get("density", {})
+    densities = _object(cfg.get("density", {}), "$.density")
     for i, e in enumerate(densities.get("analytic", [])):
         check_exprs(e, f"$.density.analytic[{i}]")
     solve = densities.get("solve")
@@ -192,12 +199,17 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"x0 must have {d} components", "$.simulation.x0")
         for i, chk in enumerate(sim.get("checks", [])):
             kind = _need(chk, "type", str, f"$.simulation.checks[{i}]")
-            if kind in _CHECK_BLOCKS and _CHECK_BLOCKS[kind] not in sim:
-                raise ConfigError(
-                    f"{kind} check needs a simulation.{_CHECK_BLOCKS[kind]} block", f"$.simulation.checks[{i}]"
-                )
+            if kind in _CHECK_BLOCKS:
+                block = _CHECK_BLOCKS[kind]
+                if block not in sim:
+                    raise ConfigError(
+                        f"{kind} check needs a simulation.{block} block", f"$.simulation.checks[{i}]"
+                    )
+                _object(sim[block], f"$.simulation.{block}")
             if kind == "moment_bound" and "bound" not in sim["moments"]:
                 raise ConfigError("moment_bound check needs a bound", "$.simulation.moments.bound")
+    if cfg.get("volume_test") is not None:
+        _object(cfg["volume_test"], "$.volume_test")
     return None
 
 
@@ -271,7 +283,7 @@ def run_density_stage(cfg: dict, cs: CoefficientSet, analytic: List[DensityField
         rule = calc.QuadratureRule.box(dcfg.get("residual_box", 3.0), cs.d, nodes)
         bumps = calc.default_bump_library(rule.lo, rule.hi, cs.d)
         for k, rho in enumerate(analytic):
-            residuals = [calc.invariance_residual(cs, rho, f, rule) for f in bumps]
+            residuals = calc.invariance_residual(cs, rho, bumps, rule)
             worst = max(abs(r.residual) for r in residuals)
             scale = max(r.scale for r in residuals)
             _, div_report = calc.decompose_drift(cs, rho, rule=rule, bumps=bumps)
@@ -437,14 +449,7 @@ def run_simulation_stage(cfg: dict, cs, analytic, density_stage, threads: int) -
         out["ergodic"] = mc.ergodic_average(
             cs,
             x0,
-            mc.SimulationConfig(
-                dt=scfg.dt,
-                horizon=float(erg["horizon"]),
-                paths=1,
-                seed=scfg.seed,
-                radii=scfg.radii,
-                clip=scfg.clip,
-            ),
+            dataclasses.replace(scfg, horizon=float(erg["horizon"])),
             parse_expr(erg["f"], d),
             burn_in=float(erg["burn_in"]),
         )

@@ -400,7 +400,7 @@ def invariance_of_solution(
     if bumps is None:
         bumps = calc.default_bump_library(rule.lo, rule.hi, mesh.d)
     rho = approx.to_density_field()
-    reports = [calc.invariance_residual(cs, rho, f, rule) for f in bumps]
+    reports = calc.invariance_residual(cs, rho, list(bumps), rule)
     return {
         "max_residual": max(abs(r.residual) for r in reports),
         "scale": max(r.scale for r in reports),

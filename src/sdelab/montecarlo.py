@@ -3,18 +3,21 @@
 Paths follow ``X_{k+1} = X_k + G_clip(X_k) dt + sigma(X_k) sqrt(dt) xi_k``
 with ``sigma`` the symmetric square root of ``A`` and ``xi_k`` standard
 Gaussians drawn by inverse CDF from counter-based Philox streams keyed by
-``(master seed, path index)``.  A path stops permanently at its first exit
-from the largest ladder radius (absorption is the simulator's proxy for the
-cemetery state); exit times are recorded for every ladder radius at the
-first sample index with ``|X| >= n``.  Everything is bit-reproducible for a
-fixed config, independent of the thread count.
+``(master seed, path index)``.  Each path's stream is read in chunks of
+``_NOISE_CHUNK`` time steps; successive reads continue the stream, so the
+numbers are those of one long read.  A path stops permanently at its first
+exit from the largest ladder radius (absorption is the simulator's proxy for
+the cemetery state); exit times are recorded for every ladder radius at the
+first sample index with ``|X| >= n``.  ``simulate_ensemble`` holds the only
+stepping loop: the ergodic average runs as a one-path ensemble.  Everything
+is bit-reproducible for a fixed config, independent of the thread count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
+_BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
 
 
 class MonteCarloError(Exception):
@@ -108,17 +113,16 @@ class PathEnsemble:
         return self.states[:, k, :]
 
 
-def _gaussian_block(seed: int, path_index: int, shape: Tuple[int, int]) -> np.ndarray:
-    """Standard normals for one path: inverse CDF of Philox uniforms."""
-    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, path_index & _MASK64]))
-    u = gen.random(shape)
-    u[u == 0.0] = 2.0**-54
-    return ndtri(u)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` (the same arithmetic) without its
+    argument handling, which is most of its cost on one path."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _batch_bounds(paths: int, n_steps: int, d: int) -> List[Tuple[int, int]]:
-    per_path = n_steps * d
-    batch = max(1, min(paths, int(4e7 // max(per_path, 1))))
+    """Path ranges whose noise chunk holds at most ``_BATCH_FLOATS`` numbers."""
+    per_path = min(n_steps, _NOISE_CHUNK) * d
+    batch = max(1, min(paths, _BATCH_FLOATS // per_path))
     return [(s, min(s + batch, paths)) for s in range(0, paths, batch)]
 
 
@@ -129,13 +133,15 @@ def simulate_ensemble(
     *,
     save_times: Optional[Sequence[float]] = None,
     accumulate: Optional[Dict[str, Callable[[np.ndarray], np.ndarray]]] = None,
+    accumulate_from: float = 0.0,
     threads: int = 1,
 ) -> PathEnsemble:
     """Simulate the ensemble; deterministic for fixed config and inputs.
 
     ``save_times`` lists process times whose states are stored (the terminal
     time is always stored); ``accumulate`` maps names to point functions whose
-    left-endpoint time integrals are accumulated along each living path.
+    left-endpoint time integrals from ``accumulate_from`` on are accumulated
+    along each living path and stored at the save times like the states.
     """
     if cs.d < 2:
         raise MonteCarloError("the simulator needs d >= 2")
@@ -156,6 +162,7 @@ def simulate_ensemble(
             save_idx.add(k)
     save_idx = sorted(save_idx)
     save_pos = {k: i for i, k in enumerate(save_idx)}
+    acc_start = int(round(accumulate_from / dt))
 
     d = cs.d
     a_const = cs.a_is_constant()
@@ -166,63 +173,83 @@ def simulate_ensemble(
     acc_fns = {name: as_point_function(f) for name, f in (accumulate or {}).items()}
 
     states = np.empty((cfg.paths, len(save_idx), d))
-    exit_times = {float(r): np.full(cfg.paths, np.nan) for r in cfg.radii}
+    exit_t = np.full((cfg.paths, len(cfg.radii)), np.nan)
     clip_counts = np.zeros(cfg.paths, dtype=np.int64)
     status = np.zeros(cfg.paths, dtype=np.int8)
     overshoot = np.zeros(cfg.paths)
-    accs = {name: np.zeros(cfg.paths) for name in acc_fns}
+    accs = {name: np.zeros((cfg.paths, len(save_idx))) for name in acc_fns}
 
     radii = np.array(cfg.radii, dtype=float)
+    n_radii = len(radii)
+    cols = np.arange(n_radii)
     sqrt_dt = math.sqrt(dt)
 
     def run_batch(bounds: Tuple[int, int]) -> None:
         lo, hi = bounds
         B = hi - lo
-        xi = np.empty((B, n_steps, d))
-        for p in range(B):
-            xi[p] = _gaussian_block(cfg.seed, lo + p, (n_steps, d))
+        gens = [
+            np.random.Generator(np.random.Philox(key=[cfg.seed & _MASK64, p & _MASK64]))
+            for p in range(lo, hi)
+        ]
+        xi = np.empty((min(n_steps, _NOISE_CHUNK), B, d))
         X = np.tile(x0, (B, 1))
-        alive = np.ones(B, dtype=bool)
-        crossed = np.zeros((B, len(radii)), dtype=bool)
+        totals = {name: np.zeros(B) for name in acc_fns}
+        live = slice(None)  # the living paths; a slice, so views, until one leaves
+        ids = np.arange(B)  # batch indices of the living paths
+        nxt = np.zeros(B, dtype=np.intp)  # each path's next ladder radius
         if 0 in save_pos:
             states[lo:hi, save_pos[0], :] = X
         for k in range(n_steps):
-            if np.any(alive):
-                idx = np.nonzero(alive)[0]
-                Xa = X[idx]
-                for name, fn in acc_fns.items():
-                    accs[name][lo + idx] += np.asarray(fn(Xa), dtype=float) * dt
+            c = k % _NOISE_CHUNK
+            if c == 0:
+                # successive draws continue each path's stream, so the
+                # numbers do not depend on the chunk length
+                u = xi[: min(_NOISE_CHUNK, n_steps - k)]
+                for i, gen in enumerate(gens):
+                    u[:, i, :] = gen.random((len(u), d))
+                u[u == 0.0] = 2.0**-54
+                ndtri(u, out=u)
+            if len(ids):
+                Xa = X[live]
+                e = xi[c][live]
+                if k >= acc_start:
+                    for name, fn in acc_fns.items():
+                        totals[name][live] += np.asarray(fn(Xa), dtype=float) * dt
                 G = g_field(Xa)
-                gn = np.linalg.norm(G, axis=1)
+                gn = _row_norms(G)
                 too_big = gn * dt > cfg.clip
-                if np.any(too_big):
-                    scale = np.ones(len(idx))
+                if np.count_nonzero(too_big):
+                    scale = np.ones(len(Xa))
                     scale[too_big] = cfg.clip / (gn[too_big] * dt)
                     G = G * scale[:, None]
-                    clip_counts[lo + idx[too_big]] += 1
+                    clip_counts[lo + ids[too_big]] += 1
                 if a_const:
-                    noise = xi[idx, k, :] @ sigma_const.T
+                    noise = e @ sigma_const.T
                 else:
                     sig = calc.diffusion_root_batch(cs.eval_A(Xa))
-                    noise = np.einsum("nij,nj->ni", sig, xi[idx, k, :])
+                    noise = np.einsum("nij,nj->ni", sig, e)
                 Xa = Xa + G * dt + sqrt_dt * noise
-                X[idx] = Xa
-                rn = np.linalg.norm(Xa, axis=1)
-                for j, r in enumerate(radii):
-                    newly = (~crossed[idx, j]) & (rn >= r)
-                    if np.any(newly):
-                        gidx = idx[newly]
-                        crossed[gidx, j] = True
-                        exit_times[float(r)][lo + gidx] = (k + 1) * dt
-                        overshoot[lo + gidx] = np.maximum(
-                            overshoot[lo + gidx], rn[newly] - r
-                        )
-                top = crossed[idx, -1]
-                if np.any(top):
-                    status[lo + idx[top]] = 1
-                    alive[idx[top]] = False
+                X[live] = Xa
+                rn = _row_norms(Xa)
+                hit = rn >= radii[nxt[live]]
+                if np.count_nonzero(hit):
+                    p, r_p = ids[hit], rn[hit]
+                    # a path may cross several radii in one step; the smallest
+                    # of them gives the largest overshoot
+                    overshoot[lo + p] = np.maximum(overshoot[lo + p], r_p - radii[nxt[p]])
+                    new = np.searchsorted(radii, r_p, side="right")
+                    crossed = (nxt[p, None] <= cols) & (cols < new[:, None])
+                    exit_t[lo + p] = np.where(crossed, (k + 1) * dt, exit_t[lo + p])
+                    nxt[p] = new
+                    left = p[new == n_radii]
+                    if len(left):
+                        status[lo + left] = 1
+                        live = ids = np.nonzero(nxt < n_radii)[0]
             if (k + 1) in save_pos:
-                states[lo:hi, save_pos[k + 1], :] = X
+                pos = save_pos[k + 1]
+                states[lo:hi, pos, :] = X
+                for name, tot in totals.items():
+                    accs[name][lo:hi, pos] = tot
 
     bounds = _batch_bounds(cfg.paths, n_steps, d)
     if threads > 1 and len(bounds) > 1:
@@ -237,7 +264,7 @@ def simulate_ensemble(
         x0=x0,
         saved_times=np.array([k * dt for k in save_idx]),
         states=states,
-        exit_times=exit_times,
+        exit_times={float(r): exit_t[:, j].copy() for j, r in enumerate(cfg.radii)},
         clip_counts=clip_counts,
         status=status,
         overshoot_max=overshoot,
@@ -347,20 +374,16 @@ def krylov_functional(
             hits[0] += int(np.sum(bad))
             vals = np.where(bad, 0.0, vals)
         return vals
-    cfg_t = SimulationConfig(
-        dt=cfg.dt,
-        horizon=t,
-        paths=cfg.paths,
-        seed=cfg.seed,
-        radii=cfg.radii,
-        clip=cfg.clip,
-    )
+
+    def occupation(x, dt: float) -> Tuple[float, float]:
+        ens = simulate_ensemble(
+            cs, x, replace(cfg, dt=dt, horizon=t), accumulate={"occupation": absf}, threads=threads
+        )
+        return _mean_se(ens.accumulators["occupation"][:, -1])
+
     rows = []
     for x in x_grid:
-        ens = simulate_ensemble(
-            cs, x, cfg_t, accumulate={"occupation": absf}, threads=threads
-        )
-        est, se = _mean_se(ens.accumulators["occupation"])
+        est, se = occupation(x, cfg.dt)
         rows.append({"x": list(map(float, x)), "estimate": est, "std_error": se})
     sup_row = max(rows, key=lambda r: r["estimate"])
     out: Dict[str, object] = {
@@ -383,21 +406,7 @@ def krylov_functional(
         if norm_q > 0:
             out["fitted_constant"] = out["sup_estimate"] / (math.exp(t) * norm_q)
     if refine_check:
-        cfg_fine = SimulationConfig(
-            dt=cfg.dt / 4,
-            horizon=t,
-            paths=cfg.paths,
-            seed=cfg.seed,
-            radii=cfg.radii,
-            clip=cfg.clip,
-        )
-        fine_rows = []
-        for x in x_grid:
-            ens = simulate_ensemble(
-                cs, x, cfg_fine, accumulate={"occupation": absf}, threads=threads
-            )
-            est, _ = _mean_se(ens.accumulators["occupation"])
-            fine_rows.append(est)
+        fine_rows = [occupation(x, cfg.dt / 4)[0] for x in x_grid]
         shifts = [
             abs(fr - r["estimate"]) / max(abs(fr), 1e-300)
             for fr, r in zip(fine_rows, rows)
@@ -416,60 +425,35 @@ def ergodic_average(
     *,
     curve_points: int = 200,
 ) -> Dict[str, object]:
-    """Running time-average ``(t - b)^{-1} int_b^t f(X_s) ds`` on one path."""
+    """Running time-average ``(t - b)^{-1} int_b^t f(X_s) ds`` on one path.
+
+    The path is a one-path ensemble; the curve is sampled every
+    ``n_steps // curve_points`` steps and ends before the path leaves the
+    largest ladder radius, which also ends the average.
+    """
     if burn_in >= cfg.horizon:
         raise MonteCarloError("burn-in must be shorter than the horizon")
-    fn = as_point_function(f)
-    cfg1 = SimulationConfig(
-        dt=cfg.dt,
-        horizon=cfg.horizon,
-        paths=1,
-        seed=cfg.seed,
-        radii=cfg.radii,
-        clip=cfg.clip,
-    )
-    d = cs.d
-    n_steps = cfg1.n_steps
-    xi = _gaussian_block(cfg1.seed, 0, (n_steps, d))
-    a_const = cs.a_is_constant()
-    sigma_const = (
-        calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None
-    )
-    g_field = cs.drift_field()
-    x = np.asarray(x0, dtype=float).copy()
-    r_top = cfg1.radii[-1]
+    cfg1 = replace(cfg, paths=1)
     dt = cfg1.dt
-    sqrt_dt = math.sqrt(dt)
-    burn_steps = int(round(burn_in / dt))
-    total = 0.0
+    n_steps = cfg1.n_steps
     stride = max(1, n_steps // curve_points)
+    steps = range(stride, n_steps + 1, stride)
+    ens = simulate_ensemble(
+        cs, x0, cfg1, save_times=[k * dt for k in steps], accumulate={"f": f}, accumulate_from=burn_in
+    )
+    t_exit = float(ens.exit_times[float(cfg1.radii[-1])][0])
+    if t_exit <= burn_in:
+        raise MonteCarloError(f"path exited the ladder at t={t_exit:.3f} before burn-in")
+    k_exit = n_steps + 1 if math.isnan(t_exit) else int(round(t_exit / dt))
+    totals = ens.accumulators["f"][0]
     curve_t: List[float] = []
     curve_v: List[float] = []
-    for k in range(n_steps):
-        if k >= burn_steps:
-            total += float(np.asarray(fn(x[None, :]))[0]) * dt
-        G = g_field(x[None, :])[0]
-        gn = float(np.linalg.norm(G))
-        if gn * dt > cfg1.clip:
-            G = G * (cfg1.clip / (gn * dt))
-        if a_const:
-            noise = sigma_const @ xi[k]
-        else:
-            noise = calc.diffusion_root_batch(cs.eval_A(x[None, :]))[0] @ xi[k]
-        x = x + G * dt + sqrt_dt * noise
-        if float(np.linalg.norm(x)) >= r_top:
-            t_exit = (k + 1) * dt
-            if t_exit <= burn_in:
-                raise MonteCarloError(
-                    f"path exited the ladder at t={t_exit:.3f} before burn-in"
-                )
-            break
-        if (k + 1) % stride == 0 and (k + 1) * dt > burn_in + dt:
-            t_now = (k + 1) * dt
-            curve_t.append(t_now)
-            curve_v.append(total / (t_now - burn_in))
-    t_final = min((k + 1) * dt, cfg1.horizon)
-    terminal = total / (t_final - burn_in)
+    for k, total in zip(steps, totals):
+        if k < k_exit and k * dt > burn_in + dt:
+            curve_t.append(k * dt)
+            curve_v.append(float(total) / (k * dt - burn_in))
+    t_final = min(min(k_exit, n_steps) * dt, cfg1.horizon)
+    terminal = float(totals[-1]) / (t_final - burn_in)
     # non-convergence diagnostic: compare the last two thirds of the curve
     drift_note = None
     if len(curve_v) >= 9:
@@ -542,12 +526,11 @@ def transition_histogram(
 
     The reference density is normalized on ``[-ref_box, ref_box]^d``; a
     reference whose mass keeps growing with the box is rejected as
-    non-normalizable.
+    non-normalizable (before anything is simulated).
     """
-    cfg_t = SimulationConfig(
-        dt=cfg.dt, horizon=t, paths=cfg.paths, seed=cfg.seed, radii=cfg.radii, clip=cfg.clip
-    )
-    ens = simulate_ensemble(cs, x0, cfg_t, threads=threads)
+    if rho_ref is not None:
+        check_normalizable(rho_ref, cs.d, ref_box)
+    ens = simulate_ensemble(cs, x0, replace(cfg, horizon=t), threads=threads)
     X = ens.state_at(t)
     qs = np.linspace(0.0, 1.0, 129)
     out: Dict[str, object] = {
@@ -560,7 +543,6 @@ def transition_histogram(
         "cdf_quantiles": [np.quantile(X[:, k], qs).tolist() for k in range(cs.d)],
     }
     if rho_ref is not None:
-        check_normalizable(rho_ref, cs.d, ref_box)
         ks = []
         for axis in range(cs.d):
             grid, cdf, _ = _marginal_cdf(rho_ref, axis, cs.d, ref_box)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sdelab import cli
+from sdelab import montecarlo as mc
 from sdelab.cli import (
     BUILTIN_NAMES,
     ConfigError,
@@ -87,6 +88,27 @@ def test_validation_reports_field_path():
     cfg7["simulation"]["checks"] = [{"type": "moment_bound"}]
     with pytest.raises(ConfigError, match=r"\$\.simulation\.moments\.bound: moment_bound check needs a bound"):
         validate_config(cfg7)
+    # blocks and list entries that are not objects: ConfigError, and exit 4 from run_scenario
+    cfg8 = tiny_bm_config()
+    cfg8["simulation"]["checks"] = [5]
+    cfg9 = tiny_bm_config()
+    cfg9["simulation"]["moments"] = 5
+    for cfg, path in (
+        (tiny_bm_config(coefficients=[]), "$.coefficients"),
+        (tiny_bm_config(density=[]), "$.density"),
+        (tiny_bm_config(density={"solve": 3}), "$.density.solve"),
+        (tiny_bm_config(criteria=[5]), "$.criteria[0]"),
+        (tiny_bm_config(simulation=[]), "$.simulation"),
+        (cfg8, "$.simulation.checks[0]"),
+        (cfg9, "$.simulation.moments"),
+        (tiny_bm_config(volume_test="analytic:0"), "$.volume_test"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == f"{path}: expected dict"
+        report = run_scenario(cfg)
+        assert report["status"]["exit_code"] == 4
+        assert report["stages"]["build"]["error"] == f"{path}: expected dict"
 
 
 def test_run_scenario_reports_malformed_config():
@@ -164,13 +186,40 @@ def test_seed_override_recorded(tmp_path):
     assert report["scenario"]["simulation"]["seed"] == 555
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # 50-path batches, so that the thread pool really runs several of them
+    batches = []
+
+    def bounds_50(paths, n_steps, d):
+        bounds = [(s, min(s + 50, paths)) for s in range(0, paths, 50)]
+        batches.append(len(bounds))
+        return bounds
+
+    monkeypatch.setattr(mc, "_batch_bounds", bounds_50)
     cfg = tiny_bm_config()
-    cfg["simulation"]["paths"] = 400
-    run_scenario(cfg, tmp_path / "a", threads=1)
-    run_scenario(cfg, tmp_path / "b", threads=8)
-    for name in ("moments.csv",):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    cfg["coefficients"]["H"] = ["-x1", "-x2"]
+    # the tight clip and the inner radius give non-trivial clip counts and exit times
+    cfg["simulation"].update(
+        paths=400,
+        radii=[0.5, 8.0],
+        clip=0.005,
+        save_paths=True,
+        exit={"radii": [0.5]},
+        krylov={"f": "norm2(x)", "t": 0.5, "x_grid": [[0.0, 0.0], [0.3, 0.0]]},
+        transition={"t": 0.5},
+        checks=[],
+    )
+    runs = []
+    for threads in (1, 4, 8):
+        out = tmp_path / f"t{threads}"
+        assert run_scenario(cfg, out, stages=("simulation",), threads=threads)["status"]["exit_code"] == 0
+        runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert sorted(runs[0]) == ["exit.csv", "krylov.csv", "moments.csv", "paths.csv", "transition_cdf.csv"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert batches == [8] * 12
+    paths_csv = runs[0]["paths.csv"].decode().splitlines()[1:]
+    assert any(row.split(",")[2] for row in paths_csv)  # some exit from radius 0.5
+    assert any(int(row.split(",")[4]) for row in paths_csv)  # some clipped step
 
 
 def test_cli_main_catalog(capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from sdelab import montecarlo
+from sdelab import calculus as calc
 from sdelab.calculus import DensityField, build_coefficient_set
+from sdelab.expr import as_point_function
 from sdelab.expr import parse_expr
 from sdelab.montecarlo import (
     MonteCarloError,
@@ -106,6 +109,27 @@ def test_stopped_paths_respect_ladder_with_overshoot():
     t2 = ens.exit_times[2.0]
     t3 = ens.exit_times[3.0]
     assert np.all(t2[np.isfinite(t3)] <= t3[np.isfinite(t3)] + 1e-12)
+
+
+def test_exit_times_are_first_saved_crossings():
+    # coarse steps under a strong outward drift cross several close radii at once
+    cs = cs_identity(H=["4*x1", "4*x2"])
+    dt = 2e-2
+    cfg = SimulationConfig(dt=dt, horizon=1.0, paths=40, seed=10, radii=(1.5, 1.52, 1.54, 3.0))
+    ens = simulate_ensemble(cs, [1.0, 0.0], cfg, save_times=[k * dt for k in range(cfg.n_steps + 1)])
+    rn = np.linalg.norm(ens.states, axis=2)
+    several = 0
+    for p in range(cfg.paths):
+        over = 0.0
+        for r in cfg.radii:
+            k = int(np.argmax(rn[p] >= r))
+            assert rn[p, k] >= r
+            assert ens.exit_times[r][p] == ens.saved_times[k]
+            over = max(over, rn[p, k] - r)
+        assert ens.overshoot_max[p] == over
+        several += ens.exit_times[1.5][p] == ens.exit_times[1.54][p]
+    assert np.all(ens.status == 1)
+    assert several > 0
 
 
 def test_bm_exit_time_from_ball():
@@ -246,6 +270,111 @@ def test_ergodic_average_ou_radial_second_moment():
     out = ergodic_average(OU, [0.0, 0.0], cfg, parse_expr("norm2(x)", 2), burn_in=5.0)
     assert abs(out["terminal_average"] - 1.0) <= 0.05
     assert out["non_converged_note"] is None
+
+
+def _philox_normals(seed, path, shape):
+    """One path's noise drawn as a single block of Philox uniforms."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, path]))
+    u = gen.random(shape)
+    u[u == 0.0] = 2.0**-54
+    return ndtri(u)
+
+
+def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
+    """The scalar single-path loop that ``ergodic_average`` replaced."""
+    fn = as_point_function(f)
+    d = cs.d
+    n_steps = cfg.n_steps
+    xi = _philox_normals(cfg.seed, 0, (n_steps, d))
+    a_const = cs.a_is_constant()
+    sigma_const = (
+        calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None
+    )
+    g_field = cs.drift_field()
+    x = np.asarray(x0, dtype=float).copy()
+    r_top = cfg.radii[-1]
+    dt = cfg.dt
+    sqrt_dt = math.sqrt(dt)
+    burn_steps = int(round(burn_in / dt))
+    total = 0.0
+    stride = max(1, n_steps // curve_points)
+    curve_t, curve_v = [], []
+    for k in range(n_steps):
+        if k >= burn_steps:
+            total += float(np.asarray(fn(x[None, :]))[0]) * dt
+        G = g_field(x[None, :])[0]
+        gn = float(np.linalg.norm(G))
+        if gn * dt > cfg.clip:
+            G = G * (cfg.clip / (gn * dt))
+        if a_const:
+            noise = sigma_const @ xi[k]
+        else:
+            noise = calc.diffusion_root_batch(cs.eval_A(x[None, :]))[0] @ xi[k]
+        x = x + G * dt + sqrt_dt * noise
+        if float(np.linalg.norm(x)) >= r_top:
+            t_exit = (k + 1) * dt
+            if t_exit <= burn_in:
+                raise MonteCarloError(f"path exited the ladder at t={t_exit:.3f} before burn-in")
+            break
+        if (k + 1) % stride == 0 and (k + 1) * dt > burn_in + dt:
+            t_now = (k + 1) * dt
+            curve_t.append(t_now)
+            curve_v.append(total / (t_now - burn_in))
+    t_final = min((k + 1) * dt, cfg.horizon)
+    terminal = total / (t_final - burn_in)
+    drift_note = None
+    if len(curve_v) >= 9:
+        third = len(curve_v) // 3
+        a = float(np.mean(curve_v[third : 2 * third]))
+        b = float(np.mean(curve_v[2 * third :]))
+        rel = abs(b - a) / max(abs(b), 1e-300)
+        if rel > 0.2:
+            drift_note = f"running average still drifting ({rel:.1%} over final third)"
+    return {
+        "terminal_average": terminal,
+        "times": curve_t,
+        "running_average": curve_v,
+        "burn_in": burn_in,
+        "horizon": t_final,
+        "non_converged_note": drift_note,
+    }
+
+
+def test_ergodic_average_matches_scalar_loop():
+    f = parse_expr("norm2(x)", 2)
+    # never exits; 3000 steps span six noise chunks
+    cfg = SimulationConfig(dt=1e-2, horizon=30.0, paths=1, seed=5, radii=(16.0,))
+    assert cfg.n_steps > 2 * montecarlo._NOISE_CHUNK
+    out = ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0)
+    assert out["horizon"] == cfg.horizon
+    assert repr(out) == repr(scalar_ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0))
+    # leaves the ladder after burn-in: the curve and the average stop there
+    cfg = SimulationConfig(dt=1e-2, horizon=30.0, paths=1, seed=8, radii=(1.0, 2.0))
+    out = ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0)
+    assert 1.0 < out["horizon"] < cfg.horizon and out["times"]
+    assert repr(out) == repr(scalar_ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0))
+
+
+def test_chunked_noise_reproduces_the_stream(monkeypatch):
+    # BM: each step adds sqrt(dt) * xi_k, so the saved states are the running
+    # sums of one long read of each path's stream
+    batches = []
+
+    def two_batches(paths, n_steps, d):
+        batches.append((paths, n_steps))
+        return [(0, 3), (3, paths)]
+
+    monkeypatch.setattr(montecarlo, "_batch_bounds", two_batches)
+    n_steps = 2 * montecarlo._NOISE_CHUNK + 276
+    dt = 1e-3
+    cfg = SimulationConfig(dt=dt, horizon=n_steps * dt, paths=5, seed=2024, radii=(16.0,))
+    x0 = np.array([0.3, -0.2])
+    ens = simulate_ensemble(BM, x0, cfg, save_times=[k * dt for k in range(n_steps + 1)])
+    assert batches == [(5, n_steps)]
+    assert ens.states.shape == (5, n_steps + 1, 2)
+    for p in range(cfg.paths):
+        steps = math.sqrt(dt) * _philox_normals(cfg.seed, p, (n_steps, 2))
+        assert np.array_equal(ens.states[p], np.cumsum(np.vstack([x0, steps]), axis=0))
 
 
 def test_ergodic_average_burn_in_guard():
