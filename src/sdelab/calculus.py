@@ -238,7 +238,12 @@ def _coerce(e, d: int) -> Expr:
 
 
 def probe_ellipticity(cs: CoefficientSet, pts: np.ndarray) -> EllipticityReport:
-    eigs = np.linalg.eigvalsh(cs.eval_A(pts))
+    A = cs.eval_A(pts)
+    bad = ~np.isfinite(A).all(axis=(1, 2))
+    if bad.any():
+        witness = tuple(float(v) for v in pts[int(np.argmax(bad))])
+        raise EllipticityError(f"A is not finite at probe {witness}", witness=witness)
+    eigs = np.linalg.eigvalsh(A)
     mins = eigs[:, 0]
     k = int(np.argmin(mins))
     report = EllipticityReport(

@@ -1,14 +1,25 @@
 """Scenario runner: declarative JSON configs in, reports and CSV tables out.
 
 A scenario bundles a coefficient set, declared and/or solved densities,
-criterion requests, and a simulation request.  ``run`` executes the stages in
-order density -> criteria -> simulation -> comparisons; partial failures are
-embedded per stage and reflected in the exit code:
+criterion requests, and a simulation request.  ``validate_config`` is the
+only code that reads a config dict.  It parses it once into a frozen
+:class:`Scenario`, whose dataclass fields are the schema: each field names a
+config key, its type, its default and its reader.  Every expression string
+becomes an ``Expr``, density references and ``builtin:`` candidates are
+resolved, and cross-references (a check and the block it reads, a density
+reference and the declared densities) are checked.  Malformed input, a key
+the schema does not define included, raises :class:`ConfigError` with its
+field path, such as ``$.simulation.checks[0].time``.  The stages read typed
+fields only.
+
+``run`` executes the stages in order density -> criteria -> simulation ->
+comparisons; partial failures are embedded per stage and reflected in the
+exit code:
 
     0  all stages green
     2  a criterion verdict differed from its declared expectation
     3  a numerical stage failed (solver error, failed check)
-    4  config error
+    4  config error (found before any stage runs)
 
 Reports are JSON (schema-versioned, canonical key order); bulk numerics go
 to CSV (comma separator, ``.`` decimal, header row, LF line endings) and are
@@ -18,14 +29,16 @@ byte-identical across reruns with the same seed, independent of --threads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.resources
 import json
 import math
+import re
 import sys
 import time
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +48,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, Const, parse_expr
+from .expr import CallableField, Const, Expr, ExprError, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -75,6 +88,452 @@ BUILTIN_FIELDS = {"gaussian_primitive": _gaussian_primitive}
 
 
 # ---------------------------------------------------------------------------
+# readers: each takes a config value, its field path and the scenario
+# dimension, and returns the typed value or raises ConfigError at that path
+
+Reader = Callable[[object, str, int], object]
+
+
+def _key(read: Reader, default=MISSING):
+    """A dataclass field read from the config key of the same name; a field
+    without a default is a required key."""
+    return field(default=default, metadata={"read": read})
+
+
+def _parse(cls, obj, path: str, d: int, readers: Optional[Dict[str, Reader]] = None):
+    """``cls`` from the config object at ``path``, each key read by its reader
+    (by default the one its field declares)."""
+    readers = readers or {f.name: f.metadata["read"] for f in fields(cls) if "read" in f.metadata}
+    if not isinstance(obj, dict):
+        raise ConfigError("expected dict", path)
+    for key in obj:
+        if key not in readers:
+            raise ConfigError("unknown field", f"{path}.{key}")
+    kw = {}
+    for f in fields(cls):
+        if f.name in obj:
+            kw[f.name] = readers[f.name](obj[f.name], f"{path}.{f.name}", d)
+        elif f.name in readers and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("missing required field", f"{path}.{f.name}")
+    return cls(**kw)
+
+
+def _block(cls) -> Reader:
+    return lambda v, path, d: _parse(cls, v, path, d)
+
+
+def _typed(kind: type, name: str) -> Reader:
+    def read(v, path, d=0):
+        # bool is a subclass of int, but true and false are no ints here
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigError(f"expected {name}", path)
+        return v
+
+    return read
+
+
+_int, _str, _bool = _typed(int, "int"), _typed(str, "str"), _typed(bool, "bool")
+
+
+def _number(v, path, d=0):
+    """A number with a finite float value, kept as written (int or float)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError("expected a number", path)
+    return v
+
+
+def _float(v, path, d=0) -> float:
+    return float(_number(v, path))
+
+
+def _positive(v, path, d=0) -> float:
+    if not _float(v, path) > 0:
+        raise ConfigError("must be positive", path)
+    return float(v)
+
+
+def _count(v, path, d=0) -> int:
+    if _int(v, path) < 1:
+        raise ConfigError("must be >= 1", path)
+    return v
+
+
+def _choice(options) -> Reader:
+    def read(v, path, d=0):
+        if not isinstance(v, str) or v not in options:
+            raise ConfigError(f"{v!r} is not one of {', '.join(options)}", path)
+        return v
+
+    return read
+
+
+def _list(read: Reader, nonempty: bool = False) -> Reader:
+    def read_list(v, path, d):
+        if not isinstance(v, list):
+            raise ConfigError("expected list", path)
+        if nonempty and not v:
+            raise ConfigError("must not be empty", path)
+        return tuple(read(x, f"{path}[{i}]", d) for i, x in enumerate(v))
+
+    return read_list
+
+
+def _vector(read: Reader) -> Reader:
+    """A list of ``d`` entries."""
+
+    def read_vector(v, path, d):
+        out = _list(read)(v, path, d)
+        if len(out) != d:
+            raise ConfigError(f"expected {d} components", path)
+        return out
+
+    return read_vector
+
+
+_floats = _list(_float, nonempty=True)
+
+
+def _ladder(v, path, d) -> Tuple[float, ...]:
+    out = _list(_positive, nonempty=True)(v, path, d)
+    if list(out) != sorted(out):
+        raise ConfigError("must be increasing", path)
+    return out
+
+
+def _expr(v, path, d) -> Expr:
+    if isinstance(v, str):
+        try:
+            return parse_expr(v, d)
+        except ExprError as err:
+            raise ConfigError(f"bad expression {v!r}: {err}", path) from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError("expected an expression", path)
+    return Const(_float(v, path))
+
+
+def _candidate(v, path, d) -> Union[Expr, CallableField]:
+    if isinstance(v, str) and v.startswith("builtin:"):
+        name = v[len("builtin:") :]
+        if name not in BUILTIN_FIELDS:
+            raise ConfigError(f"unknown builtin field {name!r}", path)
+        return BUILTIN_FIELDS[name]()
+    return _expr(v, path, d)
+
+
+DensityRef = Union[int, str]  # index of a declared analytic density, or "solved"
+SOLVED = "solved"
+
+
+def _density_ref(v, path, d=0) -> DensityRef:
+    match = isinstance(v, str) and re.fullmatch(r"analytic:([0-9]+)", v)
+    if v != SOLVED and not match:
+        raise ConfigError(f"expected 'analytic:<index>' or 'solved', got {v!r}", path)
+    return int(match.group(1)) if match else SOLVED
+
+
+def _constants(v, path, d) -> Dict[str, float]:
+    if not isinstance(v, dict):
+        raise ConfigError("expected dict", path)
+    return {name: _float(c, f"{path}.{name}") for name, c in v.items()}
+
+
+# RegionSpec's fields, read by the type of their defaults
+_REGION_READERS: Dict[str, Reader] = {
+    f.name: _choice(crit.REGION_KINDS) if f.name == "kind" else _count if type(f.default) is int else _float
+    for f in fields(crit.RegionSpec)
+}
+
+
+def _region(v, path, d) -> crit.RegionSpec:
+    return _parse(crit.RegionSpec, v, path, d, _REGION_READERS)
+
+
+# ---------------------------------------------------------------------------
+# simulation checks: the simulation block each type reads, the fields it
+# needs, and its test
+
+
+def _moment_value(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    row = next(r for r in out["moments"] if r["time"] == chk.time)
+    return (
+        abs(row["estimate"] - chk.value) <= chk.n_se * row["std_error"],
+        f"estimate {row['estimate']:.6g} vs {chk.value} +- {chk.n_se} SE",
+    )
+
+
+def _moment_bound(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    worst = max(r["bound_ratio"] for r in out["moments"])
+    return worst <= 1.0, f"max bound ratio {worst:.4f}"
+
+
+def _ergodic_value(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    val = out["ergodic"]["terminal_average"]
+    return abs(val - chk.value) <= chk.tol, f"terminal average {val:.4f} vs {chk.value} +- {chk.tol}"
+
+
+_KS_FACTOR = {"5pct": 1.358, "1pct": 1.63}  # critical KS distance times sqrt(paths)
+
+
+def _ks_below_critical(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    tr = out["transition"]
+    if "ks_distance" not in tr:  # the reference was found not normalizable
+        return False, tr["reference_error"]
+    critical = _KS_FACTOR[chk.level] / math.sqrt(scfg.paths)
+    worst = max(tr["ks_distance"])
+    return worst <= critical, f"max KS {worst:.4f} vs critical {critical:.4f} ({chk.level})"
+
+
+def _mean_at(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    tr = out["transition"]
+    ok = all(
+        abs(m - w) <= chk.n_se * max(se, 1e-12)
+        for m, w, se in zip(tr["mean"], chk.value, tr["mean_std_error"])
+    )
+    return ok, f"mean {tr['mean']} vs {list(chk.value)}"
+
+
+def _exit_row(chk: Check, out: dict) -> dict:
+    return next(r for r in out["exit"]["per_radius"] if r["radius"] == chk.radius)
+
+
+def _exit_prob(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    p = _exit_row(chk, out)["p_exit_by_horizon"]
+    ok = (chk.min is None or p >= chk.min) and (chk.max is None or p <= chk.max)
+    return ok, f"P(exit {chk.radius}) = {p:.4f}"
+
+
+def _exit_mean_time(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    row = _exit_row(chk, out)
+    if "mean_exit_time" not in row:
+        return False, f"no path exited radius {chk.radius}"
+    val = row["mean_exit_time"]
+    return abs(val - chk.value) <= chk.rel_tol * abs(chk.value), f"mean exit time {val:.4f} vs {chk.value}"
+
+
+def _not_normalizable(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    tr = out["transition"]
+    return "reference_error" in tr, tr.get("reference_error", "reference was normalizable")
+
+
+class _CheckKind(NamedTuple):
+    block: str  # the simulation block whose output the check reads
+    required: Tuple[str, ...]  # Check fields the type needs
+    test: Callable[[Check, dict, mc.SimulationConfig], Tuple[bool, str]]
+
+
+_CHECKS: Dict[str, _CheckKind] = {
+    "moment_value": _CheckKind("moments", ("time", "value"), _moment_value),
+    "moment_bound": _CheckKind("moments", (), _moment_bound),
+    "ergodic_value": _CheckKind("ergodic", ("value", "tol"), _ergodic_value),
+    "ks_below_critical": _CheckKind("transition", (), _ks_below_critical),
+    "mean_at": _CheckKind("transition", ("value",), _mean_at),
+    "exit_prob": _CheckKind("exit", ("radius",), _exit_prob),
+    "exit_mean_time": _CheckKind("exit", ("radius", "value", "rel_tol"), _exit_mean_time),
+    "not_normalizable": _CheckKind("transition", (), _not_normalizable),
+}
+
+
+# ---------------------------------------------------------------------------
+# scenario model: what validate_config returns; each field with a reader is
+# a config key
+
+
+class Declared(NamedTuple):
+    source: object  # the expression as written in the config
+    expr: Expr
+
+
+@dataclass(frozen=True)
+class BetaOfDensity:
+    """``H = 1/2 A grad(rho) / rho`` of a declared analytic density."""
+
+    beta_of_density: int = _key(_int, 0)
+
+
+def _drift(v, path, d) -> Union[Tuple[Expr, ...], BetaOfDensity]:
+    if isinstance(v, dict):
+        return _parse(BetaOfDensity, v, path, d)
+    return _vector(_expr)(v, path, d)
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    A: Tuple[Tuple[Expr, ...], ...] = _key(_list(_list(_expr)))
+    C: Optional[Tuple[Tuple[Expr, ...], ...]] = _key(_list(_list(_expr)), None)
+    H: Union[None, Tuple[Expr, ...], BetaOfDensity] = _key(_drift, None)
+    G: Optional[Tuple[Expr, ...]] = _key(_vector(_expr), None)
+    p: Optional[float] = _key(_positive, None)
+
+
+@dataclass(frozen=True)
+class Solve:
+    R_ladder: Tuple[float, ...] = _key(_ladder)
+    n: int = _key(_count)
+    boundary: Union[str, Expr] = _key(lambda v, path, d: v if v == "ones" else _expr(v, path, d), "ones")
+
+
+@dataclass(frozen=True)
+class PowerBound:
+    c: float = _key(_number)
+    power: float = _key(_number)
+
+
+@dataclass(frozen=True)
+class VolumeProfile:
+    radii: Tuple[float, ...] = _key(_list(_positive, nonempty=True))
+    density: DensityRef = _key(_density_ref, 0)
+    nodes: int = _key(_count, 401)
+    bound: Optional[PowerBound] = _key(_block(PowerBound), None)
+
+
+@dataclass(frozen=True)
+class Densities:
+    analytic: Tuple[Declared, ...] = _key(_list(lambda v, path, d: Declared(v, _expr(v, path, d))), ())
+    residual_box: float = _key(_positive, 3.0)
+    residual_tolerance: float = _key(_float, 1e-8)
+    solve: Optional[Solve] = _key(_block(Solve), None)
+    volume_profile: Optional[VolumeProfile] = _key(_block(VolumeProfile), None)
+
+
+EXPECT = crit.VERDICTS[0]  # the verdict a criterion is expected to give by default
+
+
+@dataclass(frozen=True)
+class Criterion:
+    id: str = _key(_choice(crit.CATALOG))
+    constants: Optional[Dict[str, float]] = _key(_constants, None)
+    candidate: Union[None, Expr, CallableField] = _key(_candidate, None)
+    rhs: Optional[Expr] = _key(_expr, None)
+    region: Optional[crit.RegionSpec] = _key(_region, None)
+    variant: Optional[str] = _key(_str, None)
+    mode: str = _key(_choice(crit.MODES), crit.CriterionSpec.mode)
+    density: Optional[DensityRef] = _key(_density_ref, None)
+    expect: str = _key(_choice(crit.VERDICTS), EXPECT)
+    psi1: Optional[Expr] = _key(_expr, None)  # EIGENGAP_2D eigenvalue fields
+    psi2: Optional[Expr] = _key(_expr, None)
+    h1: Optional[Expr] = _key(_expr, None)  # LINEAR_GROWTH_MOMENT slack fields
+    h2: Optional[Expr] = _key(_expr, None)
+
+    @cached_property
+    def spec(self) -> crit.CriterionSpec:
+        return crit.CriterionSpec(
+            id=self.id, constants=dict(self.constants or {}), candidate=self.candidate,
+            rhs=self.rhs, region=self.region, variant=self.variant, mode=self.mode,
+        )
+
+
+@dataclass(frozen=True)
+class VolumeTest:
+    density: DensityRef = _key(_density_ref, 0)
+    Bbar: Optional[Tuple[Expr, ...]] = _key(_vector(_expr), None)
+    n_max: float = _key(_positive, 1e6)
+    expect: str = _key(_choice(crit.VERDICTS), EXPECT)
+
+
+@dataclass(frozen=True)
+class MomentBound:
+    M: float = _key(_float)  # E phi(X_t) <= e^{M t} phi(x0)
+
+
+@dataclass(frozen=True)
+class Moments:
+    phi: Expr = _key(_expr)
+    times: Tuple[float, ...] = _key(_floats)
+    bound: Optional[MomentBound] = _key(_block(MomentBound), None)
+
+
+@dataclass(frozen=True)
+class Ergodic:
+    f: Expr = _key(_expr)
+    horizon: float = _key(_positive)
+    burn_in: float = _key(_float)
+
+
+@dataclass(frozen=True)
+class Krylov:
+    f: Expr = _key(_expr)
+    t: float = _key(_positive)
+    x_grid: Tuple[Tuple[float, ...], ...] = _key(_list(_vector(_float), nonempty=True))
+    density: Optional[DensityRef] = _key(_density_ref, None)
+    q: Optional[float] = _key(_positive, None)
+
+
+@dataclass(frozen=True)
+class Transition:
+    t: float = _key(_positive)
+    reference: Optional[DensityRef] = _key(_density_ref, None)
+
+
+@dataclass(frozen=True)
+class Exit:
+    radii: Optional[Tuple[float, ...]] = _key(_floats, None)  # default: every ladder radius
+
+
+@dataclass(frozen=True)
+class Check:
+    type: str = _key(_choice(_CHECKS))
+    time: Optional[float] = _key(_float, None)
+    value: Union[None, float, Tuple[float, ...]] = _key(
+        lambda v, path, d: _vector(_float)(v, path, d) if isinstance(v, list) else _float(v, path), None
+    )
+    n_se: float = _key(_float, 3.0)
+    tol: Optional[float] = _key(_float, None)
+    level: str = _key(_choice(_KS_FACTOR), "5pct")
+    radius: Optional[float] = _key(_float, None)
+    min: Optional[float] = _key(_float, None)
+    max: Optional[float] = _key(_float, None)
+    rel_tol: Optional[float] = _key(_float, None)
+
+
+@dataclass(frozen=True)
+class Simulation:
+    dt: float = _key(_positive)
+    horizon: float = _key(_positive)
+    paths: int = _key(_count)
+    seed: int = _key(_int)
+    radii: Tuple[float, ...] = _key(_floats)
+    x0: Tuple[float, ...] = _key(_vector(_float))
+    clip: float = _key(_float, mc.SimulationConfig.clip)
+    moments: Optional[Moments] = _key(_block(Moments), None)
+    ergodic: Optional[Ergodic] = _key(_block(Ergodic), None)
+    krylov: Optional[Krylov] = _key(_block(Krylov), None)
+    transition: Optional[Transition] = _key(_block(Transition), None)
+    exit: Optional[Exit] = _key(_block(Exit), None)
+    save_paths: bool = _key(_bool, False)
+    checks: Tuple[Check, ...] = _key(_list(_block(Check)), ())
+
+    @cached_property
+    def config(self) -> mc.SimulationConfig:
+        return mc.SimulationConfig(
+            dt=self.dt, horizon=self.horizon, paths=self.paths, seed=self.seed,
+            radii=self.radii, clip=self.clip,
+        )
+
+
+def _schema_version(v, path, d=0) -> int:
+    if _int(v, path) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {v}", path)
+    return v
+
+
+@dataclass(frozen=True)
+class Scenario:
+    # schema_version, name and dimension come first: fields are read in this
+    # order, and the readers after them parse expressions in that dimension
+    schema_version: int = _key(_schema_version)
+    name: str = _key(_str)
+    dimension: int = _key(_count)
+    coefficients: Coefficients = _key(_block(Coefficients))
+    density: Densities = _key(_block(Densities), Densities())
+    criteria: Tuple[Criterion, ...] = _key(_list(_block(Criterion)), ())
+    volume_test: Optional[VolumeTest] = _key(_block(VolumeTest), None)
+    simulation: Optional[Simulation] = _key(_block(Simulation), None)
+    notes: Tuple[str, ...] = _key(_list(_str), ())
+    output_dir: Optional[str] = _key(_str, None)
+    source: Optional[dict] = field(default=None, compare=False, repr=False)  # the config, echoed in reports
+
+
+# ---------------------------------------------------------------------------
 # config handling
 
 
@@ -106,181 +565,150 @@ def canonical_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
-def _object(val, path: str) -> dict:
-    if not isinstance(val, dict):
-        raise ConfigError("expected dict", path)
-    return val
+def validate_config(cfg: dict) -> Scenario:
+    """Parse a config dict into a :class:`Scenario`, reading every field once.
+
+    Raises :class:`ConfigError` with the path of the first malformed field.
+    """
+    # the dimension reader rejects a bad dimension before any reader uses it
+    d = cfg.get("dimension") if isinstance(cfg, dict) else None
+    scenario = replace(_parse(Scenario, cfg, "$", d), source=cfg)
+    _check_references(scenario)
+    return scenario
 
 
-def _need(cfg: dict, key: str, typ, path: str):
-    if key not in _object(cfg, path):
-        raise ConfigError(f"missing required field", f"{path}.{key}")
-    val = cfg[key]
-    if typ is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError("expected a number", f"{path}.{key}")
-        return float(val)
-    if not isinstance(val, typ):
-        raise ConfigError(f"expected {typ.__name__}", f"{path}.{key}")
-    return val
+def _check_references(s: Scenario) -> None:
+    """The rules that relate fields to one another."""
+    co, dn = s.coefficients, s.density
+    declared = {*range(len(dn.analytic)), *([SOLVED] if dn.solve else [])}
 
+    def ref(r: Optional[DensityRef], path: str) -> None:
+        if r is not None and r not in declared:
+            raise ConfigError("no such density is declared", path)
 
-# the simulation block each check type reads its data from
-_CHECK_BLOCKS = {
-    "moment_value": "moments",
-    "moment_bound": "moments",
-    "ergodic_value": "ergodic",
-    "ks_below_critical": "transition",
-    "mean_at": "transition",
-    "exit_prob": "exit",
-    "exit_mean_time": "exit",
-}
-
-
-def validate_config(cfg: dict) -> None:
-    """Structural validation with the failing field path in errors."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _need(cfg, "schema_version", int, "$")
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg['schema_version']}", "$.schema_version")
-    name = _need(cfg, "name", str, "$")
-    d = _need(cfg, "dimension", int, "$")
-    if d < 1:
-        raise ConfigError("dimension must be >= 1", "$.dimension")
-    coeffs = _need(cfg, "coefficients", dict, "$")
-    _need(coeffs, "A", list, "$.coefficients")
-    if "H" not in coeffs and "G" not in coeffs:
+    if (co.H is None) == (co.G is None):
         raise ConfigError("give either H or G", "$.coefficients")
-    # expressions must parse
-    def check_exprs(obj, path):
-        if isinstance(obj, str):
-            try:
-                parse_expr(obj, d)
-            except Exception as err:
-                raise ConfigError(f"bad expression {obj!r}: {err}", path) from None
-        elif isinstance(obj, list):
-            for i, sub in enumerate(obj):
-                check_exprs(sub, f"{path}[{i}]")
+    if isinstance(co.H, BetaOfDensity):
+        ref(co.H.beta_of_density, "$.coefficients.H.beta_of_density")
+    if dn.solve:
+        try:
+            for R in dn.solve.R_ladder:
+                dens.BoxMesh(R=R, n=dn.solve.n, d=s.dimension)
+        except calc.ShapeError as err:
+            raise ConfigError(str(err), "$.density.solve") from None
+    if dn.volume_profile:
+        ref(dn.volume_profile.density, "$.density.volume_profile.density")
+    for i, c in enumerate(s.criteria):
+        ref(c.density, f"$.criteria[{i}].density")
+    if s.volume_test:
+        ref(s.volume_test.density, "$.volume_test.density")
+    if s.simulation:
+        _check_simulation(s.simulation, s.dimension, ref)
 
-    for key in ("A", "C", "H", "G"):
-        if key in coeffs:
-            check_exprs(coeffs[key], f"$.coefficients.{key}")
-    densities = _object(cfg.get("density", {}), "$.density")
-    for i, e in enumerate(densities.get("analytic", [])):
-        check_exprs(e, f"$.density.analytic[{i}]")
-    solve = densities.get("solve")
-    if solve is not None:
-        ladder = _need(solve, "R_ladder", list, "$.density.solve")
-        if sorted(ladder) != ladder or len(ladder) == 0:
-            raise ConfigError("R_ladder must be nonempty and increasing", "$.density.solve.R_ladder")
-        _need(solve, "n", int, "$.density.solve")
-    if not isinstance(cfg.get("criteria", []), list):
-        raise ConfigError("expected list", "$.criteria")
-    for i, c in enumerate(cfg.get("criteria", [])):
-        cid = _need(c, "id", str, f"$.criteria[{i}]")
-        if cid not in crit.CATALOG:
-            raise ConfigError(f"unknown criterion id {cid!r}", f"$.criteria[{i}].id")
-        expect = c.get("expect", "holds-on-grid")
-        if expect not in ("holds-on-grid", "fails-with-witness", "inconclusive"):
-            raise ConfigError(f"bad expect {expect!r}", f"$.criteria[{i}].expect")
-    sim = cfg.get("simulation")
-    if sim is not None:
-        for key in ("dt", "horizon"):
-            if not _need(sim, key, float, "$.simulation") > 0:
-                raise ConfigError("must be positive", f"$.simulation.{key}")
-        for key in ("seed", "paths"):
-            _need(sim, key, int, "$.simulation")
-        radii = _need(sim, "radii", list, "$.simulation")
-        if sorted(radii) != radii:
-            raise ConfigError("radii must be increasing", "$.simulation.radii")
-        x0 = _need(sim, "x0", list, "$.simulation")
-        if len(x0) != d:
-            raise ConfigError(f"x0 must have {d} components", "$.simulation.x0")
-        for i, chk in enumerate(sim.get("checks", [])):
-            kind = _need(chk, "type", str, f"$.simulation.checks[{i}]")
-            if kind in _CHECK_BLOCKS:
-                block = _CHECK_BLOCKS[kind]
-                if block not in sim:
-                    raise ConfigError(
-                        f"{kind} check needs a simulation.{block} block", f"$.simulation.checks[{i}]"
-                    )
-                _object(sim[block], f"$.simulation.{block}")
-            if kind == "moment_bound" and "bound" not in sim["moments"]:
-                raise ConfigError("moment_bound check needs a bound", "$.simulation.moments.bound")
-    if cfg.get("volume_test") is not None:
-        _object(cfg["volume_test"], "$.volume_test")
-    return None
+
+def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRef], str], None]) -> None:
+    path = "$.simulation"
+
+    def run_config(where: str, **changes) -> mc.SimulationConfig:
+        try:
+            return replace(sim.config, **changes)
+        except mc.MonteCarloError as err:
+            raise ConfigError(str(err), where) from None
+
+    def inside(x: Sequence[float], where: str) -> None:
+        if float(np.linalg.norm(x)) >= sim.radii[0]:
+            raise ConfigError("must lie inside the smallest ladder radius", where)
+
+    if d < 2:
+        raise ConfigError("the simulator needs dimension >= 2", path)
+    scfg = run_config(path)
+    inside(sim.x0, f"{path}.x0")
+    if sim.moments:
+        for i, t in enumerate(sim.moments.times):
+            if not 0 <= t <= scfg.horizon:
+                raise ConfigError("must lie in [0, horizon]", f"{path}.moments.times[{i}]")
+    if sim.ergodic:
+        run_config(f"{path}.ergodic.horizon", horizon=sim.ergodic.horizon)
+        if not 0 <= sim.ergodic.burn_in < sim.ergodic.horizon:
+            raise ConfigError("must lie in [0, horizon)", f"{path}.ergodic.burn_in")
+    if sim.krylov:
+        run_config(f"{path}.krylov.t", horizon=sim.krylov.t)
+        for i, x in enumerate(sim.krylov.x_grid):
+            inside(x, f"{path}.krylov.x_grid[{i}]")
+        ref(sim.krylov.density, f"{path}.krylov.density")
+    if sim.transition:
+        run_config(f"{path}.transition.t", horizon=sim.transition.t)
+        ref(sim.transition.reference, f"{path}.transition.reference")
+    exit_radii = sim.exit.radii if sim.exit and sim.exit.radii else scfg.radii
+    for i, r in enumerate(exit_radii):
+        if r not in scfg.radii:
+            raise ConfigError("not one of simulation.radii", f"{path}.exit.radii[{i}]")
+    for i, chk in enumerate(sim.checks):
+        where = f"{path}.checks[{i}]"
+        kind = _CHECKS[chk.type]
+        block = getattr(sim, kind.block)
+        if block is None:
+            raise ConfigError(f"{chk.type} check needs a simulation.{kind.block} block", where)
+        for key in kind.required:
+            if getattr(chk, key) is None:
+                raise ConfigError("missing required field", f"{where}.{key}")
+        if chk.value is not None and isinstance(chk.value, tuple) != (chk.type == "mean_at"):
+            wanted = f"a list of {d} numbers" if chk.type == "mean_at" else "a number"
+            raise ConfigError(f"expected {wanted}", f"{where}.value")
+        if chk.type == "moment_bound" and block.bound is None:
+            raise ConfigError("moment_bound check needs a bound", f"{path}.moments.bound")
+        if chk.type == "moment_value" and chk.time not in block.times:
+            raise ConfigError("not one of simulation.moments.times", f"{where}.time")
+        if kind.block == "exit" and chk.radius not in exit_radii:
+            raise ConfigError("not one of the exit radii", f"{where}.radius")
+        if chk.type in ("ks_below_critical", "not_normalizable") and block.reference is None:
+            raise ConfigError(f"{chk.type} check needs a reference", f"{path}.transition.reference")
 
 
 # ---------------------------------------------------------------------------
 # problem construction
 
 
-def build_problem(cfg: dict):
-    d = cfg["dimension"]
-    coeffs = cfg["coefficients"]
-    A = coeffs["A"]
-    C = coeffs.get("C")
-    p_meta = coeffs.get("p")
-
-    analytic = [
-        DensityField.from_expression(src, d) for src in cfg.get("density", {}).get("analytic", [])
-    ]
-
-    H = coeffs.get("H")
-    if isinstance(H, dict):
-        # gradient-type drift derived from a declared density: H = 1/2 A grad(rho)/rho
-        k = H.get("beta_of_density", 0)
-        if not analytic or k >= len(analytic):
-            raise ConfigError("beta_of_density points at a missing density", "$.coefficients.H")
-        base = calc.build_coefficient_set(A, C, None, d=d, integrability_p=p_meta)
-        H = calc.add_half_a_log_grad([Const(0.0)] * d, base, analytic[k].expr)
-
-    if "G" in coeffs:
-        cs = calc.coefficient_set_from_drift(A, coeffs["G"], d=d, C=C, integrability_p=p_meta)
-    else:
-        cs = calc.build_coefficient_set(A, C, H, d=d, integrability_p=p_meta)
-    return cs, analytic
+def build_problem(scenario: Union[Scenario, dict]):
+    if isinstance(scenario, dict):
+        scenario = validate_config(scenario)  # the benchmark harness builds from raw dicts
+    d, co = scenario.dimension, scenario.coefficients
+    analytic = [DensityField(expr=a.expr) for a in scenario.density.analytic]
+    try:
+        if co.G is not None:
+            return calc.coefficient_set_from_drift(co.A, co.G, d=d, C=co.C, integrability_p=co.p), analytic
+        H = co.H
+        if isinstance(H, BetaOfDensity):
+            # gradient-type drift derived from a declared density: H = 1/2 A grad(rho)/rho
+            base = calc.build_coefficient_set(co.A, co.C, None, d=d, integrability_p=co.p)
+            H = calc.add_half_a_log_grad([Const(0.0)] * d, base, analytic[H.beta_of_density].expr)
+        return calc.build_coefficient_set(co.A, co.C, H, d=d, integrability_p=co.p), analytic
+    except (calc.CalculusError, ExprError) as err:
+        raise ConfigError(str(err), "$.coefficients") from None
 
 
-def _resolve_candidate(spec_cfg: dict, d: int):
-    cand = spec_cfg.get("candidate")
-    if isinstance(cand, str) and cand.startswith("builtin:"):
-        name = cand.split(":", 1)[1]
-        if name not in BUILTIN_FIELDS:
-            raise ConfigError(f"unknown builtin field {name!r}")
-        return BUILTIN_FIELDS[name]()
-    return cand
-
-
-def _region_from_cfg(rcfg: Optional[dict]) -> Optional[crit.RegionSpec]:
-    if rcfg is None:
+def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], density_stage: dict):
+    if ref is None:
         return None
-    return crit.RegionSpec(
-        kind=rcfg.get("kind", "annulus"),
-        r_min=rcfg.get("r_min", 1.0),
-        r_max=rcfg.get("r_max", 40.0),
-        lo=rcfg.get("lo", -10.0),
-        hi=rcfg.get("hi", 10.0),
-        n_radial=rcfg.get("n_radial", 200),
-        n_angular=rcfg.get("n_angular", 256),
-        n_points=rcfg.get("n_points", 10_000),
-    )
+    if ref == SOLVED:
+        approx = density_stage.get("_approx")
+        if approx is None:
+            raise ConfigError("no solved density available", "$.density.solve")
+        return approx.to_density_field()
+    return analytic[ref]
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def run_density_stage(cfg: dict, cs: CoefficientSet, analytic: List[DensityField]) -> dict:
+def run_density_stage(scenario: Scenario, cs: CoefficientSet, analytic: List[DensityField]) -> dict:
     out: Dict[str, object] = {}
-    dcfg = cfg.get("density", {})
-    residual_tol = dcfg.get("residual_tolerance", 1e-8)
+    block = scenario.density
     if analytic:
         rows = []
         nodes = {1: 2001, 2: 721}.get(cs.d, 81)
-        rule = calc.QuadratureRule.box(dcfg.get("residual_box", 3.0), cs.d, nodes)
+        rule = calc.QuadratureRule.box(block.residual_box, cs.d, nodes)
         bumps = calc.default_bump_library(rule.lo, rule.hi, cs.d)
         for k, rho in enumerate(analytic):
             residuals = calc.invariance_residual(cs, rho, bumps, rule)
@@ -290,10 +718,10 @@ def run_density_stage(cfg: dict, cs: CoefficientSet, analytic: List[DensityField
             rows.append(
                 {
                     "index": k,
-                    "expression": cfg["density"]["analytic"][k],
+                    "expression": block.analytic[k].source,
                     "max_invariance_residual": worst,
                     "residual_scale": scale,
-                    "invariant_on_grid": bool(worst <= residual_tol * scale),
+                    "invariant_on_grid": bool(worst <= block.residual_tolerance * scale),
                     "divergence_report": div_report.max_residual,
                     "divergence_scale": div_report.scale,
                 }
@@ -305,18 +733,14 @@ def run_density_stage(cfg: dict, cs: CoefficientSet, analytic: List[DensityField
                 "not constant multiples of each other; the computed normalized "
                 "solution is reported without canonicity claims"
             )
-    solve = dcfg.get("solve")
+    solve = block.solve
     if solve is not None:
-        ladder = solve["R_ladder"]
-        n = solve["n"]
-        boundary = solve.get("boundary", "ones")
-        approxes = []
-        for R in ladder:
-            approxes.append(dens.solve_density(cs, R, n, boundary))
+        ladder = list(solve.R_ladder)
+        approxes = [dens.solve_density(cs, R, solve.n, solve.boundary) for R in ladder]
         last = approxes[-1]
         out["solve"] = {
             "R_ladder": ladder,
-            "n": n,
+            "n": solve.n,
             "positivity_min": last.positivity_min,
             "valid": last.valid,
             "diagnostics": last.diagnostics,
@@ -336,218 +760,101 @@ def run_density_stage(cfg: dict, cs: CoefficientSet, analytic: List[DensityField
         out["solve"]["invariance_residual"] = res_rep["max_residual"]
         out["solve"]["invariance_scale"] = res_rep["scale"]
         out["_approx"] = last  # in-process handle for later stages / CSV
-    profile = dcfg.get("volume_profile")
+    profile = block.volume_profile
     if profile is not None:
-        rho = _pick_density(profile.get("density", "analytic:0"), analytic, out)
-        prof = dens.volume_profile(
-            rho, profile["radii"], d=cs.d, nodes=profile.get("nodes", 401)
-        )
+        rho = _pick_density(profile.density, analytic, out)
+        prof = dens.volume_profile(rho, profile.radii, d=cs.d, nodes=profile.nodes)
         out["volume_profile"] = {"mu_ball": {str(k): v for k, v in prof["mu_ball"].items()}}
-        bound = profile.get("bound")
+        bound = profile.bound
         if bound is not None:
-            ok = all(
-                v <= bound["c"] * r ** bound["power"] * (1 + 1e-9)
-                for r, v in prof["mu_ball"].items()
-            )
-            out["volume_profile"]["bound"] = bound
+            ok = all(v <= bound.c * r**bound.power * (1 + 1e-9) for r, v in prof["mu_ball"].items())
+            out["volume_profile"]["bound"] = asdict(bound)
             out["volume_profile"]["within_bound"] = bool(ok)
             if not ok:
                 raise dens.DensityError("volume profile exceeded its declared bound")
     return out
 
 
-def _pick_density(ref: Optional[str], analytic: List[DensityField], density_stage: dict):
-    if ref is None:
-        return None
-    if ref == "solved":
-        approx = density_stage.get("_approx")
-        if approx is None:
-            raise ConfigError("no solved density available", "$.density")
-        return approx.to_density_field()
-    if ref.startswith("analytic:"):
-        k = int(ref.split(":", 1)[1])
-        if k >= len(analytic):
-            raise ConfigError(f"density index {k} out of range", "$.density.analytic")
-        return analytic[k]
-    raise ConfigError(f"bad density reference {ref!r}")
+def _expected(verdict: crit.CriterionVerdict, expect: str) -> dict:
+    blob = verdict.to_json()
+    blob["expect"] = expect
+    blob["as_expected"] = verdict.verdict == expect
+    return blob
 
 
-def run_criteria_stage(cfg: dict, cs, analytic, density_stage) -> List[dict]:
+def run_criteria_stage(scenario: Scenario, cs, analytic, density_stage) -> List[dict]:
     results = []
-    for i, ccfg in enumerate(cfg.get("criteria", [])):
-        spec = crit.CriterionSpec(
-            id=ccfg["id"],
-            constants=dict(ccfg.get("constants", {})),
-            candidate=_resolve_candidate(ccfg, cfg["dimension"]),
-            rhs=ccfg.get("rhs"),
-            region=_region_from_cfg(ccfg.get("region")),
-            variant=ccfg.get("variant"),
-            mode=ccfg.get("mode", "adjoint"),
-        )
-        rho = _pick_density(ccfg.get("density"), analytic, density_stage)
-        kwargs = {}
-        for key in ("psi1", "psi2", "h1", "h2"):
-            if key in ccfg:
-                kwargs[key] = ccfg[key]
-        verdict = crit.evaluate_criterion(spec, cs, rho=rho, **kwargs)
-        expect = ccfg.get("expect", "holds-on-grid")
-        blob = verdict.to_json()
-        blob["expect"] = expect
-        blob["as_expected"] = verdict.verdict == expect
-        results.append(blob)
-    vt = cfg.get("volume_test")
+    for c in scenario.criteria:
+        rho = _pick_density(c.density, analytic, density_stage)
+        verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, psi1=c.psi1, psi2=c.psi2, h1=c.h1, h2=c.h2)
+        results.append(_expected(verdict, c.expect))
+    vt = scenario.volume_test
     if vt is not None:
-        rho = _pick_density(vt.get("density", "analytic:0"), analytic, density_stage)
-        verdict = crit.recurrence_volume_test(
-            cs, rho, Bbar=vt.get("Bbar"), n_max=float(vt.get("n_max", 1e6))
-        )
-        blob = verdict.to_json()
-        expect = vt.get("expect", "holds-on-grid")
-        blob["expect"] = expect
-        blob["as_expected"] = verdict.verdict == expect
-        results.append(blob)
+        rho = _pick_density(vt.density, analytic, density_stage)
+        verdict = crit.recurrence_volume_test(cs, rho, Bbar=vt.Bbar, n_max=vt.n_max)
+        results.append(_expected(verdict, vt.expect))
     return results
 
 
-def run_simulation_stage(cfg: dict, cs, analytic, density_stage, threads: int) -> dict:
-    sim = cfg.get("simulation")
+def run_simulation_stage(scenario: Scenario, cs, analytic, density_stage, threads: int) -> dict:
+    sim = scenario.simulation
     if sim is None:
         return {}
-    scfg = mc.SimulationConfig(
-        dt=float(sim["dt"]),
-        horizon=float(sim["horizon"]),
-        paths=int(sim["paths"]),
-        seed=int(sim["seed"]),
-        radii=tuple(float(r) for r in sim["radii"]),
-        clip=float(sim.get("clip", 10.0)),
-    )
-    d = cfg["dimension"]
-    x0 = [float(v) for v in sim["x0"]]
+    scfg = sim.config
+    x0 = list(sim.x0)
     out: Dict[str, object] = {"config": {
         "dt": scfg.dt, "horizon": scfg.horizon, "paths": scfg.paths,
         "seed": scfg.seed, "radii": list(scfg.radii), "clip": scfg.clip, "x0": x0,
     }}
 
-    moments_cfg = sim.get("moments")
-    save_times = sorted(set(moments_cfg["times"])) if moments_cfg else None
+    moments = sim.moments
+    save_times = sorted(set(moments.times)) if moments else None
     ens = mc.simulate_ensemble(cs, x0, scfg, save_times=save_times, threads=threads)
     out["clip_events"] = int(ens.clip_counts.sum())
     out["exited_paths"] = int(ens.status.sum())
-    if sim.get("save_paths"):
+    if sim.save_paths:
         out["_ensemble"] = ens
 
-    if moments_cfg:
-        phi = parse_expr(moments_cfg["phi"], d)
-        out["moments"] = mc.moment_curve(
-            ens, phi, moments_cfg["times"], bound=moments_cfg.get("bound")
-        )
-    exit_cfg = sim.get("exit")
-    if exit_cfg:
-        out["exit"] = mc.exit_statistics(ens, exit_cfg.get("radii"))
-    erg = sim.get("ergodic")
+    if moments:
+        bound = asdict(moments.bound) if moments.bound else None
+        out["moments"] = mc.moment_curve(ens, moments.phi, moments.times, bound=bound)
+    if sim.exit:
+        out["exit"] = mc.exit_statistics(ens, sim.exit.radii)
+    erg = sim.ergodic
     if erg:
         out["ergodic"] = mc.ergodic_average(
-            cs,
-            x0,
-            dataclasses.replace(scfg, horizon=float(erg["horizon"])),
-            parse_expr(erg["f"], d),
-            burn_in=float(erg["burn_in"]),
+            cs, x0, replace(scfg, horizon=erg.horizon), erg.f, burn_in=erg.burn_in
         )
-    kry = sim.get("krylov")
+    kry = sim.krylov
     if kry:
-        rho = _pick_density(kry.get("density"), analytic, density_stage)
+        rho = _pick_density(kry.density, analytic, density_stage)
         out["krylov"] = mc.krylov_functional(
-            cs,
-            parse_expr(kry["f"], d),
-            float(kry["t"]),
-            kry["x_grid"],
-            scfg,
-            rho=rho,
-            q=kry.get("q"),
-            threads=threads,
+            cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho, q=kry.q, threads=threads
         )
-    trans = sim.get("transition")
+    trans = sim.transition
     if trans:
-        rho_ref = _pick_density(trans.get("reference"), analytic, density_stage)
+        rho_ref = _pick_density(trans.reference, analytic, density_stage)
         try:
             out["transition"] = mc.transition_histogram(
-                cs, x0, float(trans["t"]), scfg, rho_ref=rho_ref, threads=threads
+                cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads
             )
         except mc.MonteCarloError as err:
             if "not normalizable" in str(err):
                 # keep the empirical marginals; record why no reference applies
                 out["transition"] = mc.transition_histogram(
-                    cs, x0, float(trans["t"]), scfg, rho_ref=None, threads=threads
+                    cs, x0, trans.t, scfg, rho_ref=None, threads=threads
                 )
                 out["transition"]["reference_error"] = str(err)
             else:
                 raise
 
-    checks = []
-    for chk in sim.get("checks", []):
-        checks.append(_run_check(chk, out, scfg))
-    out["checks"] = checks
+    out["checks"] = [_run_check(chk, out, scfg) for chk in sim.checks]
     return out
 
 
-def _run_check(chk: dict, sim_out: dict, scfg: mc.SimulationConfig) -> dict:
-    kind = chk["type"]
-    res = {"type": kind, "passed": False}
-    if kind == "moment_value":
-        row = next(r for r in sim_out["moments"] if r["time"] == chk["time"])
-        n_se = chk.get("n_se", 3.0)
-        res["detail"] = f"estimate {row['estimate']:.6g} vs {chk['value']} +- {n_se} SE"
-        res["passed"] = abs(row["estimate"] - chk["value"]) <= n_se * row["std_error"]
-    elif kind == "moment_bound":
-        rows = sim_out["moments"]
-        worst = max(r["bound_ratio"] for r in rows)
-        res["detail"] = f"max bound ratio {worst:.4f}"
-        res["passed"] = worst <= 1.0
-    elif kind == "ergodic_value":
-        val = sim_out["ergodic"]["terminal_average"]
-        res["detail"] = f"terminal average {val:.4f} vs {chk['value']} +- {chk['tol']}"
-        res["passed"] = abs(val - chk["value"]) <= chk["tol"]
-    elif kind == "ks_below_critical":
-        tr = sim_out["transition"]
-        level = chk.get("level", "5pct")
-        factor = 1.358 if level == "5pct" else 1.63
-        critical = factor / math.sqrt(scfg.paths)
-        worst = max(tr["ks_distance"])
-        res["detail"] = f"max KS {worst:.4f} vs critical {critical:.4f} ({level})"
-        res["passed"] = worst <= critical
-    elif kind == "mean_at":
-        tr = sim_out["transition"]
-        n_se = chk.get("n_se", 3.0)
-        ok = all(
-            abs(m - w) <= n_se * max(se, 1e-12)
-            for m, w, se in zip(tr["mean"], chk["value"], tr["mean_std_error"])
-        )
-        res["detail"] = f"mean {tr['mean']} vs {chk['value']}"
-        res["passed"] = ok
-    elif kind == "exit_prob":
-        rows = sim_out["exit"]["per_radius"]
-        row = next(r for r in rows if r["radius"] == chk["radius"])
-        p = row["p_exit_by_horizon"]
-        ok = True
-        if "min" in chk:
-            ok = ok and p >= chk["min"]
-        if "max" in chk:
-            ok = ok and p <= chk["max"]
-        res["detail"] = f"P(exit {chk['radius']}) = {p:.4f}"
-        res["passed"] = ok
-    elif kind == "exit_mean_time":
-        rows = sim_out["exit"]["per_radius"]
-        row = next(r for r in rows if r["radius"] == chk["radius"])
-        val = row["mean_exit_time"]
-        res["detail"] = f"mean exit time {val:.4f} vs {chk['value']}"
-        res["passed"] = abs(val - chk["value"]) <= chk["rel_tol"] * abs(chk["value"])
-    elif kind == "not_normalizable":
-        tr = sim_out.get("transition", {})
-        res["detail"] = tr.get("reference_error", "reference was normalizable")
-        res["passed"] = "reference_error" in tr
-    else:
-        raise ConfigError(f"unknown check type {kind!r}", "$.simulation.checks")
-    return res
+def _run_check(chk: Check, sim_out: dict, scfg: mc.SimulationConfig) -> dict:
+    passed, detail = _CHECKS[chk.type].test(chk, sim_out, scfg)
+    return {"type": chk.type, "passed": passed, "detail": detail}
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +1017,7 @@ def emit_report(report: dict, out_dir: Path, formats: Sequence[str] = ("json", "
 
 
 def run_scenario(
-    cfg: dict,
+    cfg: Union[Scenario, dict],
     out_dir: Optional[Path] = None,
     *,
     stages: Sequence[str] = ("density", "criteria", "simulation"),
@@ -730,17 +1037,19 @@ def run_scenario(
     notes: List[str] = report["status"]["notes"]
 
     try:
-        validate_config(cfg)
-        if seed_override is not None and "simulation" in cfg:
-            cfg = json.loads(json.dumps(cfg))
-            cfg["simulation"]["seed"] = seed_override
-        report["scenario"] = json.loads(canonical_config(cfg))
+        scenario = cfg if isinstance(cfg, Scenario) else validate_config(cfg)
+        report["scenario"] = json.loads(canonical_config(scenario.source))
+        sim = scenario.simulation
+        if seed_override is not None and sim is not None:
+            sim = replace(sim, seed=seed_override)
+            scenario = replace(scenario, simulation=sim)
+            report["scenario"]["simulation"]["seed"] = seed_override
         report["seed_record"] = {
-            "master_seed": cfg.get("simulation", {}).get("seed"),
+            "master_seed": sim.seed if sim is not None else None,
             "overridden": seed_override is not None,
         }
-        cs, analytic = build_problem(cfg)
-    except (ConfigError, calc.CalculusError) as err:
+        cs, analytic = build_problem(scenario)
+    except ConfigError as err:
         report["stages"]["build"] = {"error": str(err)}
         report["status"]["exit_code"] = 4
         return report
@@ -750,7 +1059,7 @@ def run_scenario(
         t0 = time.perf_counter()
         try:
             if stage == "density":
-                density_stage = run_density_stage(cfg, cs, analytic)
+                density_stage = run_density_stage(scenario, cs, analytic)
                 report["stages"]["density"] = density_stage
                 for row in density_stage.get("analytic", []):
                     if not row["invariant_on_grid"]:
@@ -760,7 +1069,7 @@ def run_scenario(
                         )
                         exit_code = max(exit_code, 3)
             elif stage == "criteria":
-                verdicts = run_criteria_stage(cfg, cs, analytic, density_stage)
+                verdicts = run_criteria_stage(scenario, cs, analytic, density_stage)
                 report["stages"]["criteria"] = verdicts
                 for v in verdicts:
                     if not v["as_expected"]:
@@ -769,7 +1078,7 @@ def run_scenario(
                         )
                         exit_code = max(exit_code, 2)
             elif stage == "simulation":
-                sim_out = run_simulation_stage(cfg, cs, analytic, density_stage, threads)
+                sim_out = run_simulation_stage(scenario, cs, analytic, density_stage, threads)
                 report["stages"]["simulation"] = sim_out
                 for chk in sim_out.get("checks", []):
                     if not chk["passed"]:
@@ -785,8 +1094,7 @@ def run_scenario(
             exit_code = max(exit_code, 4)
         report["timings"][stage] = time.perf_counter() - t0
 
-    for extra_note in cfg.get("notes", []):
-        notes.append(extra_note)
+    notes.extend(scenario.notes)
     report["status"]["exit_code"] = exit_code
     if out_dir is not None:
         emit_report(report, out_dir, formats)
@@ -807,27 +1115,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a scenario JSON or a built-in name")
+    # subcommand -> help, stages it runs
+    commands = {
+        "validate": ("validate a config and exit", ()),
+        "density": ("run the density stage only", ("density",)),
+        "check": ("run the density and criteria stages", ("density", "criteria")),
+        "simulate": ("run the simulation stage only", ("simulation",)),
+        "ergodic": ("run only the ergodic-average estimator", ("simulation",)),
+        "krylov": ("run only the occupation-functional estimator", ("simulation",)),
+        "run": ("run the full pipeline", ("density", "criteria", "simulation")),
+    }
+    for name, (help_text, _) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="path to a scenario JSON or a built-in name")
         p.add_argument("--out", default=None, help="output directory (default: ./out/<name>)")
         p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument(
             "--format", default="json,csv", help="comma-separated output formats (json, csv)"
         )
-
-    for name, help_text in [
-        ("validate", "validate a config and exit"),
-        ("density", "run the density stage only"),
-        ("check", "run the criteria stage only"),
-        ("simulate", "run the simulation stage only"),
-        ("ergodic", "run only the ergodic-average estimator"),
-        ("krylov", "run only the occupation-functional estimator"),
-        ("run", "run the full pipeline"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
     sub.add_parser("catalog", help="list built-in scenarios")
 
     args = parser.parse_args(argv)
@@ -838,49 +1144,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config)
-        validate_config(cfg)
+        scenario = validate_config(load_config(args.config))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 4
 
     if args.command == "validate":
-        print(f"{cfg['name']}: ok")
+        print(f"{scenario.name}: ok")
         return 0
 
-    if args.out is None and cfg.get("output_dir"):
-        args.out = cfg["output_dir"]
+    if args.out is None and scenario.output_dir:
+        args.out = scenario.output_dir
 
-    stage_map = {
-        "density": ("density",),
-        "check": ("density", "criteria"),
-        "simulate": ("simulation",),
-        "ergodic": ("simulation",),
-        "krylov": ("simulation",),
-        "run": ("density", "criteria", "simulation"),
-    }
-    if args.command == "ergodic":
-        sim = cfg.get("simulation", {})
-        for key in ("moments", "krylov", "transition", "exit", "checks"):
-            sim.pop(key, None)
-    if args.command == "krylov":
-        sim = cfg.get("simulation", {})
-        for key in ("moments", "ergodic", "transition", "exit", "checks"):
-            sim.pop(key, None)
+    if args.command in ("ergodic", "krylov") and scenario.simulation is not None:
+        # keep only the estimator the subcommand names
+        drop = dict(moments=None, ergodic=None, krylov=None, transition=None, exit=None, checks=())
+        del drop[args.command]
+        scenario = replace(scenario, simulation=replace(scenario.simulation, **drop))
 
-    out_dir = Path(args.out) if args.out else Path("out") / cfg["name"]
+    out_dir = Path(args.out) if args.out else Path("out") / scenario.name
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     report = run_scenario(
-        cfg,
+        scenario,
         out_dir,
-        stages=stage_map[args.command],
+        stages=commands[args.command][1],
         threads=args.threads,
         seed_override=args.seed,
         formats=formats,
     )
     code = report["status"]["exit_code"]
     label = {0: "green", 2: "criterion-mismatch", 3: "numerical-error", 4: "config-error"}[code]
-    print(f"{cfg['name']}: exit {code} ({label}); report in {out_dir}")
+    print(f"{scenario.name}: exit {code} ({label}); report in {out_dir}")
     for note in report["status"]["notes"]:
         print(f"  - {note}")
     return code

@@ -26,6 +26,9 @@ __all__ = [
     "CriterionError",
     "CATALOG",
     "CONCLUSIONS",
+    "MODES",
+    "REGION_KINDS",
+    "VERDICTS",
     "RegionSpec",
     "CriterionSpec",
     "CriterionVerdict",
@@ -79,6 +82,13 @@ CONCLUSIONS: Dict[str, str] = {
 }
 
 
+# the verdicts a template can return
+VERDICTS: Tuple[str, ...] = ("holds-on-grid", "fails-with-witness", "inconclusive")
+
+# which generator the (non-)invariance templates apply
+MODES: Tuple[str, ...] = ("adjoint", "forward")
+
+
 def default_growth_candidate(N0: float, d: int) -> Expr:
     """The workhorse exterior candidate ``ln(|x|^2 v N0^2) + 2``."""
     return parse_expr(f"ln(max(norm2(x), {float(N0) ** 2})) + 2", d)
@@ -87,12 +97,14 @@ def default_growth_candidate(N0: float, d: int) -> Expr:
 # ---------------------------------------------------------------------------
 # regions
 
+REGION_KINDS: Tuple[str, ...] = ("annulus", "box", "interval")
+
 
 @dataclass(frozen=True)
 class RegionSpec:
     """Sampling region: an annulus (radial x angular), a box, or an interval."""
 
-    kind: str = "annulus"  # annulus | box | interval
+    kind: str = "annulus"  # one of REGION_KINDS
     r_min: float = 1.0
     r_max: float = 40.0
     lo: float = -10.0
@@ -100,6 +112,10 @@ class RegionSpec:
     n_radial: int = 200
     n_angular: int = 256
     n_points: int = 10_000  # interval mode
+
+    def __post_init__(self):
+        if self.kind not in REGION_KINDS:
+            raise CriterionError(f"unknown region kind {self.kind!r}")
 
     def describe(self) -> str:
         if self.kind == "annulus":
@@ -156,11 +172,13 @@ class CriterionSpec:
     rhs: Optional[Union[Expr, str]] = None
     region: Optional[RegionSpec] = None
     variant: Optional[str] = None  # template-specific flavor
-    mode: str = "adjoint"  # for (non-)invariance templates: adjoint | forward
+    mode: str = "adjoint"  # one of MODES
 
     def __post_init__(self):
         if self.id not in CATALOG:
             raise CriterionError(f"unknown criterion id {self.id!r}")
+        if self.mode not in MODES:
+            raise CriterionError(f"unknown mode {self.mode!r}")
 
     def constant(self, name: str, default=None) -> float:
         if name in self.constants:
@@ -578,6 +596,8 @@ def _handle_volume_conservative(spec, cs, rho, Bbar=None, **_):
     M = spec.constant("M")
     c = spec.constant("c")
     n1 = int(spec.constant("N1", 1.0))
+    if n1 < 1:  # the annulus ladder below doubles N1 until it passes r_max
+        raise CriterionError("VOLUME_CONSERVATIVE needs N1 >= 1")
     variant = spec.variant or "polynomial"
     A, G, r2, axx, tra, _ = _geometry(cs, pts)
     beta = calc.log_derivative_beta(cs, rho)(pts)

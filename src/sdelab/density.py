@@ -378,7 +378,7 @@ def solve_density(
             "boundary_amplitude_tau": tau,
             "peclet_max": system.peclet_max,
             "peclet_warning": system.peclet_warning,
-            "boundary": boundary if isinstance(boundary, str) else "expression",
+            "boundary": boundary if isinstance(boundary, str) else ex.to_source(boundary),
         },
     )
     return approx

@@ -461,6 +461,8 @@ class _Parser:
             den = self.next()
             if den.kind != "num":
                 raise ExprSyntaxError("exponent must be a numeric constant", den.offset)
+            if float(den.text) == 0.0:
+                raise ExprSyntaxError("exponent divides by zero", den.offset)
             val = val / float(den.text)
         return -val if neg else val
 
@@ -525,7 +527,10 @@ def parse_expr(src: str, dimension: int) -> Expr:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     parser = _Parser(_tokenize(src), dimension)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ExprSyntaxError(f"trailing input {tail.text!r}", tail.offset)
@@ -727,7 +732,10 @@ class Program:
             return slots[key]
 
         def const(value) -> int:
-            return intern((Const, type(value), value, math.copysign(1.0, value)), value)
+            # a float constant is held as np.float64, so that constant-only
+            # nodes divide by zero as numpy does (inf/nan) instead of raising
+            stored = np.float64(value) if isinstance(value, float) else value
+            return intern((Const, type(value), value, math.copysign(1.0, value)), stored)
 
         def visit(e: Expr) -> int:
             if isinstance(e, Const):

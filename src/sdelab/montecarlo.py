@@ -65,7 +65,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt:
             raise MonteCarloError("need dt > 0 and horizon >= dt")
-        if list(self.radii) != sorted(set(self.radii)) or min(self.radii) <= 0:
+        if not self.radii or list(self.radii) != sorted(set(self.radii)) or self.radii[0] <= 0:
             raise MonteCarloError("ladder radii must be strictly increasing and positive")
         if self.clip <= 0:
             raise MonteCarloError("clip threshold must be positive")

@@ -76,6 +76,17 @@ def test_non_elliptic_rejected_with_witness():
     assert err.value.witness is not None
 
 
+def test_non_finite_diffusion_rejected_at_first_bad_probe():
+    # nan (sqrt of a negative) at the second probe, inf (1/0) at the origin
+    probes = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(EllipticityError, match="not finite") as err:
+        build_coefficient_set([["sqrt(x1)", "0"], ["1"]], None, None, d=2, probes=probes)
+    assert err.value.witness == (-1.0, 0.0)
+    with pytest.raises(EllipticityError, match="not finite") as err:
+        build_coefficient_set([["1/x1", "0"], ["1"]], None, None, d=2)
+    assert err.value.witness == (0.0, 0.0)
+
+
 def test_log_derivative_constant_density():
     cs = identity_cs()
     rho = DensityField.from_expression("1", 2)

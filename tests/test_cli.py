@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdelab import cli
 from sdelab import montecarlo as mc
@@ -109,12 +112,96 @@ def test_validation_reports_field_path():
         report = run_scenario(cfg)
         assert report["status"]["exit_code"] == 4
         assert report["stages"]["build"]["error"] == f"{path}: expected dict"
+        assert report["timings"] == {}
+    # malformed values and broken cross-references: found at parse time, before any stage runs
+    for cfg, path, message in malformed_inputs():
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value).startswith(f"{path}: "), str(err.value)
+        assert message in str(err.value)
+        report = run_scenario(cfg)
+        assert report["status"]["exit_code"] == 4
+        assert report["stages"]["build"]["error"] == str(err.value)
+        assert report["timings"] == {}
+
+
+def malformed_inputs():
+    """(config, field path, message fragment) for inputs the parser must reject."""
+
+    def sim(**changes):
+        cfg = tiny_bm_config()
+        cfg["simulation"].update(changes)
+        return cfg
+
+    def crit0(**changes):
+        cfg = tiny_bm_config()
+        cfg["criteria"][0].update(changes)
+        return cfg
+
+    beta = tiny_bm_config()
+    beta["coefficients"]["H"] = {"beta_of_density": "x"}
+    a_entry = tiny_bm_config()
+    a_entry["coefficients"]["A"] = [[{}, "0"], ["1"]]
+    one_d = tiny_bm_config(dimension=1, coefficients={"A": [["1"]], "H": ["0"]}, criteria=[])
+    one_d["simulation"].update(x0=[0.0], moments={"phi": "x1^2", "times": [0.5]})
+    return [
+        (sim(checks=[{"type": "moment_value", "time": 0.25, "value": 2.0}]),
+         "$.simulation.checks[0].time", "not one of simulation.moments.times"),
+        (sim(checks=[{"type": "moment_value", "time": 0.5}]),
+         "$.simulation.checks[0].value", "missing required field"),
+        (sim(exit={"radii": [8.0]}, checks=[{"type": "exit_prob", "radius": 16.0, "max": 0.1}]),
+         "$.simulation.checks[0].radius", "not one of the exit radii"),
+        (sim(transition={"t": 0.5}, checks=[{"type": "ks_below_critical"}]),
+         "$.simulation.transition.reference", "ks_below_critical check needs a reference"),
+        (crit0(density="analytic:x"), "$.criteria[0].density", "expected 'analytic:<index>' or 'solved'"),
+        (crit0(density="analytic:4"), "$.criteria[0].density", "no such density is declared"),
+        (sim(radii=[]), "$.simulation.radii", "must not be empty"),
+        (sim(x0=["a", 0]), "$.simulation.x0[0]", "expected a number"),
+        (sim(moments={"phi": "norm2(x) + 1", "times": [0.5, "x"]}),
+         "$.simulation.moments.times[1]", "expected a number"),
+        (sim(moments={"phi": "norm2(x) +", "times": [0.5]}), "$.simulation.moments.phi", "bad expression"),
+        (crit0(candidate="x1 +"), "$.criteria[0].candidate", "bad expression"),
+        (tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [2.0], "n": 16, "boundary": "exp(("}}),
+         "$.density.solve.boundary", "bad expression"),
+        (beta, "$.coefficients.H.beta_of_density", "expected int"),
+        (a_entry, "$.coefficients.A[0][0]", "expected an expression"),
+        (sim(checks=[{"type": "moment_valu"}]), "$.simulation.checks[0].type", "'moment_valu' is not one of"),
+        (sim(exit={"radii": [4.0]}), "$.simulation.exit.radii[0]", "not one of simulation.radii"),
+        (crit0(region={"kind": "boxx"}), "$.criteria[0].region.kind", "'boxx' is not one of"),
+        (crit0(mode="sideways"), "$.criteria[0].mode", "'sideways' is not one of"),
+        (crit0(expect="maybe"), "$.criteria[0].expect", "'maybe' is not one of"),
+        (tiny_bm_config(volume_test={"expect": "maybe"}), "$.volume_test.expect", "'maybe' is not one of"),
+        (crit0(constant={"N0": 3}), "$.criteria[0].constant", "unknown field"),
+        (tiny_bm_config(simulaton={}), "$.simulaton", "unknown field"),
+        (sim(x0=[9.0, 0.0]), "$.simulation.x0", "inside the smallest ladder radius"),
+        (sim(moments={"phi": "norm2(x) + 1", "times": [0.5, 2.0]}),
+         "$.simulation.moments.times[1]", "[0, horizon]"),
+        (sim(transition={"t": 0.001}), "$.simulation.transition.t", "horizon >= dt"),
+        (sim(ergodic={"f": "1", "horizon": 2.0, "burn_in": 2.0}), "$.simulation.ergodic.burn_in", "[0, horizon)"),
+        (sim(paths=0), "$.simulation.paths", "must be >= 1"),
+        (one_d, "$.simulation", "dimension >= 2"),
+        (tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [2.0], "n": 15}}),
+         "$.density.solve", "even cell count"),
+    ]
 
 
 def test_run_scenario_reports_malformed_config():
     report = run_scenario(tiny_bm_config(dimension=0))
     assert report["status"]["exit_code"] == 4
     assert report["stages"]["build"]["error"].startswith("$.dimension:")
+    # coefficients that parse but cannot be built: a kink in A (no drift term), a non-elliptic A
+    # and an infinite one
+    for a11, message in (
+        ("1 + max(x1, 0)", "max node"),
+        ("x1", "not positive definite"),
+        ("1/(1 - 1)", "not finite"),
+    ):
+        cfg = tiny_bm_config()
+        cfg["coefficients"]["A"] = [[a11, "0"], ["1"]]
+        report = run_scenario(cfg)
+        assert report["status"]["exit_code"] == 4
+        assert report["stages"]["build"]["error"].startswith("$.coefficients: ")
+        assert message in report["stages"]["build"]["error"]
 
 
 def test_config_round_trip_canonical():
@@ -177,6 +264,43 @@ def test_expected_failure_is_green(tmp_path):
     cfg.pop("density")
     report = run_scenario(cfg, tmp_path)
     assert report["status"]["exit_code"] == 0
+
+
+def test_non_normalizable_reference_fails_ks_check(tmp_path):
+    # density "1" on R^2 has infinite mass: the KS check fails with the reason, it does not raise
+    cfg = tiny_bm_config()
+    cfg["simulation"].update(
+        transition={"t": 0.5, "reference": "analytic:0"}, checks=[{"type": "ks_below_critical"}]
+    )
+    report = run_scenario(cfg, tmp_path, stages=("simulation",))
+    assert report["status"]["exit_code"] == 3
+    (chk,) = report["stages"]["simulation"]["checks"]
+    assert not chk["passed"]
+    assert chk["detail"] == report["stages"]["simulation"]["transition"]["reference_error"]
+    assert chk["detail"].startswith("reference not normalizable")
+
+
+def test_estimator_subcommands_keep_only_their_block(tmp_path):
+    cfg = tiny_bm_config()
+    cfg["coefficients"]["H"] = ["-x1", "-x2"]
+    cfg["simulation"].update(
+        ergodic={"f": "norm2(x)", "horizon": 1.0, "burn_in": 0.2},
+        krylov={"f": "norm2(x)", "t": 0.2, "x_grid": [[0.0, 0.0]]},
+        transition={"t": 0.5},
+        exit={},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command, csv in (("ergodic", "ergodic.csv"), ("krylov", "krylov.csv")):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--seed", "5"]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [csv]
+        blob = json.loads((out / "report.json").read_text())
+        assert blob["seed_record"] == {"master_seed": 5, "overridden": True}
+        assert blob["stages"]["simulation"]["checks"] == []
+        echoed = copy.deepcopy(cfg)
+        echoed["simulation"]["seed"] = 5
+        assert blob["scenario"] == echoed
 
 
 def test_seed_override_recorded(tmp_path):
@@ -275,3 +399,44 @@ def test_density_solve_emits_grid_csv(tmp_path):
         assert len(numbers) == 3
         for text in numbers:
             float(text)
+
+
+def _tree_paths(obj, path=()):
+    """The path of every dict entry and list item in a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _tree_paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated_builtins(draw):
+    """A built-in with one key deleted, or one leaf replaced by a malformed value."""
+    cfg = load_config(draw(st.sampled_from(BUILTIN_NAMES)))
+    paths = list(_tree_paths(cfg))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(cfg, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from([p for p in paths if not isinstance(_at(cfg, p), (dict, list))]))
+        _at(cfg, path[:-1])[path[-1]] = draw(st.sampled_from([None, "x", [], {}, -1, 0]))
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_builtins())
+def test_mutated_builtins_fail_with_a_field_path(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError as err:
+        assert str(err).startswith("$")
+    report = run_scenario(cfg, stages=())
+    assert report["status"]["exit_code"] in (0, 4)
+    if report["status"]["exit_code"] == 4:
+        assert report["stages"]["build"]["error"].startswith("$")

@@ -57,6 +57,10 @@ def test_catalog_is_complete():
 def test_unknown_id_rejected():
     with pytest.raises(crit.CriterionError):
         CriterionSpec(id="NOT_A_CRITERION")
+    with pytest.raises(crit.CriterionError, match="mode"):
+        CriterionSpec(id="NON_INVARIANCE", mode="sideways")
+    with pytest.raises(crit.CriterionError, match="region kind 'boxx'"):
+        RegionSpec(kind="boxx")
 
 
 def test_lyapunov_margin_ou():
@@ -359,6 +363,10 @@ def test_volume_conservative_bounded_density():
     mu_ann = v.trend_table["mu_annulus"]
     bounds = v.trend_table["bound"]
     assert all(m <= b for m, b in zip(mu_ann, bounds))
+    for n1 in (0, -1):  # the annulus ladder 4 N1 2^k never reaches r_max
+        bad = CriterionSpec(id="VOLUME_CONSERVATIVE", constants={"M": 2.0, "c": 3.0, "N1": n1})
+        with pytest.raises(crit.CriterionError, match="N1 >= 1"):
+            evaluate_criterion(bad, cs, rho=rho)
 
 
 def test_growth_report_flags_bounded_candidate():

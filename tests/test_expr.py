@@ -47,6 +47,10 @@ def test_parse_errors_carry_offset():
         parse_expr("x3", 2)  # out-of-range coordinate
     with pytest.raises(ExprSyntaxError):
         parse_expr("sinh(x1)", 1)  # unknown function
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("x1^(1/0)", 1)  # exponent divides by zero
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("(" * 5000 + "x1" + ")" * 5000, 1)  # deeper than the recursion limit
 
 
 def test_whitespace_insensitive():
@@ -201,6 +205,12 @@ def test_program_keeps_signed_zero_constants_apart():
     out = ex.Program(exprs)(np.array([[-1.0]]))
     assert out[0, 0] == 0.0 and out[0, 1] == 0.0
     assert list(np.signbit(out[0])) == [False, True]
+
+
+def test_program_constant_division_follows_numpy():
+    # constant-only nodes divide like numpy arrays (inf/nan), not like Python floats
+    out = ex.Program([parse_expr("1/0", 1), parse_expr("x1 + 0/(1 - 1)", 1)])(np.array([[2.0]]))
+    assert np.isposinf(out[0, 0]) and np.isnan(out[0, 1])
 
 
 # --- random smooth expression corpus ---------------------------------------
