@@ -49,6 +49,7 @@ __all__ = [
     "build_coefficient_set",
     "coefficient_set_from_drift",
     "add_half_a_log_grad",
+    "half_divergence",
     "log_derivative_beta",
     "decompose_drift",
     "apply_generator",
@@ -592,20 +593,24 @@ def add_half_a_log_grad(start: Sequence[Expr], cs: CoefficientSet, rho: Expr) ->
     return out
 
 
+def half_divergence(m: Callable[[int, int], Expr], d: int) -> List[Expr]:
+    """``1/2 sum_j d_j m_ij`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
+    out = []
+    for i in range(d):
+        s: Expr = Const(0.0)
+        for j in range(d):
+            s = ex.add(s, differentiate(m(i, j), j))
+        out.append(mul(Const(0.5), s))
+    return out
+
+
 def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     """``beta_i = 1/2 sum_j (d_j a_ij + a_ij d_j rho / rho)``.
 
     Symbolic throughout in analytic mode; in grid mode the density's log
     gradient is sampled from the stored values.
     """
-    d = cs.d
-    div_a = []  # 1/2 sum_j d_j a_ij, symbolic
-    for i in range(d):
-        s: Expr = Const(0.0)
-        for j in range(d):
-            s = ex.add(s, differentiate(cs.a_entry(i, j), j))
-        div_a.append(mul(Const(0.5), s))
-
+    div_a = half_divergence(cs.a_entry, cs.d)
     if rho.mode == "analytic":
         return VectorField.from_exprs(add_half_a_log_grad(div_a, cs, rho.expr))
 

@@ -48,7 +48,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, Const, Expr, ExprError, parse_expr
+from .expr import CallableField, Const, Expr, ExprError, evaluate, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -245,7 +245,10 @@ _REGION_READERS: Dict[str, Reader] = {
 
 
 def _region(v, path, d) -> crit.RegionSpec:
-    return _parse(crit.RegionSpec, v, path, d, _REGION_READERS)
+    try:
+        return _parse(crit.RegionSpec, v, path, d, _REGION_READERS)
+    except crit.CriterionError as err:
+        raise ConfigError(str(err), path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +346,17 @@ class Declared(NamedTuple):
     expr: Expr
 
 
+def _declared_density(v, path, d) -> Declared:
+    """A density must be finite and nonnegative at the probe points and
+    positive at the origin; values that underflow to 0 far out stay legal."""
+    e = _expr(v, path, d)
+    with np.errstate(all="ignore"):
+        vals = evaluate(e, calc.default_probes(d))
+    if not (np.all(np.isfinite(vals)) and np.all(vals >= 0) and vals[0] > 0):
+        raise ConfigError("must be finite and >= 0 at the probe points and > 0 at the origin", path)
+    return Declared(v, e)
+
+
 @dataclass(frozen=True)
 class BetaOfDensity:
     """``H = 1/2 A grad(rho) / rho`` of a declared analytic density."""
@@ -388,7 +402,7 @@ class VolumeProfile:
 
 @dataclass(frozen=True)
 class Densities:
-    analytic: Tuple[Declared, ...] = _key(_list(lambda v, path, d: Declared(v, _expr(v, path, d))), ())
+    analytic: Tuple[Declared, ...] = _key(_list(_declared_density), ())
     residual_box: float = _key(_positive, 3.0)
     residual_tolerance: float = _key(_float, 1e-8)
     solve: Optional[Solve] = _key(_block(Solve), None)
@@ -400,7 +414,7 @@ EXPECT = crit.VERDICTS[0]  # the verdict a criterion is expected to give by defa
 
 @dataclass(frozen=True)
 class Criterion:
-    id: str = _key(_choice(crit.CATALOG))
+    id: str = _key(_choice(crit.TEMPLATES))
     constants: Optional[Dict[str, float]] = _key(_constants, None)
     candidate: Union[None, Expr, CallableField] = _key(_candidate, None)
     rhs: Optional[Expr] = _key(_expr, None)
@@ -409,10 +423,16 @@ class Criterion:
     mode: str = _key(_choice(crit.MODES), crit.CriterionSpec.mode)
     density: Optional[DensityRef] = _key(_density_ref, None)
     expect: str = _key(_choice(crit.VERDICTS), EXPECT)
-    psi1: Optional[Expr] = _key(_expr, None)  # EIGENGAP_2D eigenvalue fields
+    # eigenvalue and slack fields; criteria.TEMPLATES says which template reads which
+    psi1: Optional[Expr] = _key(_expr, None)
     psi2: Optional[Expr] = _key(_expr, None)
-    h1: Optional[Expr] = _key(_expr, None)  # LINEAR_GROWTH_MOMENT slack fields
+    h1: Optional[Expr] = _key(_expr, None)
     h2: Optional[Expr] = _key(_expr, None)
+
+    @property
+    def inputs(self) -> Dict[str, Optional[Expr]]:
+        """The extra inputs a template may read, besides candidate and rhs."""
+        return dict(psi1=self.psi1, psi2=self.psi2, h1=self.h1, h2=self.h2)
 
     @cached_property
     def spec(self) -> crit.CriterionSpec:
@@ -600,6 +620,10 @@ def _check_references(s: Scenario) -> None:
         ref(dn.volume_profile.density, "$.density.volume_profile.density")
     for i, c in enumerate(s.criteria):
         ref(c.density, f"$.criteria[{i}].density")
+        try:
+            crit.check_criterion(c.spec, s.dimension, c.density is not None, c.inputs)
+        except crit.CriterionError as err:
+            raise ConfigError(err.message, f"$.criteria[{i}].{err.where}") from None
     if s.volume_test:
         ref(s.volume_test.density, "$.volume_test.density")
     if s.simulation:
@@ -786,7 +810,7 @@ def run_criteria_stage(scenario: Scenario, cs, analytic, density_stage) -> List[
     results = []
     for c in scenario.criteria:
         rho = _pick_density(c.density, analytic, density_stage)
-        verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, psi1=c.psi1, psi2=c.psi2, h1=c.h1, h2=c.h2)
+        verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, **c.inputs)
         results.append(_expected(verdict, c.expect))
     vt = scenario.volume_test
     if vt is not None:

@@ -12,8 +12,8 @@ ladders and report "inconclusive" when the trend is unstable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .expr import CallableField, Expr, evaluate, parse_expr
 
 __all__ = [
     "CriterionError",
-    "CATALOG",
-    "CONCLUSIONS",
+    "TEMPLATES",
+    "Template",
+    "check_criterion",
     "MODES",
     "REGION_KINDS",
     "VERDICTS",
@@ -44,42 +45,12 @@ __all__ = [
 
 
 class CriterionError(Exception):
-    pass
+    """A criterion that cannot be evaluated; ``where`` names the criterion
+    field at fault, if one is (``constants.M``, ``variant``, ...)."""
 
-
-# catalog of inequality templates; every in-scope sufficient condition of the
-# source material maps to exactly one entry
-CATALOG: Tuple[str, ...] = (
-    "LYAPUNOV_L",
-    "LYAPUNOV_EXTERIOR",
-    "GROWTH_NONEXPLOSION",
-    "EIGENGAP_2D",
-    "LINEAR_GROWTH_MOMENT",
-    "INTEGRABLE_COEFFS",
-    "INVARIANCE_LYAPUNOV",
-    "INVARIANCE_LOG_GROWTH",
-    "NON_INVARIANCE",
-    "RECURRENCE_SUPERSOLUTION",
-    "RECURRENCE_GROWTH",
-    "VOLUME_CONSERVATIVE",
-    "ERGODIC_DRIFT",
-)
-
-CONCLUSIONS: Dict[str, str] = {
-    "LYAPUNOV_L": "non-explosive; E_x[phi(X_t)] <= e^{M t} phi(x)",
-    "LYAPUNOV_EXTERIOR": "non-explosive (exterior Lyapunov bound)",
-    "GROWTH_NONEXPLOSION": "non-explosive (coefficient growth bound)",
-    "EIGENGAP_2D": "non-explosive (d=2 eigenvalue-gap bound)",
-    "LINEAR_GROWTH_MOMENT": "non-explosive; sup-moment bound D*e^{E t}",
-    "INTEGRABLE_COEFFS": "mu invariant for the adjoint flow (L^1 coefficients)",
-    "INVARIANCE_LYAPUNOV": "mu invariant / dual semigroup conservative",
-    "INVARIANCE_LOG_GROWTH": "mu invariant / dual semigroup conservative",
-    "NON_INVARIANCE": "mu NOT invariant / dual semigroup not conservative",
-    "RECURRENCE_SUPERSOLUTION": "recurrent (exterior supersolution)",
-    "RECURRENCE_GROWTH": "recurrent (coefficient growth bound)",
-    "VOLUME_CONSERVATIVE": "conservative (volume growth bound)",
-    "ERGODIC_DRIFT": "finite invariant measure; ergodic limits apply",
-}
+    def __init__(self, message: str, where: str = ""):
+        super().__init__(f"{where}: {message}" if where else message)
+        self.message, self.where = message, where
 
 
 # the verdicts a template can return
@@ -116,6 +87,12 @@ class RegionSpec:
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise CriterionError(f"unknown region kind {self.kind!r}")
+        if self.r_min < 0:
+            raise CriterionError(f"r_min {self.r_min} is negative")
+        if not self.r_max > self.r_min:
+            raise CriterionError(f"r_max {self.r_max} does not exceed r_min {self.r_min}")
+        if not self.hi > self.lo:
+            raise CriterionError(f"hi {self.hi} does not exceed lo {self.lo}")
 
     def describe(self) -> str:
         if self.kind == "annulus":
@@ -175,17 +152,10 @@ class CriterionSpec:
     mode: str = "adjoint"  # one of MODES
 
     def __post_init__(self):
-        if self.id not in CATALOG:
+        if self.id not in TEMPLATES:
             raise CriterionError(f"unknown criterion id {self.id!r}")
         if self.mode not in MODES:
             raise CriterionError(f"unknown mode {self.mode!r}")
-
-    def constant(self, name: str, default=None) -> float:
-        if name in self.constants:
-            return float(self.constants[name])
-        if default is None:
-            raise CriterionError(f"criterion {self.id} needs constant {name!r}")
-        return float(default)
 
 
 @dataclass
@@ -333,26 +303,6 @@ def _geometry(cs: CoefficientSet, pts: np.ndarray):
     return A, G, r2, axx, tra, gx
 
 
-def _default_region(cs: CoefficientSet, spec: CriterionSpec, exterior: bool) -> RegionSpec:
-    if spec.region is not None:
-        return spec.region
-    n0 = spec.constant("N0", 1.0)
-    if cs.d == 1:
-        return RegionSpec(kind="interval", lo=-10.0, hi=10.0)
-    if cs.d == 3:
-        base = RegionSpec(kind="annulus", n_radial=100, n_angular=4096)
-    else:
-        base = RegionSpec(kind="annulus")
-    r_min = n0 * (1.0 + 1e-6) if exterior else 1e-6
-    return RegionSpec(
-        kind="annulus",
-        r_min=r_min,
-        r_max=base.r_max,
-        n_radial=base.n_radial,
-        n_angular=base.n_angular,
-    )
-
-
 def _coerce_candidate(c, d: int):
     if isinstance(c, str):
         return parse_expr(c, d)
@@ -360,17 +310,19 @@ def _coerce_candidate(c, d: int):
 
 
 # ---------------------------------------------------------------------------
-# template handlers
+# template handlers: each gets the spec with its variant, constants and
+# region resolved by check_criterion, and only the extra inputs its template
+# reads
 
 
-def _margin_verdict(spec, region, result: MarginResult, notes=None, trend=None) -> CriterionVerdict:
+def _margin_verdict(spec, result: MarginResult, notes=None, trend=None) -> CriterionVerdict:
     return CriterionVerdict(
         id=spec.id,
-        region=region.describe(),
+        region=spec.region.describe(),
         verdict=result.verdict(),
         min_margin=result.min_margin,
         witness=result.argmin,
-        conclusion=CONCLUSIONS[spec.id],
+        conclusion=TEMPLATES[spec.id].conclusion,
         notes=notes or [],
         trend_table=trend,
         skipped_points=result.skipped,
@@ -383,109 +335,81 @@ def _growth_notes(candidate, d, region) -> List[str]:
     return [f"sphere-infimum growth sampled up to r={rep['radii'][-1]:.3g}: {tag} (not certified)"]
 
 
-def _handle_lyapunov_l(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=False)
-    phi = _coerce_candidate(spec.candidate, cs.d) or parse_expr("norm2(x) + 1", cs.d)
-    M = spec.constant("M")
-    pts = region.points(cs.d)
-    rhs = spec.rhs
-    if rhs is None:
-        rhs = ex.mul(ex.Const(M), phi) if isinstance(phi, Expr) else (
-            lambda p, _phi=phi: M * np.asarray(_phi.value(p))
-        )
-    else:
-        rhs = _coerce_candidate(rhs, cs.d)
-    result = lyapunov_margin(cs, rho, phi, "L", rhs, pts)
-    notes = _growth_notes(phi, cs.d, region)
-    return _margin_verdict(spec, region, result, notes)
+def _lyapunov(op: str, candidate: Callable, rhs: Callable):
+    """Handler of a Lyapunov-type template: ``(op g)(x) <= rhs(x)`` on the grid
+    for the spec's candidate ``g``, else ``candidate(constants, d)``, and the
+    spec's ``rhs``, else ``rhs(constants, g)``."""
+
+    def handle(spec, cs, rho):
+        g = candidate(spec.constants, cs.d) if spec.candidate is None else spec.candidate
+        bound = rhs(spec.constants, g) if spec.rhs is None else spec.rhs
+        result = lyapunov_margin(cs, rho, g, op, bound, spec.region.points(cs.d))
+        return _margin_verdict(spec, result, _growth_notes(g, cs.d, spec.region))
+
+    return handle
 
 
-def _handle_lyapunov_exterior(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=True)
-    n0 = spec.constant("N0", 1.0)
-    g = _coerce_candidate(spec.candidate, cs.d) or default_growth_candidate(n0, cs.d)
-    M = spec.constant("M")
-    pts = region.points(cs.d)
-    rhs = ex.mul(ex.Const(M), g) if isinstance(g, Expr) else (
-        lambda p, _g=g: M * np.asarray(_g.value(p))
-    )
-    result = lyapunov_margin(cs, rho, g, "L", rhs, pts)
-    return _margin_verdict(spec, region, result, _growth_notes(g, cs.d, region))
+def _scaled(name: str):
+    """The right-hand side ``constants[name] * g``."""
+
+    def rhs(k, g):
+        if isinstance(g, Expr):
+            return ex.mul(ex.Const(k[name]), g)
+        return lambda p: k[name] * np.asarray(g.value(p))
+
+    return rhs
 
 
-def _growth_lhs_rhs(spec, cs, pts, rhs_kind: str):
-    _, _, r2, axx, tra, gx = _geometry(cs, pts)
-    lhs = -axx / r2 + 0.5 * tra + gx
-    M = spec.constant("M", 0.0)
-    r = np.sqrt(r2)
-    if rhs_kind == "log_growth":
-        rhs = M * r2 * (np.log(r) + 1.0)
-    elif rhs_kind == "zero":
-        rhs = np.zeros_like(r2)
-    elif rhs_kind == "neg_quadratic":
-        rhs = -M * r2
-    else:
-        raise CriterionError(rhs_kind)
-    return lhs, rhs
+def _growth_candidate(k, d: int) -> Expr:
+    return default_growth_candidate(k["N0"], d)
 
 
-def _handle_growth_nonexplosion(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=True)
-    pts = region.points(cs.d)
-    lhs, rhs = _growth_lhs_rhs(spec, cs, pts, "log_growth")
-    result = _finish_margin(pts, lhs, rhs)
-    return _margin_verdict(spec, region, result)
+def _growth(rhs: Callable, note: Optional[str] = None):
+    """Handler of a coefficient-growth template:
+    ``-<Ax, x>/|x|^2 + tr A / 2 + <G, x> <= rhs(constants, |x|^2)`` on the grid."""
+
+    def handle(spec, cs, rho):
+        pts = spec.region.points(cs.d)
+        _, _, r2, axx, tra, gx = _geometry(cs, pts)
+        result = _finish_margin(pts, -axx / r2 + 0.5 * tra + gx, rhs(spec.constants, r2))
+        return _margin_verdict(spec, result, [note] if note else None)
+
+    return handle
 
 
-def _handle_eigengap_2d(spec, cs, rho, psi1=None, psi2=None, **_):
-    if cs.d != 2:
-        raise CriterionError("EIGENGAP_2D is a d=2 template")
-    if psi1 is None or psi2 is None:
-        raise CriterionError("EIGENGAP_2D needs the two eigenvalue fields psi1, psi2")
-    psi1 = _coerce_candidate(psi1, 2)
-    psi2 = _coerce_candidate(psi2, 2)
-    region = _default_region(cs, spec, exterior=True)
-    pts = region.points(2)
-    M = spec.constant("M")
+def _handle_eigengap_2d(spec, cs, rho, psi1, psi2):
+    pts = spec.region.points(2)
     _, _, r2, _, _, gx = _geometry(cs, pts)
     lhs = 0.5 * np.abs(evaluate(psi1, pts) - evaluate(psi2, pts)) + gx
-    rhs = M * r2 * (np.log(np.sqrt(r2)) + 1.0)
-    result = _finish_margin(pts, lhs, rhs)
-    return _margin_verdict(spec, region, result)
+    rhs = spec.constants["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)
+    return _margin_verdict(spec, _finish_margin(pts, lhs, rhs))
 
 
-def _handle_linear_growth_moment(spec, cs, rho, h1=None, h2=None, **_):
-    region = _default_region(cs, spec, exterior=False)
-    pts = region.points(cs.d)
-    M = spec.constant("M")
+def _handle_linear_growth_moment(spec, cs, rho, h1=None, h2=None):
+    pts = spec.region.points(cs.d)
+    M = spec.constants["M"]
     A = cs.eval_A(pts)
     sigma = calc.diffusion_root_batch(A)
     G = cs.eval_G(pts)
     r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    h1v = np.abs(evaluate(_coerce_candidate(h1, cs.d), pts)) if h1 is not None else 0.0
-    h2v = np.abs(evaluate(_coerce_candidate(h2, cs.d), pts)) if h2 is not None else 0.0
+    h1v = np.abs(evaluate(h1, pts)) if h1 is not None else 0.0
+    h2v = np.abs(evaluate(h2, pts)) if h2 is not None else 0.0
     smax = np.max(np.abs(sigma), axis=(1, 2))
     gmax = np.max(np.abs(G), axis=1)
-    variant = spec.variant or "split"
-    if variant == "split":
+    if spec.variant == "split":
         m_sigma = h1v + M * (np.sqrt(r) + 1.0) - smax
         m_drift = h2v + M * (r + 1.0) - gmax
         lhs = np.zeros_like(r)
         rhs = np.minimum(m_sigma, m_drift)
-    elif variant == "joint":
+    else:  # joint
         lhs = smax + gmax
         rhs = h1v + M * (r + 1.0)
-    else:
-        raise CriterionError(f"LINEAR_GROWTH_MOMENT variant {variant!r}")
-    result = _finish_margin(pts, lhs, rhs)
-    note = [f"variant {variant}; moment bound shape D*exp(E*t)"]
-    return _margin_verdict(spec, region, result, note)
+    note = [f"variant {spec.variant}; moment bound shape D*exp(E*t)"]
+    return _margin_verdict(spec, _finish_margin(pts, lhs, rhs), note)
 
 
-def _handle_integrable_coeffs(spec, cs, rho, **_):
-    if rho is None:
-        raise CriterionError("INTEGRABLE_COEFFS needs the density")
-    region = spec.region or RegionSpec(r_min=1.0, r_max=64.0)
+def _handle_integrable_coeffs(spec, cs, rho):
+    r_max = spec.region.r_max
     beta = calc.log_derivative_beta(cs, rho)
     gfield = cs.drift_field()
 
@@ -494,72 +418,45 @@ def _handle_integrable_coeffs(spec, cs, rho, **_):
         gb = np.abs(gfield(pts) - beta(pts)).sum(axis=1)
         return (A + gb) * rho.rho(pts)
 
-    ladder, totals = _radial_cumulative(integrand, cs.d, region.r_max)
+    ladder, totals = _radial_cumulative(integrand, cs.d, r_max)
     incs = np.diff(totals)
     trend = {"radius": ladder.tolist(), "integral": totals.tolist()}
     verdict, note = _converging_trend(incs)
     return CriterionVerdict(
         id=spec.id,
-        region=f"balls up to r={region.r_max}",
+        region=f"balls up to r={r_max}",
         verdict="holds-on-grid" if verdict == "converging" else "inconclusive",
-        conclusion=CONCLUSIONS[spec.id],
+        conclusion=TEMPLATES[spec.id].conclusion,
         notes=[f"L^1(mu) totals {note} (trend, not certified)"],
         trend_table=trend,
     )
 
 
-def _handle_invariance_lyapunov(spec, cs, rho, **_):
-    if rho is None:
-        raise CriterionError("INVARIANCE_LYAPUNOV applies the adjoint drift; needs density")
-    region = _default_region(cs, spec, exterior=False)
-    u = _coerce_candidate(spec.candidate, cs.d)
-    if u is None:
-        u = default_growth_candidate(spec.constant("N0", 1.0), cs.d)
-    alpha = spec.constant("alpha")
-    pts = region.points(cs.d)
-    rhs = ex.mul(ex.Const(alpha), u) if isinstance(u, Expr) else (
-        lambda p, _u=u: alpha * np.asarray(_u.value(p))
-    )
-    result = lyapunov_margin(cs, rho, u, "L_adjoint", rhs, pts)
-    return _margin_verdict(spec, region, result, _growth_notes(u, cs.d, region))
-
-
-def _handle_invariance_log_growth(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=False)
-    pts = region.points(cs.d)
-    M = spec.constant("M")
+def _handle_invariance_log_growth(spec, cs, rho):
+    pts = spec.region.points(cs.d)
     A, G, r2, axx, tra, _ = _geometry(cs, pts)
     if spec.mode == "forward":
         drift = G
     else:
-        if rho is None:
-            raise CriterionError("adjoint log-growth check needs the density")
         beta = calc.log_derivative_beta(cs, rho)(pts)
         drift = 2.0 * beta - G
     dx = np.einsum("ni,ni->n", drift, pts)
     lhs = -axx / (r2 + 1.0) + 0.5 * tra + dx
-    rhs = M * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
-    result = _finish_margin(pts, lhs, rhs)
+    rhs = spec.constants["M"] * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
     note = [f"drift field: {'G' if spec.mode == 'forward' else '2 beta - G'}"]
-    return _margin_verdict(spec, region, result, note)
+    return _margin_verdict(spec, _finish_margin(pts, lhs, rhs), note)
 
 
-def _handle_non_invariance(spec, cs, rho, **_):
-    u = _coerce_candidate(spec.candidate, cs.d)
-    if u is None:
-        raise CriterionError("NON_INVARIANCE needs a bounded nonnegative candidate")
-    region = _default_region(cs, spec, exterior=False)
-    pts = region.points(cs.d)
-    alpha = spec.constant("alpha")
+def _handle_non_invariance(spec, cs, rho):
+    u = spec.candidate
+    pts = spec.region.points(cs.d)
     mode = "L" if spec.mode == "forward" else "L_adjoint"
-    if mode == "L_adjoint" and rho is None:
-        raise CriterionError("adjoint non-invariance certificate needs the density")
     # certificate direction: (op u) - alpha u >= 0
     op = apply_generator(cs, rho, u, mode=mode, piecewise=True)
     with np.errstate(all="ignore"):
         uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
         op_vals = op(pts)
-    result = _finish_margin(pts, uvals * alpha, op_vals)
+    result = _finish_margin(pts, uvals * spec.constants["alpha"], op_vals)
     notes = [
         f"candidate sampled range [{np.nanmin(uvals):.3g}, {np.nanmax(uvals):.3g}]"
         " (boundedness declared, checked on grid only)",
@@ -567,38 +464,13 @@ def _handle_non_invariance(spec, cs, rho, **_):
     ]
     if np.nanmin(uvals) < 0:
         notes.append("WARNING: candidate negative at a grid point")
-    v = _margin_verdict(spec, region, result, notes)
-    return v
+    return _margin_verdict(spec, result, notes)
 
 
-def _handle_recurrence_supersolution(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=True)
-    n0 = spec.constant("N0", 1.0)
-    g = _coerce_candidate(spec.candidate, cs.d) or default_growth_candidate(n0, cs.d)
+def _handle_volume_conservative(spec, cs, rho):
+    region, variant = spec.region, spec.variant
     pts = region.points(cs.d)
-    result = lyapunov_margin(cs, rho, g, "L", 0.0, pts)
-    return _margin_verdict(spec, region, result, _growth_notes(g, cs.d, region))
-
-
-def _handle_recurrence_growth(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=True)
-    pts = region.points(cs.d)
-    lhs, rhs = _growth_lhs_rhs(spec, cs, pts, "zero")
-    result = _finish_margin(pts, lhs, rhs)
-    return _margin_verdict(spec, region, result)
-
-
-def _handle_volume_conservative(spec, cs, rho, Bbar=None, **_):
-    if rho is None:
-        raise CriterionError("VOLUME_CONSERVATIVE needs the density")
-    region = _default_region(cs, spec, exterior=True)
-    pts = region.points(cs.d)
-    M = spec.constant("M")
-    c = spec.constant("c")
-    n1 = int(spec.constant("N1", 1.0))
-    if n1 < 1:  # the annulus ladder below doubles N1 until it passes r_max
-        raise CriterionError("VOLUME_CONSERVATIVE needs N1 >= 1")
-    variant = spec.variant or "polynomial"
+    M, c, n1 = spec.constants["M"], spec.constants["c"], int(spec.constants["N1"])
     A, G, r2, axx, tra, _ = _geometry(cs, pts)
     beta = calc.log_derivative_beta(cs, rho)(pts)
     B = G - beta
@@ -606,11 +478,9 @@ def _handle_volume_conservative(spec, cs, rho, Bbar=None, **_):
     if variant == "polynomial":
         lhs = axx / r2 + bx
         rhs = M * r2 * np.log(np.sqrt(r2) + 1.0)
-    elif variant == "exponential":
+    else:  # exponential
         lhs = axx + bx
         rhs = M * r2
-    else:
-        raise CriterionError(f"VOLUME_CONSERVATIVE variant {variant!r}")
     coeff_result = _finish_margin(pts, lhs, rhs)
 
     # annulus volume ladder mu(B_4n \ B_2n)
@@ -619,67 +489,163 @@ def _handle_volume_conservative(spec, cs, rho, Bbar=None, **_):
         ns.append(ns[-1] * 2)
     ladder, totals = _radial_cumulative(lambda p: rho.rho(p), cs.d, max(4 * max(ns), 4.0))
     mu_of = lambda r: float(np.interp(r, ladder, totals))
-    rows = []
-    vol_margins = []
-    for m in ns:
-        mu_ann = mu_of(4 * m) - mu_of(2 * m)
-        bound = (4 * m) ** c if variant == "polynomial" else math.exp(c * (4 * m) ** 2)
-        rows.append({"n": m, "mu_annulus": mu_ann, "bound": bound})
-        vol_margins.append(bound - mu_ann)
-    trend = {
-        "n": [r["n"] for r in rows],
-        "mu_annulus": [r["mu_annulus"] for r in rows],
-        "bound": [r["bound"] for r in rows],
-    }
-    vol_ok = all(v >= 0 for v in vol_margins)
-    verdict = coeff_result.verdict()
-    if verdict == "holds-on-grid" and not vol_ok:
-        verdict = "fails-with-witness"
+    mu_ann = [mu_of(4 * m) - mu_of(2 * m) for m in ns]
+    bounds = [(4 * m) ** c if variant == "polynomial" else math.exp(c * (4 * m) ** 2) for m in ns]
+    trend = {"n": ns, "mu_annulus": mu_ann, "bound": bounds}
     notes = [f"variant {variant}; annulus ladder n in {ns}"]
-    v = _margin_verdict(spec, region, coeff_result, notes, trend)
-    v.verdict = verdict
+    v = _margin_verdict(spec, coeff_result, notes, trend)
+    if v.verdict == "holds-on-grid" and not all(b - mu >= 0 for mu, b in zip(mu_ann, bounds)):
+        v.verdict = "fails-with-witness"
     return v
 
 
-def _handle_ergodic_drift(spec, cs, rho, **_):
-    region = _default_region(cs, spec, exterior=True)
-    variant = spec.variant or "lyapunov"
-    pts = region.points(cs.d)
-    if variant == "lyapunov":
-        n0 = spec.constant("N0", 1.0)
-        g = _coerce_candidate(spec.candidate, cs.d) or default_growth_candidate(n0, cs.d)
-        cc = spec.constant("c")
-        result = lyapunov_margin(cs, rho, g, "L", -cc, pts)
-        return _margin_verdict(spec, region, result, _growth_notes(g, cs.d, region))
-    if variant == "eq_335":
-        lhs, rhs = _growth_lhs_rhs(spec, cs, pts, "neg_quadratic")
-        result = _finish_margin(pts, lhs, rhs)
-        return _margin_verdict(spec, region, result, ["specialization: <= -M |x|^2"])
-    if variant == "eq_336":
-        M = spec.constant("M")
-        _, _, _, _, tra, gx = _geometry(cs, pts)
-        lhs = 0.5 * tra + gx
-        rhs = np.full(len(pts), -M)
-        result = _finish_margin(pts, lhs, rhs)
-        return _margin_verdict(spec, region, result, ["specialization: <= -M"])
-    raise CriterionError(f"ERGODIC_DRIFT variant {variant!r}")
+_ergodic_lyapunov = _lyapunov("L", _growth_candidate, lambda k, g: -k["c"])
+_ergodic_quadratic = _growth(lambda k, r2: -k["M"] * r2, "specialization: <= -M |x|^2")
 
 
-_HANDLERS = {
-    "LYAPUNOV_L": _handle_lyapunov_l,
-    "LYAPUNOV_EXTERIOR": _handle_lyapunov_exterior,
-    "GROWTH_NONEXPLOSION": _handle_growth_nonexplosion,
-    "EIGENGAP_2D": _handle_eigengap_2d,
-    "LINEAR_GROWTH_MOMENT": _handle_linear_growth_moment,
-    "INTEGRABLE_COEFFS": _handle_integrable_coeffs,
-    "INVARIANCE_LYAPUNOV": _handle_invariance_lyapunov,
-    "INVARIANCE_LOG_GROWTH": _handle_invariance_log_growth,
-    "NON_INVARIANCE": _handle_non_invariance,
-    "RECURRENCE_SUPERSOLUTION": _handle_recurrence_supersolution,
-    "RECURRENCE_GROWTH": _handle_recurrence_growth,
-    "VOLUME_CONSERVATIVE": _handle_volume_conservative,
-    "ERGODIC_DRIFT": _handle_ergodic_drift,
+def _handle_ergodic_drift(spec, cs, rho):
+    if spec.variant == "lyapunov":
+        return _ergodic_lyapunov(spec, cs, rho)
+    if spec.variant == "eq_335":
+        return _ergodic_quadratic(spec, cs, rho)
+    pts = spec.region.points(cs.d)  # eq_336
+    _, _, _, _, tra, gx = _geometry(cs, pts)
+    result = _finish_margin(pts, 0.5 * tra + gx, np.full(len(pts), -spec.constants["M"]))
+    return _margin_verdict(spec, result, ["specialization: <= -M"])
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+
+
+REQUIRED = None  # the default of a constant that must be given
+_N0 = {"N0": 1.0}  # inner radius of the default exterior region
+
+
+class Template(NamedTuple):
+    """One inequality template: what a criterion of its id may and must give,
+    the defaults, and the handler that evaluates it."""
+
+    handler: Callable[..., CriterionVerdict]
+    conclusion: str
+    # variant -> {constant: default or REQUIRED}; the first variant is the
+    # default, and None stands for a template without variants
+    variants: Dict[Optional[str], Dict[str, Optional[float]]]
+    region: Union[str, RegionSpec] = "interior"  # default region: "interior", "exterior" or this one
+    needs: Tuple[str, ...] = ()  # extra inputs that must be given
+    reads: Tuple[str, ...] = ()  # extra inputs that may be given
+    density: str = "never"  # needs the density "always", in "adjoint" mode only, or "never"
+    dimension: Optional[int] = None  # the only dimension it applies in
+
+
+# catalog of inequality templates; every in-scope sufficient condition of the
+# source material maps to exactly one entry
+TEMPLATES: Dict[str, Template] = {
+    "LYAPUNOV_L": Template(
+        _lyapunov("L", lambda k, d: parse_expr("norm2(x) + 1", d), _scaled("M")),
+        "non-explosive; E_x[phi(X_t)] <= e^{M t} phi(x)",
+        {None: {"M": REQUIRED}}, reads=("candidate", "rhs")),
+    "LYAPUNOV_EXTERIOR": Template(
+        _lyapunov("L", _growth_candidate, _scaled("M")), "non-explosive (exterior Lyapunov bound)",
+        {None: {"M": REQUIRED, **_N0}}, region="exterior", reads=("candidate",)),
+    "GROWTH_NONEXPLOSION": Template(
+        _growth(lambda k, r2: k["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)),
+        "non-explosive (coefficient growth bound)", {None: {"M": 0.0, **_N0}}, region="exterior"),
+    "EIGENGAP_2D": Template(
+        _handle_eigengap_2d, "non-explosive (d=2 eigenvalue-gap bound)",
+        {None: {"M": REQUIRED, **_N0}}, region="exterior", needs=("psi1", "psi2"), dimension=2),
+    "LINEAR_GROWTH_MOMENT": Template(
+        _handle_linear_growth_moment, "non-explosive; sup-moment bound D*e^{E t}",
+        {"split": {"M": REQUIRED}, "joint": {"M": REQUIRED}}, reads=("h1", "h2")),
+    "INTEGRABLE_COEFFS": Template(
+        _handle_integrable_coeffs, "mu invariant for the adjoint flow (L^1 coefficients)",
+        {None: {}}, region=RegionSpec(r_max=64.0), density="always"),
+    "INVARIANCE_LYAPUNOV": Template(
+        _lyapunov("L_adjoint", _growth_candidate, _scaled("alpha")),
+        "mu invariant / dual semigroup conservative",
+        {None: {"alpha": REQUIRED, **_N0}}, reads=("candidate",), density="always"),
+    "INVARIANCE_LOG_GROWTH": Template(
+        _handle_invariance_log_growth, "mu invariant / dual semigroup conservative",
+        {None: {"M": REQUIRED}}, density="adjoint"),
+    "NON_INVARIANCE": Template(
+        _handle_non_invariance, "mu NOT invariant / dual semigroup not conservative",
+        {None: {"alpha": REQUIRED}}, needs=("candidate",), density="adjoint"),
+    "RECURRENCE_SUPERSOLUTION": Template(
+        _lyapunov("L", _growth_candidate, lambda k, g: 0.0), "recurrent (exterior supersolution)",
+        {None: dict(_N0)}, region="exterior", reads=("candidate",)),
+    "RECURRENCE_GROWTH": Template(
+        _growth(lambda k, r2: np.zeros_like(r2)), "recurrent (coefficient growth bound)",
+        {None: dict(_N0)}, region="exterior"),
+    "VOLUME_CONSERVATIVE": Template(
+        _handle_volume_conservative, "conservative (volume growth bound)",
+        {v: {"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0} for v in ("polynomial", "exponential")},
+        region="exterior", density="always"),
+    "ERGODIC_DRIFT": Template(
+        _handle_ergodic_drift, "finite invariant measure; ergodic limits apply",
+        {"lyapunov": {"c": REQUIRED, **_N0}, "eq_335": {"M": 0.0, **_N0}, "eq_336": {"M": REQUIRED, **_N0}},
+        region="exterior", reads=("candidate",)),
 }
+
+# constants with a lower bound: N0 is a radius, and the annulus ladder of
+# VOLUME_CONSERVATIVE doubles N1 until it passes r_max
+_BOUNDS = {"N0": ("N0 > 0", lambda v: v > 0), "N1": ("N1 >= 1", lambda v: v >= 1)}
+
+
+def _default_region(where: Union[str, RegionSpec], d: int, n0: Optional[float]) -> RegionSpec:
+    if isinstance(where, RegionSpec):
+        return where
+    if d == 1:
+        return RegionSpec(kind="interval", lo=-10.0, hi=10.0)
+    r_min = n0 * (1.0 + 1e-6) if where == "exterior" else 1e-6
+    return RegionSpec(r_min=r_min, n_radial=100, n_angular=4096) if d == 3 else RegionSpec(r_min=r_min)
+
+
+def check_criterion(
+    spec: CriterionSpec, d: int, has_density: bool, inputs: Dict[str, object]
+) -> CriterionSpec:
+    """``spec`` checked against its template, with the default variant,
+    constants (as floats) and region filled in.
+
+    ``inputs`` are the extra inputs given besides the spec's candidate and
+    rhs; None stands for one not given.  A candidate or rhs given as a string
+    is parsed.  Raises :class:`CriterionError` that names the criterion field
+    at fault.
+    """
+    t = TEMPLATES[spec.id]
+    if t.dimension is not None and d != t.dimension:
+        raise CriterionError(f"{spec.id} is a d={t.dimension} template", "id")
+    variant = next(iter(t.variants)) if spec.variant is None else spec.variant
+    if variant not in t.variants:
+        options = ", ".join(v for v in t.variants if v is not None)
+        message = f"{variant!r} is not one of {options}" if options else f"{spec.id} has no variants"
+        raise CriterionError(message, "variant")
+    defaults = t.variants[variant]
+    for name in spec.constants:
+        if name not in defaults:
+            raise CriterionError(f"{spec.id} takes no constant {name!r}", f"constants.{name}")
+    constants = {}
+    for name, default in defaults.items():
+        if name not in spec.constants and default is REQUIRED:
+            raise CriterionError(f"{spec.id} needs constant {name!r}", f"constants.{name}")
+        constants[name] = float(spec.constants.get(name, default))
+        if name in _BOUNDS and not _BOUNDS[name][1](constants[name]):
+            raise CriterionError(f"{spec.id} needs {_BOUNDS[name][0]}", f"constants.{name}")
+    given = [k for k, v in {"candidate": spec.candidate, "rhs": spec.rhs, **inputs}.items() if v is not None]
+    for name in given:
+        if name not in t.needs + t.reads:
+            raise CriterionError(f"{spec.id} does not read {name}", name)
+    for name in t.needs:
+        if name not in given:
+            raise CriterionError(f"{spec.id} needs {name}", name)
+    needs_density = t.density == "always" or (t.density == "adjoint" and spec.mode == "adjoint")
+    if needs_density and not has_density:
+        raise CriterionError(f"{spec.id} needs the density in {spec.mode} mode", "density")
+    try:
+        region = spec.region or _default_region(t.region, d, constants.get("N0"))
+    except CriterionError as err:  # only N0 moves the default region
+        raise CriterionError(f"default region: {err.message}", "constants.N0") from None
+    candidate, rhs = _coerce_candidate(spec.candidate, d), _coerce_candidate(spec.rhs, d)
+    return replace(spec, variant=variant, constants=constants, region=region, candidate=candidate, rhs=rhs)
 
 
 def evaluate_criterion(
@@ -688,9 +654,14 @@ def evaluate_criterion(
     rho: Optional[DensityField] = None,
     **inputs,
 ) -> CriterionVerdict:
-    """Instantiate a catalog template and return its sampled-grid verdict."""
-    handler = _HANDLERS[spec.id]
-    return handler(spec, cs, rho, **inputs)
+    """Instantiate a catalog template and return its sampled-grid verdict.
+
+    ``inputs`` are the extra inputs some templates read (``psi1``/``psi2``,
+    ``h1``/``h2``); the spec is first checked against its template.
+    """
+    spec = check_criterion(spec, cs.d, rho is not None, inputs)
+    given = {k: _coerce_candidate(v, cs.d) for k, v in inputs.items() if v is not None}
+    return TEMPLATES[spec.id].handler(spec, cs, rho, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +731,7 @@ def volume_test_integrands(
         r2 = np.einsum("ij,ij->i", pts, pts)
         return np.einsum("nij,nj,ni->n", A, pts, pts) / r2 * rho.rho(pts)
 
-    div_ct = []
-    for i in range(d):
-        s: Expr = ex.Const(0.0)
-        for j in range(d):
-            s = ex.add(s, ex.differentiate(cs.c_entry(j, i), j))
-        div_ct.append(ex.mul(ex.Const(0.5), s))
-    div_field = VectorField.from_exprs(div_ct)
+    div_field = VectorField.from_exprs(calc.half_divergence(lambda i, j: cs.c_entry(j, i), d))
     c_is_zero = all(e == ex.Const(0.0) for row in cs.c_upper for e in row)
     c_program = ex.Program([e for row in cs.C for e in row])
     bbar_field = (

@@ -144,6 +144,12 @@ def malformed_inputs():
     a_entry["coefficients"]["A"] = [[{}, "0"], ["1"]]
     one_d = tiny_bm_config(dimension=1, coefficients={"A": [["1"]], "H": ["0"]}, criteria=[])
     one_d["simulation"].update(x0=[0.0], moments={"phi": "x1^2", "times": [0.5]})
+    three_d = tiny_bm_config(
+        dimension=3,
+        coefficients={"A": [["1", "0", "0"], ["1", "0"], ["1"]], "H": ["0", "0", "0"]},
+        criteria=[{"id": "EIGENGAP_2D", "constants": {"M": 1}, "psi1": "1", "psi2": "1"}],
+    )
+    del three_d["simulation"]
     return [
         (sim(checks=[{"type": "moment_value", "time": 0.25, "value": 2.0}]),
          "$.simulation.checks[0].time", "not one of simulation.moments.times"),
@@ -182,6 +188,27 @@ def malformed_inputs():
         (one_d, "$.simulation", "dimension >= 2"),
         (tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [2.0], "n": 15}}),
          "$.density.solve", "even cell count"),
+        # criteria checked against their template
+        (crit0(id="ERGODIC_DRIFT", variant="eq_999"),
+         "$.criteria[0].variant", "'eq_999' is not one of lyapunov, eq_335, eq_336"),
+        (crit0(id="LYAPUNOV_EXTERIOR", variant="split"), "$.criteria[0].variant", "has no variants"),
+        (crit0(id="LYAPUNOV_L", constants={}), "$.criteria[0].constants.M", "needs constant 'M'"),
+        (crit0(id="LYAPUNOV_L", constants={"m": 2}), "$.criteria[0].constants.m", "takes no constant 'm'"),
+        (crit0(id="GROWTH_NONEXPLOSION", constants={"m": 2}),
+         "$.criteria[0].constants.m", "takes no constant"),
+        (crit0(id="INTEGRABLE_COEFFS", constants={}), "$.criteria[0].density", "needs the density"),
+        (crit0(id="EIGENGAP_2D", constants={"M": 1}, psi1="1"), "$.criteria[0].psi2", "needs psi2"),
+        (three_d, "$.criteria[0].id", "d=2 template"),
+        (crit0(psi1="1"), "$.criteria[0].psi1", "does not read psi1"),
+        (crit0(constants={"N0": 0}), "$.criteria[0].constants.N0", "needs N0 > 0"),
+        (crit0(constants={"N0": 40}),
+         "$.criteria[0].constants.N0", "default region: r_max 40.0 does not exceed"),
+        (crit0(region={"r_min": 5.0, "r_max": 2.0}), "$.criteria[0].region", "does not exceed r_min"),
+        (crit0(region={"r_min": -1.0}), "$.criteria[0].region", "r_min -1.0 is negative"),
+        (crit0(region={"kind": "interval", "lo": 1.0, "hi": -1.0}),
+         "$.criteria[0].region", "does not exceed lo"),
+        (tiny_bm_config(density={"analytic": ["0"]}), "$.density.analytic[0]", "> 0 at the origin"),
+        (tiny_bm_config(density={"analytic": ["-1"]}), "$.density.analytic[0]", ">= 0 at the probe points"),
     ]
 
 
@@ -417,26 +444,42 @@ def _at(obj, path):
 
 @st.composite
 def mutated_builtins(draw):
-    """A built-in with one key deleted, or one leaf replaced by a malformed value."""
+    """A built-in with one key deleted, one leaf replaced by a malformed value,
+    one criterion constant deleted or renamed, or one criterion variant
+    replaced; and whether the mutation must be rejected."""
     cfg = load_config(draw(st.sampled_from(BUILTIN_NAMES)))
     paths = list(_tree_paths(cfg))
-    if draw(st.booleans()):
+    mutation = draw(st.sampled_from(("key", "leaf", "constant", "variant")))
+    if mutation == "key":
         path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
         del _at(cfg, path[:-1])[path[-1]]
-    else:
+        return cfg, False
+    if mutation == "leaf":
         path = draw(st.sampled_from([p for p in paths if not isinstance(_at(cfg, p), (dict, list))]))
         _at(cfg, path[:-1])[path[-1]] = draw(st.sampled_from([None, "x", [], {}, -1, 0]))
-    return cfg
+        return cfg, False
+    if mutation == "constant":
+        constants = draw(st.sampled_from([c["constants"] for c in cfg["criteria"] if c.get("constants")]))
+        name = draw(st.sampled_from(sorted(constants)))
+        value = constants.pop(name)
+        renamed = draw(st.booleans())
+        if renamed:
+            constants[name.swapcase()] = value
+        return cfg, renamed
+    variant = draw(st.sampled_from(("nope", "split", "joint", "exponential", "lyapunov", "eq_336")))
+    draw(st.sampled_from(cfg["criteria"]))["variant"] = variant
+    return cfg, variant == "nope"
 
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_builtins())
-def test_mutated_builtins_fail_with_a_field_path(cfg):
+def test_mutated_builtins_fail_with_a_field_path(mutated):
+    cfg, rejected = mutated
     try:
         validate_config(cfg)
     except ConfigError as err:
         assert str(err).startswith("$")
     report = run_scenario(cfg, stages=())
-    assert report["status"]["exit_code"] in (0, 4)
+    assert report["status"]["exit_code"] in ((4,) if rejected else (0, 4))
     if report["status"]["exit_code"] == 4:
         assert report["stages"]["build"]["error"].startswith("$")

@@ -11,7 +11,7 @@ from sdelab.calculus import (
     coefficient_set_from_drift,
 )
 from sdelab.criteria import (
-    CATALOG,
+    TEMPLATES,
     CriterionSpec,
     RegionSpec,
     default_growth_candidate,
@@ -49,9 +49,9 @@ def test_catalog_is_complete():
         "VOLUME_CONSERVATIVE",
         "ERGODIC_DRIFT",
     }
-    assert set(CATALOG) == expected
-    for cid in expected:
-        assert cid in crit.CONCLUSIONS
+    assert set(TEMPLATES) == expected
+    for row in TEMPLATES.values():
+        assert row.conclusion and row.variants
 
 
 def test_unknown_id_rejected():
