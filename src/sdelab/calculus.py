@@ -262,9 +262,10 @@ def probe_ellipticity(cs: CoefficientSet, pts: np.ndarray) -> EllipticityReport:
     return report
 
 
-def default_probes(d: int, radius: float = 5.0, n: int = 1000, seed: int = 20240) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(n, d))
+def default_probes(d: int) -> np.ndarray:
+    """1000 seeded uniform points in ``[-5, 5]^d``, the first at the origin."""
+    rng = np.random.default_rng(20240)
+    pts = rng.uniform(-5.0, 5.0, size=(1000, d))
     pts[0] = 0.0
     return pts
 
@@ -354,7 +355,8 @@ def coefficient_set_from_drift(
 
 
 class DensityField:
-    """Strictly positive density, either analytic or values on a tensor grid."""
+    """Density, either analytic or values on a tensor grid; grid values must
+    be strictly positive (declared analytic densities are checked at load)."""
 
     def __init__(
         self,
@@ -362,7 +364,6 @@ class DensityField:
         expr: Optional[Expr] = None,
         axes: Optional[Tuple[np.ndarray, ...]] = None,
         values: Optional[np.ndarray] = None,
-        probes: Optional[np.ndarray] = None,
     ):
         if (expr is None) == (values is None):
             raise ValueError("give exactly one of expr= or (axes=, values=)")
@@ -374,35 +375,23 @@ class DensityField:
         if self.values is not None:
             if self.axes is None or self.values.shape != tuple(len(a) for a in self.axes):
                 raise ShapeError("grid values must match the axes shape")
-            self.positivity_min = float(self.values.min())
-            if self.positivity_min <= 0:
+            if self.values.min() <= 0:
                 k = np.unravel_index(int(np.argmin(self.values)), self.values.shape)
                 witness = tuple(float(self.axes[i][k[i]]) for i in range(len(self.axes)))
                 raise PositivityError(
-                    f"density not strictly positive on grid (min {self.positivity_min:.3e})",
+                    f"density not strictly positive on grid (min {self.values.min():.3e})",
                     witness=witness,
                 )
         else:
             self._rho = Program(self.expr)
-            if probes is not None:
-                vals = self._rho(probes)
-                self.positivity_min = float(np.nanmin(vals))
-                if not np.isfinite(self.positivity_min) or self.positivity_min <= 0:
-                    k = int(np.nanargmin(vals))
-                    raise PositivityError(
-                        f"density not strictly positive at probe {probes[k].tolist()}",
-                        witness=tuple(float(v) for v in probes[k]),
-                    )
-            else:
-                self.positivity_min = None
 
     # -- construction helpers
 
     @classmethod
-    def from_expression(cls, e: Union[str, Expr], d: int, probes=None) -> "DensityField":
+    def from_expression(cls, e: Union[str, Expr], d: int) -> "DensityField":
         if isinstance(e, str):
             e = parse_expr(e, d)
-        return cls(expr=e, probes=probes)
+        return cls(expr=e)
 
     @classmethod
     def from_grid(cls, axes, values) -> "DensityField":
@@ -411,10 +400,6 @@ class DensityField:
     @property
     def mode(self) -> str:
         return "analytic" if self.expr is not None else "grid"
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes) if self.axes is not None else None
 
     # -- evaluation
 
@@ -705,11 +690,12 @@ def default_bump_library(lo, hi, d: int) -> List[Expr]:
     return bumps[:8]
 
 
-def _f_derivatives(f, d: int, piecewise: bool):
-    """``pts -> (grad (n, d), hessian (n, d, d))`` for an AST or CallableField."""
+def _f_derivatives(f, d: int):
+    """``pts -> (grad (n, d), hessian (n, d, d))`` for an AST or CallableField;
+    max/min nodes take branch derivatives."""
     if isinstance(f, Expr):
-        grads = gradient(f, d, piecewise)
-        program = Program(grads + [differentiate(g, j, piecewise) for g in grads for j in range(d)])
+        grads = gradient(f, d, piecewise=True)
+        program = Program(grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
 
         def derivatives(pts):
             out = program(pts)
@@ -729,7 +715,6 @@ def apply_generator(
     rho: Optional[DensityField],
     f,
     mode: str = "L",
-    piecewise: bool = False,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Point function ``(n, d) -> (n,)``: ``1/2 sum a_ij d_ij f + <drift, grad f>``.
 
@@ -741,7 +726,7 @@ def apply_generator(
     if mode != "L" and rho is None:
         raise CalculusError(f"mode {mode} requires a density")
     d = cs.d
-    derivatives = _f_derivatives(f, d, piecewise)
+    derivatives = _f_derivatives(f, d)
     beta = log_derivative_beta(cs, rho) if mode != "L" else None
     gfield = cs.drift_field()
 
@@ -805,7 +790,7 @@ def _residual_report(cs, rho, f, rule, mu_box: float) -> ResidualReport:
             r = [(rule.hi[k] - rule.lo[k]) / 2 * 0.95 for k in range(d)]
             f = mul(f, bump_expression(c, r, d))
             fmax = float(np.nanmax(np.abs(evaluate(f, pts))))
-    lf = apply_generator(cs, None, f, mode="L", piecewise=True)
+    lf = apply_generator(cs, None, f, mode="L")
 
     def integrand(pts):
         return lf(pts) * rho.rho(pts)
@@ -816,7 +801,8 @@ def _residual_report(cs, rho, f, rule, mu_box: float) -> ResidualReport:
     )
 
 
-def _box_boundary_samples(rule: QuadratureRule, per_face: int = 33) -> np.ndarray:
+def _box_boundary_samples(rule: QuadratureRule) -> np.ndarray:
+    """33 points per axis on each face of the rule's box."""
     d = rule.dim
     faces = []
     for k in range(d):
@@ -826,7 +812,7 @@ def _box_boundary_samples(rule: QuadratureRule, per_face: int = 33) -> np.ndarra
                 if j == k:
                     axes.append(np.array([val]))
                 else:
-                    axes.append(np.linspace(rule.lo[j], rule.hi[j], per_face))
+                    axes.append(np.linspace(rule.lo[j], rule.hi[j], 33))
             grid = np.meshgrid(*axes, indexing="ij")
             faces.append(np.stack([g.reshape(-1) for g in grid], axis=-1))
     return np.concatenate(faces, axis=0)
@@ -836,12 +822,12 @@ def _box_boundary_samples(rule: QuadratureRule, per_face: int = 33) -> np.ndarra
 # diffusion square root
 
 
-def diffusion_root_batch(A_vals: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
+def diffusion_root_batch(A_vals: np.ndarray) -> np.ndarray:
     """Symmetric positive-definite square roots of a batch of SPD matrices.
 
-    Eigendecomposition with descending eigenvalues and sign-fixed
-    eigenvectors (first non-negligible component positive); the root is
-    ``V sqrt(diag) V^T``.
+    Eigendecomposition with descending eigenvalues; the root is
+    ``V sqrt(diag) V^T``, which does not depend on the eigenvector signs.  A
+    smallest eigenvalue at or below ``1e-12`` times the trace is degenerate.
     """
     A_vals = np.asarray(A_vals, dtype=float)
     single = A_vals.ndim == 2
@@ -851,23 +837,14 @@ def diffusion_root_batch(A_vals: np.ndarray, trace_tol: float = 1e-12) -> np.nda
     w = w[:, ::-1]
     v = v[:, :, ::-1]
     traces = np.einsum("nii->n", A_vals)
-    bad = w[:, -1] <= trace_tol * np.abs(traces)
+    bad = w[:, -1] <= 1e-12 * np.abs(traces)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise DegenerateDiffusionError(
             f"diffusion matrix degenerate: eigenvalue {w[k, -1]:.3e} "
-            f"<= {trace_tol:.0e} * trace",
+            "<= 1e-12 * trace",
             point=None,
         )
-    # deterministic eigenvector signs
-    d = A_vals.shape[1]
-    absv = np.abs(v)
-    lead = np.argmax(absv > 1e-12 * absv.max(axis=1, keepdims=True), axis=1)  # (n, d)
-    idx_n = np.arange(v.shape[0])[:, None]
-    idx_d = np.arange(d)[None, :]
-    signs = np.sign(v[idx_n, lead, idx_d])
-    signs[signs == 0] = 1.0
-    v = v * signs[:, None, :]
     root = np.einsum("nik,nk,njk->nij", v, np.sqrt(w), v)
     return root[0] if single else root
 

@@ -253,14 +253,20 @@ def _region(v, path, d) -> crit.RegionSpec:
 
 # ---------------------------------------------------------------------------
 # simulation checks: the simulation block each type reads, the fields it
-# needs, and its test
+# needs and may be given, and its test
+
+
+def _n_se(chk: Check) -> float:
+    """Standard errors a check allows; 3 when not given."""
+    return 3.0 if chk.n_se is None else chk.n_se
 
 
 def _moment_value(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     row = next(r for r in out["moments"] if r["time"] == chk.time)
+    n_se = _n_se(chk)
     return (
-        abs(row["estimate"] - chk.value) <= chk.n_se * row["std_error"],
-        f"estimate {row['estimate']:.6g} vs {chk.value} +- {chk.n_se} SE",
+        abs(row["estimate"] - chk.value) <= n_se * row["std_error"],
+        f"estimate {row['estimate']:.6g} vs {chk.value} +- {n_se} SE",
     )
 
 
@@ -281,15 +287,16 @@ def _ks_below_critical(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     tr = out["transition"]
     if "ks_distance" not in tr:  # the reference was found not normalizable
         return False, tr["reference_error"]
-    critical = _KS_FACTOR[chk.level] / math.sqrt(scfg.paths)
+    level = chk.level or "5pct"
+    critical = _KS_FACTOR[level] / math.sqrt(scfg.paths)
     worst = max(tr["ks_distance"])
-    return worst <= critical, f"max KS {worst:.4f} vs critical {critical:.4f} ({chk.level})"
+    return worst <= critical, f"max KS {worst:.4f} vs critical {critical:.4f} ({level})"
 
 
 def _mean_at(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     tr = out["transition"]
     ok = all(
-        abs(m - w) <= chk.n_se * max(se, 1e-12)
+        abs(m - w) <= _n_se(chk) * max(se, 1e-12)
         for m, w, se in zip(tr["mean"], chk.value, tr["mean_std_error"])
     )
     return ok, f"mean {tr['mean']} vs {list(chk.value)}"
@@ -320,19 +327,21 @@ def _not_normalizable(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
 
 class _CheckKind(NamedTuple):
     block: str  # the simulation block whose output the check reads
-    required: Tuple[str, ...]  # Check fields the type needs
+    needs: Tuple[str, ...]  # Check fields the type needs
+    reads: Tuple[str, ...]  # Check fields the type may be given
     test: Callable[[Check, dict, mc.SimulationConfig], Tuple[bool, str]]
 
 
 _CHECKS: Dict[str, _CheckKind] = {
-    "moment_value": _CheckKind("moments", ("time", "value"), _moment_value),
-    "moment_bound": _CheckKind("moments", (), _moment_bound),
-    "ergodic_value": _CheckKind("ergodic", ("value", "tol"), _ergodic_value),
-    "ks_below_critical": _CheckKind("transition", (), _ks_below_critical),
-    "mean_at": _CheckKind("transition", ("value",), _mean_at),
-    "exit_prob": _CheckKind("exit", ("radius",), _exit_prob),
-    "exit_mean_time": _CheckKind("exit", ("radius", "value", "rel_tol"), _exit_mean_time),
-    "not_normalizable": _CheckKind("transition", (), _not_normalizable),
+    "moment_value": _CheckKind("moments", ("time", "value"), ("n_se",), _moment_value),
+    "moment_bound": _CheckKind("moments", (), (), _moment_bound),
+    "ergodic_value": _CheckKind("ergodic", ("value", "tol"), (), _ergodic_value),
+    "ks_below_critical": _CheckKind("transition", (), ("level",), _ks_below_critical),
+    # time, when given, must be transition.t: the only time the block samples
+    "mean_at": _CheckKind("transition", ("value",), ("time", "n_se"), _mean_at),
+    "exit_prob": _CheckKind("exit", ("radius",), ("min", "max"), _exit_prob),
+    "exit_mean_time": _CheckKind("exit", ("radius", "value", "rel_tol"), (), _exit_mean_time),
+    "not_normalizable": _CheckKind("transition", (), (), _not_normalizable),
 }
 
 
@@ -420,7 +429,7 @@ class Criterion:
     rhs: Optional[Expr] = _key(_expr, None)
     region: Optional[crit.RegionSpec] = _key(_region, None)
     variant: Optional[str] = _key(_str, None)
-    mode: str = _key(_choice(crit.MODES), crit.CriterionSpec.mode)
+    mode: Optional[str] = _key(_choice(crit.MODES), None)
     density: Optional[DensityRef] = _key(_density_ref, None)
     expect: str = _key(_choice(crit.VERDICTS), EXPECT)
     # eigenvalue and slack fields; criteria.TEMPLATES says which template reads which
@@ -496,9 +505,9 @@ class Check:
     value: Union[None, float, Tuple[float, ...]] = _key(
         lambda v, path, d: _vector(_float)(v, path, d) if isinstance(v, list) else _float(v, path), None
     )
-    n_se: float = _key(_float, 3.0)
+    n_se: Optional[float] = _key(_float, None)
     tol: Optional[float] = _key(_float, None)
-    level: str = _key(_choice(_KS_FACTOR), "5pct")
+    level: Optional[str] = _key(_choice(_KS_FACTOR), None)
     radius: Optional[float] = _key(_float, None)
     min: Optional[float] = _key(_float, None)
     max: Optional[float] = _key(_float, None)
@@ -673,9 +682,12 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
         block = getattr(sim, kind.block)
         if block is None:
             raise ConfigError(f"{chk.type} check needs a simulation.{kind.block} block", where)
-        for key in kind.required:
-            if getattr(chk, key) is None:
-                raise ConfigError("missing required field", f"{where}.{key}")
+        for name in (f.name for f in fields(Check) if f.name != "type"):
+            given = getattr(chk, name) is not None
+            if given and name not in kind.needs + kind.reads:
+                raise ConfigError(f"{chk.type} check does not read this field", f"{where}.{name}")
+            if not given and name in kind.needs:
+                raise ConfigError("missing required field", f"{where}.{name}")
         if chk.value is not None and isinstance(chk.value, tuple) != (chk.type == "mean_at"):
             wanted = f"a list of {d} numbers" if chk.type == "mean_at" else "a number"
             raise ConfigError(f"expected {wanted}", f"{where}.value")
@@ -683,6 +695,8 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
             raise ConfigError("moment_bound check needs a bound", f"{path}.moments.bound")
         if chk.type == "moment_value" and chk.time not in block.times:
             raise ConfigError("not one of simulation.moments.times", f"{where}.time")
+        if chk.type == "mean_at" and chk.time not in (None, block.t):
+            raise ConfigError("must equal simulation.transition.t", f"{where}.time")
         if kind.block == "exit" and chk.radius not in exit_radii:
             raise ConfigError("not one of the exit radii", f"{where}.radius")
         if chk.type in ("ks_below_critical", "not_normalizable") and block.reference is None:

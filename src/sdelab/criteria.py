@@ -26,6 +26,7 @@ __all__ = [
     "CriterionError",
     "TEMPLATES",
     "Template",
+    "Variant",
     "check_criterion",
     "MODES",
     "REGION_KINDS",
@@ -56,7 +57,7 @@ class CriterionError(Exception):
 # the verdicts a template can return
 VERDICTS: Tuple[str, ...] = ("holds-on-grid", "fails-with-witness", "inconclusive")
 
-# which generator the (non-)invariance templates apply
+# which generator the (non-)invariance templates apply; adjoint by default
 MODES: Tuple[str, ...] = ("adjoint", "forward")
 
 
@@ -149,12 +150,12 @@ class CriterionSpec:
     rhs: Optional[Union[Expr, str]] = None
     region: Optional[RegionSpec] = None
     variant: Optional[str] = None  # template-specific flavor
-    mode: str = "adjoint"  # one of MODES
+    mode: Optional[str] = None  # one of MODES, for the templates that have a mode
 
     def __post_init__(self):
         if self.id not in TEMPLATES:
             raise CriterionError(f"unknown criterion id {self.id!r}")
-        if self.mode not in MODES:
+        if self.mode is not None and self.mode not in MODES:
             raise CriterionError(f"unknown mode {self.mode!r}")
 
 
@@ -235,7 +236,7 @@ def lyapunov_margin(
     Evaluation failures at single grid points are skipped and counted, never
     silently dropped.
     """
-    op = apply_generator(cs, rho, candidate, mode=mode, piecewise=True)
+    op = apply_generator(cs, rho, candidate, mode=mode)
     with np.errstate(all="ignore"):
         lhs = op(pts)
         if isinstance(rhs, (int, float)):
@@ -250,17 +251,16 @@ def growth_report(
     d: int,
     r_start: float,
     r_stop: float,
-    n_levels: int = 12,
-    n_angular: int = 128,
 ) -> Dict[str, object]:
     """Sampled check that ``inf over spheres`` of the candidate grows.
 
-    Reported, never certified: evaluates the candidate on spheres of
-    geometrically increasing radius and reports whether the infimum increases.
+    Reported, never certified: evaluates the candidate on 128 directions of
+    12 spheres of geometrically increasing radius and reports whether the
+    infimum increases.
     """
     fn = ex.as_point_function(candidate)
-    radii = np.geomspace(max(r_start, 1e-3), r_stop, n_levels)
-    dirs = _sphere(d, n_angular)[0]
+    radii = np.geomspace(max(r_start, 1e-3), r_stop, 12)
+    dirs = _sphere(d, 128)[0]
     infs = []
     for r in radii:
         vals = fn(r * dirs)
@@ -310,7 +310,7 @@ def _coerce_candidate(c, d: int):
 
 
 # ---------------------------------------------------------------------------
-# template handlers: each gets the spec with its variant, constants and
+# template handlers: each gets the spec with its variant, mode, constants and
 # region resolved by check_criterion, and only the extra inputs its template
 # reads
 
@@ -452,7 +452,7 @@ def _handle_non_invariance(spec, cs, rho):
     pts = spec.region.points(cs.d)
     mode = "L" if spec.mode == "forward" else "L_adjoint"
     # certificate direction: (op u) - alpha u >= 0
-    op = apply_generator(cs, rho, u, mode=mode, piecewise=True)
+    op = apply_generator(cs, rho, u, mode=mode)
     with np.errstate(all="ignore"):
         uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
         op_vals = op(pts)
@@ -522,19 +522,27 @@ REQUIRED = None  # the default of a constant that must be given
 _N0 = {"N0": 1.0}  # inner radius of the default exterior region
 
 
+class Variant(NamedTuple):
+    """What a criterion of one template variant may and must give."""
+
+    constants: Dict[str, Optional[float]]  # constant -> default, or REQUIRED
+    needs: Tuple[str, ...] = ()  # extra inputs that must be given
+    reads: Tuple[str, ...] = ()  # extra inputs that may be given
+
+
 class Template(NamedTuple):
-    """One inequality template: what a criterion of its id may and must give,
-    the defaults, and the handler that evaluates it."""
+    """One inequality template: its variants, the defaults, and the handler
+    that evaluates it."""
 
     handler: Callable[..., CriterionVerdict]
     conclusion: str
-    # variant -> {constant: default or REQUIRED}; the first variant is the
-    # default, and None stands for a template without variants
-    variants: Dict[Optional[str], Dict[str, Optional[float]]]
+    # the first variant is the default, and None stands for a template
+    # without variants
+    variants: Dict[Optional[str], Variant]
     region: Union[str, RegionSpec] = "interior"  # default region: "interior", "exterior" or this one
-    needs: Tuple[str, ...] = ()  # extra inputs that must be given
-    reads: Tuple[str, ...] = ()  # extra inputs that may be given
-    density: str = "never"  # needs the density "always", in "adjoint" mode only, or "never"
+    # reads the density "always", "never", or in "adjoint" mode only; only
+    # the templates of the last kind have a mode
+    density: str = "never"
     dimension: Optional[int] = None  # the only dimension it applies in
 
 
@@ -544,46 +552,47 @@ TEMPLATES: Dict[str, Template] = {
     "LYAPUNOV_L": Template(
         _lyapunov("L", lambda k, d: parse_expr("norm2(x) + 1", d), _scaled("M")),
         "non-explosive; E_x[phi(X_t)] <= e^{M t} phi(x)",
-        {None: {"M": REQUIRED}}, reads=("candidate", "rhs")),
+        {None: Variant({"M": REQUIRED}, reads=("candidate", "rhs"))}),
     "LYAPUNOV_EXTERIOR": Template(
         _lyapunov("L", _growth_candidate, _scaled("M")), "non-explosive (exterior Lyapunov bound)",
-        {None: {"M": REQUIRED, **_N0}}, region="exterior", reads=("candidate",)),
+        {None: Variant({"M": REQUIRED, **_N0}, reads=("candidate",))}, region="exterior"),
     "GROWTH_NONEXPLOSION": Template(
         _growth(lambda k, r2: k["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)),
-        "non-explosive (coefficient growth bound)", {None: {"M": 0.0, **_N0}}, region="exterior"),
+        "non-explosive (coefficient growth bound)", {None: Variant({"M": 0.0, **_N0})}, region="exterior"),
     "EIGENGAP_2D": Template(
         _handle_eigengap_2d, "non-explosive (d=2 eigenvalue-gap bound)",
-        {None: {"M": REQUIRED, **_N0}}, region="exterior", needs=("psi1", "psi2"), dimension=2),
+        {None: Variant({"M": REQUIRED, **_N0}, needs=("psi1", "psi2"))}, region="exterior", dimension=2),
     "LINEAR_GROWTH_MOMENT": Template(
         _handle_linear_growth_moment, "non-explosive; sup-moment bound D*e^{E t}",
-        {"split": {"M": REQUIRED}, "joint": {"M": REQUIRED}}, reads=("h1", "h2")),
+        {"split": Variant({"M": REQUIRED}, reads=("h1", "h2")),
+         "joint": Variant({"M": REQUIRED}, reads=("h1",))}),
     "INTEGRABLE_COEFFS": Template(
         _handle_integrable_coeffs, "mu invariant for the adjoint flow (L^1 coefficients)",
-        {None: {}}, region=RegionSpec(r_max=64.0), density="always"),
+        {None: Variant({})}, region=RegionSpec(r_max=64.0), density="always"),
     "INVARIANCE_LYAPUNOV": Template(
         _lyapunov("L_adjoint", _growth_candidate, _scaled("alpha")),
         "mu invariant / dual semigroup conservative",
-        {None: {"alpha": REQUIRED, **_N0}}, reads=("candidate",), density="always"),
+        {None: Variant({"alpha": REQUIRED, **_N0}, reads=("candidate",))}, density="always"),
     "INVARIANCE_LOG_GROWTH": Template(
         _handle_invariance_log_growth, "mu invariant / dual semigroup conservative",
-        {None: {"M": REQUIRED}}, density="adjoint"),
+        {None: Variant({"M": REQUIRED})}, density="adjoint"),
     "NON_INVARIANCE": Template(
         _handle_non_invariance, "mu NOT invariant / dual semigroup not conservative",
-        {None: {"alpha": REQUIRED}}, needs=("candidate",), density="adjoint"),
+        {None: Variant({"alpha": REQUIRED}, needs=("candidate",))}, density="adjoint"),
     "RECURRENCE_SUPERSOLUTION": Template(
         _lyapunov("L", _growth_candidate, lambda k, g: 0.0), "recurrent (exterior supersolution)",
-        {None: dict(_N0)}, region="exterior", reads=("candidate",)),
+        {None: Variant(dict(_N0), reads=("candidate",))}, region="exterior"),
     "RECURRENCE_GROWTH": Template(
         _growth(lambda k, r2: np.zeros_like(r2)), "recurrent (coefficient growth bound)",
-        {None: dict(_N0)}, region="exterior"),
+        {None: Variant(dict(_N0))}, region="exterior"),
     "VOLUME_CONSERVATIVE": Template(
         _handle_volume_conservative, "conservative (volume growth bound)",
-        {v: {"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0} for v in ("polynomial", "exponential")},
+        {v: Variant({"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0}) for v in ("polynomial", "exponential")},
         region="exterior", density="always"),
     "ERGODIC_DRIFT": Template(
         _handle_ergodic_drift, "finite invariant measure; ergodic limits apply",
-        {"lyapunov": {"c": REQUIRED, **_N0}, "eq_335": {"M": 0.0, **_N0}, "eq_336": {"M": REQUIRED, **_N0}},
-        region="exterior", reads=("candidate",)),
+        {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",)),
+         "eq_335": Variant({"M": 0.0, **_N0}), "eq_336": Variant({"M": REQUIRED, **_N0})}, region="exterior"),
 }
 
 # constants with a lower bound: N0 is a radius, and the annulus ladder of
@@ -603,13 +612,14 @@ def _default_region(where: Union[str, RegionSpec], d: int, n0: Optional[float]) 
 def check_criterion(
     spec: CriterionSpec, d: int, has_density: bool, inputs: Dict[str, object]
 ) -> CriterionSpec:
-    """``spec`` checked against its template, with the default variant,
+    """``spec`` checked against its template, with the default variant, mode,
     constants (as floats) and region filled in.
 
     ``inputs`` are the extra inputs given besides the spec's candidate and
-    rhs; None stands for one not given.  A candidate or rhs given as a string
-    is parsed.  Raises :class:`CriterionError` that names the criterion field
-    at fault.
+    rhs; None stands for one not given.  An input, a mode or a density that
+    the template (in the given variant and mode) does not read is an error.
+    A candidate or rhs given as a string is parsed.  Raises
+    :class:`CriterionError` that names the criterion field at fault.
     """
     t = TEMPLATES[spec.id]
     if t.dimension is not None and d != t.dimension:
@@ -619,7 +629,8 @@ def check_criterion(
         options = ", ".join(v for v in t.variants if v is not None)
         message = f"{variant!r} is not one of {options}" if options else f"{spec.id} has no variants"
         raise CriterionError(message, "variant")
-    defaults = t.variants[variant]
+    var = t.variants[variant]
+    defaults = var.constants
     for name in spec.constants:
         if name not in defaults:
             raise CriterionError(f"{spec.id} takes no constant {name!r}", f"constants.{name}")
@@ -631,21 +642,31 @@ def check_criterion(
         if name in _BOUNDS and not _BOUNDS[name][1](constants[name]):
             raise CriterionError(f"{spec.id} needs {_BOUNDS[name][0]}", f"constants.{name}")
     given = [k for k, v in {"candidate": spec.candidate, "rhs": spec.rhs, **inputs}.items() if v is not None]
+    flavor = f"{spec.id}/{variant}" if variant else spec.id
     for name in given:
-        if name not in t.needs + t.reads:
-            raise CriterionError(f"{spec.id} does not read {name}", name)
-    for name in t.needs:
+        if name not in var.needs + var.reads:
+            raise CriterionError(f"{flavor} does not read {name}", name)
+    for name in var.needs:
         if name not in given:
-            raise CriterionError(f"{spec.id} needs {name}", name)
-    needs_density = t.density == "always" or (t.density == "adjoint" and spec.mode == "adjoint")
-    if needs_density and not has_density:
-        raise CriterionError(f"{spec.id} needs the density in {spec.mode} mode", "density")
+            raise CriterionError(f"{flavor} needs {name}", name)
+    has_mode = t.density == "adjoint"
+    if spec.mode is not None and not has_mode:
+        raise CriterionError(f"{spec.id} has no mode", "mode")
+    mode = (spec.mode or MODES[0]) if has_mode else None
+    in_mode = f" in {mode} mode" if mode else ""
+    reads_density = t.density == "always" or mode == "adjoint"
+    if reads_density and not has_density:
+        raise CriterionError(f"{spec.id} needs the density{in_mode}", "density")
+    if has_density and not reads_density:
+        raise CriterionError(f"{spec.id} does not read the density{in_mode}", "density")
     try:
         region = spec.region or _default_region(t.region, d, constants.get("N0"))
     except CriterionError as err:  # only N0 moves the default region
         raise CriterionError(f"default region: {err.message}", "constants.N0") from None
     candidate, rhs = _coerce_candidate(spec.candidate, d), _coerce_candidate(spec.rhs, d)
-    return replace(spec, variant=variant, constants=constants, region=region, candidate=candidate, rhs=rhs)
+    return replace(
+        spec, variant=variant, mode=mode, constants=constants, region=region, candidate=candidate, rhs=rhs
+    )
 
 
 def evaluate_criterion(
@@ -669,17 +690,14 @@ def evaluate_criterion(
 
 
 def _radial_cumulative(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    r_max: float,
-    n_angular: int = 256,
-    per_decade: int = 64,
+    integrand: Callable[[np.ndarray], np.ndarray], d: int, r_max: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid."""
-    dirs, w = _sphere(d, n_angular)
+    """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid: 65
+    radii in ``[0, 1]``, then 64 per decade, each shell on 256 directions."""
+    dirs, w = _sphere(d, 256)
     r_lin = np.linspace(0.0, 1.0, 65)
     decades = max(1, int(math.ceil(math.log10(max(r_max, 1.0 + 1e-9)))))
-    r_log = np.geomspace(1.0, r_max, decades * per_decade + 1)
+    r_log = np.geomspace(1.0, r_max, decades * 64 + 1)
     radii = np.concatenate([r_lin, r_log[1:]])
 
     def shell(r: float) -> float:
@@ -713,9 +731,6 @@ def volume_test_integrands(
     rho: DensityField,
     Bbar: Optional[Sequence[Union[str, Expr]]] = None,
     r_max: float = 1e6,
-    *,
-    n_angular: int = 256,
-    per_decade: int = 64,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative volume-test integrands ``(radii, v1, v2)``.
 
@@ -750,8 +765,8 @@ def volume_test_integrands(
             vec_rho = vec_rho + bbar_field(pts) * r[:, None]
         return np.abs(np.einsum("ni,ni->n", vec_rho, pts))
 
-    radii, v1 = _radial_cumulative(v1_integrand, d, r_max, n_angular, per_decade)
-    _, v2 = _radial_cumulative(v2_integrand, d, r_max, n_angular, per_decade)
+    radii, v1 = _radial_cumulative(v1_integrand, d, r_max)
+    _, v2 = _radial_cumulative(v2_integrand, d, r_max)
     return radii, v1, v2
 
 
@@ -760,20 +775,14 @@ def recurrence_volume_test(
     rho: DensityField,
     Bbar: Optional[Sequence[Union[str, Expr]]] = None,
     n_max: float = 1e6,
-    *,
-    n_angular: int = 256,
-    per_decade: int = 64,
-    ladder_base: float = 2.0,
 ) -> CriterionVerdict:
     """Volume-integral recurrence test via ``a_n = int_1^n r / v(r) dr``.
 
     ``v = v1 + v2`` (see :func:`volume_test_integrands`).  Recurrence verdict
     requires ``a_n`` to be unbounded-trending and ``ln(v2 v 1)/a_n`` to trend
-    to zero.
+    to zero on the ladder ``n = 1, 2, 4, ...`` up to ``n_max``.
     """
-    radii, v1, v2 = volume_test_integrands(
-        cs, rho, Bbar, n_max, n_angular=n_angular, per_decade=per_decade
-    )
+    radii, v1, v2 = volume_test_integrands(cs, rho, Bbar, n_max)
     v = v1 + v2
 
     # a_n by trapezoid in ln r: integrand r^2 / v(r)
@@ -799,7 +808,7 @@ def recurrence_volume_test(
     m = 1.0
     while m <= n_max * (1 + 1e-12):
         ladder.append(m)
-        m *= ladder_base
+        m *= 2.0
     a_of = lambda n: float(np.interp(math.log(n), u, a))
     v2_of = lambda n: float(np.interp(n, radii, v2))
     table = {

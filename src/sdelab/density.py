@@ -287,9 +287,7 @@ class DensityApproximation:
         approximation (``valid`` False) is refused.
         """
         if not self.valid:
-            from .calculus import PositivityError
-
-            raise PositivityError(
+            raise calc.PositivityError(
                 f"approximation flagged invalid (min node value {self.positivity_min:.3e})"
             )
         values = np.maximum(self.values, 1e-300)
@@ -324,7 +322,9 @@ def solve_density(
     the extra unknown (a sparse column swap).  Every mesh is solved by one
     sparse LU factorization (SuperLU with minimum-degree ordering on
     ``A^T + A``); a singular factor or a relative residual above 1e-7 raises
-    :class:`SolverError`.
+    :class:`SolverError`.  ``tau`` is meaningful only when the boundary
+    column rises above the rounding of the operator's largest entry; the
+    diagnostic ``boundary_amplitude_resolved`` says whether it does.
     """
     mesh = make_mesh(R, n, cs.d, singular_points)
     system = assemble_system(cs, mesh, boundary)
@@ -366,7 +366,7 @@ def solve_density(
         raise SolverError(f"degenerate boundary amplitude tau={tau!r}")
     pos_min = float(grid.min())
     # tolerate far-field rounding noise below the solve's error floor
-    approx = DensityApproximation(
+    return DensityApproximation(
         mesh=mesh,
         values=grid,
         positivity_min=pos_min,
@@ -376,31 +376,26 @@ def solve_density(
             "relative_residual": res,
             "iterations": 0,
             "boundary_amplitude_tau": tau,
+            "boundary_amplitude_resolved": bool(
+                np.max(np.abs(boundary_col)) > 2.0**-52 * np.max(np.abs(A.data))
+            ),
             "peclet_max": system.peclet_max,
             "peclet_warning": system.peclet_warning,
             "boundary": boundary if isinstance(boundary, str) else ex.to_source(boundary),
         },
     )
-    return approx
 
 
-def invariance_of_solution(
-    cs: CoefficientSet,
-    approx: DensityApproximation,
-    rule: Optional[QuadratureRule] = None,
-    bumps: Optional[Sequence[Expr]] = None,
-) -> Dict[str, object]:
+def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> Dict[str, object]:
     """Quadrature residuals of the solved density against the bump library."""
     mesh = approx.mesh
-    if rule is None:
-        # finer than the mesh (multilinear interpolation of the grid density);
-        # 481/81 nodes per axis put every default bump edge on a Simpson panel
-        # boundary, so the quadrature keeps its full order
-        rule = QuadratureRule.box(mesh.R, mesh.d, 481 if mesh.d == 2 else 81)
-    if bumps is None:
-        bumps = calc.default_bump_library(rule.lo, rule.hi, mesh.d)
+    # finer than the mesh (multilinear interpolation of the grid density);
+    # 481/81 nodes per axis put every default bump edge on a Simpson panel
+    # boundary, so the quadrature keeps its full order
+    rule = QuadratureRule.box(mesh.R, mesh.d, 481 if mesh.d == 2 else 81)
+    bumps = calc.default_bump_library(rule.lo, rule.hi, mesh.d)
     rho = approx.to_density_field()
-    reports = calc.invariance_residual(cs, rho, list(bumps), rule)
+    reports = calc.invariance_residual(cs, rho, bumps, rule)
     return {
         "max_residual": max(abs(r.residual) for r in reports),
         "scale": max(r.scale for r in reports),
@@ -409,27 +404,12 @@ def invariance_of_solution(
 
 
 def volume_profile(
-    rho: DensityField,
-    radii: Sequence[float],
-    *,
-    d: Optional[int] = None,
-    nodes: int = 401,
-    annuli: Optional[Sequence[int]] = None,
-    cs: Optional[CoefficientSet] = None,
-    Bbar: Optional[Sequence] = None,
+    rho: DensityField, radii: Sequence[float], *, d: int, nodes: int = 401
 ) -> Dict[str, object]:
-    """Indicator-quadrature measures of balls (and optional dyadic annuli).
-
-    When a coefficient set is supplied the volume-test integrands are tabulated
-    too: ``v1(r) = int_{B_r} <A x, x>/|x|^2 dmu`` and ``v2(r)`` built from the
-    antisymmetric-part log derivative plus ``Bbar``.
-    """
+    """Indicator-quadrature measures ``mu(B_r)`` of balls, by the midpoint
+    rule with ``nodes`` nodes per axis on ``[-max r, max r]^d``."""
     radii = [float(r) for r in radii]
-    if d is None:
-        d = rho.dim if rho.dim is not None else 2
     rmax = max(radii)
-    if annuli:
-        rmax = max(rmax, 4 * max(annuli))
     if rho.mode == "grid":
         box = float(rho.axes[0][-1])
         if rmax > box + 1e-12:
@@ -441,20 +421,7 @@ def volume_profile(
     mu_ball = {}
     for r in radii:
         mu_ball[r] = math.fsum((w * vals * (r2 <= r * r)).tolist())
-    out: Dict[str, object] = {"mu_ball": mu_ball}
-    if annuli:
-        mu_ann = {}
-        for m in annuli:
-            mask = (r2 > (2 * m) ** 2) & (r2 <= (4 * m) ** 2)
-            mu_ann[m] = math.fsum((w * vals * mask).tolist())
-        out["mu_annulus_2n_4n"] = mu_ann
-    if cs is not None:
-        from . import criteria as crit
-
-        rr, v1, v2 = crit.volume_test_integrands(cs, rho, Bbar, rmax)
-        out["v1"] = {r: float(np.interp(r, rr, v1)) for r in radii}
-        out["v2"] = {r: float(np.interp(r, rr, v2)) for r in radii}
-    return out
+    return {"mu_ball": mu_ball}
 
 
 def convergence_order(
@@ -478,8 +445,7 @@ def convergence_order(
         sl = tuple(slice(1, n) for _ in range(cs.d))
         errs.append(float(np.max(np.abs(approx.values[sl] - exact[sl]))))
         peclets.append(approx.diagnostics["peclet_max"])
-    scale = 1.0
-    if errs[0] < 1e-12 * scale and errs[1] < 1e-12 * scale:
+    if errs[0] < 1e-12 and errs[1] < 1e-12:
         return {"order": "exact", "errors": errs, "peclet_max": max(peclets)}
     order = math.log2(errs[0] / errs[1])
     return {

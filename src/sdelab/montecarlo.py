@@ -44,6 +44,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
 _BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
+_REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 
 
 class MonteCarloError(Exception):
@@ -82,7 +83,6 @@ class EstimatorResult:
     estimate: float
     std_error: float
     paths: int
-    aggregation: str = "path mean"
 
     def within(self, truth: float, n_se: float = 3.0) -> bool:
         return abs(self.estimate - truth) <= n_se * self.std_error
@@ -276,10 +276,10 @@ def simulate_ensemble(
 # estimators
 
 
-def estimate_mean(values: np.ndarray, aggregation: str = "path mean") -> EstimatorResult:
+def estimate_mean(values: np.ndarray) -> EstimatorResult:
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return EstimatorResult(est, se, len(values), aggregation)
+    return EstimatorResult(est, se, len(values))
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -348,16 +348,13 @@ def krylov_functional(
     *,
     rho: Optional[DensityField] = None,
     q: Optional[float] = None,
-    norm_box: float = 8.0,
-    refine_check: bool = False,
     threads: int = 1,
 ) -> Dict[str, object]:
     """Estimates of ``E_x[int_0^t |f|(X_s) ds]`` over starting points.
 
     Returns the per-start estimates, their sup, and (given a density) the
-    ``L^q(mu)`` norm of ``f`` so the occupation bound's constant can be
-    fitted.  With ``refine_check`` the run is repeated at ``dt/4`` and the
-    relative shift reported (flagging possible non-integrable accumulation).
+    ``L^q(mu)`` norm of ``f`` on ``[-8, 8]^d`` so the occupation bound's
+    constant can be fitted.
 
     Exact hits of the singular set evaluate to inf/nan; they contribute
     nothing to the left-endpoint sum (a measure-zero set of times) and the
@@ -375,15 +372,12 @@ def krylov_functional(
             vals = np.where(bad, 0.0, vals)
         return vals
 
-    def occupation(x, dt: float) -> Tuple[float, float]:
-        ens = simulate_ensemble(
-            cs, x, replace(cfg, dt=dt, horizon=t), accumulate={"occupation": absf}, threads=threads
-        )
-        return _mean_se(ens.accumulators["occupation"][:, -1])
-
     rows = []
     for x in x_grid:
-        est, se = occupation(x, cfg.dt)
+        ens = simulate_ensemble(
+            cs, x, replace(cfg, horizon=t), accumulate={"occupation": absf}, threads=threads
+        )
+        est, se = _mean_se(ens.accumulators["occupation"][:, -1])
         rows.append({"x": list(map(float, x)), "estimate": est, "std_error": se})
     sup_row = max(rows, key=lambda r: r["estimate"])
     out: Dict[str, object] = {
@@ -397,7 +391,7 @@ def krylov_functional(
         if q is None:
             p = cs.integrability_p or float(cs.d + 1)
             q = p * cs.d / (p + cs.d)
-        rule = QuadratureRule.box(norm_box, cs.d, 241 if cs.d == 2 else 61)
+        rule = QuadratureRule.box(8.0, cs.d, 241 if cs.d == 2 else 61)
         norm_q = calc.integrate(
             lambda pts: np.abs(np.asarray(fn(pts), dtype=float)) ** q * rho.rho(pts), rule
         ) ** (1.0 / q)
@@ -405,14 +399,6 @@ def krylov_functional(
         out["q"] = q
         if norm_q > 0:
             out["fitted_constant"] = out["sup_estimate"] / (math.exp(t) * norm_q)
-    if refine_check:
-        fine_rows = [occupation(x, cfg.dt / 4)[0] for x in x_grid]
-        shifts = [
-            abs(fr - r["estimate"]) / max(abs(fr), 1e-300)
-            for fr, r in zip(fine_rows, rows)
-        ]
-        out["refinement_shift"] = max(shifts)
-        out["refinement_flag"] = max(shifts) > 0.25
     return out
 
 
@@ -422,21 +408,19 @@ def ergodic_average(
     cfg: SimulationConfig,
     f: Union[Expr, CallableField, Callable],
     burn_in: float,
-    *,
-    curve_points: int = 200,
 ) -> Dict[str, object]:
     """Running time-average ``(t - b)^{-1} int_b^t f(X_s) ds`` on one path.
 
     The path is a one-path ensemble; the curve is sampled every
-    ``n_steps // curve_points`` steps and ends before the path leaves the
-    largest ladder radius, which also ends the average.
+    ``n_steps // 200`` steps and ends before the path leaves the largest
+    ladder radius, which also ends the average.
     """
     if burn_in >= cfg.horizon:
         raise MonteCarloError("burn-in must be shorter than the horizon")
     cfg1 = replace(cfg, paths=1)
     dt = cfg1.dt
     n_steps = cfg1.n_steps
-    stride = max(1, n_steps // curve_points)
+    stride = max(1, n_steps // 200)
     steps = range(stride, n_steps + 1, stride)
     ens = simulate_ensemble(
         cs, x0, cfg1, save_times=[k * dt for k in steps], accumulate={"f": f}, accumulate_from=burn_in
@@ -519,17 +503,16 @@ def transition_histogram(
     cfg: SimulationConfig,
     rho_ref: Optional[DensityField] = None,
     *,
-    ref_box: float = 6.0,
     threads: int = 1,
 ) -> Dict[str, object]:
     """Empirical per-coordinate CDFs of ``X_t`` and KS distance to a reference.
 
-    The reference density is normalized on ``[-ref_box, ref_box]^d``; a
+    The reference density is normalized on ``[-_REF_BOX, _REF_BOX]^d``; a
     reference whose mass keeps growing with the box is rejected as
     non-normalizable (before anything is simulated).
     """
     if rho_ref is not None:
-        check_normalizable(rho_ref, cs.d, ref_box)
+        check_normalizable(rho_ref, cs.d, _REF_BOX)
     ens = simulate_ensemble(cs, x0, replace(cfg, horizon=t), threads=threads)
     X = ens.state_at(t)
     qs = np.linspace(0.0, 1.0, 129)
@@ -545,7 +528,7 @@ def transition_histogram(
     if rho_ref is not None:
         ks = []
         for axis in range(cs.d):
-            grid, cdf, _ = _marginal_cdf(rho_ref, axis, cs.d, ref_box)
+            grid, cdf, _ = _marginal_cdf(rho_ref, axis, cs.d, _REF_BOX)
             ks.append(ks_marginal_distance(X[:, axis], grid, cdf))
         out["ks_distance"] = ks
         out["ks_critical_5pct"] = 1.358 / math.sqrt(ens.n_paths)

@@ -150,7 +150,30 @@ def malformed_inputs():
         criteria=[{"id": "EIGENGAP_2D", "constants": {"M": 1}, "psi1": "1", "psi2": "1"}],
     )
     del three_d["simulation"]
+
+    def builtin(name, edit):
+        cfg = copy.deepcopy(load_config(name))
+        edit(cfg)
+        return cfg
+
+    # fields that a built-in's template or check would accept and then ignore
+    candidate_on_eq_335 = builtin("ou_2d", lambda c: c["criteria"][0].update(candidate="norm2(x)"))
+    growth_with_mode = builtin("planar_bm", lambda c: c["criteria"].append(
+        {"id": "GROWTH_NONEXPLOSION", "mode": "forward", "density": "analytic:0"}))
+    n_se_on_exit_prob = builtin("planar_bm", lambda c: c["simulation"]["checks"][1].update(n_se=2.0))
+    mean_at_off_time = builtin("example_3_8", lambda c: c["simulation"]["checks"][1].update(time=0.25))
     return [
+        (candidate_on_eq_335, "$.criteria[0].candidate", "ERGODIC_DRIFT/eq_335 does not read candidate"),
+        (growth_with_mode, "$.criteria[3].mode", "GROWTH_NONEXPLOSION has no mode"),
+        (n_se_on_exit_prob, "$.simulation.checks[1].n_se", "exit_prob check does not read this field"),
+        (mean_at_off_time, "$.simulation.checks[1].time", "must equal simulation.transition.t"),
+        (crit0(density="analytic:0"), "$.criteria[0].density", "RECURRENCE_SUPERSOLUTION does not read the density"),
+        (crit0(id="INVARIANCE_LOG_GROWTH", constants={"M": 1}, mode="forward", density="analytic:0"),
+         "$.criteria[0].density", "does not read the density in forward mode"),
+        (crit0(id="LINEAR_GROWTH_MOMENT", constants={"M": 1}, variant="joint", h2="1"),
+         "$.criteria[0].h2", "LINEAR_GROWTH_MOMENT/joint does not read h2"),
+        (sim(checks=[{"type": "moment_value", "time": 0.5, "value": 2.0, "level": "1pct"}]),
+         "$.simulation.checks[0].level", "moment_value check does not read this field"),
         (sim(checks=[{"type": "moment_value", "time": 0.25, "value": 2.0}]),
          "$.simulation.checks[0].time", "not one of simulation.moments.times"),
         (sim(checks=[{"type": "moment_value", "time": 0.5}]),

@@ -103,7 +103,7 @@ def test_default_candidate_reproduces_growth_formula():
     g = default_growth_candidate(2.0, 2)
     from sdelab.calculus import apply_generator
 
-    lg = apply_generator(cs, None, g, mode="L", piecewise=True)
+    lg = apply_generator(cs, None, g, mode="L")
     rng = np.random.default_rng(5)
     pts = rng.uniform(2.5, 9.0, size=(200, 2)) * rng.choice([-1.0, 1.0], size=(200, 2))
     A = cs.eval_A(pts)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdelab import criteria as crit
 from sdelab import density
 from sdelab.calculus import DensityField, QuadratureRule, build_coefficient_set
 from sdelab.density import (
@@ -244,14 +245,22 @@ def test_volume_profile_bounded_density_polynomial_growth():
         assert v <= 2 * math.pi * r * r * 1.02
 
 
+def test_boundary_amplitude_resolved_flags_rounding_noise():
+    # rate 10 on R=2: the boundary data exp(-40) sit below the operator's
+    # rounding, so tau is noise; rate 1 on R=4 resolves it
+    for rate, R, resolved in ((10.0, 2.0, False), (1.0, 4.0, True)):
+        approx = solve_density(cs_ou(rate), R, 64, parse_expr(f"exp(-{rate}*norm2(x))", 2))
+        assert approx.diagnostics["boundary_amplitude_resolved"] is resolved
+
+
 def test_volume_profile_returns_test_integrands():
     # planar BM data: v1(r) = pi r^2 exactly, v2 vanishes
     cs = cs_identity()
     rho = DensityField.from_expression("1", 2)
-    prof = volume_profile(rho, [2.0, 4.0], d=2, nodes=201, cs=cs)
+    rr, v1, v2 = crit.volume_test_integrands(cs, rho, None, 4.0)
     for r in (2.0, 4.0):
-        assert prof["v1"][r] == pytest.approx(math.pi * r * r, rel=1e-3)
-        assert prof["v2"][r] == pytest.approx(0.0, abs=1e-12)
+        assert np.interp(r, rr, v1) == pytest.approx(math.pi * r * r, rel=1e-3)
+        assert np.interp(r, rr, v2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_volume_profile_radius_guard():
