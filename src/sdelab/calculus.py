@@ -5,8 +5,11 @@ The drift of a divergence-form operator
 ``g_i = 1/2 sum_j d_j(a_ij + c_ji) + h_i``.  Given a strictly positive density
 ``rho``, the drift splits as ``G = beta + B`` where
 ``beta_i = 1/2 sum_j (d_j a_ij + a_ij d_j rho / rho)`` and ``B`` has zero
-divergence against ``rho dx``; the splitting is checked here by quadrature
-against a library of compactly supported bump test functions.
+divergence against ``rho dx``.  Both properties of a density are checked by
+quadrature against compactly supported bump test functions ``f``, in one
+pass of :func:`invariance_residual`: infinitesimal invariance
+``integral (L f) rho dx = 0`` and the divergence condition
+``integral <B, grad f> rho dx = 0``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .expr import (
     batched,
     coord,
     differentiate,
-    evaluate,
     gradient,
     mul,
     parse_expr,
@@ -47,6 +49,7 @@ __all__ = [
     "QuadratureRule",
     "VectorField",
     "build_coefficient_set",
+    "upper_triangle",
     "coefficient_set_from_drift",
     "add_half_a_log_grad",
     "half_divergence",
@@ -189,8 +192,10 @@ class CoefficientSet:
         return all(ex.fold_const(e) is not None for row in self.a_upper for e in row)
 
 
-def _upper_from_input(M, d: int, kind: str) -> Tuple[Tuple[Expr, ...], ...]:
-    """Accept ragged upper-triangle rows or a full (anti)symmetric matrix."""
+def upper_triangle(M, d: int, kind: str) -> Tuple[Tuple[Expr, ...], ...]:
+    """The upper triangle of a ``symmetric`` or ``antisymmetric`` matrix given
+    as ragged upper-triangle rows or as a full, structurally consistent one;
+    raises :class:`ShapeError` otherwise."""
     rows = [list(r) for r in M]
     strict = kind == "antisymmetric"
     want_ragged = [d - i - (1 if strict else 0) for i in range(d)]
@@ -284,10 +289,10 @@ def build_coefficient_set(
     ``g_i = 1/2 sum_j d_j(a_ij + c_ji) + h_i``; the upper triangles of A and C
     are the stored representation, so symmetry is exact by construction.
     """
-    a_upper = _upper_from_input(A, d, "symmetric")
+    a_upper = upper_triangle(A, d, "symmetric")
     if C is None:
         C = [[Const(0.0)] * (d - i - 1) for i in range(d)]
-    c_upper = _upper_from_input(C, d, "antisymmetric")
+    c_upper = upper_triangle(C, d, "antisymmetric")
     if H is None:
         H = [Const(0.0)] * d
     Hv = tuple(_coerce(h, d) for h in H)
@@ -336,18 +341,15 @@ def coefficient_set_from_drift(
     *,
     d: int,
     C=None,
-    probes: Optional[np.ndarray] = None,
     integrability_p: Optional[float] = None,
 ) -> CoefficientSet:
     """Declare the drift directly; H is recovered as ``G - 1/2 grad(A + C^T)``."""
-    base = build_coefficient_set(A, C, None, d=d, probes=probes, integrability_p=integrability_p)
+    base = build_coefficient_set(A, C, None, d=d, integrability_p=integrability_p)
     Gv = [_coerce(g, d) for g in G]
     if len(Gv) != d:
         raise ShapeError(f"G must have {d} components, got {len(Gv)}")
     H = [sub(Gv[i], base.G[i]) for i in range(d)]  # base.G equals 1/2 grad(A + C^T)
-    return build_coefficient_set(
-        A, C, H, d=d, probes=probes, integrability_p=integrability_p
-    )
+    return build_coefficient_set(A, C, H, d=d, integrability_p=integrability_p)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +529,21 @@ class QuadratureRule:
         return x, w
 
     def points_and_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Nodes ``(n, d)`` and weights ``(n,)``, built on first use and shared
+        read-only by every later caller of this rule."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
         axes = [self.axis_nodes(k) for k in range(self.dim)]
         grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         w = axes[0][1]
         for k in range(1, self.dim):
             w = np.multiply.outer(w, axes[k][1])
-        return pts, w.reshape(-1)
+        w = w.reshape(-1)
+        pts.flags.writeable = w.flags.writeable = False
+        return pts, w
 
 
 def integrate(f, rule: QuadratureRule) -> float:
@@ -545,21 +555,16 @@ def integrate(f, rule: QuadratureRule) -> float:
     return math.fsum((w * vals).tolist())
 
 
-def integrate_masked(f, rule: QuadratureRule) -> Tuple[float, int]:
-    """Like :func:`integrate` but skipping (and counting) non-finite nodes.
+def integrate_masked(values: np.ndarray, rule: QuadratureRule) -> Tuple[float, int]:
+    """Quadrature of ``values`` given at the rule's nodes, skipping (and
+    counting) the non-finite ones; deterministic summation.
 
     Isolated singular points of otherwise integrable fields land on nodes for
     centered rules; skipping them is reported, never silent.
     """
-    fn = ex.as_point_function(f)
-    pts, w = rule.points_and_weights()
-    with np.errstate(all="ignore"):
-        vals = np.asarray(fn(pts), dtype=float)
-    vals = np.broadcast_to(vals, w.shape)
-    ok = np.isfinite(vals)
-    skipped = int(np.sum(~ok))
-    total = math.fsum((w[ok] * vals[ok]).tolist())
-    return total, skipped
+    w = rule.points_and_weights()[1]
+    ok = np.isfinite(values)
+    return math.fsum((w[ok] * values[ok]).tolist()), int(np.sum(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +614,14 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     return VectorField(fn)
 
 
+def _b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
+    """``B = G - beta``; symbolic when ``beta`` is."""
+    beta = log_derivative_beta(cs, rho)
+    if beta.exprs is not None:
+        return VectorField.from_exprs([sub(cs.G[i], beta.exprs[i]) for i in range(cs.d)])
+    return VectorField(lambda pts: cs.eval_G(pts) - beta(pts))
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """Max over the bump library of |integral <B, grad f> rho dx|."""
@@ -624,40 +637,22 @@ def decompose_drift(
     cs: CoefficientSet,
     rho: DensityField,
     rule: Optional[QuadratureRule] = None,
-    bumps: Optional[Sequence[Expr]] = None,
 ) -> Tuple[VectorField, DivergenceReport]:
-    """Split ``G = beta + B`` and report how far B is from mu-divergence zero."""
-    beta = log_derivative_beta(cs, rho)
-    if beta.exprs is not None:
-        B = VectorField.from_exprs([sub(cs.G[i], beta.exprs[i]) for i in range(cs.d)])
-    else:
-        B = VectorField(lambda pts: cs.eval_G(pts) - beta(pts))
-
+    """Split ``G = beta + B`` and report how far B is from mu-divergence zero:
+    the divergence residuals of :func:`invariance_residual` over the default
+    bump library on the rule's box."""
     if rule is None:
         rule = QuadratureRule.box(3.0, cs.d, 241 if cs.d <= 2 else 81)
-    if bumps is None:
-        bumps = default_bump_library(rule.lo, rule.hi, cs.d)
-
-    residuals = []
-    skipped = 0
-    for f in bumps:
-        grad_f = Program(gradient(f, cs.d, piecewise=True))
-
-        def integrand(pts, grad_f=grad_f):
-            return np.einsum("ni,ni->n", B(pts), grad_f(pts)) * rho.rho(pts)
-
-        val, skip = integrate_masked(integrand, rule)
-        residuals.append(val)
-        skipped = max(skipped, skip)
-    vol = integrate(lambda pts: rho.rho(pts), rule)
+    reports = invariance_residual(cs, rho, default_bump_library(rule.lo, rule.hi, cs.d), rule)
+    residuals = tuple(r.divergence for r in reports)
     report = DivergenceReport(
         max_residual=max(abs(r) for r in residuals),
-        residuals=tuple(residuals),
-        scale=abs(vol),
+        residuals=residuals,
+        scale=reports[0].mass,
         rule=rule,
-        skipped_points=skipped,
+        skipped_points=max(r.divergence_skipped for r in reports),
     )
-    return B, report
+    return _b_field(cs, rho), report
 
 
 def bump_expression(center: Sequence[float], radius: Sequence[float], d: int) -> Expr:
@@ -690,23 +685,27 @@ def default_bump_library(lo, hi, d: int) -> List[Expr]:
     return bumps[:8]
 
 
-def _f_derivatives(f, d: int):
-    """``pts -> (grad (n, d), hessian (n, d, d))`` for an AST or CallableField;
-    max/min nodes take branch derivatives."""
+def _f_derivatives(f, d: int, with_value: bool = False):
+    """``pts -> (value (n,) or None, grad (n, d), hessian (n, d, d))`` for an
+    AST or CallableField, the value only ``with_value``; max/min nodes take
+    branch derivatives."""
     if isinstance(f, Expr):
         grads = gradient(f, d, piecewise=True)
-        program = Program(grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
+        head = [f] if with_value else []
+        program = Program(head + grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
+        k = len(head)
 
         def derivatives(pts):
             out = program(pts)
-            grad = np.ascontiguousarray(out[:, :d])
-            return grad, np.ascontiguousarray(out[:, d:]).reshape(len(pts), d, d)
+            grad = np.ascontiguousarray(out[:, k : k + d])
+            hess = np.ascontiguousarray(out[:, k + d :]).reshape(len(pts), d, d)
+            return (out[:, 0].copy() if with_value else None), grad, hess
 
         return derivatives
     if isinstance(f, CallableField):
         if f.grad is None or f.hess is None:
             raise CalculusError("CallableField needs grad= and hess= for generator application")
-        return lambda pts: (f.grad(pts), f.hess(pts))
+        return lambda pts: (f.value(pts) if with_value else None, f.grad(pts), f.hess(pts))
     raise TypeError(f"generator argument must be an AST or CallableField, got {f!r}")
 
 
@@ -732,7 +731,7 @@ def apply_generator(
 
     def fn(pts):
         A = cs.eval_A(pts)
-        grad, Hs = derivatives(pts)
+        _, grad, Hs = derivatives(pts)
         out = 0.5 * np.einsum("nij,nij->n", A, Hs)
         if mode == "L":
             drift = gfield(pts)
@@ -747,10 +746,21 @@ def apply_generator(
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Quadrature residuals of one test function ``f`` against ``rho``.
+
+    ``residual`` is ``integral (L f) rho dx`` and ``divergence`` is
+    ``integral <B, grad f> rho dx``; both vanish when ``rho`` is
+    infinitesimally invariant.  ``mass`` is ``|integral rho dx|`` over the
+    box and ``scale`` is ``max|f|`` times it.  The skip counts are the
+    non-finite nodes each sum left out.
+    """
+
     residual: float
+    divergence: float
+    mass: float
     scale: float
-    support_leak: bool
     skipped_points: int = 0
+    divergence_skipped: int = 0
 
     def __float__(self):
         return self.residual
@@ -762,60 +772,47 @@ def invariance_residual(
     f,
     rule: QuadratureRule,
 ) -> Union[ResidualReport, List[ResidualReport]]:
-    """Quadrature of ``integral Lf rho dx``; near zero for invariant pairs.
+    """Residuals of a test function ``f`` against ``rho`` on the rule's box,
+    or one report per test function given a list of them.
 
-    ``f`` must be compactly supported inside the rule's box; if its boundary
-    trace is non-negligible it is multiplied by a built-in cutoff bump and the
-    leak is reported (the residual is still returned).  Given a list of test
-    functions, returns one report per function; the mass of ``rho`` on the
-    box, which scales every report, is integrated once.
+    This is the only loop over test functions.  The rule's nodes, ``rho`` and
+    ``B = G - beta`` are evaluated, and the box mass of ``rho`` integrated,
+    once per call; each test function then runs one program of ``f``, its
+    gradient and its Hessian.  ``f`` must be supported inside the box: a test
+    function that is nonzero at a node on the rule's outermost layer (the box
+    faces for Simpson) raises :class:`CalculusError`.
     """
-    mu_box = integrate(lambda pts: rho.rho(pts), rule)
-    if isinstance(f, list):
-        return [_residual_report(cs, rho, g, rule, mu_box) for g in f]
-    return _residual_report(cs, rho, f, rule, mu_box)
+    pts, w = rule.points_and_weights()
+    # the nodes on the rule's outermost layer
+    face = np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)
+    B = _b_field(cs, rho)(pts)
+    r = rho.rho(pts)
+    mass = abs(math.fsum((w * r).tolist()))
+    reports = [_bump_report(cs, g, rule, r, B, face, mass) for g in (f if isinstance(f, list) else [f])]
+    return reports if isinstance(f, list) else reports[0]
 
 
-def _residual_report(cs, rho, f, rule, mu_box: float) -> ResidualReport:
-    d = cs.d
-    leak = False
-    fmax = 1.0
-    if isinstance(f, Expr):
-        pts = rule.points_and_weights()[0]
-        fmax = float(np.nanmax(np.abs(evaluate(f, pts))))
-        btrace = float(np.nanmax(np.abs(evaluate(f, _box_boundary_samples(rule)))))
-        if btrace > 1e-12 * max(fmax, 1e-300):
-            leak = True
-            c = [(rule.lo[k] + rule.hi[k]) / 2 for k in range(d)]
-            r = [(rule.hi[k] - rule.lo[k]) / 2 * 0.95 for k in range(d)]
-            f = mul(f, bump_expression(c, r, d))
-            fmax = float(np.nanmax(np.abs(evaluate(f, pts))))
-    lf = apply_generator(cs, None, f, mode="L")
-
-    def integrand(pts):
-        return lf(pts) * rho.rho(pts)
-
-    residual, skipped = integrate_masked(integrand, rule)
+def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
+    """One test function's residuals; its arrays are freed on return."""
+    pts = rule.points_and_weights()[0]
+    value, grad, hess = _f_derivatives(f, cs.d, with_value=True)(pts)
+    if np.any(value[face] != 0.0):
+        raise CalculusError("test function does not vanish on the faces of the quadrature box")
+    fmax = float(np.nanmax(np.abs(value)))
+    with np.errstate(all="ignore"):
+        lf = 0.5 * np.einsum("nij,nij->n", cs.eval_A(pts), hess) + np.einsum("ni,ni->n", cs.eval_G(pts), grad)
+        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", B, grad) * r
+    del value, grad, hess, lf  # the sums below build a list of every node
+    residual, skipped = integrate_masked(lf_rho, rule)
+    divergence, divergence_skipped = integrate_masked(div_rho, rule)
     return ResidualReport(
-        residual=residual, scale=fmax * abs(mu_box), support_leak=leak, skipped_points=skipped
+        residual=residual,
+        divergence=divergence,
+        mass=mass,
+        scale=fmax * mass,
+        skipped_points=skipped,
+        divergence_skipped=divergence_skipped,
     )
-
-
-def _box_boundary_samples(rule: QuadratureRule) -> np.ndarray:
-    """33 points per axis on each face of the rule's box."""
-    d = rule.dim
-    faces = []
-    for k in range(d):
-        for val in (rule.lo[k], rule.hi[k]):
-            axes = []
-            for j in range(d):
-                if j == k:
-                    axes.append(np.array([val]))
-                else:
-                    axes.append(np.linspace(rule.lo[j], rule.hi[j], 33))
-            grid = np.meshgrid(*axes, indexing="ij")
-            faces.append(np.stack([g.reshape(-1) for g in grid], axis=-1))
-    return np.concatenate(faces, axis=0)
 
 
 # ---------------------------------------------------------------------------

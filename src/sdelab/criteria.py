@@ -659,6 +659,12 @@ def check_criterion(
         raise CriterionError(f"{spec.id} needs the density{in_mode}", "density")
     if has_density and not reads_density:
         raise CriterionError(f"{spec.id} does not read the density{in_mode}", "density")
+    # N0 places the default exterior region (d >= 2) and, in a variant that
+    # reads a candidate, the default log candidate g; given, it must place one
+    places_region = t.region == "exterior" and spec.region is None and d >= 2
+    places_candidate = "candidate" in var.reads and spec.candidate is None
+    if "N0" in spec.constants and not (places_region or places_candidate):
+        raise CriterionError(f"{flavor} reads N0 only for a default region or candidate", "constants.N0")
     try:
         region = spec.region or _default_region(t.region, d, constants.get("N0"))
     except CriterionError as err:  # only N0 moves the default region

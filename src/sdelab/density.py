@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +29,6 @@ __all__ = [
     "BoxMesh",
     "AssembledSystem",
     "DensityApproximation",
-    "make_mesh",
     "assemble_system",
     "solve_density",
     "invariance_of_solution",
@@ -84,21 +83,6 @@ class BoxMesh:
     def axes(self) -> Tuple[np.ndarray, ...]:
         a = self.axis()
         return (a,) * self.d
-
-
-def make_mesh(
-    R: float, n: int, d: int, singular_points: Optional[Sequence[Sequence[float]]] = None
-) -> BoxMesh:
-    """Build a mesh, nudging R by one part in 1e6 if a node hits a singularity."""
-    mesh = BoxMesh(R=float(R), n=int(n), d=int(d))
-    if singular_points:
-        pts = np.asarray(singular_points, dtype=float)
-        ax = mesh.axis()
-        tol = mesh.h * 1e-9
-        on_node = all(np.min(np.abs(ax[None, :] - pts[:, k][:, None])) < tol for k in range(d))
-        if on_node:
-            mesh = BoxMesh(R=float(R) * (1.0 + 1e-6), n=int(n), d=int(d))
-    return mesh
 
 
 @dataclass
@@ -310,8 +294,6 @@ def solve_density(
     R: float,
     n: int,
     boundary: Union[str, Expr] = "ones",
-    *,
-    singular_points=None,
 ) -> DensityApproximation:
     """Solve the discrete balance normalized so the origin value is exactly 1.
 
@@ -326,7 +308,7 @@ def solve_density(
     column rises above the rounding of the operator's largest entry; the
     diagnostic ``boundary_amplitude_resolved`` says whether it does.
     """
-    mesh = make_mesh(R, n, cs.d, singular_points)
+    mesh = BoxMesh(R=float(R), n=int(n), d=cs.d)
     system = assemble_system(cs, mesh, boundary)
     N = mesh.n_interior
     A = system.matrix

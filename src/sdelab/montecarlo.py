@@ -61,7 +61,6 @@ class SimulationConfig:
     seed: int
     radii: Tuple[float, ...] = (16.0,)
     clip: float = 10.0  # clip drift when |G| dt > clip
-    scheme: str = "euler-maruyama"
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt:
@@ -70,8 +69,6 @@ class SimulationConfig:
             raise MonteCarloError("ladder radii must be strictly increasing and positive")
         if self.clip <= 0:
             raise MonteCarloError("clip threshold must be positive")
-        if self.scheme != "euler-maruyama":
-            raise MonteCarloError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -83,9 +80,6 @@ class EstimatorResult:
     estimate: float
     std_error: float
     paths: int
-
-    def within(self, truth: float, n_se: float = 3.0) -> bool:
-        return abs(self.estimate - truth) <= n_se * self.std_error
 
 
 @dataclass
@@ -457,9 +451,9 @@ def ergodic_average(
     }
 
 
-def _marginal_cdf(rho: DensityField, axis: int, d: int, box: float, nodes: int = 481):
+def _marginal_cdf(rho: DensityField, axis: int, d: int, box: float):
     """Normalized marginal CDF of a density on [-box, box]^d along one axis."""
-    rule = QuadratureRule.box(box, d, nodes if d == 2 else 61)
+    rule = QuadratureRule.box(box, d, 481 if d == 2 else 61)
     pts, w = rule.points_and_weights()
     vals = rho.rho(pts) * w
     order = np.argsort(pts[:, axis], kind="stable")
@@ -535,7 +529,9 @@ def transition_histogram(
     return out
 
 
-def _wilson(successes: int, n: int, z: float = 1.96) -> Tuple[float, float]:
+def _wilson(successes: int, n: int) -> Tuple[float, float]:
+    """Wilson score interval at 95% confidence."""
+    z = 1.96
     if n == 0:
         return (0.0, 1.0)
     p = successes / n

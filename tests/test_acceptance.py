@@ -278,7 +278,7 @@ def test_criterion_5_paper_inequalities():
     # margin field equals |x|^2/2 exactly for this data
     spec_d2 = crit.CriterionSpec(
         id="ERGODIC_DRIFT",
-        constants={"M": 0.5, "N0": 1},
+        constants={"M": 0.5},
         variant="eq_335",
         region=crit.RegionSpec(kind="annulus", r_min=1.0 + 1e-6, r_max=40),
     )

@@ -17,6 +17,7 @@ from sdelab.calculus import (
     bump_expression,
     coefficient_set_from_drift,
     decompose_drift,
+    default_bump_library,
     diffusion_root,
     integrate,
     invariance_residual,
@@ -204,7 +205,6 @@ def test_invariance_residual_unit_drift():
     # Simpson truncation at 241 nodes/axis dominates the residual
     f = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)
     rep = invariance_residual(cs, rho, f, rule)
-    assert not rep.support_leak
     assert abs(rep.residual) <= 1e-8 * rep.scale
 
     rho2 = DensityField.from_expression("exp(2*x1)", 2)
@@ -228,11 +228,24 @@ def test_invariance_residual_non_invariant_pair():
 
 
 def test_invariance_residual_flags_support_leak():
+    # a test function that does not vanish on the box faces is rejected
     cs = identity_cs()
     rule = QuadratureRule.box(2.0, 2, 81)
     rho = DensityField.from_expression("1", 2)
-    rep = invariance_residual(cs, rho, parse_expr("exp(-norm2(x))", 2), rule)
-    assert rep.support_leak
+    with pytest.raises(calc.CalculusError, match="faces"):
+        invariance_residual(cs, rho, parse_expr("exp(-norm2(x))", 2), rule)
+
+
+def test_default_bumps_vanish_on_box_faces():
+    for d in (1, 2, 3):
+        for R in (1.8, 3.0, 4.0):
+            ts = np.linspace(-R, R, 41)
+            for k in range(d):
+                for side in (-R, R):
+                    grids = np.meshgrid(*[[side] if j == k else ts for j in range(d)], indexing="ij")
+                    face = np.stack([g.reshape(-1) for g in grids], axis=-1)
+                    for f in default_bump_library([-R] * d, [R] * d, d):
+                        assert np.all(evaluate(f, face) == 0.0), (d, R, k, side)
 
 
 def test_diffusion_root_identity_and_diag():

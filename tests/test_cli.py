@@ -162,12 +162,29 @@ def malformed_inputs():
         {"id": "GROWTH_NONEXPLOSION", "mode": "forward", "density": "analytic:0"}))
     n_se_on_exit_prob = builtin("planar_bm", lambda c: c["simulation"]["checks"][1].update(n_se=2.0))
     mean_at_off_time = builtin("example_3_8", lambda c: c["simulation"]["checks"][1].update(time=0.25))
+    # N0 beside the region and the candidate it would otherwise place
+    n0_beside_region = builtin("example_3_2_1_4_ii", lambda c: c["criteria"][0]["constants"].update(N0=6))
+    a_rows = tiny_bm_config()
+    a_rows["coefficients"]["A"] = [["1", "0", "0"], ["1"]]
+    a_full = tiny_bm_config()
+    a_full["coefficients"]["A"] = [["1", "0.5"], ["0", "1"]]
+    c_full = tiny_bm_config()
+    c_full["coefficients"]["C"] = [["0", "1"], ["1", "0"]]
     return [
         (candidate_on_eq_335, "$.criteria[0].candidate", "ERGODIC_DRIFT/eq_335 does not read candidate"),
         (growth_with_mode, "$.criteria[3].mode", "GROWTH_NONEXPLOSION has no mode"),
         (n_se_on_exit_prob, "$.simulation.checks[1].n_se", "exit_prob check does not read this field"),
         (mean_at_off_time, "$.simulation.checks[1].time", "must equal simulation.transition.t"),
         (crit0(density="analytic:0"), "$.criteria[0].density", "RECURRENCE_SUPERSOLUTION does not read the density"),
+        (n0_beside_region, "$.criteria[0].constants.N0", "reads N0 only for a default region or candidate"),
+        (crit0(id="GROWTH_NONEXPLOSION", constants={"N0": 2}, region={"r_min": 2.0}),
+         "$.criteria[0].constants.N0", "GROWTH_NONEXPLOSION reads N0 only"),
+        (crit0(id="INVARIANCE_LYAPUNOV", constants={"alpha": 2, "N0": 2}, candidate="norm2(x) + 1",
+               density="analytic:0"),
+         "$.criteria[0].constants.N0", "INVARIANCE_LYAPUNOV reads N0 only"),
+        (a_rows, "$.coefficients.A", "lengths [2, 1]"),
+        (a_full, "$.coefficients.A", "symmetric structure violated at entries (0,1)/(1,0)"),
+        (c_full, "$.coefficients.C", "antisymmetric structure violated at entries (0,1)/(1,0)"),
         (crit0(id="INVARIANCE_LOG_GROWTH", constants={"M": 1}, mode="forward", density="analytic:0"),
          "$.criteria[0].density", "does not read the density in forward mode"),
         (crit0(id="LINEAR_GROWTH_MOMENT", constants={"M": 1}, variant="joint", h2="1"),
@@ -410,6 +427,15 @@ def test_cli_main_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema_version\": 1}")
     assert cli.main(["validate", "--config", str(bad)]) == 4
+
+
+def test_cli_main_validate_builds_coefficients(tmp_path, capsys):
+    cfg = tiny_bm_config()
+    cfg["coefficients"]["A"] = [["x1", "0"], ["1"]]
+    path = tmp_path / "non_elliptic.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["validate", "--config", str(path)]) == 4
+    assert "$.coefficients: A is not positive definite" in capsys.readouterr().err
 
 
 def test_save_paths_emits_per_path_csv(tmp_path):

@@ -353,7 +353,7 @@ def test_volume_conservative_bounded_density():
     rho = DensityField.from_expression(rho_src, 2)
     spec = CriterionSpec(
         id="VOLUME_CONSERVATIVE",
-        constants={"M": 2.0, "c": 3.0, "N0": 1, "N1": 2},
+        constants={"M": 2.0, "c": 3.0, "N1": 2},
         variant="polynomial",
         region=RegionSpec(r_min=1.0, r_max=64.0),
     )

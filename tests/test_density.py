@@ -12,7 +12,6 @@ from sdelab.density import (
     assemble_system,
     convergence_order,
     invariance_of_solution,
-    make_mesh,
     solve_density,
     volume_profile,
 )
@@ -43,13 +42,6 @@ def test_mesh_basics():
     assert mesh.axis()[0] == -2.0 and mesh.axis()[-1] == 2.0
     assert mesh.n_interior == 49
     assert mesh.axis()[mesh.origin_index[0]] == 0.0
-
-
-def test_mesh_nudges_singular_node():
-    mesh = make_mesh(2.0, 8, 2, singular_points=[[0.5, 0.5]])
-    assert mesh.R == 2.0 * (1 + 1e-6)
-    mesh2 = make_mesh(2.0, 8, 2, singular_points=[[0.3141, 0.0]])
-    assert mesh2.R == 2.0
 
 
 def test_laplace_stencil_counts():

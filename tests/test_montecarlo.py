@@ -40,8 +40,6 @@ def test_config_validation():
         SimulationConfig(dt=0.0, horizon=1.0, paths=10, seed=1)
     with pytest.raises(MonteCarloError):
         SimulationConfig(dt=1e-3, horizon=1.0, paths=10, seed=1, radii=(4.0, 2.0))
-    with pytest.raises(MonteCarloError):
-        SimulationConfig(dt=1e-3, horizon=1.0, paths=10, seed=1, scheme="milstein")
 
 
 def test_bm_second_moment():
@@ -229,7 +227,6 @@ def test_estimator_result_invariant():
     r = estimate_mean(vals)
     assert r.std_error == pytest.approx(np.std(vals, ddof=1) / 4.0)
     assert r.paths == 16
-    assert r.within(r.estimate, 0.0)
 
 
 def test_krylov_singular_f_stable_under_refinement():
