@@ -24,6 +24,10 @@ exit code:
 Reports are JSON (schema-versioned, canonical key order); bulk numerics go
 to CSV (comma separator, ``.`` decimal, header row, LF line endings) and are
 byte-identical across reruns with the same seed, independent of --threads.
+Each stage builds the CSV tables of the numbers it computes and returns them
+as :class:`Table` values beside its report blob; a stage that fails returns
+no tables.  ``emit_report`` only writes ``report.json``, ``verdicts.json`` and
+the collected tables.
 """
 
 from __future__ import annotations
@@ -740,23 +744,63 @@ def build_problem(scenario: Union[Scenario, dict]):
         raise ConfigError(str(err), "$.coefficients") from None
 
 
-def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], density_stage: dict):
+class Table(NamedTuple):
+    """One CSV file: a header row, the data rows, and an optional comment line
+    before the header."""
+
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    preamble: Optional[str] = None
+
+    def text(self) -> str:
+        lines = [] if self.preamble is None else [self.preamble]
+        lines.append(",".join(self.header))
+        lines += [",".join(_fmt(v) for v in row) for row in self.rows]
+        return "\n".join(lines) + "\n"
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return repr(float(v))  # np.float64 is a float whose repr is "np.float64(...)"
+    return str(v)
+
+
+# what the density stage hands on: its solved density, None (the stage did not
+# run or has no solve block), or the reason the stage failed
+Solved = Union[None, str, dens.DensityApproximation]
+
+
+def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], solved: Solved):
+    """A failed density stage fails the stage that reads its solution (exit 3);
+    one that did not run leaves a config error (exit 4)."""
     if ref is None:
         return None
     if ref == SOLVED:
-        approx = density_stage.get("_approx")
-        if approx is None:
+        if isinstance(solved, str):
+            raise dens.DensityError(solved)
+        if solved is None:
             raise ConfigError("no solved density available", "$.density.solve")
-        return approx.to_density_field()
+        return solved.to_density_field()
     return analytic[ref]
 
 
+def _lattice(axis: np.ndarray, d: int) -> np.ndarray:
+    """The ``(len(axis)**d, d)`` points of the product grid, first axis slowest."""
+    grids = np.meshgrid(*[axis] * d, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
 # ---------------------------------------------------------------------------
-# stages
+# stages: each returns its report blob and the CSV tables it computed
 
 
-def run_density_stage(scenario: Scenario, cs: CoefficientSet, analytic: List[DensityField]) -> dict:
+def run_density_stage(
+    scenario: Scenario, cs: CoefficientSet, analytic: List[DensityField]
+) -> Tuple[dict, Dict[str, Table], Optional[dens.DensityApproximation]]:
+    """The density blob, its tables, and the solved density (None without a solve block)."""
     out: Dict[str, object] = {}
+    tables: Dict[str, Table] = {}
+    last = None
     block = scenario.density
     if analytic:
         rows = []
@@ -799,32 +843,35 @@ def run_density_stage(scenario: Scenario, cs: CoefficientSet, analytic: List[Den
         }
         if len(approxes) >= 2:
             inner = min(ladder) / 4.0
-            a, b = approxes[-2], approxes[-1]
-            xs = np.linspace(-inner, inner, 25)
-            grids = np.meshgrid(*[xs] * cs.d, indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            va = a.to_density_field().rho(pts)
-            vb = b.to_density_field().rho(pts)
-            agreement = float(np.max(np.abs(va - vb) / np.abs(vb)))
-            out["solve"]["nested_agreement_rel"] = agreement
+            pts = _lattice(np.linspace(-inner, inner, 25), cs.d)
+            va = approxes[-2].to_density_field().rho(pts)
+            vb = last.to_density_field().rho(pts)
+            out["solve"]["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
             out["solve"]["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
         res_rep = dens.invariance_of_solution(cs, last)
         out["solve"]["invariance_residual"] = res_rep["max_residual"]
         out["solve"]["invariance_scale"] = res_rep["scale"]
-        out["_approx"] = last  # in-process handle for later stages / CSV
+        mesh = last.mesh
+        pts, vals = _lattice(mesh.axis(), mesh.d), last.values.reshape(-1)
+        tables["density_grid.csv"] = Table(
+            ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"],
+            [[i, *pts[i], vals[i]] for i in range(len(vals))],
+            f"# R={_fmt(mesh.R)},n={mesh.n},d={mesh.d}",
+        )
     profile = block.volume_profile
     if profile is not None:
-        rho = _pick_density(profile.density, analytic, out)
-        prof = dens.volume_profile(rho, profile.radii, d=cs.d, nodes=profile.nodes)
-        out["volume_profile"] = {"mu_ball": {str(k): v for k, v in prof["mu_ball"].items()}}
+        rho = _pick_density(profile.density, analytic, last)
+        mu_ball = dens.volume_profile(rho, profile.radii, d=cs.d, nodes=profile.nodes)["mu_ball"]
+        out["volume_profile"] = {"mu_ball": {str(k): v for k, v in mu_ball.items()}}
+        tables["volume_profile.csv"] = Table(["radius", "mu_ball"], sorted(mu_ball.items()))
         bound = profile.bound
         if bound is not None:
-            ok = all(v <= bound.c * r**bound.power * (1 + 1e-9) for r, v in prof["mu_ball"].items())
+            ok = all(v <= bound.c * r**bound.power * (1 + 1e-9) for r, v in mu_ball.items())
             out["volume_profile"]["bound"] = asdict(bound)
             out["volume_profile"]["within_bound"] = bool(ok)
             if not ok:
                 raise dens.DensityError("volume profile exceeded its declared bound")
-    return out
+    return out, tables, last
 
 
 def _expected(verdict: crit.CriterionVerdict, expect: str) -> dict:
@@ -834,30 +881,40 @@ def _expected(verdict: crit.CriterionVerdict, expect: str) -> dict:
     return blob
 
 
-def run_criteria_stage(scenario: Scenario, cs, analytic, density_stage) -> List[dict]:
+def run_criteria_stage(
+    scenario: Scenario, cs, analytic, solved: Solved
+) -> Tuple[List[dict], Dict[str, Table]]:
     results = []
+    tables: Dict[str, Table] = {}
     for c in scenario.criteria:
-        rho = _pick_density(c.density, analytic, density_stage)
+        rho = _pick_density(c.density, analytic, solved)
         verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, **c.inputs)
         results.append(_expected(verdict, c.expect))
     vt = scenario.volume_test
     if vt is not None:
-        rho = _pick_density(vt.density, analytic, density_stage)
+        rho = _pick_density(vt.density, analytic, solved)
         verdict = crit.recurrence_volume_test(cs, rho, Bbar=vt.Bbar, n_max=vt.n_max)
         results.append(_expected(verdict, vt.expect))
-    return results
+        t = verdict.trend_table
+        if t is not None:  # None when v(r) vanishes and the test is silent
+            columns = ["n", "a_n", "v2_n", "log_v2_over_a"]
+            tables["volume_test.csv"] = Table(columns, list(zip(*(t[c] for c in columns))))
+    return results, tables
 
 
-def run_simulation_stage(scenario: Scenario, cs, analytic, density_stage, threads: int) -> dict:
+def run_simulation_stage(
+    scenario: Scenario, cs, analytic, solved: Solved, threads: int
+) -> Tuple[dict, Dict[str, Table]]:
     sim = scenario.simulation
     if sim is None:
-        return {}
+        return {}, {}
     scfg = sim.config
     x0 = list(sim.x0)
     out: Dict[str, object] = {"config": {
         "dt": scfg.dt, "horizon": scfg.horizon, "paths": scfg.paths,
         "seed": scfg.seed, "radii": list(scfg.radii), "clip": scfg.clip, "x0": x0,
     }}
+    tables: Dict[str, Table] = {}
 
     moments = sim.moments
     save_times = sorted(set(moments.times)) if moments else None
@@ -865,43 +922,61 @@ def run_simulation_stage(scenario: Scenario, cs, analytic, density_stage, thread
     out["clip_events"] = int(ens.clip_counts.sum())
     out["exited_paths"] = int(ens.status.sum())
     if sim.save_paths:
-        out["_ensemble"] = ens
+        tables["paths.csv"] = Table(*mc.ensemble_summary_rows(ens))
 
     if moments:
         bound = asdict(moments.bound) if moments.bound else None
-        out["moments"] = mc.moment_curve(ens, moments.phi, moments.times, bound=bound)
+        curve = out["moments"] = mc.moment_curve(ens, moments.phi, moments.times, bound=bound)
+        columns = ["time", "estimate", "std_error", "paths"] + (["bound", "bound_ratio"] if bound else [])
+        tables["moments.csv"] = Table(columns, [[r[c] for c in columns] for r in curve])
     if sim.exit:
-        out["exit"] = mc.exit_statistics(ens, sim.exit.radii)
+        exits = out["exit"] = mc.exit_statistics(ens, sim.exit.radii)
+        tables["exit.csv"] = Table(
+            ["radius", "p_exit", "wilson_lo", "wilson_hi", "mean_exit_time", "median_exit_time"],
+            [
+                [r["radius"], r["p_exit_by_horizon"], *r["wilson_95"],
+                 r.get("mean_exit_time", ""), r.get("median_exit_time", "")]
+                for r in exits["per_radius"]
+            ],
+        )
     erg = sim.ergodic
     if erg:
-        out["ergodic"] = mc.ergodic_average(
+        average = out["ergodic"] = mc.ergodic_average(
             cs, x0, replace(scfg, horizon=erg.horizon), erg.f, burn_in=erg.burn_in
+        )
+        tables["ergodic.csv"] = Table(
+            ["time", "running_average"], list(zip(average["times"], average["running_average"]))
         )
     kry = sim.krylov
     if kry:
-        rho = _pick_density(kry.density, analytic, density_stage)
-        out["krylov"] = mc.krylov_functional(
+        rho = _pick_density(kry.density, analytic, solved)
+        functional = out["krylov"] = mc.krylov_functional(
             cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho, q=kry.q, threads=threads
+        )
+        tables["krylov.csv"] = Table(
+            ["start", "estimate", "std_error"],
+            [[";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]] for r in functional["per_start"]],
         )
     trans = sim.transition
     if trans:
-        rho_ref = _pick_density(trans.reference, analytic, density_stage)
+        rho_ref = _pick_density(trans.reference, analytic, solved)
         try:
-            out["transition"] = mc.transition_histogram(
-                cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads
-            )
+            tr = mc.transition_histogram(cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads)
         except mc.MonteCarloError as err:
-            if "not normalizable" in str(err):
-                # keep the empirical marginals; record why no reference applies
-                out["transition"] = mc.transition_histogram(
-                    cs, x0, trans.t, scfg, rho_ref=None, threads=threads
-                )
-                out["transition"]["reference_error"] = str(err)
-            else:
+            if "not normalizable" not in str(err):
                 raise
+            # keep the empirical marginals; record why no reference applies
+            tr = mc.transition_histogram(cs, x0, trans.t, scfg, rho_ref=None, threads=threads)
+            tr["reference_error"] = str(err)
+        out["transition"] = tr
+        quantiles = tr["cdf_quantiles"]
+        tables["transition_cdf.csv"] = Table(
+            ["level"] + [f"x{k+1}_quantile" for k in range(len(quantiles))],
+            [[level, *q] for level, *q in zip(tr["cdf_levels"], *quantiles)],
+        )
 
     out["checks"] = [_run_check(chk, out, scfg) for chk in sim.checks]
-    return out
+    return out, tables
 
 
 def _run_check(chk: Check, sim_out: dict, scfg: mc.SimulationConfig) -> dict:
@@ -916,7 +991,7 @@ def _run_check(chk: Check, sim_out: dict, scfg: mc.SimulationConfig) -> dict:
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays so the report stays numeric."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items() if not str(k).startswith("_")}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.bool_):
@@ -930,138 +1005,20 @@ def _jsonable(obj):
     return obj
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # np.float64 is a float whose repr is "np.float64(...)"
-    return str(v)
+def _write_json(path: Path, blob) -> None:
+    path.write_text(json.dumps(_jsonable(blob), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(
-    path: Path, header: Sequence[str], rows: Sequence[Sequence], preamble: Optional[str] = None
-) -> None:
-    lines = [] if preamble is None else [preamble]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def emit_report(report: dict, out_dir: Path, formats: Sequence[str] = ("json", "csv")) -> List[Path]:
-    """Write report.json plus one CSV per bulk table; returns written paths."""
+def emit_report(report: dict, tables: Dict[str, Table], out_dir: Path) -> None:
+    """Write report.json, verdicts.json when the criteria stage gave verdicts,
+    and one CSV file per table."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    stages = report["stages"]
-    density_stage = stages.get("density", {})
-    approx = density_stage.pop("_approx", None)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-        verdicts = stages.get("criteria")
-        if verdicts is not None:
-            vp = out_dir / "verdicts.json"
-            vp.write_text(json.dumps(_jsonable(verdicts), indent=2, sort_keys=True) + "\n")
-            written.append(vp)
-    if "csv" in formats:
-        if approx is not None:
-            path = out_dir / "density_grid.csv"
-            mesh = approx.mesh
-            ax = mesh.axis()
-            grids = np.meshgrid(*[ax] * mesh.d, indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            vals = approx.values.reshape(-1)
-            header = ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"]
-            rows = [[i] + [pts[i, k] for k in range(mesh.d)] + [vals[i]] for i in range(len(vals))]
-            _write_csv(path, header, rows, preamble=f"# R={_fmt(mesh.R)},n={mesh.n},d={mesh.d}")
-            written.append(path)
-        sim = stages.get("simulation", {})
-        if sim.get("moments"):
-            path = out_dir / "moments.csv"
-            header = ["time", "estimate", "std_error", "paths"]
-            has_bound = "bound" in sim["moments"][0]
-            if has_bound:
-                header += ["bound", "bound_ratio"]
-            rows = []
-            for r in sim["moments"]:
-                row = [r["time"], r["estimate"], r["std_error"], r["paths"]]
-                if has_bound:
-                    row += [r["bound"], r["bound_ratio"]]
-                rows.append(row)
-            _write_csv(path, header, rows)
-            written.append(path)
-        if sim.get("ergodic"):
-            path = out_dir / "ergodic.csv"
-            erg = sim["ergodic"]
-            _write_csv(
-                path,
-                ["time", "running_average"],
-                list(zip(erg["times"], erg["running_average"])),
-            )
-            written.append(path)
-        if sim.get("exit"):
-            path = out_dir / "exit.csv"
-            rows = []
-            for r in sim["exit"]["per_radius"]:
-                rows.append(
-                    [
-                        r["radius"],
-                        r["p_exit_by_horizon"],
-                        r["wilson_95"][0],
-                        r["wilson_95"][1],
-                        r.get("mean_exit_time", ""),
-                        r.get("median_exit_time", ""),
-                    ]
-                )
-            _write_csv(
-                path,
-                ["radius", "p_exit", "wilson_lo", "wilson_hi", "mean_exit_time", "median_exit_time"],
-                rows,
-            )
-            written.append(path)
-        if sim.get("krylov"):
-            path = out_dir / "krylov.csv"
-            rows = [
-                [";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]]
-                for r in sim["krylov"]["per_start"]
-            ]
-            _write_csv(path, ["start", "estimate", "std_error"], rows)
-            written.append(path)
-        if sim.get("transition") and "cdf_levels" in sim.get("transition", {}):
-            path = out_dir / "transition_cdf.csv"
-            tr = sim["transition"]
-            d = len(tr["cdf_quantiles"])
-            header = ["level"] + [f"x{k+1}_quantile" for k in range(d)]
-            rows = [
-                [tr["cdf_levels"][i]] + [tr["cdf_quantiles"][k][i] for k in range(d)]
-                for i in range(len(tr["cdf_levels"]))
-            ]
-            _write_csv(path, header, rows)
-            written.append(path)
-        ens = sim.get("_ensemble")
-        if ens is not None:
-            from .montecarlo import ensemble_summary_rows
-
-            header, rows = ensemble_summary_rows(ens)
-            path = out_dir / "paths.csv"
-            _write_csv(path, header, rows)
-            written.append(path)
-        vt = density_stage.get("volume_profile")
-        if vt:
-            path = out_dir / "volume_profile.csv"
-            rows = [[float(k), v] for k, v in sorted(vt["mu_ball"].items(), key=lambda kv: float(kv[0]))]
-            _write_csv(path, ["radius", "mu_ball"], rows)
-            written.append(path)
-        for v in stages.get("criteria", []):
-            if v.get("trend_table") and "a_n" in v["trend_table"]:
-                path = out_dir / "volume_test.csv"
-                t = v["trend_table"]
-                _write_csv(
-                    path,
-                    ["n", "a_n", "v2_n", "log_v2_over_a"],
-                    list(zip(t["n"], t["a_n"], t["v2_n"], t["log_v2_over_a"])),
-                )
-                written.append(path)
-    return written
+    _write_json(out_dir / "report.json", report)
+    verdicts = report["stages"].get("criteria")
+    if isinstance(verdicts, list):  # a failed stage holds {"error": ...}
+        _write_json(out_dir / "verdicts.json", verdicts)
+    for name, table in tables.items():
+        (out_dir / name).write_text(table.text(), newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1032,6 @@ def run_scenario(
     stages: Sequence[str] = ("density", "criteria", "simulation"),
     threads: int = 1,
     seed_override: Optional[int] = None,
-    formats: Sequence[str] = ("json", "csv"),
 ) -> dict:
     """Execute the requested stages; returns the report with an exit code."""
     report: Dict[str, object] = {
@@ -1106,14 +1062,14 @@ def run_scenario(
         report["status"]["exit_code"] = 4
         return report
 
-    density_stage: dict = {}
+    solved: Solved = None
+    tables: Dict[str, Table] = {}
     for stage in stages:
         t0 = time.perf_counter()
         try:
             if stage == "density":
-                density_stage = run_density_stage(scenario, cs, analytic)
-                report["stages"]["density"] = density_stage
-                for row in density_stage.get("analytic", []):
+                blob, stage_tables, solved = run_density_stage(scenario, cs, analytic)
+                for row in blob.get("analytic", []):
                     if not row["invariant_on_grid"]:
                         notes.append(
                             f"declared density {row['index']} fails the invariance "
@@ -1121,25 +1077,29 @@ def run_scenario(
                         )
                         exit_code = max(exit_code, 3)
             elif stage == "criteria":
-                verdicts = run_criteria_stage(scenario, cs, analytic, density_stage)
-                report["stages"]["criteria"] = verdicts
-                for v in verdicts:
+                blob, stage_tables = run_criteria_stage(scenario, cs, analytic, solved)
+                for v in blob:
                     if not v["as_expected"]:
                         notes.append(
                             f"criterion {v['id']}: verdict {v['verdict']} != expected {v['expect']}"
                         )
                         exit_code = max(exit_code, 2)
             elif stage == "simulation":
-                sim_out = run_simulation_stage(scenario, cs, analytic, density_stage, threads)
-                report["stages"]["simulation"] = sim_out
-                for chk in sim_out.get("checks", []):
+                blob, stage_tables = run_simulation_stage(scenario, cs, analytic, solved, threads)
+                for chk in blob.get("checks", []):
                     if not chk["passed"]:
                         notes.append(f"simulation check {chk['type']} failed: {chk['detail']}")
                         exit_code = max(exit_code, 3)
+            else:
+                raise ConfigError(f"unknown stage {stage!r}")
+            report["stages"][stage] = blob
+            tables.update(stage_tables)
         except (dens.DensityError, calc.CalculusError, mc.MonteCarloError, crit.CriterionError) as err:
             report["stages"][stage] = {"error": str(err)}
             notes.append(f"stage {stage} error: {err}")
             exit_code = max(exit_code, 3)
+            if stage == "density":
+                solved = f"no solved density: the density stage failed: {err}"
         except ConfigError as err:
             report["stages"][stage] = {"error": str(err)}
             notes.append(f"stage {stage} config error: {err}")
@@ -1149,9 +1109,7 @@ def run_scenario(
     notes.extend(scenario.notes)
     report["status"]["exit_code"] = exit_code
     if out_dir is not None:
-        emit_report(report, out_dir, formats)
-    else:
-        report["stages"].get("density", {}).pop("_approx", None)
+        emit_report(report, tables, out_dir)
     return report
 
 
@@ -1183,9 +1141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", default=None, help="output directory (default: ./out/<name>)")
         p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument(
-            "--format", default="json,csv", help="comma-separated output formats (json, csv)"
-        )
     sub.add_parser("catalog", help="list built-in scenarios")
 
     args = parser.parse_args(argv)
@@ -1215,14 +1170,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scenario = replace(scenario, simulation=replace(scenario.simulation, **drop))
 
     out_dir = Path(args.out) if args.out else Path("out") / scenario.name
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     report = run_scenario(
         scenario,
         out_dir,
         stages=commands[args.command][1],
         threads=args.threads,
         seed_override=args.seed,
-        formats=formats,
     )
     code = report["status"]["exit_code"]
     label = {0: "green", 2: "criterion-mismatch", 3: "numerical-error", 4: "config-error"}[code]

@@ -347,6 +347,37 @@ def test_non_normalizable_reference_fails_ks_check(tmp_path):
     assert chk["detail"].startswith("reference not normalizable")
 
 
+def test_failed_criteria_stage_still_writes_report(tmp_path):
+    # ln(-1 - |x|^2) is nowhere defined: the margin cannot be evaluated at any grid point
+    cfg = tiny_bm_config(
+        criteria=[{"id": "LYAPUNOV_L", "constants": {"M": 1}, "candidate": "ln(-1 - norm2(x))"}]
+    )
+    cfg.pop("simulation")
+    cfg.pop("density")
+    report = run_scenario(cfg, tmp_path, stages=("density", "criteria"))
+    assert report["status"]["exit_code"] == 3
+    blob = json.loads((tmp_path / "report.json").read_text())
+    assert "margin evaluation failed" in blob["stages"]["criteria"]["error"]
+    assert not (tmp_path / "verdicts.json").exists()
+
+
+def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):
+    # ln(x1) is undefined on half of the box, so the solve fails at a face center
+    cfg = tiny_bm_config(
+        density={"solve": {"R_ladder": [3.0], "n": 16}},
+        criteria=[{"id": "INVARIANCE_LOG_GROWTH", "constants": {"M": 2}, "density": "solved"}],
+    )
+    cfg["coefficients"]["H"] = ["ln(x1)", "-x2"]
+    cfg.pop("simulation")
+    report = run_scenario(cfg, tmp_path, stages=("density", "criteria"))
+    assert report["status"]["exit_code"] == 3
+    assert "error" in report["stages"]["density"]
+    note = report["status"]["notes"][1]
+    assert note.startswith("stage criteria error: no solved density: the density stage failed")
+    # without the density stage, a solved reference stays a config error
+    assert run_scenario(cfg, stages=("criteria",))["status"]["exit_code"] == 4
+
+
 def test_estimator_subcommands_keep_only_their_block(tmp_path):
     cfg = tiny_bm_config()
     cfg["coefficients"]["H"] = ["-x1", "-x2"]
@@ -447,9 +478,10 @@ def test_save_paths_emits_per_path_csv(tmp_path):
     lines = (tmp_path / "paths.csv").read_text().splitlines()
     assert lines[0] == "path,status,exit_time_r1,exit_time_r8,clip_events,overshoot_max"
     assert len(lines) == 1 + 200
-    # report.json must not carry the raw ensemble handle
+    # neither report.json nor the returned report carries the raw ensemble
     blob = json.loads((tmp_path / "report.json").read_text())
     assert "_ensemble" not in blob["stages"]["simulation"]
+    assert "_ensemble" not in report["stages"]["simulation"]
 
 
 def test_density_solve_emits_grid_csv(tmp_path):
