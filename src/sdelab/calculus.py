@@ -9,7 +9,10 @@ divergence against ``rho dx``.  Both properties of a density are checked by
 quadrature against compactly supported bump test functions ``f``, in one
 pass of :func:`invariance_residual`: infinitesimal invariance
 ``integral (L f) rho dx = 0`` and the divergence condition
-``integral <B, grad f> rho dx = 0``.
+``integral <B, grad f> rho dx = 0``.  Each bump is integrated only over the
+rule's nodes in its support box (the zero products outside it change no
+exact sum); whether a test function vanishes on the box faces is checked on
+the whole rule.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ __all__ = [
     "CoefficientSet",
     "DensityField",
     "QuadratureRule",
+    "SubRule",
+    "Bump",
     "VectorField",
     "build_coefficient_set",
     "upper_triangle",
@@ -545,6 +550,44 @@ class QuadratureRule:
         pts.flags.writeable = w.flags.writeable = False
         return pts, w
 
+    def restrict(self, lo: Sequence[float], hi: Sequence[float]) -> SubRule:
+        """This rule cut to the node-index sub-box around the closed box
+        ``[lo, hi]``: the nodes inside it and one more on each side, clipped
+        to the rule.  The weights stay the whole rule's, so a sum over the
+        sub-box equals the whole rule's sum of a field that is 0 outside it."""
+        start, stop = [], []
+        for k in range(self.dim):
+            x = self.axis_nodes(k)[0]
+            start.append(max(int(np.searchsorted(x, lo[k], side="left")) - 1, 0))
+            stop.append(min(int(np.searchsorted(x, hi[k], side="right")) + 1, self.nodes[k]))
+        return SubRule(self, tuple(start), tuple(b - a for a, b in zip(start, stop)))
+
+
+@dataclass(frozen=True)
+class SubRule:
+    """The nodes and weights of ``rule`` on the sub-box of ``nodes`` node
+    indices per axis starting at ``start`` (see :meth:`QuadratureRule.restrict`)."""
+
+    rule: QuadratureRule
+    start: Tuple[int, ...]
+    nodes: Tuple[int, ...]
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """``values`` given at the whole rule's nodes, at the sub-box's nodes."""
+        grid = values.reshape(self.rule.nodes + values.shape[1:])
+        box = tuple(slice(a, a + n) for a, n in zip(self.start, self.nodes))
+        return grid[box].reshape((-1,) + values.shape[1:])
+
+    def points_and_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Nodes ``(n, d)`` and weights ``(n,)`` of the sub-box, read-only."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        pts, w = (self.take(a) for a in self.rule.points_and_weights())
+        pts.flags.writeable = w.flags.writeable = False
+        return pts, w
+
 
 def integrate(f, rule: QuadratureRule) -> float:
     """Tensor-product quadrature of a point function; deterministic summation."""
@@ -555,7 +598,7 @@ def integrate(f, rule: QuadratureRule) -> float:
     return math.fsum((w * vals).tolist())
 
 
-def integrate_masked(values: np.ndarray, rule: QuadratureRule) -> Tuple[float, int]:
+def integrate_masked(values: np.ndarray, rule: Union[QuadratureRule, SubRule]) -> Tuple[float, int]:
     """Quadrature of ``values`` given at the rule's nodes, skipping (and
     counting) the non-finite ones; deterministic summation.
 
@@ -655,16 +698,28 @@ def decompose_drift(
     return _b_field(cs, rho), report
 
 
-def bump_expression(center: Sequence[float], radius: Sequence[float], d: int) -> Expr:
-    """C^2 product bump ``prod_i max(1 - ((x_i - c_i)/r_i)^2, 0)^3``."""
+@dataclass(frozen=True)
+class Bump:
+    """A test function ``expr`` that is 0 outside the closed box ``[lo, hi]``."""
+
+    expr: Expr
+    lo: Tuple[float, ...]
+    hi: Tuple[float, ...]
+
+
+def bump_expression(center: Sequence[float], radius: Sequence[float], d: int) -> Bump:
+    """C^2 product bump ``prod_i max(1 - ((x_i - c_i)/r_i)^2, 0)^3`` with its
+    support ``[c - r, c + r]``."""
+    c = [float(center[i]) for i in range(d)]
+    r = [abs(float(radius[i])) for i in range(d)]
     out: Expr = Const(1.0)
     for i in range(d):
-        t = ex.div(sub(coord(i), Const(float(center[i]))), Const(float(radius[i])))
+        t = ex.div(sub(coord(i), Const(c[i])), Const(r[i]))
         out = mul(out, powc(ex.Max(sub(Const(1.0), powc(t, 2.0)), Const(0.0)), 3.0))
-    return out
+    return Bump(out, tuple(c[i] - r[i] for i in range(d)), tuple(c[i] + r[i] for i in range(d)))
 
 
-def default_bump_library(lo, hi, d: int) -> List[Expr]:
+def default_bump_library(lo, hi, d: int) -> List[Bump]:
     """Eight deterministic bump placements spanning the box interior."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -752,7 +807,8 @@ class ResidualReport:
     ``integral <B, grad f> rho dx``; both vanish when ``rho`` is
     infinitesimally invariant.  ``mass`` is ``|integral rho dx|`` over the
     box and ``scale`` is ``max|f|`` times it.  The skip counts are the
-    non-finite nodes each sum left out.
+    non-finite nodes each sum left out, among the nodes it ran over (for a
+    :class:`Bump`, those of its support box).
     """
 
     residual: float
@@ -777,14 +833,17 @@ def invariance_residual(
 
     This is the only loop over test functions.  The rule's nodes, ``rho`` and
     ``B = G - beta`` are evaluated, and the box mass of ``rho`` integrated,
-    once per call; each test function then runs one program of ``f``, its
-    gradient and its Hessian.  ``f`` must be supported inside the box: a test
-    function that is nonzero at a node on the rule's outermost layer (the box
-    faces for Simpson) raises :class:`CalculusError`.
+    once per call.  Each test function then runs one program of ``f``, its
+    gradient and its Hessian on the nodes of its support box, and both sums
+    run over those nodes only: a :class:`Bump` is integrated over
+    ``rule.restrict(lo, hi)``, any other test function over the whole rule.
+    ``f`` must be supported inside the box: a test function that is nonzero
+    at a node on the whole rule's outermost layer (the box faces for Simpson)
+    raises :class:`CalculusError`.
     """
     pts, w = rule.points_and_weights()
     # the nodes on the rule's outermost layer
-    face = np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)
+    face = pts[np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)]
     B = _b_field(cs, rho)(pts)
     r = rho.rho(pts)
     mass = abs(math.fsum((w * r).tolist()))
@@ -793,18 +852,22 @@ def invariance_residual(
 
 
 def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
-    """One test function's residuals; its arrays are freed on return."""
-    pts = rule.points_and_weights()[0]
-    value, grad, hess = _f_derivatives(f, cs.d, with_value=True)(pts)
-    if np.any(value[face] != 0.0):
+    """One test function's residuals over its support box (the whole rule
+    for a test function without one); its arrays are freed on return."""
+    f, box = (f.expr, rule.restrict(f.lo, f.hi)) if isinstance(f, Bump) else (f, rule.restrict(rule.lo, rule.hi))
+    derivatives = _f_derivatives(f, cs.d, with_value=True)
+    if np.any(derivatives(face)[0] != 0.0):
         raise CalculusError("test function does not vanish on the faces of the quadrature box")
+    pts = box.points_and_weights()[0]
+    value, grad, hess = derivatives(pts)
     fmax = float(np.nanmax(np.abs(value)))
+    r = box.take(r)
     with np.errstate(all="ignore"):
         lf = 0.5 * np.einsum("nij,nij->n", cs.eval_A(pts), hess) + np.einsum("ni,ni->n", cs.eval_G(pts), grad)
-        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", B, grad) * r
+        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", box.take(B), grad) * r
     del value, grad, hess, lf  # the sums below build a list of every node
-    residual, skipped = integrate_masked(lf_rho, rule)
-    divergence, divergence_skipped = integrate_masked(div_rho, rule)
+    residual, skipped = integrate_masked(lf_rho, box)
+    divergence, divergence_skipped = integrate_masked(div_rho, box)
     return ResidualReport(
         residual=residual,
         divergence=divergence,

@@ -910,6 +910,10 @@ def run_simulation_stage(
         return {}, {}
     scfg = sim.config
     x0 = list(sim.x0)
+    # a density that cannot be had fails the stage before any path is stepped
+    kry, trans = sim.krylov, sim.transition
+    rho_krylov = _pick_density(kry.density, analytic, solved) if kry else None
+    rho_ref = _pick_density(trans.reference, analytic, solved) if trans else None
     out: Dict[str, object] = {"config": {
         "dt": scfg.dt, "horizon": scfg.horizon, "paths": scfg.paths,
         "seed": scfg.seed, "radii": list(scfg.radii), "clip": scfg.clip, "x0": x0,
@@ -947,19 +951,15 @@ def run_simulation_stage(
         tables["ergodic.csv"] = Table(
             ["time", "running_average"], list(zip(average["times"], average["running_average"]))
         )
-    kry = sim.krylov
     if kry:
-        rho = _pick_density(kry.density, analytic, solved)
         functional = out["krylov"] = mc.krylov_functional(
-            cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho, q=kry.q, threads=threads
+            cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho_krylov, q=kry.q, threads=threads
         )
         tables["krylov.csv"] = Table(
             ["start", "estimate", "std_error"],
             [[";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]] for r in functional["per_start"]],
         )
-    trans = sim.transition
     if trans:
-        rho_ref = _pick_density(trans.reference, analytic, solved)
         try:
             tr = mc.transition_histogram(cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads)
         except mc.MonteCarloError as err:

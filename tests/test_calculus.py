@@ -245,7 +245,73 @@ def test_default_bumps_vanish_on_box_faces():
                     grids = np.meshgrid(*[[side] if j == k else ts for j in range(d)], indexing="ij")
                     face = np.stack([g.reshape(-1) for g in grids], axis=-1)
                     for f in default_bump_library([-R] * d, [R] * d, d):
-                        assert np.all(evaluate(f, face) == 0.0), (d, R, k, side)
+                        assert np.all(evaluate(f.expr, face) == 0.0), (d, R, k, side)
+
+
+def _same_reports(restricted, whole):
+    for a, b in zip(restricted, whole, strict=True):
+        assert repr(a.residual) == repr(b.residual) and repr(a.divergence) == repr(b.divergence)
+        assert (a.skipped_points, a.divergence_skipped) == (b.skipped_points, b.divergence_skipped)
+        assert (a.mass, a.scale) == (b.mass, b.scale)
+
+
+@pytest.mark.parametrize("d, nodes", [(1, 2001), (2, 721), (3, 81)])
+def test_bump_support_box_gives_the_whole_rule_sums(d, nodes):
+    # example_3_8 in d dimensions: unit drift, with exp(2 x1) dx invariant;
+    # a bare expression (no support box) is summed over the whole rule
+    cs = identity_cs(d, H=["1"] + ["0"] * (d - 1))
+    rho = DensityField.from_expression("exp(2*x1)", d)
+    rule = QuadratureRule.box(3.0, d, nodes)
+    bumps = default_bump_library(rule.lo, rule.hi, d)
+    _same_reports(
+        invariance_residual(cs, rho, bumps, rule),
+        invariance_residual(cs, rho, [b.expr for b in bumps], rule),
+    )
+
+
+def test_bump_support_box_gives_the_whole_rule_sums_on_a_solved_density():
+    from sdelab.density import solve_density
+
+    cs = identity_cs(H=["1", "0"])
+    rho = solve_density(cs, 3.0, 16).to_density_field()
+    rule = QuadratureRule.box(3.0, 2, 481)  # the rule of density.invariance_of_solution
+    bumps = default_bump_library(rule.lo, rule.hi, 2)
+    _same_reports(
+        invariance_residual(cs, rho, bumps, rule),
+        invariance_residual(cs, rho, [b.expr for b in bumps], rule),
+    )
+
+
+@pytest.mark.parametrize("d, nodes", [(1, 2001), (2, 721), (2, 481), (3, 81)])
+def test_bump_support_box_holds_every_nonzero_node(d, nodes):
+    # f, grad f and the Hessian are exactly 0 at every node outside the
+    # sub-box a bump is integrated over, at the node counts the program uses
+    for R in (1.8, 3.0, 4.0):
+        rule = QuadratureRule.box(R, d, nodes)
+        pts = rule.points_and_weights()[0]
+        for bump in default_bump_library(rule.lo, rule.hi, d):
+            box = rule.restrict(bump.lo, bump.hi)
+            outside = np.ones(rule.nodes, dtype=bool)
+            outside[tuple(slice(a, a + n) for a, n in zip(box.start, box.nodes))] = False
+            value, grad, hess = calc._f_derivatives(bump.expr, d, with_value=True)(pts[outside.reshape(-1)])
+            assert not value.any() and not grad.any() and not hess.any(), (d, nodes, R, bump)
+
+
+def test_skipped_nodes_are_counted_on_the_support_box_only():
+    # G1 = 1/(x1 - 2.5) is infinite on the node column x1 = 2.5
+    cs = identity_cs(H=["1/(x1 - 2.5)", "0"])
+    rule = QuadratureRule.box(3.0, 2, 241)
+    rho = DensityField.from_expression("1", 2)
+    away = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)  # x1 in [-2.9, 0.9]
+    rep = invariance_residual(cs, rho, away, rule)
+    assert (rep.skipped_points, rep.divergence_skipped) == (0, 0)
+    assert math.isfinite(rep.residual) and math.isfinite(rep.divergence)
+    # x1 in [-0.9, 2.9]: the column's nodes in the sub-box, not all 241
+    across = bump_expression([1.0, 0.0], [1.9, 1.9], 2)
+    rep = invariance_residual(cs, rho, across, rule)
+    column = rule.restrict(across.lo, across.hi).nodes[1]
+    assert column < 241
+    assert rep.skipped_points == rep.divergence_skipped == column
 
 
 def test_diffusion_root_identity_and_diag():

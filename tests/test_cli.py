@@ -378,6 +378,27 @@ def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):
     assert run_scenario(cfg, stages=("criteria",))["status"]["exit_code"] == 4
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"transition": {"t": 0.5, "reference": "solved"}},
+        {"krylov": {"f": "norm2(x)", "t": 0.2, "x_grid": [[0.0, 0.0]], "density": "solved"}},
+    ],
+    ids=["transition", "krylov"],
+)
+def test_unavailable_solved_density_fails_before_stepping(monkeypatch, block):
+    # the solve block is declared, so the config is valid; the density stage
+    # does not run, so the reference is missing when the simulation stage starts
+    stepped, simulate = [], mc.simulate_ensemble
+    monkeypatch.setattr(mc, "simulate_ensemble", lambda *a, **k: stepped.append(1) or simulate(*a, **k))
+    cfg = tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [3.0], "n": 16}})
+    cfg["simulation"].update(block)
+    report = run_scenario(cfg, stages=("simulation",))
+    assert report["status"]["exit_code"] == 4
+    assert "no solved density available" in report["status"]["notes"][0]
+    assert stepped == []
+
+
 def test_estimator_subcommands_keep_only_their_block(tmp_path):
     cfg = tiny_bm_config()
     cfg["coefficients"]["H"] = ["-x1", "-x2"]

@@ -176,7 +176,7 @@ def _program_sets():
     for name in cli.BUILTIN_NAMES:
         cs, _ = cli.build_problem(cli.load_config(name))
         yield pytest.param(cs.d, list(cs.G), id=name)
-    bump = default_bump_library((-3.0, -3.0), (3.0, 3.0), 2)[2]
+    bump = default_bump_library((-3.0, -3.0), (3.0, 3.0), 2)[2].expr
     grads = ex.gradient(bump, 2, piecewise=True)
     hess = [differentiate(g, j, piecewise=True) for g in grads for j in range(2)]
     yield pytest.param(2, [bump] + grads + hess, id="bump_hessian")
