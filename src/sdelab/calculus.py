@@ -614,14 +614,15 @@ def integrate_masked(values: np.ndarray, rule: Union[QuadratureRule, SubRule]) -
 # drift decomposition and generators
 
 
-def add_half_a_log_grad(start: Sequence[Expr], cs: CoefficientSet, rho: Expr) -> List[Expr]:
-    """``start_i + sum_j 1/2 a_ij d_j rho / rho`` for each ``i``, symbolic."""
-    log_grad = [ex.div(differentiate(rho, j, piecewise=True), rho) for j in range(cs.d)]
+def add_half_a_log_grad(start: Sequence[Expr], m: Callable[[int, int], Expr], rho: Expr) -> List[Expr]:
+    """``start_i + sum_j 1/2 m_ij d_j rho / rho`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
+    d = len(start)
+    log_grad = [ex.div(differentiate(rho, j, piecewise=True), rho) for j in range(d)]
     out = []
-    for i in range(cs.d):
+    for i in range(d):
         s = start[i]
-        for j in range(cs.d):
-            s = ex.add(s, mul(Const(0.5), mul(cs.a_entry(i, j), log_grad[j])))
+        for j in range(d):
+            s = ex.add(s, mul(Const(0.5), mul(m(i, j), log_grad[j])))
         out.append(s)
     return out
 
@@ -645,7 +646,7 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     """
     div_a = half_divergence(cs.a_entry, cs.d)
     if rho.mode == "analytic":
-        return VectorField.from_exprs(add_half_a_log_grad(div_a, cs, rho.expr))
+        return VectorField.from_exprs(add_half_a_log_grad(div_a, cs.a_entry, rho.expr))
 
     div_a_field = VectorField.from_exprs(div_a)
 

@@ -52,7 +52,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, Const, Expr, ExprError, evaluate, parse_expr
+from .expr import CallableField, Const, Expr, ExprError, add, evaluate, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -372,7 +372,8 @@ def _declared_density(v, path, d) -> Declared:
 
 @dataclass(frozen=True)
 class BetaOfDensity:
-    """``H = 1/2 A grad(rho) / rho`` of a declared analytic density."""
+    """``H = 1/2 (A + C^T) grad(rho) / rho`` of a declared analytic density,
+    which leaves that density invariant for any antisymmetric ``C``."""
 
     beta_of_density: int = _key(_int, 0)
 
@@ -437,7 +438,9 @@ class Densities:
     volume_profile: Optional[VolumeProfile] = _key(_block(VolumeProfile), None)
 
 
-EXPECT = crit.VERDICTS[0]  # the verdict a criterion is expected to give by default
+# the criterion whose trend table the criteria stage writes to a CSV file, with
+# the file's name and columns; one such criterion per scenario
+_TREND_CSV = {"VOLUME_RECURRENCE": ("volume_test.csv", ("n", "a_n", "v2_n", "log_v2_over_a"))}
 
 
 @dataclass(frozen=True)
@@ -450,17 +453,19 @@ class Criterion:
     variant: Optional[str] = _key(_str, None)
     mode: Optional[str] = _key(_choice(crit.MODES), None)
     density: Optional[DensityRef] = _key(_density_ref, None)
-    expect: str = _key(_choice(crit.VERDICTS), EXPECT)
-    # eigenvalue and slack fields; criteria.TEMPLATES says which template reads which
+    expect: str = _key(_choice(crit.VERDICTS), crit.VERDICTS[0])  # holds-on-grid
+    # eigenvalue, slack and volume-test drift fields; criteria.TEMPLATES says
+    # which template reads which
     psi1: Optional[Expr] = _key(_expr, None)
     psi2: Optional[Expr] = _key(_expr, None)
     h1: Optional[Expr] = _key(_expr, None)
     h2: Optional[Expr] = _key(_expr, None)
+    Bbar: Optional[Tuple[Expr, ...]] = _key(_vector(_expr), None)
 
     @property
-    def inputs(self) -> Dict[str, Optional[Expr]]:
+    def inputs(self) -> Dict[str, object]:
         """The extra inputs a template may read, besides candidate and rhs."""
-        return dict(psi1=self.psi1, psi2=self.psi2, h1=self.h1, h2=self.h2)
+        return dict(psi1=self.psi1, psi2=self.psi2, h1=self.h1, h2=self.h2, Bbar=self.Bbar)
 
     @cached_property
     def spec(self) -> crit.CriterionSpec:
@@ -468,14 +473,6 @@ class Criterion:
             id=self.id, constants=dict(self.constants or {}), candidate=self.candidate,
             rhs=self.rhs, region=self.region, variant=self.variant, mode=self.mode,
         )
-
-
-@dataclass(frozen=True)
-class VolumeTest:
-    density: DensityRef = _key(_density_ref, 0)
-    Bbar: Optional[Tuple[Expr, ...]] = _key(_vector(_expr), None)
-    n_max: float = _key(_positive, 1e6)
-    expect: str = _key(_choice(crit.VERDICTS), EXPECT)
 
 
 @dataclass(frozen=True)
@@ -574,7 +571,6 @@ class Scenario:
     coefficients: Coefficients = _key(_block(Coefficients))
     density: Densities = _key(_block(Densities), Densities())
     criteria: Tuple[Criterion, ...] = _key(_list(_block(Criterion)), ())
-    volume_test: Optional[VolumeTest] = _key(_block(VolumeTest), None)
     simulation: Optional[Simulation] = _key(_block(Simulation), None)
     notes: Tuple[str, ...] = _key(_list(_str), ())
     output_dir: Optional[str] = _key(_str, None)
@@ -652,8 +648,8 @@ def _check_references(s: Scenario) -> None:
             crit.check_criterion(c.spec, s.dimension, c.density is not None, c.inputs)
         except crit.CriterionError as err:
             raise ConfigError(err.message, f"$.criteria[{i}].{err.where}") from None
-    if s.volume_test:
-        ref(s.volume_test.density, "$.volume_test.density")
+        if c.id in _TREND_CSV and any(b.id == c.id for b in s.criteria[:i]):
+            raise ConfigError(f"a second {c.id} would overwrite {_TREND_CSV[c.id][0]}", f"$.criteria[{i}].id")
     if s.simulation:
         _check_simulation(s.simulation, s.dimension, ref)
 
@@ -736,9 +732,10 @@ def build_problem(scenario: Union[Scenario, dict]):
             return calc.coefficient_set_from_drift(co.A, co.G, d=d, C=co.C, integrability_p=co.p), analytic
         H = co.H
         if isinstance(H, BetaOfDensity):
-            # gradient-type drift derived from a declared density: H = 1/2 A grad(rho)/rho
+            # gradient-type drift derived from a declared density: H = 1/2 (A + C^T) grad(rho)/rho
             base = calc.build_coefficient_set(co.A, co.C, None, d=d, integrability_p=co.p)
-            H = calc.add_half_a_log_grad([Const(0.0)] * d, base, analytic[H.beta_of_density].expr)
+            m = lambda i, j: add(base.a_entry(i, j), base.c_entry(j, i))
+            H = calc.add_half_a_log_grad([Const(0.0)] * d, m, analytic[H.beta_of_density].expr)
         return calc.build_coefficient_set(co.A, co.C, H, d=d, integrability_p=co.p), analytic
     except (calc.CalculusError, ExprError) as err:
         raise ConfigError(str(err), "$.coefficients") from None
@@ -851,6 +848,7 @@ def run_density_stage(
         res_rep = dens.invariance_of_solution(cs, last)
         out["solve"]["invariance_residual"] = res_rep["max_residual"]
         out["solve"]["invariance_scale"] = res_rep["scale"]
+        out["solve"]["divergence_residual"] = res_rep["divergence_residual"]
         mesh = last.mesh
         pts, vals = _lattice(mesh.axis(), mesh.d), last.values.reshape(-1)
         tables["density_grid.csv"] = Table(
@@ -890,15 +888,10 @@ def run_criteria_stage(
         rho = _pick_density(c.density, analytic, solved)
         verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, **c.inputs)
         results.append(_expected(verdict, c.expect))
-    vt = scenario.volume_test
-    if vt is not None:
-        rho = _pick_density(vt.density, analytic, solved)
-        verdict = crit.recurrence_volume_test(cs, rho, Bbar=vt.Bbar, n_max=vt.n_max)
-        results.append(_expected(verdict, vt.expect))
         t = verdict.trend_table
-        if t is not None:  # None when v(r) vanishes and the test is silent
-            columns = ["n", "a_n", "v2_n", "log_v2_over_a"]
-            tables["volume_test.csv"] = Table(columns, list(zip(*(t[c] for c in columns))))
+        if c.id in _TREND_CSV and t is not None:  # None when the volume test is silent
+            name, columns = _TREND_CSV[c.id]
+            tables[name] = Table(columns, list(zip(*(t[k] for k in columns))))
     return results, tables
 
 
@@ -1027,7 +1020,7 @@ def emit_report(report: dict, tables: Dict[str, Table], out_dir: Path) -> None:
 
 def run_scenario(
     cfg: Union[Scenario, dict],
-    out_dir: Optional[Path] = None,
+    out_dir: Union[None, str, Path] = None,
     *,
     stages: Sequence[str] = ("density", "criteria", "simulation"),
     threads: int = 1,
@@ -1109,7 +1102,7 @@ def run_scenario(
     notes.extend(scenario.notes)
     report["status"]["exit_code"] = exit_code
     if out_dir is not None:
-        emit_report(report, tables, out_dir)
+        emit_report(report, tables, Path(out_dir))
     return report
 
 

@@ -6,7 +6,11 @@ reports the minimum margin ``rhs - lhs`` over a sampling grid together with
 the argmin witness.  Verdicts are explicitly "holds-on-grid": the artifact
 samples, it does not certify.  Limit-type conditions (integrability, volume
 growth, a_n divergence) are evaluated as trends over geometric radius
-ladders and report "inconclusive" when the trend is unstable.
+ladders and report "inconclusive" when the trend is unstable.  The
+volume-integral recurrence test (:func:`recurrence_volume_test`) is one
+catalog entry like the others: it reads the density, an optional drift
+``Bbar`` and the constant ``n_max``, samples no region, and returns its
+``a_n`` ladder as the verdict's trend table.
 """
 
 from __future__ import annotations
@@ -514,6 +518,10 @@ def _handle_ergodic_drift(spec, cs, rho):
     return _margin_verdict(spec, result, ["specialization: <= -M"])
 
 
+def _handle_volume_recurrence(spec, cs, rho, Bbar=None):
+    return recurrence_volume_test(cs, rho, Bbar, spec.constants["n_max"])
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -539,7 +547,9 @@ class Template(NamedTuple):
     # the first variant is the default, and None stands for a template
     # without variants
     variants: Dict[Optional[str], Variant]
-    region: Union[str, RegionSpec] = "interior"  # default region: "interior", "exterior" or this one
+    # default region: "interior", "exterior" or this one; None for a template
+    # that reads no region
+    region: Union[None, str, RegionSpec] = "interior"
     # reads the density "always", "never", or in "adjoint" mode only; only
     # the templates of the last kind have a mode
     density: str = "never"
@@ -593,15 +603,23 @@ TEMPLATES: Dict[str, Template] = {
         _handle_ergodic_drift, "finite invariant measure; ergodic limits apply",
         {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",)),
          "eq_335": Variant({"M": 0.0, **_N0}), "eq_336": Variant({"M": REQUIRED, **_N0})}, region="exterior"),
+    "VOLUME_RECURRENCE": Template(
+        _handle_volume_recurrence, "recurrent (volume-integral test)",
+        {None: Variant({"n_max": 1e6}, reads=("Bbar",))}, region=None, density="always"),
 }
 
-# constants with a lower bound: N0 is a radius, and the annulus ladder of
-# VOLUME_CONSERVATIVE doubles N1 until it passes r_max
-_BOUNDS = {"N0": ("N0 > 0", lambda v: v > 0), "N1": ("N1 >= 1", lambda v: v >= 1)}
+# constants with a lower bound: N0 is a radius, the annulus ladder of
+# VOLUME_CONSERVATIVE doubles N1 until it passes r_max, and n_max ends the
+# volume test's ladder
+_BOUNDS = {"N0": ("N0 > 0", lambda v: v > 0), "N1": ("N1 >= 1", lambda v: v >= 1),
+           "n_max": ("n_max > 0", lambda v: v > 0)}
+
+# the id of the volume-integral test's row, which recurrence_volume_test reports
+_VOLUME_TEST = next(k for k, t in TEMPLATES.items() if t.handler is _handle_volume_recurrence)
 
 
-def _default_region(where: Union[str, RegionSpec], d: int, n0: Optional[float]) -> RegionSpec:
-    if isinstance(where, RegionSpec):
+def _default_region(where: Union[None, str, RegionSpec], d: int, n0: Optional[float]) -> Optional[RegionSpec]:
+    if where is None or isinstance(where, RegionSpec):
         return where
     if d == 1:
         return RegionSpec(kind="interval", lo=-10.0, hi=10.0)
@@ -616,8 +634,9 @@ def check_criterion(
     constants (as floats) and region filled in.
 
     ``inputs`` are the extra inputs given besides the spec's candidate and
-    rhs; None stands for one not given.  An input, a mode or a density that
-    the template (in the given variant and mode) does not read is an error.
+    rhs; None stands for one not given.  An input, a mode, a density or a
+    region that the template (in the given variant and mode) does not read is
+    an error.
     A candidate or rhs given as a string is parsed.  Raises
     :class:`CriterionError` that names the criterion field at fault.
     """
@@ -649,6 +668,8 @@ def check_criterion(
     for name in var.needs:
         if name not in given:
             raise CriterionError(f"{flavor} needs {name}", name)
+    if spec.region is not None and t.region is None:
+        raise CriterionError(f"{spec.id} reads no region", "region")
     has_mode = t.density == "adjoint"
     if spec.mode is not None and not has_mode:
         raise CriterionError(f"{spec.id} has no mode", "mode")
@@ -684,7 +705,7 @@ def evaluate_criterion(
     """Instantiate a catalog template and return its sampled-grid verdict.
 
     ``inputs`` are the extra inputs some templates read (``psi1``/``psi2``,
-    ``h1``/``h2``); the spec is first checked against its template.
+    ``h1``/``h2``, ``Bbar``); the spec is first checked against its template.
     """
     spec = check_criterion(spec, cs.d, rho is not None, inputs)
     given = {k: _coerce_candidate(v, cs.d) for k, v in inputs.items() if v is not None}
@@ -789,65 +810,40 @@ def recurrence_volume_test(
     to zero on the ladder ``n = 1, 2, 4, ...`` up to ``n_max``.
     """
     radii, v1, v2 = volume_test_integrands(cs, rho, Bbar, n_max)
-    v = v1 + v2
-
-    # a_n by trapezoid in ln r: integrand r^2 / v(r)
-    sel = radii >= 1.0
-    rs = radii[sel]
-    vs = v[sel]
-    if np.any(vs <= 0):
-        return CriterionVerdict(
-            id="VOLUME_RECURRENCE",
-            region=f"volume test up to n={n_max:g}",
-            verdict="inconclusive",
-            conclusion="recurrence (volume test)",
-            notes=["v(r) vanishes on a radius interval; division guard"],
+    rs, vs = radii[radii >= 1.0], (v1 + v2)[radii >= 1.0]
+    verdict, table = "inconclusive", None
+    notes = ["v(r) vanishes on a radius interval; division guard"]
+    if not np.any(vs <= 0):
+        # a_n by trapezoid in ln r (integrand r^2 / v(r)) on the geometric ladder
+        u, integrand_u = np.log(rs), rs**2 / vs
+        a = np.concatenate([[0.0], np.cumsum(0.5 * (integrand_u[1:] + integrand_u[:-1]) * np.diff(u))])
+        ladder = []
+        m = 1.0
+        while m <= n_max * (1 + 1e-12):
+            ladder.append(m)
+            m *= 2.0
+        a_n = [float(np.interp(math.log(n), u, a)) for n in ladder]
+        v2_n = [float(np.interp(n, radii, v2)) for n in ladder]
+        ratios = [math.log(max(v, 1.0)) / an if an > 0 else math.inf for v, an in zip(v2_n, a_n)]
+        table = {"n": ladder, "a_n": a_n, "v2_n": v2_n, "log_v2_over_a": ratios}
+        kind, why = _converging_trend(np.diff(np.array(a_n)))
+        finite = [x for x in ratios if math.isfinite(x)]
+        v2_trending_zero = (not finite) or finite[-1] <= 1e-6 or (
+            len(finite) >= 3 and finite[-1] <= 0.5 * max(finite[0], 1e-300)
         )
-    u = np.log(rs)
-    integrand_u = rs**2 / vs
-    a = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand_u[1:] + integrand_u[:-1]) * np.diff(u))]
-    )
-
-    # geometric ladder for the trend table
-    ladder = []
-    m = 1.0
-    while m <= n_max * (1 + 1e-12):
-        ladder.append(m)
-        m *= 2.0
-    a_of = lambda n: float(np.interp(math.log(n), u, a))
-    v2_of = lambda n: float(np.interp(n, radii, v2))
-    table = {
-        "n": ladder,
-        "a_n": [a_of(n) for n in ladder],
-        "v2_n": [v2_of(n) for n in ladder],
-        "log_v2_over_a": [
-            (math.log(max(v2_of(n), 1.0)) / a_of(n)) if a_of(n) > 0 else math.inf
-            for n in ladder
-        ],
-    }
-    incs = np.diff(np.array(table["a_n"]))
-    kind, why = _converging_trend(incs)
-    ratio_seq = [x for x in table["log_v2_over_a"] if math.isfinite(x)]
-    v2_trending_zero = (not ratio_seq) or ratio_seq[-1] <= 1e-6 or (
-        len(ratio_seq) >= 3 and ratio_seq[-1] <= 0.5 * max(ratio_seq[0], 1e-300)
-    )
-    notes = [f"a_n trend: {why}"]
-    if kind == "growing" and v2_trending_zero:
-        verdict = "holds-on-grid"
-        notes.append("a_n unbounded-trending and ln(v2 v 1)/a_n -> 0 trending")
-    elif kind == "converging":
-        verdict = "inconclusive"
-        notes.append("a_n converging: transient-consistent, test silent")
-    else:
-        verdict = "inconclusive"
-        if kind == "growing":
+        notes = [f"a_n trend: {why}"]
+        if kind == "growing" and v2_trending_zero:
+            verdict = "holds-on-grid"
+            notes.append("a_n unbounded-trending and ln(v2 v 1)/a_n -> 0 trending")
+        elif kind == "converging":
+            notes.append("a_n converging: transient-consistent, test silent")
+        elif kind == "growing":
             notes.append("ln(v2 v 1)/a_n not trending to zero")
     return CriterionVerdict(
-        id="VOLUME_RECURRENCE",
+        id=_VOLUME_TEST,
         region=f"volume test up to n={n_max:g}",
         verdict=verdict,
-        conclusion="recurrent (volume-integral test)" if verdict == "holds-on-grid" else "recurrence (volume test)",
+        conclusion=TEMPLATES[_VOLUME_TEST].conclusion,
         notes=notes,
         trend_table=table,
     )

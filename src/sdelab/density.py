@@ -369,7 +369,8 @@ def solve_density(
 
 
 def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> Dict[str, object]:
-    """Quadrature residuals of the solved density against the bump library."""
+    """Quadrature residuals of the solved density against the bump library:
+    the invariance residuals and the largest divergence residual."""
     mesh = approx.mesh
     # finer than the mesh (multilinear interpolation of the grid density);
     # 481/81 nodes per axis put every default bump edge on a Simpson panel
@@ -382,6 +383,7 @@ def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> 
         "max_residual": max(abs(r.residual) for r in reports),
         "scale": max(r.scale for r in reports),
         "residuals": [r.residual for r in reports],
+        "divergence_residual": max(abs(r.divergence) for r in reports),
     }
 
 

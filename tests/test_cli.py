@@ -104,7 +104,8 @@ def test_validation_reports_field_path():
         (tiny_bm_config(simulation=[]), "$.simulation"),
         (cfg8, "$.simulation.checks[0]"),
         (cfg9, "$.simulation.moments"),
-        (tiny_bm_config(volume_test="analytic:0"), "$.volume_test"),
+        (tiny_bm_config(criteria=[{"id": "VOLUME_RECURRENCE", "constants": 1e6, "density": "analytic:0"}]),
+         "$.criteria[0].constants"),
     ):
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
@@ -136,6 +137,12 @@ def malformed_inputs():
     def crit0(**changes):
         cfg = tiny_bm_config()
         cfg["criteria"][0].update(changes)
+        return cfg
+
+    def volume(*extra, **changes):
+        """The tiny config with a volume test as criteria[1], then ``extra``."""
+        cfg = tiny_bm_config()
+        cfg["criteria"] += [{"id": "VOLUME_RECURRENCE", "density": "analytic:0", **changes}, *extra]
         return cfg
 
     beta = tiny_bm_config()
@@ -172,7 +179,7 @@ def malformed_inputs():
     c_full["coefficients"]["C"] = [["0", "1"], ["1", "0"]]
     return [
         (candidate_on_eq_335, "$.criteria[0].candidate", "ERGODIC_DRIFT/eq_335 does not read candidate"),
-        (growth_with_mode, "$.criteria[3].mode", "GROWTH_NONEXPLOSION has no mode"),
+        (growth_with_mode, "$.criteria[4].mode", "GROWTH_NONEXPLOSION has no mode"),
         (n_se_on_exit_prob, "$.simulation.checks[1].n_se", "exit_prob check does not read this field"),
         (mean_at_off_time, "$.simulation.checks[1].time", "must equal simulation.transition.t"),
         (crit0(density="analytic:0"), "$.criteria[0].density", "RECURRENCE_SUPERSOLUTION does not read the density"),
@@ -216,7 +223,15 @@ def malformed_inputs():
         (crit0(region={"kind": "boxx"}), "$.criteria[0].region.kind", "'boxx' is not one of"),
         (crit0(mode="sideways"), "$.criteria[0].mode", "'sideways' is not one of"),
         (crit0(expect="maybe"), "$.criteria[0].expect", "'maybe' is not one of"),
-        (tiny_bm_config(volume_test={"expect": "maybe"}), "$.volume_test.expect", "'maybe' is not one of"),
+        (volume(expect="maybe"), "$.criteria[1].expect", "'maybe' is not one of"),
+        (tiny_bm_config(volume_test={"density": "analytic:0"}), "$.volume_test", "unknown field"),
+        (volume(region={"r_min": 2.0}), "$.criteria[1].region", "VOLUME_RECURRENCE reads no region"),
+        (volume(Bbar=["0"]), "$.criteria[1].Bbar", "expected 2 components"),
+        (tiny_bm_config(criteria=[{"id": "VOLUME_RECURRENCE"}]),
+         "$.criteria[0].density", "VOLUME_RECURRENCE needs the density"),
+        (volume(constants={"n_max": 0}), "$.criteria[1].constants.n_max", "needs n_max > 0"),
+        (volume({"id": "VOLUME_RECURRENCE", "density": "analytic:0", "constants": {"n_max": 1e3}}),
+         "$.criteria[2].id", "a second VOLUME_RECURRENCE would overwrite volume_test.csv"),
         (crit0(constant={"N0": 3}), "$.criteria[0].constant", "unknown field"),
         (tiny_bm_config(simulaton={}), "$.simulaton", "unknown field"),
         (sim(x0=[9.0, 0.0]), "$.simulation.x0", "inside the smallest ladder radius"),
@@ -289,6 +304,31 @@ def test_empty_scenario_yields_valid_report(tmp_path):
     assert report["status"]["exit_code"] == 0
     blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["stages"] == {"density": {}, "criteria": [], "simulation": {}}
+
+
+def test_run_scenario_takes_a_str_output_dir(tmp_path):
+    cfg = tiny_bm_config()
+    cfg.pop("simulation")
+    report = run_scenario(cfg, str(tmp_path / "out"), stages=("criteria",))
+    assert report["status"]["exit_code"] == 0
+    assert (tmp_path / "out" / "report.json").exists()
+    assert (tmp_path / "out" / "verdicts.json").exists()
+
+
+def test_beta_of_density_keeps_the_density_invariant_with_variable_c():
+    # H = 1/2 (A + C^T) grad(rho)/rho makes the flux vanish at rho for any antisymmetric C;
+    # without the C^T term this residual is 0.30 against a scale of 3.63
+    cfg = tiny_bm_config(
+        coefficients={"A": [["2", "0"], ["1.5"]], "C": [["x1*x2"]], "H": {"beta_of_density": 0}},
+        density={"analytic": ["exp(-(x1^2 + x1*x2 + x2^2))"]},
+        criteria=[],
+    )
+    cfg.pop("simulation")
+    report = run_scenario(cfg, stages=("density",))
+    assert report["status"]["exit_code"] == 0
+    (row,) = report["stages"]["density"]["analytic"]
+    assert row["invariant_on_grid"]
+    assert row["max_invariance_residual"] <= 1e-8 * row["residual_scale"]
 
 
 def test_tiny_scenario_green(tmp_path):
@@ -518,6 +558,9 @@ def test_density_solve_emits_grid_csv(tmp_path):
     }
     report = run_scenario(cfg, tmp_path, stages=("density",))
     assert report["status"]["exit_code"] == 0
+    # the divergence residual goes to report.json only
+    solve = json.loads((tmp_path / "report.json").read_text())["stages"]["density"]["solve"]
+    assert 0 <= solve["divergence_residual"] < solve["invariance_scale"]
     grid = (tmp_path / "density_grid.csv").read_text().splitlines()
     assert grid[0].startswith("# R=2.0,n=16,d=2")
     assert grid[1] == "index,x1,x2,value"

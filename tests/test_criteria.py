@@ -48,6 +48,7 @@ def test_catalog_is_complete():
         "RECURRENCE_GROWTH",
         "VOLUME_CONSERVATIVE",
         "ERGODIC_DRIFT",
+        "VOLUME_RECURRENCE",
     }
     assert set(TEMPLATES) == expected
     for row in TEMPLATES.values():
@@ -405,6 +406,22 @@ def test_volume_test_ou_recurrent():
     rho = DensityField.from_expression("exp(-norm2(x))", 2)
     v = recurrence_volume_test(cs, rho, n_max=1e3)
     assert v.verdict == "holds-on-grid"
+
+
+def test_volume_template_matches_direct_call_with_c_and_bbar():
+    cs = build_coefficient_set([["1", "0"], ["1"]], [["x1*x2"]], ["-x1", "-x2"], d=2)
+    rho = DensityField.from_expression("exp(-norm2(x))", 2)
+    bbar = [parse_expr("x1", 2), parse_expr("0", 2)]
+    spec = CriterionSpec(id="VOLUME_RECURRENCE", constants={"n_max": 1e3})
+    via_template = evaluate_criterion(spec, cs, rho=rho, Bbar=bbar)
+    direct = recurrence_volume_test(cs, rho, bbar, 1e3)
+    assert via_template.to_json() == direct.to_json()
+    assert direct.id == "VOLUME_RECURRENCE" and direct.trend_table is not None
+    # Bbar enters v2
+    assert direct.trend_table["v2_n"] != recurrence_volume_test(cs, rho, None, 1e3).trend_table["v2_n"]
+    with pytest.raises(crit.CriterionError, match="reads no region") as err:
+        evaluate_criterion(CriterionSpec(id="VOLUME_RECURRENCE", region=RegionSpec()), cs, rho=rho)
+    assert err.value.where == "region"
 
 
 def test_verdict_serializes():

@@ -196,6 +196,7 @@ def test_invariance_of_solution_constant():
     approx = solve_density(cs, R=3.0, n=32, boundary="ones")
     rep = invariance_of_solution(cs, approx)
     assert rep["max_residual"] <= 1e-8 * rep["scale"]
+    assert rep["divergence_residual"] <= 1e-8  # B = G - beta vanishes for a constant density
 
 
 def test_invariance_of_solution_manufactured_decreases():
