@@ -914,8 +914,12 @@ def run_simulation_stage(
     tables: Dict[str, Table] = {}
 
     moments = sim.moments
-    save_times = sorted(set(moments.times)) if moments else None
-    ens = mc.simulate_ensemble(cs, x0, scfg, save_times=save_times, threads=threads)
+    save_times = set(moments.times) if moments else set()
+    # a transition time within the horizon is read off this ensemble
+    reuse = trans is not None and scfg.dt <= trans.t <= scfg.horizon
+    if reuse:
+        save_times.add(trans.t)
+    ens = mc.simulate_ensemble(cs, x0, scfg, save_times=sorted(save_times), threads=threads)
     out["clip_events"] = int(ens.clip_counts.sum())
     out["exited_paths"] = int(ens.status.sum())
     if sim.save_paths:
@@ -953,13 +957,18 @@ def run_simulation_stage(
             [[";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]] for r in functional["per_start"]],
         )
     if trans:
+        shared = ens if reuse else None
         try:
-            tr = mc.transition_histogram(cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads)
+            tr = mc.transition_histogram(
+                cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads, ensemble=shared
+            )
         except mc.MonteCarloError as err:
             if "not normalizable" not in str(err):
                 raise
             # keep the empirical marginals; record why no reference applies
-            tr = mc.transition_histogram(cs, x0, trans.t, scfg, rho_ref=None, threads=threads)
+            tr = mc.transition_histogram(
+                cs, x0, trans.t, scfg, rho_ref=None, threads=threads, ensemble=shared
+            )
             tr["reference_error"] = str(err)
         out["transition"] = tr
         quantiles = tr["cdf_quantiles"]

@@ -551,7 +551,7 @@ def _fmt_float(v: float) -> str:
 def to_source(e: Expr) -> str:
     """Canonical printer; ``parse_expr(to_source(t), d)`` reproduces ``t``."""
     if isinstance(e, Const):
-        if e.value < 0:
+        if math.copysign(1.0, e.value) < 0:  # -0.0 too: a bare "-0.0" parses as a negation
             return f"(-{_fmt_float(-e.value)})"
         return _fmt_float(e.value)
     if isinstance(e, Coord):
@@ -714,7 +714,12 @@ class Program:
     may serve several threads.
 
     A single expression maps ``(n, d)`` points to ``(n,)``; a sequence of
-    ``m`` expressions maps them to ``(n, m)``.
+    ``m`` expressions maps them to ``(n, m)``.  Calling the program also takes
+    one point ``(d,)`` and evaluates under ``np.errstate(all="ignore")``;
+    :meth:`run` is the same evaluation without either, for a stepping loop
+    that passes ``(n, d)`` batches and holds one ``errstate`` around all its
+    calls (entering and leaving one costs about a third of a small
+    program's run on one point).
     """
 
     def __init__(self, exprs: Union[Expr, Sequence[Expr]]):
@@ -760,13 +765,17 @@ class Program:
 
     @batched
     def __call__(self, pts: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.run(pts)
+
+    def run(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate at ``(n, d)`` points under the caller's ``np.errstate``."""
         v = list(self._init)
         v[_PTS] = pts
-        with np.errstate(all="ignore"):
-            for slot, fn, args, dead in self._code:
-                v[slot] = fn(*[v[a] for a in args])
-                for a in dead:  # last use: release the intermediate
-                    v[a] = None
+        for slot, fn, args, dead in self._code:
+            v[slot] = fn(*[v[a] for a in args])
+            for a in dead:  # last use: release the intermediate
+                v[a] = None
         out = np.empty((pts.shape[0], len(self._outputs)))
         for k, slot in enumerate(self._outputs):
             out[:, k] = v[slot]

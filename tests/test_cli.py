@@ -499,10 +499,34 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
     assert sorted(runs[0]) == ["exit.csv", "krylov.csv", "moments.csv", "paths.csv", "transition_cdf.csv"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert batches == [8] * 12
+    assert batches == [8] * 9
     paths_csv = runs[0]["paths.csv"].decode().splitlines()[1:]
     assert any(row.split(",")[2] for row in paths_csv)  # some exit from radius 0.5
     assert any(int(row.split(",")[4]) for row in paths_csv)  # some clipped step
+
+
+def test_transition_reads_the_main_ensemble(tmp_path, monkeypatch):
+    stepped, simulate = [], mc.simulate_ensemble
+    monkeypatch.setattr(mc, "simulate_ensemble", lambda *a, **k: stepped.append(1) or simulate(*a, **k))
+    # example_3_8 samples its transition at the horizon
+    report = run_scenario(load_config("example_3_8"), tmp_path / "example_3_8", stages=("simulation",))
+    assert report["status"]["exit_code"] == 0
+    assert stepped == [1]
+    # a transition time inside the horizon gives the bytes of an ensemble
+    # stepped to that time alone
+    cfg = tiny_bm_config()
+    cfg["coefficients"]["H"] = ["-x1", "-x2"]
+    cfg["simulation"].pop("moments")
+    cfg["simulation"].update(radii=[0.5, 8.0], clip=0.005, transition={"t": 0.3}, checks=[])
+    csv = []
+    for horizon, ensembles in ((0.5, 1), (0.2, 2)):
+        stepped.clear()
+        cfg["simulation"]["horizon"] = horizon
+        out = tmp_path / f"h{horizon}"
+        assert run_scenario(cfg, out, stages=("simulation",))["status"]["exit_code"] == 0
+        assert len(stepped) == ensembles
+        csv.append((out / "transition_cdf.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def test_cli_main_catalog(capsys):

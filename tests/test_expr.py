@@ -303,6 +303,13 @@ def test_printer_round_trip(tree):
     assert parse_expr(to_source(tree), 2) == tree
 
 
+def test_negative_zero_reprints_as_a_literal():
+    tree = ex.Pow(Const(-0.0), 2.0)
+    once = to_source(tree)
+    assert once == "(-0.0)^2.0"
+    assert to_source(parse_expr(once, 2)) == once
+
+
 @settings(max_examples=100, deadline=None)
 @given(_exprs())
 def test_reprint_is_stable(tree):

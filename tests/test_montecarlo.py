@@ -293,7 +293,7 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
     burn_steps = int(round(burn_in / dt))
     total = 0.0
     stride = max(1, n_steps // curve_points)
-    curve_t, curve_v = [], []
+    curve_t, curve_v, curve_totals = [], [], []
     for k in range(n_steps):
         if k >= burn_steps:
             total += float(np.asarray(fn(x[None, :]))[0]) * dt
@@ -315,6 +315,7 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
             t_now = (k + 1) * dt
             curve_t.append(t_now)
             curve_v.append(total / (t_now - burn_in))
+            curve_totals.append(total)
     t_final = min((k + 1) * dt, cfg.horizon)
     terminal = total / (t_final - burn_in)
     drift_note = None
@@ -332,6 +333,7 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
         "burn_in": burn_in,
         "horizon": t_final,
         "non_converged_note": drift_note,
+        "batch_means_std_error": montecarlo._batch_means_std_error(curve_totals, stride * dt),
     }
 
 
@@ -348,6 +350,115 @@ def test_ergodic_average_matches_scalar_loop():
     out = ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0)
     assert 1.0 < out["horizon"] < cfg.horizon and out["times"]
     assert repr(out) == repr(scalar_ergodic_average(OU, [0.5, 0.0], cfg, f, burn_in=1.0))
+
+
+def test_ergodic_batch_means_std_error():
+    # a constant has no batch-to-batch spread
+    cfg = SimulationConfig(dt=1e-2, horizon=20.0, paths=1, seed=71, radii=(16.0,))
+    out = ergodic_average(OU, [0.0, 0.0], cfg, lambda pts: np.ones(len(pts)), burn_in=1.0)
+    assert 0.0 <= out["batch_means_std_error"] <= 1e-12
+    # E[X1] = 0 under the stationary law: the average lies within its error bar
+    cfg = SimulationConfig(dt=1e-2, horizon=100.0, paths=1, seed=72, radii=(16.0,))
+    out = ergodic_average(OU, [1.0, 0.0], cfg, parse_expr("x1", 2), burn_in=2.0)
+    se = out["batch_means_std_error"]
+    assert se > 0 and abs(out["terminal_average"]) <= 4 * se
+    # fewer increments than batches give no error bar
+    cfg = SimulationConfig(dt=1e-2, horizon=0.2, paths=1, seed=72, radii=(16.0,))
+    out = ergodic_average(OU, [1.0, 0.0], cfg, parse_expr("x1", 2), burn_in=0.05)
+    assert len(out["times"]) < montecarlo._BATCHES + 1
+    assert out["batch_means_std_error"] is None
+
+
+def plain_ensemble(cs, x0, cfg, save_times, accumulate, accumulate_from):
+    """One path at a time: ``cs.eval_G``, ``np.linalg.norm`` and one call per
+    accumulator, the arithmetic ``simulate_ensemble`` must reproduce."""
+    d, dt, n_steps = cs.d, cfg.dt, cfg.n_steps
+    sqrt_dt = math.sqrt(dt)
+    radii = list(cfg.radii)
+    fns = {name: as_point_function(f) for name, f in accumulate.items()}
+    save_idx = sorted({n_steps} | {int(round(t / dt)) for t in save_times})
+    acc_start = int(round(accumulate_from / dt))
+    out = {"states": [], "exit_times": [], "clip_counts": [], "status": [], "overshoot_max": []}
+    out.update({name: [] for name in fns})
+    for p in range(cfg.paths):
+        xi = _philox_normals(cfg.seed, p, (n_steps, d))
+        x = np.asarray(x0, dtype=float)
+        nxt, clips, over = 0, 0, 0.0
+        exits = [math.nan] * len(radii)
+        totals = {name: 0.0 for name in fns}
+        states, saved = [], {name: [] for name in fns}
+        if 0 in save_idx:
+            states.append(x.tolist())
+        for k in range(n_steps):
+            if nxt < len(radii):
+                if k >= acc_start:
+                    for name, fn in fns.items():
+                        totals[name] += float(fn(x[None, :])[0]) * dt
+                G = cs.eval_G(x[None, :])
+                gn = float(np.linalg.norm(G, axis=1)[0])
+                if gn * dt > cfg.clip:
+                    G = G * (cfg.clip / (gn * dt))
+                    clips += 1
+                sig = calc.diffusion_root_batch(cs.eval_A(x[None, :]))
+                noise = np.einsum("nij,nj->ni", sig, xi[k][None, :])
+                x = (x[None, :] + G * dt + sqrt_dt * noise)[0]
+                r = float(np.linalg.norm(x[None, :], axis=1)[0])
+                if r >= radii[nxt]:
+                    over = max(over, r - radii[nxt])
+                    while nxt < len(radii) and r >= radii[nxt]:
+                        exits[nxt] = (k + 1) * dt
+                        nxt += 1
+            if k + 1 in save_idx:
+                states.append(x.tolist())
+                for name in fns:
+                    saved[name].append(totals[name])
+        out["states"].append(states)
+        out["exit_times"].append(exits)
+        out["clip_counts"].append(clips)
+        out["status"].append(int(nxt == len(radii)))
+        out["overshoot_max"].append(over)
+        for name in fns:
+            out[name].append(saved[name])
+    return out
+
+
+def test_fused_kernel_matches_plain_stepper(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: [(0, 5), (5, paths)])
+    # a non-constant A; outward drift inside radius sqrt(3), inward outside, so
+    # paths cross the close inner radii (several in one step) and some leave
+    cs = build_coefficient_set(
+        [["2 + x1/(1 + norm2(x))", "0.3"], ["1.5"]], None, ["3*x1 - x1*norm2(x)", "3*x2 - x2*norm2(x)"], d=2
+    )
+    assert not cs.a_is_constant()
+    dt = 2e-2
+    cfg = SimulationConfig(dt=dt, horizon=600 * dt, paths=12, seed=404, radii=(1.0, 1.05, 1.1, 2.8), clip=0.06)
+    acc = {"r2": parse_expr("norm2(x)", 2), "mixed": parse_expr("x1*x2 - x1", 2)}
+    kw = dict(save_times=[0.3, 1.0, 5.0], accumulate=acc, accumulate_from=0.3)
+    ens = simulate_ensemble(cs, [0.5, 0.2], cfg, **kw)
+    ref = plain_ensemble(cs, [0.5, 0.2], cfg, **kw)
+    assert repr(ens.states.tolist()) == repr(ref["states"])
+    exit_times = np.column_stack([ens.exit_times[r] for r in cfg.radii])
+    assert repr(exit_times.tolist()) == repr(ref["exit_times"])
+    for name in ("clip_counts", "status", "overshoot_max"):
+        assert repr(getattr(ens, name).tolist()) == repr(ref[name])
+    for name in acc:
+        assert repr(ens.accumulators[name].tolist()) == repr(ref[name])
+    # the case covers what it is meant to
+    assert ens.clip_counts.sum() > 0
+    assert 0 < ens.status.sum() < cfg.paths
+    assert np.any(ens.exit_times[1.0] == ens.exit_times[1.1])
+    assert np.all(ens.accumulators["mixed"][:, 0] == 0.0)  # nothing before accumulate_from
+    assert np.all(ens.accumulators["mixed"][:, 1:] != 0.0)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_row_norms_equal_linalg_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for magnitude in (1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200):
+        x = magnitude * rng.standard_normal((200, d)) * np.exp(rng.standard_normal((200, d)))
+        with np.errstate(all="ignore"):
+            got, want = montecarlo._row_norms(x), np.linalg.norm(x, axis=1)
+        assert repr(got.tolist()) == repr(want.tolist())
 
 
 def test_chunked_noise_reproduces_the_stream(monkeypatch):
