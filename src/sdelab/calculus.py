@@ -65,6 +65,7 @@ __all__ = [
     "diffusion_root",
     "diffusion_root_batch",
     "integrate",
+    "exact_sum",
     "default_bump_library",
     "bump_expression",
 ]
@@ -589,25 +590,74 @@ class SubRule:
         return pts, w
 
 
+# Adding and then subtracting this rounds a frexp mantissa, |m| < 1, to a
+# multiple of 2**-27; the remainder is a multiple of 2**-53 below 2**-28.
+_SPLIT = 1.5 * 2.0**25
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a float array, bit-equal to
+    ``math.fsum(x.tolist())`` but without a Python list.
+
+    Each value is ``m * 2**e`` with ``m`` from :func:`numpy.frexp`; ``m``
+    splits exactly into a multiple of ``2**-27`` and a remainder, and each
+    part is summed per exponent ``e`` by ``np.bincount``.  Every partial sum
+    is an integer multiple of the part's unit below ``2**53``, so the bucket
+    sums are exact while a bucket holds fewer than ``2**26`` terms.  The
+    buckets join into one Python int, rounded once by int/int division.  An
+    exact zero total is ``+0.0``, as fsum gives.  Input that is empty, has a
+    non-finite value, has ``2**26`` or more terms, or is large enough that
+    fsum's running sum could overflow goes to ``math.fsum``, so ``inf``,
+    ``nan``, ``ValueError`` and ``OverflowError`` come out as fsum's.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    m, e = np.frexp(x)
+    if (
+        x.size == 0
+        or x.size >= 1 << 26
+        or not np.isfinite(x).all()
+        # fsum's running sums stay below n * 2**max(e); this keeps them far from 2**1024
+        or e.max() + x.size.bit_length() > 1020
+    ):
+        return math.fsum(x.tolist())
+    lo = int(e.min())
+    high = m + _SPLIT
+    high -= _SPLIT
+    m -= high
+    bucket = np.subtract(e, lo, dtype=np.intp)
+    # bucket k's sums in units of 2**(lo + k - 53): integral floats below 2**80
+    high_k = np.bincount(bucket, weights=high) * 2.0**53
+    low_k = np.bincount(bucket, weights=m) * 2.0**53
+    total = 0
+    for k in np.flatnonzero((high_k != 0.0) | (low_k != 0.0)).tolist():
+        total += (int(high_k[k]) + int(low_k[k])) << k
+    shift = lo - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def integrate(f, rule: QuadratureRule) -> float:
-    """Tensor-product quadrature of a point function; deterministic summation."""
+    """Tensor-product quadrature of a point function; the sum is correctly
+    rounded, equal to ``math.fsum`` (:func:`exact_sum`)."""
     fn = ex.as_point_function(f)
     pts, w = rule.points_and_weights()
     vals = np.asarray(fn(pts), dtype=float)
     vals = np.broadcast_to(vals, w.shape)
-    return math.fsum((w * vals).tolist())
+    return exact_sum(w * vals)
 
 
 def integrate_masked(values: np.ndarray, rule: Union[QuadratureRule, SubRule]) -> Tuple[float, int]:
     """Quadrature of ``values`` given at the rule's nodes, skipping (and
-    counting) the non-finite ones; deterministic summation.
+    counting) the non-finite ones; the sum is correctly rounded, equal to
+    ``math.fsum`` (:func:`exact_sum`).
 
     Isolated singular points of otherwise integrable fields land on nodes for
     centered rules; skipping them is reported, never silent.
     """
     w = rule.points_and_weights()[1]
     ok = np.isfinite(values)
-    return math.fsum((w[ok] * values[ok]).tolist()), int(np.sum(~ok))
+    if ok.all():
+        return exact_sum(w * values), 0
+    return exact_sum(w[ok] * values[ok]), int(np.sum(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +897,7 @@ def invariance_residual(
     face = pts[np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)]
     B = _b_field(cs, rho)(pts)
     r = rho.rho(pts)
-    mass = abs(math.fsum((w * r).tolist()))
+    mass = abs(exact_sum(w * r))
     reports = [_bump_report(cs, g, rule, r, B, face, mass) for g in (f if isinstance(f, list) else [f])]
     return reports if isinstance(f, list) else reports[0]
 
@@ -866,7 +916,7 @@ def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
     with np.errstate(all="ignore"):
         lf = 0.5 * np.einsum("nij,nij->n", cs.eval_A(pts), hess) + np.einsum("ni,ni->n", cs.eval_G(pts), grad)
         lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", box.take(B), grad) * r
-    del value, grad, hess, lf  # the sums below build a list of every node
+    del value, grad, hess, lf  # freed before the sums allocate their temporaries
     residual, skipped = integrate_masked(lf_rho, box)
     divergence, divergence_skipped = integrate_masked(div_rho, box)
     return ResidualReport(

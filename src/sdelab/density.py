@@ -404,7 +404,7 @@ def volume_profile(
     r2 = np.einsum("ij,ij->i", pts, pts)
     mu_ball = {}
     for r in radii:
-        mu_ball[r] = math.fsum((w * vals * (r2 <= r * r)).tolist())
+        mu_ball[r] = calc.exact_sum(w * vals * (r2 <= r * r))
     return {"mu_ball": mu_ball}
 
 

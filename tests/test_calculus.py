@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy.special import erf
 
@@ -19,7 +21,9 @@ from sdelab.calculus import (
     decompose_drift,
     default_bump_library,
     diffusion_root,
+    exact_sum,
     integrate,
+    integrate_masked,
     invariance_residual,
     log_derivative_beta,
 )
@@ -364,6 +368,51 @@ def test_integrate_ball_indicator():
     r = 2.0
     ind = lambda pts: (np.einsum("ij,ij->i", pts, pts) <= r * r).astype(float)
     assert integrate(ind, rule) == pytest.approx(math.pi * r * r, rel=0.02)
+
+
+# terms over the whole exponent range: 1e+-300 magnitudes, subnormals, +-0.0
+_sum_terms = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+)
+
+
+@st.composite
+def _sum_inputs(draw):
+    terms = draw(st.lists(_sum_terms, max_size=60))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return np.array(draw(st.permutations(terms + [-t for t in cancelled])), dtype=float)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sum_inputs())
+def test_exact_sum_is_fsum(a):
+    assert repr(exact_sum(a)) == repr(math.fsum(a.tolist()))
+
+
+def test_exact_sum_special_inputs_behave_as_fsum():
+    assert repr(exact_sum(np.array([]))) == "0.0"
+    assert repr(exact_sum(np.array([-0.0, -0.0]))) == "0.0"
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308]))
+    # fsum's running sum overflows although the exact sum is 1e308
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308, -1e308]))
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, -math.inf]))
+    assert math.isnan(exact_sum(np.array([1.0, math.nan])))
+
+
+def test_integrate_masked_skips_and_counts_non_finite_nodes():
+    rule = QuadratureRule.box(1.0, 2, 21)
+    w = rule.points_and_weights()[1]
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(w.size) * 10.0 ** rng.uniform(-200, 200, w.size)
+    assert repr(integrate_masked(values, rule)) == repr((math.fsum((w * values).tolist()), 0))
+    values[[3, 40, 77]] = [math.inf, math.nan, -math.inf]
+    ok = np.isfinite(values)
+    assert repr(integrate_masked(values, rule)) == repr((math.fsum((w[ok] * values[ok]).tolist()), 3))
 
 
 def test_simpson_rejects_even_nodes():
