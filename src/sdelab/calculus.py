@@ -55,7 +55,8 @@ __all__ = [
     "VectorField",
     "build_coefficient_set",
     "upper_triangle",
-    "coefficient_set_from_drift",
+    "coefficient_triangles",
+    "a_plus_ct_entry",
     "add_half_a_log_grad",
     "half_divergence",
     "log_derivative_beta",
@@ -135,7 +136,8 @@ class CoefficientSet:
     """Problem data: diffusion matrix A, antisymmetric part C, perturbation H.
 
     Only upper triangles of A and C are stored; the full matrices are
-    reconstructed so symmetry/antisymmetry hold exactly.  ``G`` is derived
+    reconstructed so symmetry/antisymmetry hold exactly.  Of ``H`` and ``G``
+    the one declared is stored as given and the other is derived
     symbolically.  ``integrability_p`` is declared metadata (the local
     integrability order of H) and is never certified here.
     """
@@ -149,20 +151,10 @@ class CoefficientSet:
     integrability_p: Optional[float] = None
 
     def a_entry(self, i: int, j: int) -> Expr:
-        if i <= j:
-            return self.a_upper[i][j - i]
-        return self.a_upper[j][i - j]
+        return _symmetric_entry(self.a_upper, i, j)
 
     def c_entry(self, i: int, j: int) -> Expr:
-        if i == j:
-            return Const(0.0)
-        if i < j:
-            return self.c_upper[i][j - i - 1]
-        return mul(Const(-1.0), self.c_upper[j][i - j - 1])
-
-    @property
-    def A(self) -> List[List[Expr]]:
-        return [[self.a_entry(i, j) for j in range(self.d)] for i in range(self.d)]
+        return _antisymmetric_entry(self.c_upper, i, j)
 
     @property
     def C(self) -> List[List[Expr]]:
@@ -170,7 +162,7 @@ class CoefficientSet:
 
     @cached_property
     def _A_program(self) -> Program:
-        return Program([e for row in self.A for e in row])
+        return _a_program(self.a_upper)
 
     @cached_property
     def _G_field(self) -> VectorField:
@@ -249,8 +241,41 @@ def _coerce(e, d: int) -> Expr:
     raise TypeError(f"cannot coerce {e!r} to an expression")
 
 
-def probe_ellipticity(cs: CoefficientSet, pts: np.ndarray) -> EllipticityReport:
-    A = cs.eval_A(pts)
+def _symmetric_entry(upper, i: int, j: int) -> Expr:
+    return upper[i][j - i] if i <= j else upper[j][i - j]
+
+
+def _antisymmetric_entry(upper, i: int, j: int) -> Expr:
+    if i == j:
+        return Const(0.0)
+    if i < j:
+        return upper[i][j - i - 1]
+    return mul(Const(-1.0), upper[j][i - j - 1])
+
+
+def a_plus_ct_entry(a_upper, c_upper, i: int, j: int) -> Expr:
+    """Entry ``(i, j)`` of ``A + C^T``, ``a_ij + c_ji``, from the stored upper
+    triangles: the matrix of the drift, the flux and ``beta_of_density``."""
+    return ex.add(_symmetric_entry(a_upper, i, j), _antisymmetric_entry(c_upper, j, i))
+
+
+def coefficient_triangles(A, C, d: int):
+    """The stored upper triangles of ``A`` and of ``C`` (zero when ``None``)."""
+    if C is None:
+        C = [[Const(0.0)] * (d - i - 1) for i in range(d)]
+    return upper_triangle(A, d, "symmetric"), upper_triangle(C, d, "antisymmetric")
+
+
+def _a_program(a_upper) -> Program:
+    d = len(a_upper)
+    return Program([_symmetric_entry(a_upper, i, j) for i in range(d) for j in range(d)])
+
+
+def probe_ellipticity(a_upper, pts: np.ndarray) -> EllipticityReport:
+    """Eigenvalue range of ``A`` over the probe points; raises unless ``A`` is
+    finite and positive definite at every one."""
+    d = len(a_upper)
+    A = _a_program(a_upper)(pts).reshape(len(pts), d, d)
     bad = ~np.isfinite(A).all(axis=(1, 2))
     if bad.any():
         witness = tuple(float(v) for v in pts[int(np.argmax(bad))])
@@ -281,81 +306,65 @@ def default_probes(d: int) -> np.ndarray:
     return pts
 
 
+def _drift_vector(v, d: int, name: str) -> Tuple[Expr, ...]:
+    out = tuple(_coerce(e, d) for e in v)
+    if len(out) != d:
+        raise ShapeError(f"{name} must have {d} components, got {len(out)}")
+    return out
+
+
 def build_coefficient_set(
     A,
     C=None,
     H=None,
     *,
+    G=None,
     d: int,
     probes: Optional[np.ndarray] = None,
     integrability_p: Optional[float] = None,
 ) -> CoefficientSet:
     """Validate shapes, derive the drift symbolically, probe ellipticity.
 
-    ``g_i = 1/2 sum_j d_j(a_ij + c_ji) + h_i``; the upper triangles of A and C
-    are the stored representation, so symmetry is exact by construction.
+    ``g_i = h_i + 1/2 sum_j d_j(a_ij + c_ji)``.  Give at most one of ``H`` and
+    ``G`` (neither means ``H = 0``): the one given is stored as given and the
+    other is derived.  The upper triangles of A and C are the stored
+    representation, so symmetry is exact by construction.
     """
-    a_upper = upper_triangle(A, d, "symmetric")
-    if C is None:
-        C = [[Const(0.0)] * (d - i - 1) for i in range(d)]
-    c_upper = upper_triangle(C, d, "antisymmetric")
-    if H is None:
-        H = [Const(0.0)] * d
-    Hv = tuple(_coerce(h, d) for h in H)
-    if len(Hv) != d:
-        raise ShapeError(f"H must have {d} components, got {len(Hv)}")
+    if H is not None and G is not None:
+        raise CalculusError("give at most one of H and G")
+    a_upper, c_upper = coefficient_triangles(A, C, d)
 
-    cs_tmp = CoefficientSet(
-        d=d,
-        a_upper=a_upper,
-        c_upper=c_upper,
-        H=Hv,
-        G=Hv,
-        ellipticity=EllipticityReport(1.0, 1.0, (0.0,) * d, 0),
-        integrability_p=integrability_p,
-    )
-    G = []
-    for i in range(d):
-        g = Hv[i]
-        for j in range(d):
-            # d_j (a_ij + c_ji); note the transpose on C
-            entry = ex.add(cs_tmp.a_entry(i, j), cs_tmp.c_entry(j, i))
-            g = ex.add(g, mul(Const(0.5), differentiate(entry, j)))
-        G.append(g)
+    def add_half_div(start: Sequence[Expr]) -> Tuple[Expr, ...]:
+        out = []
+        for i in range(d):
+            g = start[i]
+            for j in range(d):
+                g = ex.add(g, mul(Const(0.5), differentiate(a_plus_ct_entry(a_upper, c_upper, i, j), j)))
+            out.append(g)
+        return tuple(out)
+
+    if G is None:
+        Hv = _drift_vector([Const(0.0)] * d if H is None else H, d, "H")
+        Gv = add_half_div(Hv)
+    else:
+        Gv = _drift_vector(G, d, "G")
+        Hv = tuple(sub(g, half_div) for g, half_div in zip(Gv, add_half_div([Const(0.0)] * d)))
 
     if probes is None:
         probes = default_probes(d)
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != d or len(probes) == 0:
         raise ShapeError("probes must be a non-empty (n, d) array")
-    report = probe_ellipticity(cs_tmp, probes)
 
     return CoefficientSet(
         d=d,
         a_upper=a_upper,
         c_upper=c_upper,
         H=Hv,
-        G=tuple(G),
-        ellipticity=report,
+        G=Gv,
+        ellipticity=probe_ellipticity(a_upper, probes),
         integrability_p=integrability_p,
     )
-
-
-def coefficient_set_from_drift(
-    A,
-    G,
-    *,
-    d: int,
-    C=None,
-    integrability_p: Optional[float] = None,
-) -> CoefficientSet:
-    """Declare the drift directly; H is recovered as ``G - 1/2 grad(A + C^T)``."""
-    base = build_coefficient_set(A, C, None, d=d, integrability_p=integrability_p)
-    Gv = [_coerce(g, d) for g in G]
-    if len(Gv) != d:
-        raise ShapeError(f"G must have {d} components, got {len(Gv)}")
-    H = [sub(Gv[i], base.G[i]) for i in range(d)]  # base.G equals 1/2 grad(A + C^T)
-    return build_coefficient_set(A, C, H, d=d, integrability_p=integrability_p)
 
 
 # ---------------------------------------------------------------------------

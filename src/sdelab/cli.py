@@ -40,7 +40,7 @@ import re
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -52,7 +52,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, Const, Expr, ExprError, add, evaluate, parse_expr
+from .expr import CallableField, Const, Expr, ExprError, evaluate, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -728,15 +728,12 @@ def build_problem(scenario: Union[Scenario, dict]):
     d, co = scenario.dimension, scenario.coefficients
     analytic = [DensityField(expr=a.expr) for a in scenario.density.analytic]
     try:
-        if co.G is not None:
-            return calc.coefficient_set_from_drift(co.A, co.G, d=d, C=co.C, integrability_p=co.p), analytic
         H = co.H
         if isinstance(H, BetaOfDensity):
             # gradient-type drift derived from a declared density: H = 1/2 (A + C^T) grad(rho)/rho
-            base = calc.build_coefficient_set(co.A, co.C, None, d=d, integrability_p=co.p)
-            m = lambda i, j: add(base.a_entry(i, j), base.c_entry(j, i))
+            m = partial(calc.a_plus_ct_entry, *calc.coefficient_triangles(co.A, co.C, d))
             H = calc.add_half_a_log_grad([Const(0.0)] * d, m, analytic[H.beta_of_density].expr)
-        return calc.build_coefficient_set(co.A, co.C, H, d=d, integrability_p=co.p), analytic
+        return calc.build_coefficient_set(co.A, co.C, H, G=co.G, d=d, integrability_p=co.p), analytic
     except (calc.CalculusError, ExprError) as err:
         raise ConfigError(str(err), "$.coefficients") from None
 
@@ -957,20 +954,9 @@ def run_simulation_stage(
             [[";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]] for r in functional["per_start"]],
         )
     if trans:
-        shared = ens if reuse else None
-        try:
-            tr = mc.transition_histogram(
-                cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads, ensemble=shared
-            )
-        except mc.MonteCarloError as err:
-            if "not normalizable" not in str(err):
-                raise
-            # keep the empirical marginals; record why no reference applies
-            tr = mc.transition_histogram(
-                cs, x0, trans.t, scfg, rho_ref=None, threads=threads, ensemble=shared
-            )
-            tr["reference_error"] = str(err)
-        out["transition"] = tr
+        tr = out["transition"] = mc.transition_histogram(
+            cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads, ensemble=ens if reuse else None
+        )
         quantiles = tr["cdf_quantiles"]
         tables["transition_cdf.csv"] = Table(
             ["level"] + [f"x{k+1}_quantile" for k in range(len(quantiles))],

@@ -78,7 +78,8 @@ REGION_KINDS: Tuple[str, ...] = ("annulus", "box", "interval")
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Sampling region: an annulus (radial x angular), a box, or an interval."""
+    """Sampling region: an annulus (radial x angular, d >= 2), a box, or an
+    interval (d = 1)."""
 
     kind: str = "annulus"  # one of REGION_KINDS
     r_min: float = 1.0
@@ -107,7 +108,7 @@ class RegionSpec:
         return f"interval [{self.lo}, {self.hi}]"
 
     def points(self, d: int) -> np.ndarray:
-        if self.kind == "interval" or d == 1:
+        if self.kind == "interval":
             xs = np.linspace(self.lo, self.hi, self.n_points)
             return xs[:, None]
         if self.kind == "box":
@@ -670,6 +671,8 @@ def check_criterion(
             raise CriterionError(f"{flavor} needs {name}", name)
     if spec.region is not None and t.region is None:
         raise CriterionError(f"{spec.id} reads no region", "region")
+    if spec.region is not None and spec.region.kind == ("annulus" if d == 1 else "interval"):
+        raise CriterionError(f"an {spec.region.kind} region does not apply in d={d}", "region.kind")
     has_mode = t.density == "adjoint"
     if spec.mode is not None and not has_mode:
         raise CriterionError(f"{spec.id} has no mode", "mode")

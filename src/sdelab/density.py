@@ -135,7 +135,7 @@ def assemble_system(
 
     # flux coefficients: Ahat = 1/2 (A + C^T)
     ahat = [
-        [ex.mul(ex.Const(0.5), ex.add(cs.a_entry(k, j), cs.c_entry(j, k))) for j in range(d)]
+        [ex.mul(ex.Const(0.5), calc.a_plus_ct_entry(cs.a_upper, cs.c_upper, k, j)) for j in range(d)]
         for k in range(d)
     ]
 

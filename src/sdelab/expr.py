@@ -102,36 +102,6 @@ class NonDifferentiableError(ExprError):
 class Expr:
     """Base node; all concrete nodes are frozen dataclasses (safe to share)."""
 
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __neg__(self):
-        return mul(Const(-1.0), self)
-
-    def __pow__(self, exponent):
-        return powc(self, float(exponent))
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -231,14 +201,6 @@ class CallableField:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-def _as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, float)):
-        return Const(float(x))
-    raise TypeError(f"cannot coerce {x!r} to an expression")
 
 
 def children(e: Expr) -> tuple:

@@ -565,8 +565,8 @@ def transition_histogram(
     """Empirical per-coordinate CDFs of ``X_t`` and KS distance to a reference.
 
     The reference density is normalized on ``[-_REF_BOX, _REF_BOX]^d``; a
-    reference whose mass keeps growing with the box is rejected as
-    non-normalizable (before anything is simulated).
+    reference whose mass keeps growing with the box is non-normalizable: the
+    result then holds the reason as ``reference_error`` and no KS distance.
 
     ``ensemble``, when given, is an ensemble of ``cfg`` from ``x0`` with a
     horizon of at least ``t`` that saved time ``t``; its states there are
@@ -574,8 +574,12 @@ def transition_histogram(
     numbers: each path's noise stream is keyed by its index alone, so its
     state after a number of steps does not depend on the horizon.
     """
+    reference_error = None
     if rho_ref is not None:
-        check_normalizable(rho_ref, cs.d, _REF_BOX)
+        try:
+            check_normalizable(rho_ref, cs.d, _REF_BOX)
+        except MonteCarloError as err:
+            rho_ref, reference_error = None, str(err)
     ens = ensemble
     if ens is None:
         ens = simulate_ensemble(cs, x0, replace(cfg, horizon=t), threads=threads)
@@ -590,6 +594,8 @@ def transition_histogram(
         "cdf_levels": qs.tolist(),
         "cdf_quantiles": [np.quantile(X[:, k], qs).tolist() for k in range(cs.d)],
     }
+    if reference_error is not None:
+        out["reference_error"] = reference_error
     if rho_ref is not None:
         ks = []
         for axis in range(cs.d):

@@ -23,7 +23,6 @@ from sdelab.calculus import (
     QuadratureRule,
     build_coefficient_set,
     bump_expression,
-    coefficient_set_from_drift,
     decompose_drift,
     invariance_residual,
 )
@@ -243,7 +242,7 @@ def test_criterion_5_paper_inequalities():
     ok_a = bool(np.min(margin_a) >= 0)
 
     # (b) Gaussian-primitive certificate margin >= 0.1 on [-10, 10]
-    cs1 = coefficient_set_from_drift([["1"]], ["-x1 - 2*exp(x1^2)"], d=1)
+    cs1 = build_coefficient_set([["1"]], G=["-x1 - 2*exp(x1^2)"], d=1)
     rho1 = DensityField.from_expression("exp(-x1^2)", 1)
     hfield = CallableField(
         value=lambda p: math.sqrt(math.pi) / 2 * (1 + erf(p[:, 0])),
@@ -423,8 +422,8 @@ def test_criterion_7d_krylov(mc_budget):
 
 
 def test_criterion_7e_blowup_contrast(mc_budget):
-    cs_blow = coefficient_set_from_drift(
-        [["1", "0"], ["1"]], ["norm2(x)*x1", "norm2(x)*x2"], d=2
+    cs_blow = build_coefficient_set(
+        [["1", "0"], ["1"]], G=["norm2(x)*x1", "norm2(x)*x2"], d=2
     )
     cfg = mc.SimulationConfig(dt=1e-3, horizon=2.0, paths=10_000, seed=90005, radii=(4.0, 8.0))
     ens = mc.simulate_ensemble(cs_blow, [1.5, 0.0], cfg)

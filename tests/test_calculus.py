@@ -17,7 +17,6 @@ from sdelab.calculus import (
     apply_generator,
     build_coefficient_set,
     bump_expression,
-    coefficient_set_from_drift,
     decompose_drift,
     default_bump_library,
     diffusion_root,
@@ -68,6 +67,25 @@ def test_antisymmetric_part_enters_through_transpose():
     # g_1 = 1/2 d2(c12^T entry) with (C^T)_{12} = c21 = -x2^2 -> g_1 = -x2
     assert np.allclose(G[:, 0], -pts[:, 1], atol=1e-14)
     assert np.allclose(G[:, 1], 0.0, atol=1e-14)
+
+
+def test_declared_drift_is_kept_as_declared():
+    # a declared G is stored as written and H is derived from it; built from that H, the drift
+    # is the same up to rounding
+    A, C = [["1 + x1^2", "0.5*x2"], ["2 + x2^2"]], [["x1*x2"]]
+    G = ["-x1*(1 + norm2(x))", "x1 - x2^3"]
+    cs = build_coefficient_set(A, C, G=G, d=2)
+    declared = tuple(parse_expr(g, 2) for g in G)
+    assert cs.G == declared
+    pts = np.random.default_rng(5).normal(size=(200, 2)) * 3
+    assert np.array_equal(cs.eval_G(pts), np.stack([evaluate(g, pts) for g in declared], axis=-1))
+    from_h = build_coefficient_set(A, C, cs.H, d=2)
+    assert np.allclose(from_h.eval_G(pts), cs.eval_G(pts), rtol=1e-13, atol=1e-13)
+
+
+def test_drift_given_as_both_h_and_g_rejected():
+    with pytest.raises(calc.CalculusError, match="at most one of H and G"):
+        build_coefficient_set([["1"]], None, ["0"], G=["0"], d=1)
 
 
 def test_symmetry_violation_rejected():
@@ -169,7 +187,7 @@ def test_generator_ou():
 def test_generator_adjoint_tabulated_field():
     # 1-D non-invariance certificate: L'h = -2x exp(-x^2) + 2 for the
     # Gaussian-primitive h against drift -x - 2 exp(x^2)
-    cs = coefficient_set_from_drift([["1"]], ["-x1 - 2*exp(x1^2)"], d=1)
+    cs = build_coefficient_set([["1"]], G=["-x1 - 2*exp(x1^2)"], d=1)
     rho = DensityField.from_expression("exp(-x1^2)", 1)
     h = CallableField(
         value=lambda p: math.sqrt(math.pi) / 2 * (1 + erf(p[:, 0])),

@@ -157,6 +157,20 @@ def malformed_inputs():
         criteria=[{"id": "EIGENGAP_2D", "constants": {"M": 1}, "psi1": "1", "psi2": "1"}],
     )
     del three_d["simulation"]
+    # a region kind that does not fit the dimension: an interval in d=2 made the run raise
+    # IndexError, and an annulus in d=1 sampled [-10, 10] under the annulus's name
+    def lyapunov_only(region, **changes):
+        cfg = tiny_bm_config(criteria=[{"id": "LYAPUNOV_L", "constants": {"M": 2}, "region": region}], **changes)
+        del cfg["simulation"]
+        return cfg
+
+    interval_in_d2 = lyapunov_only(
+        {"kind": "interval"}, coefficients={"A": [["1", "0"], ["1"]], "H": ["-x1", "-x2"]}
+    )
+    annulus_in_d1 = lyapunov_only(
+        {"kind": "annulus", "r_min": 50.0, "r_max": 60.0}, dimension=1,
+        coefficients={"A": [["1"]], "H": ["-x1"]},
+    )
 
     def builtin(name, edit):
         cfg = copy.deepcopy(load_config(name))
@@ -262,6 +276,8 @@ def malformed_inputs():
         (crit0(region={"r_min": -1.0}), "$.criteria[0].region", "r_min -1.0 is negative"),
         (crit0(region={"kind": "interval", "lo": 1.0, "hi": -1.0}),
          "$.criteria[0].region", "does not exceed lo"),
+        (interval_in_d2, "$.criteria[0].region.kind", "an interval region does not apply in d=2"),
+        (annulus_in_d1, "$.criteria[0].region.kind", "an annulus region does not apply in d=1"),
         (tiny_bm_config(density={"analytic": ["0"]}), "$.density.analytic[0]", "> 0 at the origin"),
         (tiny_bm_config(density={"analytic": ["-1"]}), "$.density.analytic[0]", ">= 0 at the probe points"),
     ]
@@ -329,6 +345,32 @@ def test_beta_of_density_keeps_the_density_invariant_with_variable_c():
     (row,) = report["stages"]["density"]["analytic"]
     assert row["invariant_on_grid"]
     assert row["max_invariance_residual"] <= 1e-8 * row["residual_scale"]
+
+
+def test_build_problem_builds_and_probes_once_per_builtin(monkeypatch):
+    # the H, G and beta_of_density drift forms each build one coefficient set and probe A once
+    calls = {"build": 0, "probe": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli.calc, "build_coefficient_set", counting("build", cli.calc.build_coefficient_set))
+    monkeypatch.setattr(cli.calc, "probe_ellipticity", counting("probe", cli.calc.probe_ellipticity))
+    forms = set()
+    for name in BUILTIN_NAMES:
+        scenario = validate_config(load_config(name))
+        co = scenario.coefficients
+        forms.add("G" if co.G is not None else type(co.H).__name__)
+        calls.update(build=0, probe=0)
+        cs, _ = cli.build_problem(scenario)
+        assert calls == {"build": 1, "probe": 1}, name
+        if co.G is not None:
+            assert cs.G == co.G, name
+    assert forms == {"G", "tuple", "BetaOfDensity"}
 
 
 def test_tiny_scenario_green(tmp_path):

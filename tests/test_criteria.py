@@ -8,7 +8,6 @@ from sdelab import criteria as crit
 from sdelab.calculus import (
     DensityField,
     build_coefficient_set,
-    coefficient_set_from_drift,
 )
 from sdelab.criteria import (
     TEMPLATES,
@@ -147,9 +146,9 @@ def test_ergodic_drift_eq335_ou():
 def test_eigengap_2d_demo():
     # eigenvalues 1 and 1 + |x|^4 with strongly confining drift: the gap term
     # and <G, x> cancel exactly
-    cs = coefficient_set_from_drift(
+    cs = build_coefficient_set(
         [["1", "0"], ["1 + norm2(x)^2"]],
-        ["-0.5*norm2(x)*x1", "-0.5*norm2(x)*x2"],
+        G=["-0.5*norm2(x)*x1", "-0.5*norm2(x)*x2"],
         d=2,
     )
     spec = CriterionSpec(id="EIGENGAP_2D", constants={"M": 1.0, "N0": 1})
@@ -166,7 +165,7 @@ def test_eigengap_requires_d2():
 
 def test_non_invariance_gaussian_primitive():
     # 1-D certificate: L'h >= h/sqrt(pi) with margin at least 0.1 on [-10, 10]
-    cs = coefficient_set_from_drift([["1"]], ["-x1 - 2*exp(x1^2)"], d=1)
+    cs = build_coefficient_set([["1"]], G=["-x1 - 2*exp(x1^2)"], d=1)
     rho = DensityField.from_expression("exp(-x1^2)", 1)
     h = CallableField(
         value=lambda p: math.sqrt(math.pi) / 2 * (1 + erf(p[:, 0])),
@@ -188,7 +187,7 @@ def test_non_invariance_gaussian_primitive():
 def test_non_invariance_bounded_witness_second_example():
     # 1-D drift 1/2 + e^{-x}/2 against mu = e^x dx: u = Psi(e^{-x}) with the
     # piecewise cubic/reciprocal Psi satisfies L'u >= u/4
-    cs = coefficient_set_from_drift([["1"]], ["0.5 + 0.5*exp(-x1)"], d=1)
+    cs = build_coefficient_set([["1"]], G=["0.5 + 0.5*exp(-x1)"], d=1)
     rho = DensityField.from_expression("exp(x1)", 1)
     u = parse_expr(
         "max(exp(-x1)^2 * (6 - exp(-x1)), 54 - 81/exp(-x1))", 1
@@ -207,7 +206,7 @@ def test_non_invariance_bounded_witness_second_example():
 def test_non_invariance_forward_mode_explosive_drift():
     # cubic outward 1-D drift with a bounded sub-unit witness: L u >= alpha u
     # certifies that the forward semigroup is not conservative
-    cs = coefficient_set_from_drift([["1"]], ["x1^3"], d=1)
+    cs = build_coefficient_set([["1"]], G=["x1^3"], d=1)
     u = parse_expr("norm2(x) / (1 + norm2(x))", 1)
     spec = CriterionSpec(
         id="NON_INVARIANCE",

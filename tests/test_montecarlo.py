@@ -506,10 +506,14 @@ def test_transition_histogram_ou_vs_gaussian_reference():
 
 
 def test_transition_histogram_flat_reference_rejected():
+    # a reference of infinite mass is reported with its reason, and no KS distance is taken
     cfg = SimulationConfig(dt=1e-2, horizon=0.1, paths=50, seed=85, radii=(16.0,))
     rho = DensityField.from_expression("1", 2)
-    with pytest.raises(MonteCarloError, match="not normalizable"):
-        transition_histogram(cs_identity(H=["1", "0"]), [0.0, 0.0], 0.1, cfg, rho_ref=rho)
+    out = transition_histogram(cs_identity(H=["1", "0"]), [0.0, 0.0], 0.1, cfg, rho_ref=rho)
+    assert out["reference_error"].startswith("reference not normalizable")
+    assert "ks_distance" not in out
+    assert out == {**transition_histogram(cs_identity(H=["1", "0"]), [0.0, 0.0], 0.1, cfg),
+                   "reference_error": out["reference_error"]}
 
 
 def test_ks_distance_helper():
