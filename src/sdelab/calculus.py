@@ -46,7 +46,6 @@ __all__ = [
     "EllipticityError",
     "PositivityError",
     "DegenerateDiffusionError",
-    "EllipticityReport",
     "CoefficientSet",
     "DensityField",
     "QuadratureRule",
@@ -60,11 +59,12 @@ __all__ = [
     "add_half_a_log_grad",
     "half_divergence",
     "log_derivative_beta",
+    "b_field",
     "decompose_drift",
     "apply_generator",
     "invariance_residual",
-    "diffusion_root",
     "diffusion_root_batch",
+    "lattice",
     "integrate",
     "exact_sum",
     "default_bump_library",
@@ -93,9 +93,7 @@ class PositivityError(CalculusError):
 
 
 class DegenerateDiffusionError(CalculusError):
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
+    """A diffusion matrix too close to singular for a square root."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +122,6 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class EllipticityReport:
-    min_eigenvalue: float
-    max_eigenvalue: float
-    argmin: Tuple[float, ...]
-    probes: int
-
-
-@dataclass(frozen=True)
 class CoefficientSet:
     """Problem data: diffusion matrix A, antisymmetric part C, perturbation H.
 
@@ -147,7 +137,6 @@ class CoefficientSet:
     c_upper: Tuple[Tuple[Expr, ...], ...]  # row i holds entries j = i+1 .. d-1
     H: Tuple[Expr, ...]
     G: Tuple[Expr, ...]
-    ellipticity: EllipticityReport
     integrability_p: Optional[float] = None
 
     def a_entry(self, i: int, j: int) -> Expr:
@@ -182,9 +171,6 @@ class CoefficientSet:
 
     def eval_H(self, pts) -> np.ndarray:
         return self._H_field(pts)
-
-    def drift_field(self) -> VectorField:
-        return self._G_field
 
     def a_is_constant(self) -> bool:
         return all(ex.fold_const(e) is not None for row in self.a_upper for e in row)
@@ -271,31 +257,22 @@ def _a_program(a_upper) -> Program:
     return Program([_symmetric_entry(a_upper, i, j) for i in range(d) for j in range(d)])
 
 
-def probe_ellipticity(a_upper, pts: np.ndarray) -> EllipticityReport:
-    """Eigenvalue range of ``A`` over the probe points; raises unless ``A`` is
-    finite and positive definite at every one."""
+def probe_ellipticity(a_upper, pts: np.ndarray) -> None:
+    """Raises unless ``A`` is finite and positive definite at every probe point."""
     d = len(a_upper)
     A = _a_program(a_upper)(pts).reshape(len(pts), d, d)
     bad = ~np.isfinite(A).all(axis=(1, 2))
     if bad.any():
         witness = tuple(float(v) for v in pts[int(np.argmax(bad))])
         raise EllipticityError(f"A is not finite at probe {witness}", witness=witness)
-    eigs = np.linalg.eigvalsh(A)
-    mins = eigs[:, 0]
+    mins = np.linalg.eigvalsh(A)[:, 0]
     k = int(np.argmin(mins))
-    report = EllipticityReport(
-        min_eigenvalue=float(mins[k]),
-        max_eigenvalue=float(eigs[:, -1].max()),
-        argmin=tuple(float(v) for v in pts[k]),
-        probes=len(pts),
-    )
-    if report.min_eigenvalue <= 0:
+    if mins[k] <= 0:
+        witness = tuple(float(v) for v in pts[k])
         raise EllipticityError(
-            f"A is not positive definite at probe {report.argmin}: "
-            f"min eigenvalue {report.min_eigenvalue:.3e}",
-            witness=report.argmin,
+            f"A is not positive definite at probe {witness}: min eigenvalue {float(mins[k]):.3e}",
+            witness=witness,
         )
-    return report
 
 
 def default_probes(d: int) -> np.ndarray:
@@ -355,16 +332,8 @@ def build_coefficient_set(
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != d or len(probes) == 0:
         raise ShapeError("probes must be a non-empty (n, d) array")
-
-    return CoefficientSet(
-        d=d,
-        a_upper=a_upper,
-        c_upper=c_upper,
-        H=Hv,
-        G=Gv,
-        ellipticity=probe_ellipticity(a_upper, probes),
-        integrability_p=integrability_p,
-    )
+    probe_ellipticity(a_upper, probes)
+    return CoefficientSet(d=d, a_upper=a_upper, c_upper=c_upper, H=Hv, G=Gv, integrability_p=integrability_p)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +378,6 @@ class DensityField:
         if isinstance(e, str):
             e = parse_expr(e, d)
         return cls(expr=e)
-
-    @classmethod
-    def from_grid(cls, axes, values) -> "DensityField":
-        return cls(axes=axes, values=values)
 
     @property
     def mode(self) -> str:
@@ -496,6 +461,12 @@ def _grid_derivative(values: np.ndarray, axes, axis: int) -> np.ndarray:
 # quadrature
 
 
+def lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The points of the product grid of ``axes``, one row each, the first axis slowest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor-product rule on an axis-aligned box."""
@@ -551,8 +522,7 @@ class QuadratureRule:
     @cached_property
     def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
         axes = [self.axis_nodes(k) for k in range(self.dim)]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        pts = lattice([a[0] for a in axes])
         w = axes[0][1]
         for k in range(1, self.dim):
             w = np.multiply.outer(w, axes[k][1])
@@ -717,7 +687,7 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     return VectorField(fn)
 
 
-def _b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
+def b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
     """``B = G - beta``; symbolic when ``beta`` is."""
     beta = log_derivative_beta(cs, rho)
     if beta.exprs is not None:
@@ -732,7 +702,6 @@ class DivergenceReport:
     max_residual: float
     residuals: Tuple[float, ...]
     scale: float
-    rule: QuadratureRule
     skipped_points: int = 0
 
 
@@ -752,10 +721,9 @@ def decompose_drift(
         max_residual=max(abs(r) for r in residuals),
         residuals=residuals,
         scale=reports[0].mass,
-        rule=rule,
         skipped_points=max(r.divergence_skipped for r in reports),
     )
-    return _b_field(cs, rho), report
+    return b_field(cs, rho), report
 
 
 @dataclass(frozen=True)
@@ -832,28 +800,22 @@ def apply_generator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Point function ``(n, d) -> (n,)``: ``1/2 sum a_ij d_ij f + <drift, grad f>``.
 
-    ``mode`` selects the drift: ``L`` uses G, ``L_adjoint`` uses
-    ``2 beta - G`` and ``L_zero`` uses ``beta`` (both need ``rho``).
+    ``mode`` selects the drift: ``L`` uses G and ``L_adjoint`` uses
+    ``2 beta - G`` (it needs ``rho``).
     """
-    if mode not in ("L", "L_adjoint", "L_zero"):
+    if mode not in ("L", "L_adjoint"):
         raise ValueError(f"unknown generator mode {mode!r}")
     if mode != "L" and rho is None:
         raise CalculusError(f"mode {mode} requires a density")
     d = cs.d
     derivatives = _f_derivatives(f, d)
     beta = log_derivative_beta(cs, rho) if mode != "L" else None
-    gfield = cs.drift_field()
 
     def fn(pts):
         A = cs.eval_A(pts)
         _, grad, Hs = derivatives(pts)
         out = 0.5 * np.einsum("nij,nij->n", A, Hs)
-        if mode == "L":
-            drift = gfield(pts)
-        elif mode == "L_zero":
-            drift = beta(pts)
-        else:
-            drift = 2.0 * beta(pts) - gfield(pts)
+        drift = cs.eval_G(pts) if mode == "L" else 2.0 * beta(pts) - cs.eval_G(pts)
         return out + np.einsum("ni,ni->n", drift, grad)
 
     return fn
@@ -878,9 +840,6 @@ class ResidualReport:
     skipped_points: int = 0
     divergence_skipped: int = 0
 
-    def __float__(self):
-        return self.residual
-
 
 def invariance_residual(
     cs: CoefficientSet,
@@ -904,7 +863,7 @@ def invariance_residual(
     pts, w = rule.points_and_weights()
     # the nodes on the rule's outermost layer
     face = pts[np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)]
-    B = _b_field(cs, rho)(pts)
+    B = b_field(cs, rho)(pts)
     r = rho.rho(pts)
     mass = abs(exact_sum(w * r))
     reports = [_bump_report(cs, g, rule, r, B, face, mass) for g in (f if isinstance(f, list) else [f])]
@@ -960,20 +919,7 @@ def diffusion_root_batch(A_vals: np.ndarray) -> np.ndarray:
     bad = w[:, -1] <= 1e-12 * np.abs(traces)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise DegenerateDiffusionError(
-            f"diffusion matrix degenerate: eigenvalue {w[k, -1]:.3e} "
-            "<= 1e-12 * trace",
-            point=None,
-        )
+        raise DegenerateDiffusionError(f"diffusion matrix degenerate: eigenvalue {w[k, -1]:.3e} <= 1e-12 * trace")
     root = np.einsum("nik,nk,njk->nij", v, np.sqrt(w), v)
     return root[0] if single else root
 
-
-def diffusion_root(cs: CoefficientSet, x) -> np.ndarray:
-    """SPD square root of ``A(x)`` with ``sigma sigma = A``."""
-    x = np.asarray(x, dtype=float)
-    A = cs.eval_A(x)
-    try:
-        return diffusion_root_batch(A)
-    except DegenerateDiffusionError as err:
-        raise DegenerateDiffusionError(str(err), point=tuple(float(v) for v in x)) from None

@@ -249,8 +249,17 @@ _REGION_READERS: Dict[str, Reader] = {
 
 
 def _region(v, path, d) -> crit.RegionSpec:
+    """A region reads its ``kind`` (default annulus) and the fields that
+    ``criteria.REGION_FIELDS`` names for the kind."""
+    if not isinstance(v, dict):
+        raise ConfigError("expected dict", path)
+    kind = _REGION_READERS["kind"](v.get("kind", crit.RegionSpec.kind), f"{path}.kind")
+    readers = {name: _REGION_READERS[name] for name in ("kind", *crit.REGION_FIELDS[kind])}
+    for key in v:
+        if key in _REGION_READERS and key not in readers:
+            raise ConfigError(f"{kind} region does not read this field", f"{path}.{key}")
     try:
-        return _parse(crit.RegionSpec, v, path, d, _REGION_READERS)
+        return _parse(crit.RegionSpec, v, path, d, readers)
     except crit.CriterionError as err:
         raise ConfigError(str(err), path) from None
 
@@ -778,12 +787,6 @@ def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], solve
     return analytic[ref]
 
 
-def _lattice(axis: np.ndarray, d: int) -> np.ndarray:
-    """The ``(len(axis)**d, d)`` points of the product grid, first axis slowest."""
-    grids = np.meshgrid(*[axis] * d, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # stages: each returns its report blob and the CSV tables it computed
 
@@ -837,7 +840,7 @@ def run_density_stage(
         }
         if len(approxes) >= 2:
             inner = min(ladder) / 4.0
-            pts = _lattice(np.linspace(-inner, inner, 25), cs.d)
+            pts = calc.lattice([np.linspace(-inner, inner, 25)] * cs.d)
             va = approxes[-2].to_density_field().rho(pts)
             vb = last.to_density_field().rho(pts)
             out["solve"]["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
@@ -847,7 +850,7 @@ def run_density_stage(
         out["solve"]["invariance_scale"] = res_rep["scale"]
         out["solve"]["divergence_residual"] = res_rep["divergence_residual"]
         mesh = last.mesh
-        pts, vals = _lattice(mesh.axis(), mesh.d), last.values.reshape(-1)
+        pts, vals = calc.lattice(mesh.axes()), last.values.reshape(-1)
         tables["density_grid.csv"] = Table(
             ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"],
             [[i, *pts[i], vals[i]] for i in range(len(vals))],

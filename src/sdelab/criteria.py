@@ -34,6 +34,7 @@ __all__ = [
     "check_criterion",
     "MODES",
     "REGION_KINDS",
+    "REGION_FIELDS",
     "VERDICTS",
     "RegionSpec",
     "CriterionSpec",
@@ -44,7 +45,6 @@ __all__ = [
     "recurrence_volume_test",
     "volume_test_integrands",
     "default_growth_candidate",
-    "smallest_constant",
     "growth_report",
 ]
 
@@ -73,13 +73,20 @@ def default_growth_candidate(N0: float, d: int) -> Expr:
 # ---------------------------------------------------------------------------
 # regions
 
-REGION_KINDS: Tuple[str, ...] = ("annulus", "box", "interval")
+# the RegionSpec fields each region kind samples with; it reads no others
+REGION_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "annulus": ("r_min", "r_max", "n_radial", "n_angular"),
+    "box": ("lo", "hi", "n_points"),
+    "interval": ("lo", "hi", "n_points"),
+}
+REGION_KINDS: Tuple[str, ...] = tuple(REGION_FIELDS)
 
 
 @dataclass(frozen=True)
 class RegionSpec:
     """Sampling region: an annulus (radial x angular, d >= 2), a box, or an
-    interval (d = 1)."""
+    interval (d = 1); only the fields :data:`REGION_FIELDS` names for its
+    kind are checked."""
 
     kind: str = "annulus"  # one of REGION_KINDS
     r_min: float = 1.0
@@ -93,11 +100,12 @@ class RegionSpec:
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
             raise CriterionError(f"unknown region kind {self.kind!r}")
-        if self.r_min < 0:
-            raise CriterionError(f"r_min {self.r_min} is negative")
-        if not self.r_max > self.r_min:
-            raise CriterionError(f"r_max {self.r_max} does not exceed r_min {self.r_min}")
-        if not self.hi > self.lo:
+        if self.kind == "annulus":
+            if self.r_min < 0:
+                raise CriterionError(f"r_min {self.r_min} is negative")
+            if not self.r_max > self.r_min:
+                raise CriterionError(f"r_max {self.r_max} does not exceed r_min {self.r_min}")
+        elif not self.hi > self.lo:
             raise CriterionError(f"hi {self.hi} does not exceed lo {self.lo}")
 
     def describe(self) -> str:
@@ -113,9 +121,7 @@ class RegionSpec:
             return xs[:, None]
         if self.kind == "box":
             n_side = max(2, int(round(self.n_points ** (1.0 / d))))
-            axes = [np.linspace(self.lo, self.hi, n_side)] * d
-            grids = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.reshape(-1) for g in grids], axis=-1)
+            return calc.lattice([np.linspace(self.lo, self.hi, n_side)] * d)
         radii = np.linspace(self.r_min, self.r_max, self.n_radial)
         dirs = _sphere(d, self.n_angular)[0]
         pts = radii[:, None, None] * dirs[None, :, :]
@@ -279,21 +285,6 @@ def growth_report(
     }
 
 
-def smallest_constant(margin_at: Callable[[float], MarginResult]) -> Optional[float]:
-    """Smallest M >= 0 with nonnegative grid margin, for M-affine templates."""
-    m0 = margin_at(0.0).margins
-    m1 = margin_at(1.0).margins
-    slope = m1 - m0
-    ok = np.isfinite(m0) & np.isfinite(slope)
-    need = -m0[ok]
-    slp = slope[ok]
-    if np.any((slp <= 0) & (need > 0)):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(slp > 0, need / slp, 0.0)
-    return max(0.0, float(np.max(ratio)))
-
-
 # ---------------------------------------------------------------------------
 # shared pointwise quantities
 
@@ -414,14 +405,12 @@ def _handle_linear_growth_moment(spec, cs, rho, h1=None, h2=None):
 
 
 def _handle_integrable_coeffs(spec, cs, rho):
-    r_max = spec.region.r_max
-    beta = calc.log_derivative_beta(cs, rho)
-    gfield = cs.drift_field()
+    r_max = spec.constants["r_max"]
+    b = calc.b_field(cs, rho)
 
     def integrand(pts):
         A = np.abs(cs.eval_A(pts)).sum(axis=(1, 2))
-        gb = np.abs(gfield(pts) - beta(pts)).sum(axis=1)
-        return (A + gb) * rho.rho(pts)
+        return (A + np.abs(b(pts)).sum(axis=1)) * rho.rho(pts)
 
     ladder, totals = _radial_cumulative(integrand, cs.d, r_max)
     incs = np.diff(totals)
@@ -476,10 +465,8 @@ def _handle_volume_conservative(spec, cs, rho):
     region, variant = spec.region, spec.variant
     pts = region.points(cs.d)
     M, c, n1 = spec.constants["M"], spec.constants["c"], int(spec.constants["N1"])
-    A, G, r2, axx, tra, _ = _geometry(cs, pts)
-    beta = calc.log_derivative_beta(cs, rho)(pts)
-    B = G - beta
-    bx = np.abs(np.einsum("ni,ni->n", B, pts))
+    _, _, r2, axx, _, _ = _geometry(cs, pts)
+    bx = np.abs(np.einsum("ni,ni->n", calc.b_field(cs, rho)(pts), pts))
     if variant == "polynomial":
         lhs = axx / r2 + bx
         rhs = M * r2 * np.log(np.sqrt(r2) + 1.0)
@@ -548,9 +535,9 @@ class Template(NamedTuple):
     # the first variant is the default, and None stands for a template
     # without variants
     variants: Dict[Optional[str], Variant]
-    # default region: "interior", "exterior" or this one; None for a template
-    # that reads no region
-    region: Union[None, str, RegionSpec] = "interior"
+    # default region: "interior" or "exterior"; None for a template that
+    # reads no region
+    region: Optional[str] = "interior"
     # reads the density "always", "never", or in "adjoint" mode only; only
     # the templates of the last kind have a mode
     density: str = "never"
@@ -579,7 +566,7 @@ TEMPLATES: Dict[str, Template] = {
          "joint": Variant({"M": REQUIRED}, reads=("h1",))}),
     "INTEGRABLE_COEFFS": Template(
         _handle_integrable_coeffs, "mu invariant for the adjoint flow (L^1 coefficients)",
-        {None: Variant({})}, region=RegionSpec(r_max=64.0), density="always"),
+        {None: Variant({"r_max": 64.0})}, region=None, density="always"),
     "INVARIANCE_LYAPUNOV": Template(
         _lyapunov("L_adjoint", _growth_candidate, _scaled("alpha")),
         "mu invariant / dual semigroup conservative",
@@ -609,19 +596,19 @@ TEMPLATES: Dict[str, Template] = {
         {None: Variant({"n_max": 1e6}, reads=("Bbar",))}, region=None, density="always"),
 }
 
-# constants with a lower bound: N0 is a radius, the annulus ladder of
-# VOLUME_CONSERVATIVE doubles N1 until it passes r_max, and n_max ends the
-# volume test's ladder
+# constants with a lower bound: N0 and r_max are radii, the annulus ladder of
+# VOLUME_CONSERVATIVE doubles N1 until it passes the region's r_max, and n_max
+# ends the volume test's ladder
 _BOUNDS = {"N0": ("N0 > 0", lambda v: v > 0), "N1": ("N1 >= 1", lambda v: v >= 1),
-           "n_max": ("n_max > 0", lambda v: v > 0)}
+           "r_max": ("r_max > 0", lambda v: v > 0), "n_max": ("n_max > 0", lambda v: v > 0)}
 
 # the id of the volume-integral test's row, which recurrence_volume_test reports
 _VOLUME_TEST = next(k for k, t in TEMPLATES.items() if t.handler is _handle_volume_recurrence)
 
 
-def _default_region(where: Union[None, str, RegionSpec], d: int, n0: Optional[float]) -> Optional[RegionSpec]:
-    if where is None or isinstance(where, RegionSpec):
-        return where
+def _default_region(where: Optional[str], d: int, n0: Optional[float]) -> Optional[RegionSpec]:
+    if where is None:
+        return None
     if d == 1:
         return RegionSpec(kind="interval", lo=-10.0, hi=10.0)
     r_min = n0 * (1.0 + 1e-6) if where == "exterior" else 1e-6

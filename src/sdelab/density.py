@@ -10,7 +10,6 @@ warning is attached above 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -33,7 +32,6 @@ __all__ = [
     "solve_density",
     "invariance_of_solution",
     "volume_profile",
-    "convergence_order",
 ]
 
 PECLET_WARN = 2.0
@@ -106,8 +104,7 @@ def _strides(m: BoxMesh) -> np.ndarray:
 
 
 def _interior_multi_indices(m: BoxMesh) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(1, m.n)] * m.d, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1).astype(np.int64)
+    return calc.lattice([np.arange(1, m.n)] * m.d).astype(np.int64)
 
 
 def _interior_values(grid: np.ndarray, m: BoxMesh) -> np.ndarray:
@@ -230,9 +227,7 @@ def assemble_system(
 def _boundary_values(mesh: BoxMesh, boundary: Union[str, Expr]) -> np.ndarray:
     shape = (mesh.nodes_per_axis,) * mesh.d
     grid = np.full(shape, np.nan)
-    ax = mesh.axis()
-    mesh_grids = np.meshgrid(*[ax] * mesh.d, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh_grids], axis=-1)
+    pts = calc.lattice(mesh.axes())
     mask = np.zeros(shape, dtype=bool)
     for k in range(mesh.d):
         sl0 = [slice(None)] * mesh.d
@@ -275,10 +270,7 @@ class DensityApproximation:
                 f"approximation flagged invalid (min node value {self.positivity_min:.3e})"
             )
         values = np.maximum(self.values, 1e-300)
-        return DensityField.from_grid(self.mesh.axes(), values)
-
-    def origin_value(self) -> float:
-        return float(self.values[self.mesh.origin_index])
+        return DensityField(axes=self.mesh.axes(), values=values)
 
 
 def _origin_flat_index(mesh: BoxMesh) -> int:
@@ -407,34 +399,3 @@ def volume_profile(
         mu_ball[r] = calc.exact_sum(w * vals * (r2 <= r * r))
     return {"mu_ball": mu_ball}
 
-
-def convergence_order(
-    cs: CoefficientSet,
-    R: float,
-    n_coarse: int,
-    boundary: Union[str, Expr],
-    oracle: Union[str, Expr],
-) -> Dict[str, object]:
-    """Observed order ``log2(err(h)/err(h/2))`` against an exact solution."""
-    oracle_expr = parse_expr(oracle, cs.d) if isinstance(oracle, str) else oracle
-    errs = []
-    peclets = []
-    for n in (n_coarse, 2 * n_coarse):
-        approx = solve_density(cs, R, n, boundary)
-        ax = approx.mesh.axis()
-        grids = np.meshgrid(*[ax] * cs.d, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        exact = evaluate(oracle_expr, pts).reshape(approx.values.shape)
-        exact = exact / exact[approx.mesh.origin_index]
-        sl = tuple(slice(1, n) for _ in range(cs.d))
-        errs.append(float(np.max(np.abs(approx.values[sl] - exact[sl]))))
-        peclets.append(approx.diagnostics["peclet_max"])
-    if errs[0] < 1e-12 and errs[1] < 1e-12:
-        return {"order": "exact", "errors": errs, "peclet_max": max(peclets)}
-    order = math.log2(errs[0] / errs[1])
-    return {
-        "order": order,
-        "errors": errs,
-        "peclet_max": max(peclets),
-        "peclet_warning": max(peclets) > PECLET_WARN,
-    }

@@ -59,7 +59,6 @@ __all__ = [
     "evaluate",
     "Program",
     "batched",
-    "const",
     "coord",
     "add",
     "sub",
@@ -225,10 +224,6 @@ def walk(e: Expr) -> Iterator[Expr]:
 # smart constructors (light constant folding keeps derivatives readable)
 
 
-def const(v: float) -> Const:
-    return Const(float(v))
-
-
 def coord(axis: int) -> Coord:
     return Coord(axis)
 
@@ -309,9 +304,6 @@ class _Token:
         self.kind = kind
         self.text = text
         self.offset = offset
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"Token({self.kind}, {self.text!r}, {self.offset})"
 
 
 def _tokenize(src: str) -> list:

@@ -40,7 +40,6 @@ __all__ = [
     "MonteCarloError",
     "SimulationConfig",
     "PathEnsemble",
-    "EstimatorResult",
     "simulate_ensemble",
     "moment_curve",
     "krylov_functional",
@@ -83,13 +82,6 @@ class SimulationConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
-
-
-@dataclass
-class EstimatorResult:
-    estimate: float
-    std_error: float
-    paths: int
 
 
 @dataclass
@@ -309,15 +301,10 @@ def simulate_ensemble(
 # estimators
 
 
-def estimate_mean(values: np.ndarray) -> EstimatorResult:
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return EstimatorResult(est, se, len(values))
-
-
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
-    r = estimate_mean(values)
-    return r.estimate, r.std_error
+    """The sample mean and its standard error (0 for a single value)."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def ensemble_summary_rows(ens: PathEnsemble) -> Tuple[List[str], List[list]]:

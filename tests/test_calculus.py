@@ -19,7 +19,6 @@ from sdelab.calculus import (
     bump_expression,
     decompose_drift,
     default_bump_library,
-    diffusion_root,
     exact_sum,
     integrate,
     integrate_masked,
@@ -201,22 +200,20 @@ def test_generator_adjoint_tabulated_field():
 
 
 def test_generator_mode_identities():
-    # L - L0 = <B, grad f> and L + L' = 2 L0, pointwise
+    # L uses the drift G = beta + B and L' uses 2 beta - G, so L - L' = 2 <B, grad f>, pointwise
     cs = build_coefficient_set(
         [["1 + x2^2", "0.5"], ["2"]], [["x1"]], ["-x1", "-x2"], d=2
     )
     rho = DensityField.from_expression("exp(-norm2(x))", 2)
     f = parse_expr("x1^2 * x2 + exp(-norm2(x))", 2)
     L = apply_generator(cs, rho, f, mode="L")
-    L0 = apply_generator(cs, rho, f, mode="L_zero")
     Lp = apply_generator(cs, rho, f, mode="L_adjoint")
     B, _ = decompose_drift(cs, rho, rule=QuadratureRule.box(2.0, 2, 41))
     grads = [parse_expr("2*x1*x2 - 2*x1*exp(-norm2(x))", 2), parse_expr("x1^2 - 2*x2*exp(-norm2(x))", 2)]
     pts = np.random.default_rng(12).uniform(-2, 2, size=(60, 2))
     gvals = np.stack([evaluate(g, pts) for g in grads], axis=-1)
     scale = np.maximum(1.0, np.abs(L(pts)))
-    assert np.max(np.abs(L(pts) - L0(pts) - np.einsum("ni,ni->n", B(pts), gvals)) / scale) < 1e-10
-    assert np.max(np.abs(L(pts) + Lp(pts) - 2 * L0(pts)) / scale) < 1e-10
+    assert np.max(np.abs(L(pts) - Lp(pts) - 2 * np.einsum("ni,ni->n", B(pts), gvals)) / scale) < 1e-10
 
 
 def test_invariance_residual_unit_drift():
@@ -338,9 +335,9 @@ def test_skipped_nodes_are_counted_on_the_support_box_only():
 
 def test_diffusion_root_identity_and_diag():
     cs = identity_cs()
-    assert np.allclose(diffusion_root(cs, [0.3, -1.2]), np.eye(2))
+    assert np.allclose(calc.diffusion_root_batch(cs.eval_A([0.3, -1.2])), np.eye(2))
     cs2 = build_coefficient_set([["4", "0"], ["9"]], None, None, d=2)
-    assert np.allclose(diffusion_root(cs2, [0.0, 0.0]), np.diag([2.0, 3.0]))
+    assert np.allclose(calc.diffusion_root_batch(cs2.eval_A([0.0, 0.0])), np.diag([2.0, 3.0]))
 
 
 def test_diffusion_root_multiplies_back():
@@ -367,7 +364,7 @@ def test_diffusion_root_locally_lipschitz():
 def test_diffusion_root_degenerate_error():
     cs = build_coefficient_set([["x1^2 + 1e-300", "0"], ["1"]], None, None, d=2, probes=np.array([[1.0, 0.0]]))
     with pytest.raises(calc.DegenerateDiffusionError):
-        diffusion_root(cs, [0.0, 0.0])
+        calc.diffusion_root_batch(cs.eval_A([0.0, 0.0]))
 
 
 def test_integrate_constant():
@@ -448,7 +445,7 @@ def test_density_grid_mode_gradient():
     xs = np.linspace(-2, 2, 81)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vals = np.exp(-(X**2 + Y**2))
-    rho = DensityField.from_grid((xs, xs), vals)
+    rho = DensityField(axes=(xs, xs), values=vals)
     Xi, Yi = np.meshgrid(xs[2:-2], xs[2:-2], indexing="ij")  # interior: 4th order
     pts = np.stack([Xi.reshape(-1), Yi.reshape(-1)], axis=-1)[::37]
     lg = rho.log_grad(pts)
@@ -460,4 +457,4 @@ def test_density_positivity_guard():
     vals = np.ones((9, 9))
     vals[4, 4] = -0.5
     with pytest.raises(calc.PositivityError):
-        DensityField.from_grid((xs, xs), vals)
+        DensityField(axes=(xs, xs), values=vals)

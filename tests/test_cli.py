@@ -171,6 +171,10 @@ def malformed_inputs():
         {"kind": "annulus", "r_min": 50.0, "r_max": 60.0}, dimension=1,
         coefficients={"A": [["1"]], "H": ["-x1"]},
     )
+    # a region field its kind does not read: r_max on an interval was checked against the default r_min
+    r_max_on_interval = lyapunov_only(
+        {"kind": "interval", "r_max": 0.5}, dimension=1, coefficients={"A": [["1"]], "H": ["-x1"]}
+    )
 
     def builtin(name, edit):
         cfg = copy.deepcopy(load_config(name))
@@ -185,6 +189,9 @@ def malformed_inputs():
     mean_at_off_time = builtin("example_3_8", lambda c: c["simulation"]["checks"][1].update(time=0.25))
     # N0 beside the region and the candidate it would otherwise place
     n0_beside_region = builtin("example_3_2_1_4_ii", lambda c: c["criteria"][0]["constants"].update(N0=6))
+    # INTEGRABLE_COEFFS reads a radius, not a region: the box was replaced by balls up to r=40
+    box_on_integrable = builtin("ou_2d", lambda c: c["criteria"][2].update(
+        region={"kind": "box", "lo": -1.0, "hi": 1.0}))
     a_rows = tiny_bm_config()
     a_rows["coefficients"]["A"] = [["1", "0", "0"], ["1"]]
     a_full = tiny_bm_config()
@@ -278,6 +285,14 @@ def malformed_inputs():
          "$.criteria[0].region", "does not exceed lo"),
         (interval_in_d2, "$.criteria[0].region.kind", "an interval region does not apply in d=2"),
         (annulus_in_d1, "$.criteria[0].region.kind", "an annulus region does not apply in d=1"),
+        (box_on_integrable, "$.criteria[2].region", "INTEGRABLE_COEFFS reads no region"),
+        (crit0(region={"kind": "box", "lo": -1.0, "hi": 1.0, "r_max": 5.0}),
+         "$.criteria[0].region.r_max", "box region does not read this field"),
+        (crit0(region={"kind": "annulus", "lo": 3.0, "hi": 2.0}),
+         "$.criteria[0].region.lo", "annulus region does not read this field"),
+        (r_max_on_interval, "$.criteria[0].region.r_max", "interval region does not read this field"),
+        (crit0(id="INTEGRABLE_COEFFS", constants={"r_max": 0.0}, density="analytic:0"),
+         "$.criteria[0].constants.r_max", "needs r_max > 0"),
         (tiny_bm_config(density={"analytic": ["0"]}), "$.density.analytic[0]", "> 0 at the origin"),
         (tiny_bm_config(density={"analytic": ["-1"]}), "$.density.analytic[0]", ">= 0 at the probe points"),
     ]
