@@ -23,7 +23,7 @@ exit code:
 
 Reports are JSON (schema-versioned, canonical key order); bulk numerics go
 to CSV (comma separator, ``.`` decimal, header row, LF line endings) and are
-byte-identical across reruns with the same seed, independent of --threads.
+byte-identical across reruns with the same seed.
 Each stage builds the CSV tables of the numbers it computes and returns them
 as :class:`Table` values beside its report blob; a stage that fails returns
 no tables.  ``emit_report`` only writes ``report.json``, ``verdicts.json`` and
@@ -293,17 +293,26 @@ def _ergodic_value(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     return abs(val - chk.value) <= chk.tol, f"terminal average {val:.4f} vs {chk.value} +- {chk.tol}"
 
 
-_KS_FACTOR = {"5pct": 1.358, "1pct": 1.63}  # critical KS distance times sqrt(paths)
+# level -> (critical KS distance times sqrt(paths), significance)
+_KS_FACTOR = {"5pct": (1.358, 0.05), "1pct": (1.63, 0.01)}
 
 
 def _ks_below_critical(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
+    """The largest marginal KS distance against one marginal's critical value;
+    over d independent marginals the false-alarm level is about
+    ``1 - (1 - alpha)^d`` (9.75% at 5pct in d=2)."""
     tr = out["transition"]
     if "ks_distance" not in tr:  # the reference was found not normalizable
         return False, tr["reference_error"]
     level = chk.level or "5pct"
-    critical = _KS_FACTOR[level] / math.sqrt(scfg.paths)
-    worst = max(tr["ks_distance"])
-    return worst <= critical, f"max KS {worst:.4f} vs critical {critical:.4f} ({level})"
+    factor, alpha = _KS_FACTOR[level]
+    critical = factor / math.sqrt(scfg.paths)
+    worst, d = max(tr["ks_distance"]), len(tr["ks_distance"])
+    family = 1.0 - (1.0 - alpha) ** d
+    return worst <= critical, (
+        f"max KS {worst:.4f} vs critical {critical:.4f} ({level} per marginal; "
+        f"about {family:.2%} family-wise over {d} marginals)"
+    )
 
 
 def _mean_at(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
@@ -694,7 +703,8 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
             inside(x, f"{path}.krylov.x_grid[{i}]")
         ref(sim.krylov.density, f"{path}.krylov.density")
     if sim.transition:
-        run_config(f"{path}.transition.t", horizon=sim.transition.t)
+        if not scfg.dt <= sim.transition.t <= scfg.horizon:
+            raise ConfigError("must lie in [dt, horizon]", f"{path}.transition.t")
         ref(sim.transition.reference, f"{path}.transition.reference")
     exit_radii = sim.exit.radii if sim.exit and sim.exit.radii else scfg.radii
     for i, r in enumerate(exit_radii):
@@ -895,9 +905,7 @@ def run_criteria_stage(
     return results, tables
 
 
-def run_simulation_stage(
-    scenario: Scenario, cs, analytic, solved: Solved, threads: int
-) -> Tuple[dict, Dict[str, Table]]:
+def run_simulation_stage(scenario: Scenario, cs, analytic, solved: Solved) -> Tuple[dict, Dict[str, Table]]:
     sim = scenario.simulation
     if sim is None:
         return {}, {}
@@ -915,11 +923,9 @@ def run_simulation_stage(
 
     moments = sim.moments
     save_times = set(moments.times) if moments else set()
-    # a transition time within the horizon is read off this ensemble
-    reuse = trans is not None and scfg.dt <= trans.t <= scfg.horizon
-    if reuse:
+    if trans:
         save_times.add(trans.t)
-    ens = mc.simulate_ensemble(cs, x0, scfg, save_times=sorted(save_times), threads=threads)
+    ens = mc.simulate_ensemble(cs, x0, scfg, save_times=sorted(save_times))
     out["clip_events"] = int(ens.clip_counts.sum())
     out["exited_paths"] = int(ens.status.sum())
     if sim.save_paths:
@@ -950,16 +956,14 @@ def run_simulation_stage(
         )
     if kry:
         functional = out["krylov"] = mc.krylov_functional(
-            cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho_krylov, q=kry.q, threads=threads
+            cs, kry.f, kry.t, kry.x_grid, scfg, rho=rho_krylov, q=kry.q
         )
         tables["krylov.csv"] = Table(
             ["start", "estimate", "std_error"],
             [[";".join(map(_fmt, r["x"])), r["estimate"], r["std_error"]] for r in functional["per_start"]],
         )
     if trans:
-        tr = out["transition"] = mc.transition_histogram(
-            cs, x0, trans.t, scfg, rho_ref=rho_ref, threads=threads, ensemble=ens if reuse else None
-        )
+        tr = out["transition"] = mc.transition_histogram(ens, trans.t, rho_ref=rho_ref)
         quantiles = tr["cdf_quantiles"]
         tables["transition_cdf.csv"] = Table(
             ["level"] + [f"x{k+1}_quantile" for k in range(len(quantiles))],
@@ -1021,7 +1025,7 @@ def run_scenario(
     out_dir: Union[None, str, Path] = None,
     *,
     stages: Sequence[str] = ("density", "criteria", "simulation"),
-    threads: int = 1,
+    threads: int = 1,  # read by nothing; perfbench/workloads.py passes it
     seed_override: Optional[int] = None,
 ) -> dict:
     """Execute the requested stages; returns the report with an exit code."""
@@ -1076,7 +1080,7 @@ def run_scenario(
                         )
                         exit_code = max(exit_code, 2)
             elif stage == "simulation":
-                blob, stage_tables = run_simulation_stage(scenario, cs, analytic, solved, threads)
+                blob, stage_tables = run_simulation_stage(scenario, cs, analytic, solved)
                 for chk in blob.get("checks", []):
                     if not chk["passed"]:
                         notes.append(f"simulation check {chk['type']} failed: {chk['detail']}")
@@ -1131,7 +1135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to a scenario JSON or a built-in name")
         p.add_argument("--out", default=None, help="output directory (default: ./out/<name>)")
         p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-        p.add_argument("--threads", type=int, default=1)
     sub.add_parser("catalog", help="list built-in scenarios")
 
     args = parser.parse_args(argv)
@@ -1165,7 +1168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scenario,
         out_dir,
         stages=commands[args.command][1],
-        threads=args.threads,
         seed_override=args.seed,
     )
     code = report["status"]["exit_code"]

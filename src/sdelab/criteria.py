@@ -115,6 +115,14 @@ class RegionSpec:
             return f"box [{self.lo}, {self.hi}]^d"
         return f"interval [{self.lo}, {self.hi}]"
 
+    def extent(self, d: int) -> Tuple[float, float]:
+        """The smallest and largest ``|x|`` over the region."""
+        if self.kind == "annulus":
+            return self.r_min, self.r_max
+        scale = math.sqrt(d) if self.kind == "box" else 1.0
+        inner = 0.0 if self.lo <= 0.0 <= self.hi else min(abs(self.lo), abs(self.hi))
+        return scale * inner, scale * max(abs(self.lo), abs(self.hi))
+
     def points(self, d: int) -> np.ndarray:
         if self.kind == "interval":
             xs = np.linspace(self.lo, self.hi, self.n_points)
@@ -326,7 +334,8 @@ def _margin_verdict(spec, result: MarginResult, notes=None, trend=None) -> Crite
 
 
 def _growth_notes(candidate, d, region) -> List[str]:
-    rep = growth_report(candidate, d, max(region.r_min, 1.0), region.r_max * 4)
+    r_in, r_out = region.extent(d)
+    rep = growth_report(candidate, d, max(r_in, 1.0), r_out * 4)
     tag = "increasing" if rep["increasing"] else "NOT increasing"
     return [f"sphere-infimum growth sampled up to r={rep['radii'][-1]:.3g}: {tag} (not certified)"]
 
@@ -477,7 +486,7 @@ def _handle_volume_conservative(spec, cs, rho):
 
     # annulus volume ladder mu(B_4n \ B_2n)
     ns = [n1]
-    while ns[-1] * 2 * 4 <= region.r_max:
+    while ns[-1] * 2 * 4 <= region.extent(cs.d)[1]:
         ns.append(ns[-1] * 2)
     ladder, totals = _radial_cumulative(lambda p: rho.rho(p), cs.d, max(4 * max(ns), 4.0))
     mu_of = lambda r: float(np.interp(r, ladder, totals))

@@ -10,9 +10,9 @@ exit from the largest ladder radius (absorption is the simulator's proxy for
 the cemetery state); exit times are recorded for every ladder radius at the
 first sample index with ``|X| >= n``.  ``simulate_ensemble`` holds the only
 stepping loop: the ergodic average runs as a one-path ensemble, and a
-transition histogram may read the state of an ensemble stepped for other
-estimators.  Everything is bit-reproducible for a fixed config, independent
-of the thread count.
+transition histogram reads the state of an ensemble stepped for other
+estimators.  Everything is bit-reproducible for a fixed config, however the
+paths are split into batches.
 
 The loop's cost is mostly per numpy call, so each step makes few of them:
 the drift and every accumulator given as an expression are one compiled
@@ -25,7 +25,6 @@ so the numbers do not depend on which accumulators share the program.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,7 +61,7 @@ class MonteCarloError(Exception):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Euler-Maruyama run description; all fields enter the seed record."""
+    """Euler-Maruyama run description; ``seed`` keys every path's noise stream."""
 
     dt: float
     horizon: float
@@ -142,7 +141,6 @@ def simulate_ensemble(
     save_times: Optional[Sequence[float]] = None,
     accumulate: Optional[Dict[str, PointFunction]] = None,
     accumulate_from: float = 0.0,
-    threads: int = 1,
 ) -> PathEnsemble:
     """Simulate the ensemble; deterministic for fixed config and inputs.
 
@@ -217,7 +215,7 @@ def simulate_ensemble(
         thr = np.full(B, radii[0])  # ... and its value, updated on crossings only
         if 0 in save_pos:
             states[lo:hi, save_pos[0], :] = X
-        with np.errstate(all="ignore"):  # numpy keeps it per thread
+        with np.errstate(all="ignore"):
             for k in range(n_steps):
                 c = k % _NOISE_CHUNK
                 if c == 0:
@@ -276,13 +274,8 @@ def simulate_ensemble(
                     for name, tot in totals.items():
                         accs[name][lo:hi, pos] = tot
 
-    bounds = _batch_bounds(cfg.paths, n_steps, d)
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_batch, bounds))
-    else:
-        for b in bounds:
-            run_batch(b)
+    for bounds in _batch_bounds(cfg.paths, n_steps, d):
+        run_batch(bounds)
 
     return PathEnsemble(
         config=cfg,
@@ -368,7 +361,6 @@ def krylov_functional(
     *,
     rho: Optional[DensityField] = None,
     q: Optional[float] = None,
-    threads: int = 1,
 ) -> Dict[str, object]:
     """Estimates of ``E_x[int_0^t |f|(X_s) ds]`` over starting points.
 
@@ -394,9 +386,7 @@ def krylov_functional(
 
     rows = []
     for x in x_grid:
-        ens = simulate_ensemble(
-            cs, x, replace(cfg, horizon=t), accumulate={"occupation": absf}, threads=threads
-        )
+        ens = simulate_ensemble(cs, x, replace(cfg, horizon=t), accumulate={"occupation": absf})
         est, se = _mean_se(ens.accumulators["occupation"][:, -1])
         rows.append({"x": list(map(float, x)), "estimate": est, "std_error": se})
     sup_row = max(rows, key=lambda r: r["estimate"])
@@ -500,19 +490,24 @@ def _batch_means_std_error(totals: Sequence[float], width: float) -> Optional[fl
     return float(np.std(sums / (per * width), ddof=1) / math.sqrt(_BATCHES))
 
 
-def _marginal_cdf(rho: DensityField, axis: int, d: int, box: float):
-    """Normalized marginal CDF of a density on [-box, box]^d along one axis."""
+def _marginal_cdfs(rho: DensityField, d: int, box: float) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Normalized marginal CDFs of a density on [-box, box]^d, one per axis,
+    tabulated at the rule's axis nodes (the same on every axis).
+
+    The marginal density at an axis node is the rule's weighted sum over the
+    other axes; its CDF is the cumulative trapezoid sum, normalized by its
+    last value, so the table's error is O(h^2).
+    """
     rule = QuadratureRule.box(box, d, 481 if d == 2 else 61)
     pts, w = rule.points_and_weights()
-    vals = rho.rho(pts) * w
-    order = np.argsort(pts[:, axis], kind="stable")
-    xs = pts[order, axis]
-    cums = np.cumsum(vals[order])
-    total = cums[-1]
-    # collapse duplicate coordinates for interpolation
-    uniq, idx = np.unique(xs, return_index=True)
-    cdf_right = np.append(cums[idx[1:] - 1], cums[-1])
-    return uniq, cdf_right / total, total
+    xs, w_axis = rule.axis_nodes(0)
+    mass = (rho.rho(pts) * w).reshape((len(xs),) * d)
+    cdfs = []
+    for axis in range(d):
+        marginal = np.moveaxis(mass, axis, 0).reshape(len(xs), -1).sum(axis=1) / w_axis
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (marginal[1:] + marginal[:-1]) * np.diff(xs))])
+        cdfs.append(cdf / cdf[-1])
+    return xs, cdfs
 
 
 def check_normalizable(rho: DensityField, d: int, box: float) -> float:
@@ -540,37 +535,23 @@ def ks_marginal_distance(samples: np.ndarray, grid: np.ndarray, cdf: np.ndarray)
 
 
 def transition_histogram(
-    cs: CoefficientSet,
-    x0: Sequence[float],
-    t: float,
-    cfg: SimulationConfig,
-    rho_ref: Optional[DensityField] = None,
-    *,
-    threads: int = 1,
-    ensemble: Optional[PathEnsemble] = None,
+    ens: PathEnsemble, t: float, rho_ref: Optional[DensityField] = None
 ) -> Dict[str, object]:
     """Empirical per-coordinate CDFs of ``X_t`` and KS distance to a reference.
 
-    The reference density is normalized on ``[-_REF_BOX, _REF_BOX]^d``; a
-    reference whose mass keeps growing with the box is non-normalizable: the
-    result then holds the reason as ``reference_error`` and no KS distance.
-
-    ``ensemble``, when given, is an ensemble of ``cfg`` from ``x0`` with a
-    horizon of at least ``t`` that saved time ``t``; its states there are
-    used instead of stepping a new ensemble to ``t``.  They are the same
-    numbers: each path's noise stream is keyed by its index alone, so its
-    state after a number of steps does not depend on the horizon.
+    ``t`` is a time the ensemble saved.  The reference density is normalized
+    on ``[-_REF_BOX, _REF_BOX]^d``; a reference whose mass keeps growing with
+    the box is non-normalizable: the result then holds the reason as
+    ``reference_error`` and no KS distance.
     """
+    X = ens.state_at(t)
+    d = X.shape[1]
     reference_error = None
     if rho_ref is not None:
         try:
-            check_normalizable(rho_ref, cs.d, _REF_BOX)
+            check_normalizable(rho_ref, d, _REF_BOX)
         except MonteCarloError as err:
             rho_ref, reference_error = None, str(err)
-    ens = ensemble
-    if ens is None:
-        ens = simulate_ensemble(cs, x0, replace(cfg, horizon=t), threads=threads)
-    X = ens.state_at(t)
     qs = np.linspace(0.0, 1.0, 129)
     out: Dict[str, object] = {
         "time": float(t),
@@ -579,16 +560,13 @@ def transition_histogram(
         "mean_std_error": [float(v) for v in X.std(axis=0, ddof=1) / math.sqrt(len(X))],
         # empirical per-coordinate CDF, tabulated as quantiles
         "cdf_levels": qs.tolist(),
-        "cdf_quantiles": [np.quantile(X[:, k], qs).tolist() for k in range(cs.d)],
+        "cdf_quantiles": [np.quantile(X[:, k], qs).tolist() for k in range(d)],
     }
     if reference_error is not None:
         out["reference_error"] = reference_error
     if rho_ref is not None:
-        ks = []
-        for axis in range(cs.d):
-            grid, cdf, _ = _marginal_cdf(rho_ref, axis, cs.d, _REF_BOX)
-            ks.append(ks_marginal_distance(X[:, axis], grid, cdf))
-        out["ks_distance"] = ks
+        grid, cdfs = _marginal_cdfs(rho_ref, d, _REF_BOX)
+        out["ks_distance"] = [ks_marginal_distance(X[:, k], grid, cdf) for k, cdf in enumerate(cdfs)]
         out["ks_critical_5pct"] = 1.358 / math.sqrt(ens.n_paths)
     return out
 

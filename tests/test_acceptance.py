@@ -376,7 +376,7 @@ def test_criterion_7b_ou_oracles(mc_budget):
 
     cfg_t = mc.SimulationConfig(dt=1e-3, horizon=6.0, paths=10_000, seed=90001, radii=(8.0, 16.0))
     rho = DensityField.from_expression("exp(-norm2(x))", 2)
-    tr = mc.transition_histogram(OU, [2.0, 0.0], 6.0, cfg_t, rho_ref=rho)
+    tr = mc.transition_histogram(mc.simulate_ensemble(OU, [2.0, 0.0], cfg_t), 6.0, rho_ref=rho)
     critical = 1.358 / 100.0
     ok_ks = max(tr["ks_distance"]) <= critical
     _report(
@@ -440,24 +440,25 @@ def test_criterion_7e_blowup_contrast(mc_budget):
 
 
 # --------------------------------------------------------------------------
-# 8. determinism across thread counts
+# 8. determinism across batch splits
 
 
-def test_criterion_8_determinism(tmp_path):
-    cfg = cli.load_config("planar_bm")
-    cli.run_scenario(cfg, tmp_path / "t1", threads=1)
-    cfg2 = cli.load_config("planar_bm")
-    cli.run_scenario(cfg2, tmp_path / "t8", threads=8)
-    csvs = sorted(p.name for p in (tmp_path / "t1").glob("*.csv"))
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    cli.run_scenario(cli.load_config("planar_bm"), tmp_path / "default")
+    monkeypatch.setattr(
+        mc, "_batch_bounds", lambda paths, n_steps, d: [(s, min(s + 64, paths)) for s in range(0, paths, 64)]
+    )
+    cli.run_scenario(cli.load_config("planar_bm"), tmp_path / "b64")
+    csvs = sorted(p.name for p in (tmp_path / "default").glob("*.csv"))
     assert csvs, "scenario produced no CSV tables"
-    identical = all(
-        (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+    identical = sorted(p.name for p in (tmp_path / "b64").glob("*.csv")) == csvs and all(
+        (tmp_path / "default" / name).read_bytes() == (tmp_path / "b64" / name).read_bytes()
         for name in csvs
     )
     _report(
         "criterion 8 (determinism)",
         identical,
-        f"byte-identical CSVs across 1 and 8 threads: {', '.join(csvs)}",
+        f"byte-identical CSVs in one batch and in 64-path batches: {', '.join(csvs)}",
     )
 
 

@@ -258,7 +258,8 @@ def malformed_inputs():
         (sim(x0=[9.0, 0.0]), "$.simulation.x0", "inside the smallest ladder radius"),
         (sim(moments={"phi": "norm2(x) + 1", "times": [0.5, 2.0]}),
          "$.simulation.moments.times[1]", "[0, horizon]"),
-        (sim(transition={"t": 0.001}), "$.simulation.transition.t", "horizon >= dt"),
+        (sim(transition={"t": 0.001}), "$.simulation.transition.t", "must lie in [dt, horizon]"),
+        (sim(transition={"t": 0.6}), "$.simulation.transition.t", "must lie in [dt, horizon]"),
         (sim(ergodic={"f": "1", "horizon": 2.0, "burn_in": 2.0}), "$.simulation.ergodic.burn_in", "[0, horizon)"),
         (sim(paths=0), "$.simulation.paths", "must be >= 1"),
         (one_d, "$.simulation", "dimension >= 2"),
@@ -526,16 +527,7 @@ def test_seed_override_recorded(tmp_path):
     assert report["scenario"]["simulation"]["seed"] == 555
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # 50-path batches, so that the thread pool really runs several of them
-    batches = []
-
-    def bounds_50(paths, n_steps, d):
-        bounds = [(s, min(s + 50, paths)) for s in range(0, paths, 50)]
-        batches.append(len(bounds))
-        return bounds
-
-    monkeypatch.setattr(mc, "_batch_bounds", bounds_50)
+def test_batch_split_does_not_change_bytes(tmp_path, monkeypatch):
     cfg = tiny_bm_config()
     cfg["coefficients"]["H"] = ["-x1", "-x2"]
     # the tight clip and the inner radius give non-trivial clip counts and exit times
@@ -549,15 +541,23 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         transition={"t": 0.5},
         checks=[],
     )
-    runs = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"t{threads}"
-        assert run_scenario(cfg, out, stages=("simulation",), threads=threads)["status"]["exit_code"] == 0
-        runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
-    assert sorted(runs[0]) == ["exit.csv", "krylov.csv", "moments.csv", "paths.csv", "transition_cdf.csv"]
-    assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert batches == [8] * 9
-    paths_csv = runs[0]["paths.csv"].decode().splitlines()[1:]
+    batches = []
+
+    def bounds_50(paths, n_steps, d):
+        bounds = [(s, min(s + 50, paths)) for s in range(0, paths, 50)]
+        batches.append(len(bounds))
+        return bounds
+
+    def csvs(out):
+        assert run_scenario(cfg, out, stages=("simulation",))["status"]["exit_code"] == 0
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    one_batch = csvs(tmp_path / "default")
+    monkeypatch.setattr(mc, "_batch_bounds", bounds_50)
+    assert csvs(tmp_path / "b50") == one_batch
+    assert batches == [8] * 3  # the main ensemble and one per krylov start
+    assert sorted(one_batch) == ["exit.csv", "krylov.csv", "moments.csv", "paths.csv", "transition_cdf.csv"]
+    paths_csv = one_batch["paths.csv"].decode().splitlines()[1:]
     assert any(row.split(",")[2] for row in paths_csv)  # some exit from radius 0.5
     assert any(int(row.split(",")[4]) for row in paths_csv)  # some clipped step
 
@@ -576,12 +576,12 @@ def test_transition_reads_the_main_ensemble(tmp_path, monkeypatch):
     cfg["simulation"].pop("moments")
     cfg["simulation"].update(radii=[0.5, 8.0], clip=0.005, transition={"t": 0.3}, checks=[])
     csv = []
-    for horizon, ensembles in ((0.5, 1), (0.2, 2)):
+    for horizon in (0.5, 0.3):
         stepped.clear()
         cfg["simulation"]["horizon"] = horizon
         out = tmp_path / f"h{horizon}"
         assert run_scenario(cfg, out, stages=("simulation",))["status"]["exit_code"] == 0
-        assert len(stepped) == ensembles
+        assert stepped == [1]
         csv.append((out / "transition_cdf.csv").read_bytes())
     assert csv[0] == csv[1]
 
@@ -590,6 +590,13 @@ def test_cli_main_catalog(capsys):
     assert cli.main(["catalog"]) == 0
     out = capsys.readouterr().out.split()
     assert set(out) == set(BUILTIN_NAMES)
+
+
+def test_cli_main_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", "ou_2d", "--threads", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_cli_main_validate_builtin(capsys):

@@ -232,6 +232,25 @@ def test_box_region_sampling():
     assert "box" in v.region
 
 
+def test_region_extent_per_kind():
+    assert RegionSpec(r_min=2.0, r_max=5.0).extent(2) == (2.0, 5.0)
+    assert RegionSpec(kind="interval", lo=-10.0, hi=4.0).extent(1) == (0.0, 10.0)
+    assert RegionSpec(kind="interval", lo=2.0, hi=3.0).extent(1) == (2.0, 3.0)
+    assert RegionSpec(kind="box", lo=-3.0, hi=3.0).extent(2) == (0.0, 3.0 * math.sqrt(2))
+
+
+def test_growth_note_samples_the_interval():
+    cs = cs_identity(H=["-x1"], d=1)
+    spec = CriterionSpec(
+        id="LYAPUNOV_L",
+        constants={"M": 2.0},
+        candidate="x1^2 + 1",
+        region=RegionSpec(kind="interval", lo=-10.0, hi=10.0),
+    )
+    (note,) = evaluate_criterion(spec, cs).notes
+    assert note.startswith("sphere-infimum growth sampled up to r=40:")
+
+
 def test_piecewise_inequality_form_positive():
     # the same certificate in the substituted variable y = e^{-x}:
     # (Psi'' + Psi') y^2 - Psi/2 >= 0 on (0, 50]
@@ -353,6 +372,14 @@ def test_volume_conservative_bounded_density():
         bad = CriterionSpec(id="VOLUME_CONSERVATIVE", constants={"M": 2.0, "c": 3.0, "N1": n1})
         with pytest.raises(crit.CriterionError, match="N1 >= 1"):
             evaluate_criterion(bad, cs, rho=rho)
+    # a box [-3, 3]^2 reaches |x| = 3 sqrt(2) < 8, so the ladder stops at its first rung
+    box = CriterionSpec(
+        id="VOLUME_CONSERVATIVE",
+        constants={"M": 2.0, "c": 3.0, "N1": 1},
+        variant="polynomial",
+        region=RegionSpec(kind="box", lo=-3.0, hi=3.0),
+    )
+    assert evaluate_criterion(box, cs, rho=rho).trend_table["n"] == [1]
 
 
 def test_growth_report_flags_bounded_candidate():

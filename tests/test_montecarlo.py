@@ -60,8 +60,13 @@ def test_ou_mean_decay():
     assert abs(X[:, 0].mean() - 2.0 * math.exp(-1.0)) <= 3 * se
 
 
-def test_seed_determinism_across_threads(monkeypatch):
-    # 64-path batches so that the thread pool really runs several batches
+def test_seed_determinism_across_batch_splits(monkeypatch):
+    # the tight clip and the inner radius make clip counts and exit times non-trivial
+    cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=600, seed=77, radii=(1.5, 16.0), clip=0.012)
+    acc = {"r2": parse_expr("norm2(x)", 2)}
+    assert len(montecarlo._batch_bounds(cfg.paths, cfg.n_steps, 2)) == 1
+    a = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
+    # the same paths again in 64-path batches
     batches = []
 
     def bounds_64(paths, n_steps, d):
@@ -70,12 +75,8 @@ def test_seed_determinism_across_threads(monkeypatch):
         return bounds
 
     monkeypatch.setattr(montecarlo, "_batch_bounds", bounds_64)
-    # the tight clip and the inner radius make clip counts and exit times non-trivial
-    cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=600, seed=77, radii=(1.5, 16.0), clip=0.012)
-    acc = {"r2": parse_expr("norm2(x)", 2)}
-    a = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc, threads=1)
-    b = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc, threads=4)
-    assert batches == [10, 10]
+    b = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
+    assert batches == [10]
     assert a.clip_counts.sum() > 0 and np.isfinite(a.exit_times[1.5]).any()
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.clip_counts, b.clip_counts)
@@ -492,7 +493,7 @@ def test_ergodic_average_burn_in_guard():
 
 def test_transition_histogram_short_time_concentrates():
     cfg = SimulationConfig(dt=1e-3, horizon=0.01, paths=2000, seed=81, radii=(16.0,))
-    out = transition_histogram(BM, [0.7, -0.3], 0.01, cfg)
+    out = transition_histogram(simulate_ensemble(BM, [0.7, -0.3], cfg), 0.01)
     for mean, se, want in zip(out["mean"], out["mean_std_error"], [0.7, -0.3]):
         assert abs(mean - want) <= 3 * se
 
@@ -500,7 +501,7 @@ def test_transition_histogram_short_time_concentrates():
 def test_transition_histogram_ou_vs_gaussian_reference():
     cfg = SimulationConfig(dt=1e-3, horizon=6.0, paths=4000, seed=83, radii=(16.0,))
     rho = DensityField.from_expression("exp(-norm2(x))", 2)
-    out = transition_histogram(OU, [1.0, 1.0], 6.0, cfg, rho_ref=rho)
+    out = transition_histogram(simulate_ensemble(OU, [1.0, 1.0], cfg), 6.0, rho_ref=rho)
     for ks in out["ks_distance"]:
         assert ks <= 1.63 / math.sqrt(cfg.paths)
 
@@ -509,11 +510,20 @@ def test_transition_histogram_flat_reference_rejected():
     # a reference of infinite mass is reported with its reason, and no KS distance is taken
     cfg = SimulationConfig(dt=1e-2, horizon=0.1, paths=50, seed=85, radii=(16.0,))
     rho = DensityField.from_expression("1", 2)
-    out = transition_histogram(cs_identity(H=["1", "0"]), [0.0, 0.0], 0.1, cfg, rho_ref=rho)
+    ens = simulate_ensemble(cs_identity(H=["1", "0"]), [0.0, 0.0], cfg)
+    out = transition_histogram(ens, 0.1, rho_ref=rho)
     assert out["reference_error"].startswith("reference not normalizable")
     assert "ks_distance" not in out
-    assert out == {**transition_histogram(cs_identity(H=["1", "0"]), [0.0, 0.0], 0.1, cfg),
-                   "reference_error": out["reference_error"]}
+    assert out == {**transition_histogram(ens, 0.1), "reference_error": out["reference_error"]}
+
+
+def test_marginal_cdf_table_matches_erf():
+    # exp(-|x|^2) has N(0, 1/2) marginals, whose CDF is (1 + erf(x)) / 2
+    rho = DensityField.from_expression("exp(-norm2(x))", 2)
+    grid, cdfs = montecarlo._marginal_cdfs(rho, 2, montecarlo._REF_BOX)
+    exact = 0.5 * (1.0 + np.array([math.erf(x) for x in grid]))
+    for cdf in cdfs:
+        assert np.max(np.abs(cdf - exact)) <= 1e-4
 
 
 def test_ks_distance_helper():
