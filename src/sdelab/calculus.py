@@ -5,9 +5,10 @@ The drift of a divergence-form operator
 ``g_i = 1/2 sum_j d_j(a_ij + c_ji) + h_i``.  Given a strictly positive density
 ``rho``, the drift splits as ``G = beta + B`` where
 ``beta_i = 1/2 sum_j (d_j a_ij + a_ij d_j rho / rho)`` and ``B`` has zero
-divergence against ``rho dx``.  Both properties of a density are checked by
-quadrature against compactly supported bump test functions ``f``, in one
-pass of :func:`invariance_residual`: infinitesimal invariance
+divergence against ``rho dx``; ``L`` has drift ``G`` and its mu-adjoint
+``L'`` has ``2 beta - G`` (:func:`generator_drift`).  Both properties of a
+density are checked by quadrature against compactly supported bump test
+functions ``f``, in one pass of :func:`invariance_residual`: infinitesimal invariance
 ``integral (L f) rho dx = 0`` and the divergence condition
 ``integral <B, grad f> rho dx = 0``.  Each bump is integrated only over the
 rule's nodes in its support box (the zero products outside it change no
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,12 +58,14 @@ __all__ = [
     "coefficient_triangles",
     "a_plus_ct_entry",
     "add_half_a_log_grad",
-    "half_divergence",
+    "add_half_divergence",
     "log_derivative_beta",
     "b_field",
     "decompose_drift",
+    "generator_drift",
     "apply_generator",
     "invariance_residual",
+    "invariance_check",
     "diffusion_root_batch",
     "lattice",
     "integrate",
@@ -310,22 +313,13 @@ def build_coefficient_set(
     if H is not None and G is not None:
         raise CalculusError("give at most one of H and G")
     a_upper, c_upper = coefficient_triangles(A, C, d)
-
-    def add_half_div(start: Sequence[Expr]) -> Tuple[Expr, ...]:
-        out = []
-        for i in range(d):
-            g = start[i]
-            for j in range(d):
-                g = ex.add(g, mul(Const(0.5), differentiate(a_plus_ct_entry(a_upper, c_upper, i, j), j)))
-            out.append(g)
-        return tuple(out)
-
+    m = partial(a_plus_ct_entry, a_upper, c_upper)
     if G is None:
         Hv = _drift_vector([Const(0.0)] * d if H is None else H, d, "H")
-        Gv = add_half_div(Hv)
+        Gv = add_half_divergence(Hv, m)
     else:
         Gv = _drift_vector(G, d, "G")
-        Hv = tuple(sub(g, half_div) for g, half_div in zip(Gv, add_half_div([Const(0.0)] * d)))
+        Hv = tuple(sub(g, half_div) for g, half_div in zip(Gv, add_half_divergence([Const(0.0)] * d, m)))
 
     if probes is None:
         probes = default_probes(d)
@@ -643,28 +637,21 @@ def integrate_masked(values: np.ndarray, rule: Union[QuadratureRule, SubRule]) -
 # drift decomposition and generators
 
 
-def add_half_a_log_grad(start: Sequence[Expr], m: Callable[[int, int], Expr], rho: Expr) -> List[Expr]:
-    """``start_i + sum_j 1/2 m_ij d_j rho / rho`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
+def _add_half_sum(start: Sequence[Expr], term: Callable[[int, int], Expr]) -> Tuple[Expr, ...]:
+    """``start_i + sum_j 1/2 term(i, j)`` for each ``i``, added in order of ``j``."""
     d = len(start)
-    log_grad = [ex.div(differentiate(rho, j, piecewise=True), rho) for j in range(d)]
-    out = []
-    for i in range(d):
-        s = start[i]
-        for j in range(d):
-            s = ex.add(s, mul(Const(0.5), mul(m(i, j), log_grad[j])))
-        out.append(s)
-    return out
+    return tuple(reduce(ex.add, (mul(Const(0.5), term(i, j)) for j in range(d)), start[i]) for i in range(d))
 
 
-def half_divergence(m: Callable[[int, int], Expr], d: int) -> List[Expr]:
-    """``1/2 sum_j d_j m_ij`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
-    out = []
-    for i in range(d):
-        s: Expr = Const(0.0)
-        for j in range(d):
-            s = ex.add(s, differentiate(m(i, j), j))
-        out.append(mul(Const(0.5), s))
-    return out
+def add_half_a_log_grad(start: Sequence[Expr], m: Callable[[int, int], Expr], rho: Expr) -> Tuple[Expr, ...]:
+    """``start_i + sum_j 1/2 m_ij d_j rho / rho`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
+    log_grad = [ex.div(differentiate(rho, j, piecewise=True), rho) for j in range(len(start))]
+    return _add_half_sum(start, lambda i, j: mul(m(i, j), log_grad[j]))
+
+
+def add_half_divergence(start: Sequence[Expr], m: Callable[[int, int], Expr]) -> Tuple[Expr, ...]:
+    """``start_i + sum_j 1/2 d_j m_ij`` for each ``i``, symbolic; ``m(i, j)`` is the entry."""
+    return _add_half_sum(start, lambda i, j: differentiate(m(i, j), j))
 
 
 def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
@@ -673,7 +660,7 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     Symbolic throughout in analytic mode; in grid mode the density's log
     gradient is sampled from the stored values.
     """
-    div_a = half_divergence(cs.a_entry, cs.d)
+    div_a = add_half_divergence([Const(0.0)] * cs.d, cs.a_entry)
     if rho.mode == "analytic":
         return VectorField.from_exprs(add_half_a_log_grad(div_a, cs.a_entry, rho.expr))
 
@@ -697,7 +684,8 @@ def b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Max over the bump library of |integral <B, grad f> rho dx|."""
+    """Max over the bump library of |integral <B, grad f> rho dx|; ``scale``
+    is the box mass and ``skipped_points`` that of :class:`InvarianceCheck`."""
 
     max_residual: float
     residuals: Tuple[float, ...]
@@ -711,18 +699,11 @@ def decompose_drift(
     rule: Optional[QuadratureRule] = None,
 ) -> Tuple[VectorField, DivergenceReport]:
     """Split ``G = beta + B`` and report how far B is from mu-divergence zero:
-    the divergence residuals of :func:`invariance_residual` over the default
-    bump library on the rule's box."""
+    the divergence residuals of :func:`invariance_check` on the rule's box."""
     if rule is None:
         rule = QuadratureRule.box(3.0, cs.d, 241 if cs.d <= 2 else 81)
-    reports = invariance_residual(cs, rho, default_bump_library(rule.lo, rule.hi, cs.d), rule)
-    residuals = tuple(r.divergence for r in reports)
-    report = DivergenceReport(
-        max_residual=max(abs(r) for r in residuals),
-        residuals=residuals,
-        scale=reports[0].mass,
-        skipped_points=max(r.divergence_skipped for r in reports),
-    )
+    check = invariance_check(cs, rho, rule)
+    report = DivergenceReport(check.max_divergence, check.divergences, check.mass, check.skipped_nodes)
     return b_field(cs, rho), report
 
 
@@ -792,33 +773,40 @@ def _f_derivatives(f, d: int, with_value: bool = False):
     raise TypeError(f"generator argument must be an AST or CallableField, got {f!r}")
 
 
+def generator_drift(
+    cs: CoefficientSet, rho: Optional[DensityField], mode: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Point function ``(n, d) -> (n, d)``, the drift of generator ``mode``:
+    G for ``L``, and ``2 beta - G`` for its mu-adjoint ``L_adjoint`` (it
+    needs ``rho``)."""
+    if mode == "L":
+        return cs.eval_G
+    if mode != "L_adjoint":
+        raise ValueError(f"unknown generator mode {mode!r}")
+    if rho is None:
+        raise CalculusError(f"mode {mode} requires a density")
+    beta = log_derivative_beta(cs, rho)
+    return lambda pts: 2.0 * beta(pts) - cs.eval_G(pts)
+
+
+def _generator_sum(cs: CoefficientSet, drift, pts, grad, hess) -> np.ndarray:
+    """``1/2 sum a_ij d_ij f + <drift, grad f>`` at ``pts``, given ``grad f`` and
+    the Hessian there; ``A`` is freed before the drift is evaluated (peak memory)."""
+    out = 0.5 * np.einsum("nij,nij->n", cs.eval_A(pts), hess)
+    return out + np.einsum("ni,ni->n", drift(pts), grad)
+
+
 def apply_generator(
     cs: CoefficientSet,
     rho: Optional[DensityField],
     f,
     mode: str = "L",
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Point function ``(n, d) -> (n,)``: ``1/2 sum a_ij d_ij f + <drift, grad f>``.
-
-    ``mode`` selects the drift: ``L`` uses G and ``L_adjoint`` uses
-    ``2 beta - G`` (it needs ``rho``).
-    """
-    if mode not in ("L", "L_adjoint"):
-        raise ValueError(f"unknown generator mode {mode!r}")
-    if mode != "L" and rho is None:
-        raise CalculusError(f"mode {mode} requires a density")
-    d = cs.d
-    derivatives = _f_derivatives(f, d)
-    beta = log_derivative_beta(cs, rho) if mode != "L" else None
-
-    def fn(pts):
-        A = cs.eval_A(pts)
-        _, grad, Hs = derivatives(pts)
-        out = 0.5 * np.einsum("nij,nij->n", A, Hs)
-        drift = cs.eval_G(pts) if mode == "L" else 2.0 * beta(pts) - cs.eval_G(pts)
-        return out + np.einsum("ni,ni->n", drift, grad)
-
-    return fn
+    """Point function ``(n, d) -> (n,)``: ``1/2 sum a_ij d_ij f + <drift, grad f>``
+    with the drift of :func:`generator_drift`."""
+    drift = generator_drift(cs, rho, mode)
+    derivatives = _f_derivatives(f, cs.d)
+    return lambda pts: _generator_sum(cs, drift, pts, *derivatives(pts)[1:])
 
 
 @dataclass(frozen=True)
@@ -882,7 +870,7 @@ def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
     fmax = float(np.nanmax(np.abs(value)))
     r = box.take(r)
     with np.errstate(all="ignore"):
-        lf = 0.5 * np.einsum("nij,nij->n", cs.eval_A(pts), hess) + np.einsum("ni,ni->n", cs.eval_G(pts), grad)
+        lf = _generator_sum(cs, cs.eval_G, pts, grad, hess)
         lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", box.take(B), grad) * r
     del value, grad, hess, lf  # freed before the sums allocate their temporaries
     residual, skipped = integrate_masked(lf_rho, box)
@@ -894,6 +882,37 @@ def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
         scale=fmax * mass,
         skipped_points=skipped,
         divergence_skipped=divergence_skipped,
+    )
+
+
+@dataclass(frozen=True)
+class InvarianceCheck:
+    """:func:`invariance_residual` over the default bump library, summarized:
+    each bump's two residuals, their largest magnitudes, the box mass, the
+    largest ``scale``, and the most non-finite nodes any one sum left out."""
+
+    max_residual: float
+    scale: float
+    mass: float
+    residuals: Tuple[float, ...]
+    divergences: Tuple[float, ...]
+    max_divergence: float
+    skipped_nodes: int
+
+
+def invariance_check(cs: CoefficientSet, rho: DensityField, rule: QuadratureRule) -> InvarianceCheck:
+    """Residuals of ``rho`` against the default bump library on the rule's box."""
+    reports = invariance_residual(cs, rho, default_bump_library(rule.lo, rule.hi, cs.d), rule)
+    residuals = tuple(r.residual for r in reports)
+    divergences = tuple(r.divergence for r in reports)
+    return InvarianceCheck(
+        max_residual=max(abs(v) for v in residuals),
+        scale=max(r.scale for r in reports),
+        mass=reports[0].mass,
+        residuals=residuals,
+        divergences=divergences,
+        max_divergence=max(abs(v) for v in divergences),
+        skipped_nodes=max(max(r.skipped_points, r.divergence_skipped) for r in reports),
     )
 
 

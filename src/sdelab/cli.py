@@ -293,10 +293,6 @@ def _ergodic_value(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     return abs(val - chk.value) <= chk.tol, f"terminal average {val:.4f} vs {chk.value} +- {chk.tol}"
 
 
-# level -> (critical KS distance times sqrt(paths), significance)
-_KS_FACTOR = {"5pct": (1.358, 0.05), "1pct": (1.63, 0.01)}
-
-
 def _ks_below_critical(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     """The largest marginal KS distance against one marginal's critical value;
     over d independent marginals the false-alarm level is about
@@ -305,7 +301,7 @@ def _ks_below_critical(chk: Check, out: dict, scfg) -> Tuple[bool, str]:
     if "ks_distance" not in tr:  # the reference was found not normalizable
         return False, tr["reference_error"]
     level = chk.level or "5pct"
-    factor, alpha = _KS_FACTOR[level]
+    factor, alpha = mc.KS_FACTOR[level]
     critical = factor / math.sqrt(scfg.paths)
     worst, d = max(tr["ks_distance"]), len(tr["ks_distance"])
     family = 1.0 - (1.0 - alpha) ** d
@@ -541,7 +537,7 @@ class Check:
     )
     n_se: Optional[float] = _key(_float, None)
     tol: Optional[float] = _key(_float, None)
-    level: Optional[str] = _key(_choice(_KS_FACTOR), None)
+    level: Optional[str] = _key(_choice(mc.KS_FACTOR), None)
     radius: Optional[float] = _key(_float, None)
     min: Optional[float] = _key(_float, None)
     max: Optional[float] = _key(_float, None)
@@ -813,20 +809,18 @@ def run_density_stage(
         rows = []
         nodes = {1: 2001, 2: 721}.get(cs.d, 81)
         rule = calc.QuadratureRule.box(block.residual_box, cs.d, nodes)
-        bumps = calc.default_bump_library(rule.lo, rule.hi, cs.d)
         for k, rho in enumerate(analytic):
-            reports = calc.invariance_residual(cs, rho, bumps, rule)
-            worst = max(abs(r.residual) for r in reports)
-            scale = max(r.scale for r in reports)
+            check = calc.invariance_check(cs, rho, rule)
             rows.append(
                 {
                     "index": k,
                     "expression": block.analytic[k].source,
-                    "max_invariance_residual": worst,
-                    "residual_scale": scale,
-                    "invariant_on_grid": bool(worst <= block.residual_tolerance * scale),
-                    "divergence_report": max(abs(r.divergence) for r in reports),
-                    "divergence_scale": reports[0].mass,
+                    "max_invariance_residual": check.max_residual,
+                    "residual_scale": check.scale,
+                    "invariant_on_grid": bool(check.max_residual <= block.residual_tolerance * check.scale),
+                    "divergence_report": check.max_divergence,
+                    "divergence_scale": check.mass,
+                    "skipped_nodes": check.skipped_nodes,
                 }
             )
         out["analytic"] = rows

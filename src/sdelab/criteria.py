@@ -61,8 +61,9 @@ class CriterionError(Exception):
 # the verdicts a template can return
 VERDICTS: Tuple[str, ...] = ("holds-on-grid", "fails-with-witness", "inconclusive")
 
-# which generator the (non-)invariance templates apply; adjoint by default
-MODES: Tuple[str, ...] = ("adjoint", "forward")
+# the generator each mode of the (non-)invariance templates applies; adjoint by default
+_GENERATOR_OF_MODE: Dict[str, str] = {"adjoint": "L_adjoint", "forward": "L"}
+MODES: Tuple[str, ...] = tuple(_GENERATOR_OF_MODE)
 
 
 def default_growth_candidate(N0: float, d: int) -> Expr:
@@ -335,7 +336,7 @@ def _margin_verdict(spec, result: MarginResult, notes=None, trend=None) -> Crite
 
 def _growth_notes(candidate, d, region) -> List[str]:
     r_in, r_out = region.extent(d)
-    rep = growth_report(candidate, d, max(r_in, 1.0), r_out * 4)
+    rep = growth_report(candidate, d, min(max(r_in, 1.0), r_out), r_out * 4)
     tag = "increasing" if rep["increasing"] else "NOT increasing"
     return [f"sphere-infimum growth sampled up to r={rep['radii'][-1]:.3g}: {tag} (not certified)"]
 
@@ -437,13 +438,8 @@ def _handle_integrable_coeffs(spec, cs, rho):
 
 def _handle_invariance_log_growth(spec, cs, rho):
     pts = spec.region.points(cs.d)
-    A, G, r2, axx, tra, _ = _geometry(cs, pts)
-    if spec.mode == "forward":
-        drift = G
-    else:
-        beta = calc.log_derivative_beta(cs, rho)(pts)
-        drift = 2.0 * beta - G
-    dx = np.einsum("ni,ni->n", drift, pts)
+    _, _, r2, axx, tra, _ = _geometry(cs, pts)
+    dx = np.einsum("ni,ni->n", calc.generator_drift(cs, rho, _GENERATOR_OF_MODE[spec.mode])(pts), pts)
     lhs = -axx / (r2 + 1.0) + 0.5 * tra + dx
     rhs = spec.constants["M"] * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
     note = [f"drift field: {'G' if spec.mode == 'forward' else '2 beta - G'}"]
@@ -453,9 +449,8 @@ def _handle_invariance_log_growth(spec, cs, rho):
 def _handle_non_invariance(spec, cs, rho):
     u = spec.candidate
     pts = spec.region.points(cs.d)
-    mode = "L" if spec.mode == "forward" else "L_adjoint"
     # certificate direction: (op u) - alpha u >= 0
-    op = apply_generator(cs, rho, u, mode=mode)
+    op = apply_generator(cs, rho, u, mode=_GENERATOR_OF_MODE[spec.mode])
     with np.errstate(all="ignore"):
         uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
         op_vals = op(pts)
@@ -772,7 +767,7 @@ def volume_test_integrands(
         r2 = np.einsum("ij,ij->i", pts, pts)
         return np.einsum("nij,nj,ni->n", A, pts, pts) / r2 * rho.rho(pts)
 
-    div_field = VectorField.from_exprs(calc.half_divergence(lambda i, j: cs.c_entry(j, i), d))
+    div_field = VectorField.from_exprs(calc.add_half_divergence([ex.Const(0.0)] * d, lambda i, j: cs.c_entry(j, i)))
     c_is_zero = all(e == ex.Const(0.0) for row in cs.c_upper for e in row)
     c_program = ex.Program([e for row in cs.C for e in row])
     bbar_field = (

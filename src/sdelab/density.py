@@ -273,14 +273,6 @@ class DensityApproximation:
         return DensityField(axes=self.mesh.axes(), values=values)
 
 
-def _origin_flat_index(mesh: BoxMesh) -> int:
-    k = mesh.n // 2 - 1  # interior index along each axis
-    flat = 0
-    for _ in range(mesh.d):
-        flat = flat * (mesh.n - 1) + k
-    return flat
-
-
 def solve_density(
     cs: CoefficientSet,
     R: float,
@@ -304,7 +296,8 @@ def solve_density(
     system = assemble_system(cs, mesh, boundary)
     N = mesh.n_interior
     A = system.matrix
-    origin_flat = _origin_flat_index(mesh)
+    # the origin's interior index is n/2 - 1 along each axis
+    origin_flat = int(np.ravel_multi_index((mesh.n // 2 - 1,) * mesh.d, (mesh.n - 1,) * mesh.d))
     boundary_col = -system.rhs  # couples the (unit) boundary profile, scaled by tau
     coo = A.tocoo()
     keep = coo.col != origin_flat
@@ -368,14 +361,12 @@ def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> 
     # 481/81 nodes per axis put every default bump edge on a Simpson panel
     # boundary, so the quadrature keeps its full order
     rule = QuadratureRule.box(mesh.R, mesh.d, 481 if mesh.d == 2 else 81)
-    bumps = calc.default_bump_library(rule.lo, rule.hi, mesh.d)
-    rho = approx.to_density_field()
-    reports = calc.invariance_residual(cs, rho, bumps, rule)
+    check = calc.invariance_check(cs, approx.to_density_field(), rule)
     return {
-        "max_residual": max(abs(r.residual) for r in reports),
-        "scale": max(r.scale for r in reports),
-        "residuals": [r.residual for r in reports],
-        "divergence_residual": max(abs(r.divergence) for r in reports),
+        "max_residual": check.max_residual,
+        "scale": check.scale,
+        "residuals": list(check.residuals),
+        "divergence_residual": check.max_divergence,
     }
 
 

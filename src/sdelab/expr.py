@@ -5,7 +5,10 @@ operators ``+ - * /``, powers with constant exponent (``^`` or ``**``), the
 functions ``exp``, ``ln``, ``sqrt``, ``norm2(x)`` (squared Euclidean norm of
 the full point), and the piecewise primitives ``max`` / ``min``.  There are no
 user-defined functions, so symbolic differentiation is total on the smooth
-part of the grammar.
+part of the grammar.  Each node type is a frozen dataclass: its children are
+its ``Expr``-valued fields, in order, and an operator's spelling is its
+class's ``symbol`` (infix) or ``name`` (function call), so :func:`children`,
+the parser and the printer all read the grammar off the node classes.
 
 Differentiating through ``max``/``min`` requires the caller to pass
 ``piecewise=True`` and produces a branch-selection node ``selge(a, b, p, q)``
@@ -101,6 +104,9 @@ class NonDifferentiableError(ExprError):
 class Expr:
     """Base node; all concrete nodes are frozen dataclasses (safe to share)."""
 
+    symbol = None
+    name = None
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -113,27 +119,30 @@ class Coord(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
     left: Expr
     right: Expr
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class _Unary(Expr):
+    arg: Expr
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    symbol = "+"
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    symbol = "-"
+
+
+class Mul(_Binary):
+    symbol = "*"
+
+
+class Div(_Binary):
+    symbol = "/"
 
 
 @dataclass(frozen=True)
@@ -142,19 +151,16 @@ class Pow(Expr):
     exponent: float  # constant (rational) exponent
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Exp(_Unary):
+    name = "exp"
 
 
-@dataclass(frozen=True)
-class Ln(Expr):
-    arg: Expr
+class Ln(_Unary):
+    name = "ln"
 
 
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: Expr
+class Sqrt(_Unary):
+    name = "sqrt"
 
 
 @dataclass(frozen=True)
@@ -162,16 +168,12 @@ class Norm2(Expr):
     """Squared Euclidean norm of the full coordinate vector."""
 
 
-@dataclass(frozen=True)
-class Max(Expr):
-    left: Expr
-    right: Expr
+class Max(_Binary):
+    name = "max"
 
 
-@dataclass(frozen=True)
-class Min(Expr):
-    left: Expr
-    right: Expr
+class Min(_Binary):
+    name = "min"
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,7 @@ class SelGe(Expr):
     syntax ``selge(a, b, p, q)`` exists so printed derivatives re-parse.
     """
 
+    name = "selge"
     a: Expr
     b: Expr
     then: Expr
@@ -203,15 +206,8 @@ class CallableField:
 
 
 def children(e: Expr) -> tuple:
-    if isinstance(e, (Add, Sub, Mul, Div, Max, Min)):
-        return (e.left, e.right)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Exp, Ln, Sqrt)):
-        return (e.arg,)
-    if isinstance(e, SelGe):
-        return (e.a, e.b, e.then, e.orelse)
-    return ()
+    """The node's ``Expr``-valued dataclass fields (``__match_args__``), in order."""
+    return tuple(c for c in (getattr(e, f) for f in e.__match_args__) if isinstance(c, Expr))
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -294,7 +290,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTIONS = ("exp", "ln", "sqrt", "norm2", "max", "min", "selge")
+_INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
+_FUNCTIONS = {cls.name: cls for cls in (Exp, Ln, Sqrt, Max, Min, SelGe)}
 
 
 class _Token:
@@ -349,18 +346,14 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = _INFIX[self.next().text](node, self.term())
         return node
 
     # term := unary (('*'|'/') unary)*
     def term(self) -> Expr:
         node = self.unary()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = _INFIX[self.next().text](node, self.unary())
         return node
 
     # unary := '-' unary | power
@@ -425,6 +418,8 @@ class _Parser:
         if t.kind == "num":
             return Const(float(t.text))
         if t.kind == "name":
+            if t.text == "norm2":
+                return self.norm2()
             if t.text in _FUNCTIONS:
                 return self.call(t)
             m = re.fullmatch(r"x(\d+)", t.text)
@@ -442,34 +437,26 @@ class _Parser:
             return node
         raise ExprSyntaxError(f"unexpected token {t.text!r}", t.offset)
 
-    def call(self, tok: _Token) -> Expr:
-        name = tok.text
+    def norm2(self) -> Expr:
         self.expect("(")
-        if name == "norm2":
-            t = self.next()
-            if t.text != "x":
-                raise ExprSyntaxError("norm2 takes the full point: norm2(x)", t.offset)
-            self.expect(")")
-            return Norm2()
+        t = self.next()
+        if t.text != "x":
+            raise ExprSyntaxError("norm2 takes the full point: norm2(x)", t.offset)
+        self.expect(")")
+        return Norm2()
+
+    def call(self, tok: _Token) -> Expr:
+        cls = _FUNCTIONS[tok.text]
+        self.expect("(")
         args = [self.expr()]
         while self.peek().text == ",":
             self.next()
             args.append(self.expr())
         self.expect(")")
-        arity = {"exp": 1, "ln": 1, "sqrt": 1, "max": 2, "min": 2, "selge": 4}[name]
+        arity = len(cls.__match_args__)
         if len(args) != arity:
-            raise ExprSyntaxError(f"{name} takes {arity} argument(s), got {len(args)}", tok.offset)
-        if name == "exp":
-            return Exp(args[0])
-        if name == "ln":
-            return Ln(args[0])
-        if name == "sqrt":
-            return Sqrt(args[0])
-        if name == "max":
-            return Max(args[0], args[1])
-        if name == "min":
-            return Min(args[0], args[1])
-        return SelGe(args[0], args[1], args[2], args[3])
+            raise ExprSyntaxError(f"{tok.text} takes {arity} argument(s), got {len(args)}", tok.offset)
+        return cls(*args)
 
 
 def parse_expr(src: str, dimension: int) -> Expr:
@@ -510,14 +497,6 @@ def to_source(e: Expr) -> str:
         return _fmt_float(e.value)
     if isinstance(e, Coord):
         return f"x{e.axis + 1}"
-    if isinstance(e, Add):
-        return f"({to_source(e.left)} + {to_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_source(e.left)} - {to_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_source(e.left)} * {to_source(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_source(e.left)} / {to_source(e.right)})"
     if isinstance(e, Pow):
         base = to_source(e.base)
         if isinstance(e.base, Pow):
@@ -525,24 +504,12 @@ def to_source(e: Expr) -> str:
         if e.exponent < 0:
             return f"{base}^(-{_fmt_float(-e.exponent)})"
         return f"{base}^{_fmt_float(e.exponent)}"
-    if isinstance(e, Exp):
-        return f"exp({to_source(e.arg)})"
-    if isinstance(e, Ln):
-        return f"ln({to_source(e.arg)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({to_source(e.arg)})"
     if isinstance(e, Norm2):
         return "norm2(x)"
-    if isinstance(e, Max):
-        return f"max({to_source(e.left)}, {to_source(e.right)})"
-    if isinstance(e, Min):
-        return f"min({to_source(e.left)}, {to_source(e.right)})"
-    if isinstance(e, SelGe):
-        return (
-            f"selge({to_source(e.a)}, {to_source(e.b)}, "
-            f"{to_source(e.then)}, {to_source(e.orelse)})"
-        )
-    raise TypeError(f"unknown node {e!r}")
+    args = [to_source(c) for c in children(e)]
+    if e.symbol is not None:
+        return f"({f' {e.symbol} '.join(args)})"
+    return f"{e.name}({', '.join(args)})"
 
 
 # ---------------------------------------------------------------------------

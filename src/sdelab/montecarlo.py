@@ -46,6 +46,7 @@ __all__ = [
     "transition_histogram",
     "exit_statistics",
     "ks_marginal_distance",
+    "KS_FACTOR",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -53,6 +54,8 @@ _NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
 _BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
 _REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 _BATCHES = 20  # batch means behind the ergodic average's standard error
+# KS level -> (critical distance times sqrt(paths), significance)
+KS_FACTOR = {"5pct": (1.358, 0.05), "1pct": (1.63, 0.01)}
 
 
 class MonteCarloError(Exception):
@@ -567,7 +570,7 @@ def transition_histogram(
     if rho_ref is not None:
         grid, cdfs = _marginal_cdfs(rho_ref, d, _REF_BOX)
         out["ks_distance"] = [ks_marginal_distance(X[:, k], grid, cdf) for k, cdf in enumerate(cdfs)]
-        out["ks_critical_5pct"] = 1.358 / math.sqrt(ens.n_paths)
+        out["ks_critical_5pct"] = KS_FACTOR["5pct"][0] / math.sqrt(ens.n_paths)
     return out
 
 

@@ -363,6 +363,14 @@ def test_beta_of_density_keeps_the_density_invariant_with_variable_c():
     assert row["max_invariance_residual"] <= 1e-8 * row["residual_scale"]
 
 
+@pytest.mark.parametrize("name, skipped", [("example_3_2_1_4_ii", 1), ("planar_bm", 0)])
+def test_declared_density_row_reports_skipped_nodes(name, skipped):
+    # example_3_2_1_4_ii's hump at the origin is singular on a node of every bump's box
+    report = run_scenario(load_config(name), stages=("density",))
+    (row,) = report["stages"]["density"]["analytic"]
+    assert row["skipped_nodes"] == skipped
+
+
 def test_build_problem_builds_and_probes_once_per_builtin(monkeypatch):
     # the H, G and beta_of_density drift forms each build one coefficient set and probe A once
     calls = {"build": 0, "probe": 0}

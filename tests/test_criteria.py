@@ -251,6 +251,17 @@ def test_growth_note_samples_the_interval():
     assert note.startswith("sphere-infimum growth sampled up to r=40:")
 
 
+@pytest.mark.parametrize(
+    "region",
+    [RegionSpec(kind="box", lo=-0.1, hi=0.1), RegionSpec(kind="annulus", r_min=0.05, r_max=0.2)],
+)
+def test_growth_note_on_a_region_inside_the_unit_ball(region):
+    # the sampled radii start inside the region, not at r = 1 above its outer radius
+    spec = CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}, candidate="norm2(x) + 1", region=region)
+    (note,) = evaluate_criterion(spec, cs_ou()).notes
+    assert note.endswith(": increasing (not certified)"), note
+
+
 def test_piecewise_inequality_form_positive():
     # the same certificate in the substituted variable y = e^{-x}:
     # (Psi'' + Psi') y^2 - Psi/2 >= 0 on (0, 50]

@@ -310,6 +310,31 @@ def test_negative_zero_reprints_as_a_literal():
     assert to_source(parse_expr(once, 2)) == once
 
 
+def test_printer_spelling_of_every_node_type():
+    # report.json echoes these strings, so they are pinned exactly
+    x1, x2 = Coord(0), Coord(1)
+    cases = [
+        (Const(-2.5), "(-2.5)"),
+        (Const(-0.0), "(-0.0)"),
+        (ex.Add(x1, Const(1.0)), "(x1 + 1.0)"),
+        (ex.Sub(x1, x2), "(x1 - x2)"),
+        (ex.Mul(Const(2.0), x2), "(2.0 * x2)"),
+        (ex.Div(x1, x2), "(x1 / x2)"),
+        (ex.Pow(x1, -1.5), "x1^(-1.5)"),
+        (ex.Pow(ex.Pow(x1, 2.0), 0.5), "(x1^2.0)^0.5"),
+        (ex.Exp(x1), "exp(x1)"),
+        (ex.Ln(x2), "ln(x2)"),
+        (ex.Sqrt(ex.Norm2()), "sqrt(norm2(x))"),
+        (Max(x1, x2), "max(x1, x2)"),
+        (ex.Min(x1, Const(0.0)), "min(x1, 0.0)"),
+        (ex.SelGe(x1, x2, Const(1.0), Const(-1.0)), "selge(x1, x2, 1.0, (-1.0))"),
+    ]
+    for tree, text in cases:
+        assert to_source(tree) == text
+        assert parse_expr(text, 2) == tree
+    assert math.copysign(1.0, parse_expr("(-0.0)", 2).value) == -1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(_exprs())
 def test_reprint_is_stable(tree):
