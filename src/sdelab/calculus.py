@@ -27,7 +27,6 @@ import numpy as np
 
 from . import expr as ex
 from .expr import (
-    CallableField,
     Const,
     Expr,
     Program,
@@ -749,28 +748,21 @@ def default_bump_library(lo, hi, d: int) -> List[Bump]:
     return bumps[:8]
 
 
-def _f_derivatives(f, d: int, with_value: bool = False):
+def _f_derivatives(f: Expr, d: int, with_value: bool = False):
     """``pts -> (value (n,) or None, grad (n, d), hessian (n, d, d))`` for an
-    AST or CallableField, the value only ``with_value``; max/min nodes take
-    branch derivatives."""
-    if isinstance(f, Expr):
-        grads = gradient(f, d, piecewise=True)
-        head = [f] if with_value else []
-        program = Program(head + grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
-        k = len(head)
+    AST, the value only ``with_value``; max/min nodes take branch derivatives."""
+    grads = gradient(f, d, piecewise=True)
+    head = [f] if with_value else []
+    program = Program(head + grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
+    k = len(head)
 
-        def derivatives(pts):
-            out = program(pts)
-            grad = np.ascontiguousarray(out[:, k : k + d])
-            hess = np.ascontiguousarray(out[:, k + d :]).reshape(len(pts), d, d)
-            return (out[:, 0].copy() if with_value else None), grad, hess
+    def derivatives(pts):
+        out = program(pts)
+        grad = np.ascontiguousarray(out[:, k : k + d])
+        hess = np.ascontiguousarray(out[:, k + d :]).reshape(len(pts), d, d)
+        return (out[:, 0].copy() if with_value else None), grad, hess
 
-        return derivatives
-    if isinstance(f, CallableField):
-        if f.grad is None or f.hess is None:
-            raise CalculusError("CallableField needs grad= and hess= for generator application")
-        return lambda pts: (f.value(pts) if with_value else None, f.grad(pts), f.hess(pts))
-    raise TypeError(f"generator argument must be an AST or CallableField, got {f!r}")
+    return derivatives
 
 
 def generator_drift(

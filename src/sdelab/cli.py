@@ -5,12 +5,11 @@ criterion requests, and a simulation request.  ``validate_config`` is the
 only code that reads a config dict.  It parses it once into a frozen
 :class:`Scenario`, whose dataclass fields are the schema: each field names a
 config key, its type, its default and its reader.  Every expression string
-becomes an ``Expr``, density references and ``builtin:`` candidates are
-resolved, and cross-references (a check and the block it reads, a density
-reference and the declared densities) are checked.  Malformed input, a key
-the schema does not define included, raises :class:`ConfigError` with its
-field path, such as ``$.simulation.checks[0].time``.  The stages read typed
-fields only.
+becomes an ``Expr``, density references are resolved, and cross-references
+(a check and the block it reads, a density reference and the declared
+densities) are checked.  Malformed input, a key the schema does not define
+included, raises :class:`ConfigError` with its field path, such as
+``$.simulation.checks[0].time``.  The stages read typed fields only.
 
 ``run`` executes the stages in order density -> criteria -> simulation ->
 comparisons; partial failures are embedded per stage and reflected in the
@@ -52,7 +51,7 @@ from . import criteria as crit
 from . import density as dens
 from . import montecarlo as mc
 from .calculus import CoefficientSet, DensityField
-from .expr import CallableField, Const, Expr, ExprError, evaluate, parse_expr
+from .expr import Const, Expr, ExprError, evaluate, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -72,23 +71,6 @@ class ConfigError(Exception):
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
-
-
-# ---------------------------------------------------------------------------
-# builtin candidate fields (for certificates with no closed form in the DSL)
-
-
-def _gaussian_primitive() -> CallableField:
-    from scipy.special import erf
-
-    return CallableField(
-        value=lambda p: math.sqrt(math.pi) / 2 * (1 + erf(p[:, 0])),
-        grad=lambda p: np.exp(-p[:, 0] ** 2)[:, None],
-        hess=lambda p: (-2 * p[:, 0] * np.exp(-p[:, 0] ** 2))[:, None, None],
-    )
-
-
-BUILTIN_FIELDS = {"gaussian_primitive": _gaussian_primitive}
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +195,6 @@ def _expr(v, path, d) -> Expr:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("expected an expression", path)
     return Const(_float(v, path))
-
-
-def _candidate(v, path, d) -> Union[Expr, CallableField]:
-    if isinstance(v, str) and v.startswith("builtin:"):
-        name = v[len("builtin:") :]
-        if name not in BUILTIN_FIELDS:
-            raise ConfigError(f"unknown builtin field {name!r}", path)
-        return BUILTIN_FIELDS[name]()
-    return _expr(v, path, d)
 
 
 DensityRef = Union[int, str]  # index of a declared analytic density, or "solved"
@@ -461,7 +434,7 @@ _TREND_CSV = {"VOLUME_RECURRENCE": ("volume_test.csv", ("n", "a_n", "v2_n", "log
 class Criterion:
     id: str = _key(_choice(crit.TEMPLATES))
     constants: Optional[Dict[str, float]] = _key(_constants, None)
-    candidate: Union[None, Expr, CallableField] = _key(_candidate, None)
+    candidate: Optional[Expr] = _key(_expr, None)
     rhs: Optional[Expr] = _key(_expr, None)
     region: Optional[crit.RegionSpec] = _key(_region, None)
     variant: Optional[str] = _key(_str, None)
@@ -681,8 +654,6 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
         if float(np.linalg.norm(x)) >= sim.radii[0]:
             raise ConfigError("must lie inside the smallest ladder radius", where)
 
-    if d < 2:
-        raise ConfigError("the simulator needs dimension >= 2", path)
     scfg = run_config(path)
     inside(sim.x0, f"{path}.x0")
     if sim.moments:

@@ -24,7 +24,7 @@ import numpy as np
 from . import calculus as calc
 from . import expr as ex
 from .calculus import CoefficientSet, DensityField, VectorField, apply_generator
-from .expr import CallableField, Expr, evaluate, parse_expr
+from .expr import Expr, evaluate, parse_expr
 
 __all__ = [
     "CriterionError",
@@ -166,7 +166,7 @@ def _sphere(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
 class CriterionSpec:
     id: str
     constants: Dict[str, float] = field(default_factory=dict)
-    candidate: Optional[Union[Expr, CallableField, str]] = None
+    candidate: Optional[Union[Expr, str]] = None
     rhs: Optional[Union[Expr, str]] = None
     region: Optional[RegionSpec] = None
     variant: Optional[str] = None  # template-specific flavor
@@ -246,7 +246,7 @@ def _finish_margin(pts: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> MarginR
 def lyapunov_margin(
     cs: CoefficientSet,
     rho: Optional[DensityField],
-    candidate: Union[Expr, CallableField],
+    candidate: Expr,
     mode: str,
     rhs: Union[Expr, float, Callable[[np.ndarray], np.ndarray]],
     pts: np.ndarray,
@@ -267,7 +267,7 @@ def lyapunov_margin(
 
 
 def growth_report(
-    candidate: Union[Expr, CallableField],
+    candidate: Expr,
     d: int,
     r_start: float,
     r_stop: float,
@@ -358,12 +358,7 @@ def _lyapunov(op: str, candidate: Callable, rhs: Callable):
 def _scaled(name: str):
     """The right-hand side ``constants[name] * g``."""
 
-    def rhs(k, g):
-        if isinstance(g, Expr):
-            return ex.mul(ex.Const(k[name]), g)
-        return lambda p: k[name] * np.asarray(g.value(p))
-
-    return rhs
+    return lambda k, g: ex.mul(ex.Const(k[name]), g)
 
 
 def _growth_candidate(k, d: int) -> Expr:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+import scipy.special
 
 __all__ = [
     "ExprError",
@@ -49,11 +50,11 @@ __all__ = [
     "Exp",
     "Ln",
     "Sqrt",
+    "Erf",
     "Norm2",
     "Max",
     "Min",
     "SelGe",
-    "CallableField",
     "parse_expr",
     "to_source",
     "differentiate",
@@ -163,6 +164,10 @@ class Sqrt(_Unary):
     name = "sqrt"
 
 
+class Erf(_Unary):
+    name = "erf"
+
+
 @dataclass(frozen=True)
 class Norm2(Expr):
     """Squared Euclidean norm of the full coordinate vector."""
@@ -189,20 +194,6 @@ class SelGe(Expr):
     b: Expr
     then: Expr
     orelse: Expr
-
-
-@dataclass(frozen=True)
-class CallableField:
-    """Tabulated/callable scalar field used where no closed form exists.
-
-    ``value`` maps an ``(n, d)`` array to ``(n,)``; ``grad`` to ``(n, d)``;
-    ``hess`` to ``(n, d, d)``.  Gradients/Hessians are only required by the
-    operations that consume them.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def children(e: Expr) -> tuple:
@@ -291,7 +282,7 @@ _TOKEN_RE = re.compile(
 )
 
 _INFIX = {cls.symbol: cls for cls in (Add, Sub, Mul, Div)}
-_FUNCTIONS = {cls.name: cls for cls in (Exp, Ln, Sqrt, Max, Min, SelGe)}
+_FUNCTIONS = {cls.name: cls for cls in (Exp, Ln, Sqrt, Erf, Max, Min, SelGe)}
 
 
 class _Token:
@@ -552,6 +543,9 @@ def differentiate(e: Expr, axis: int, piecewise: bool = False) -> Expr:
         return div(differentiate(e.arg, axis, piecewise), e.arg)
     if isinstance(e, Sqrt):
         return div(differentiate(e.arg, axis, piecewise), mul(Const(2.0), e))
+    if isinstance(e, Erf):
+        gauss = Exp(mul(Const(-1.0), powc(e.arg, 2.0)))
+        return mul(mul(Const(2.0 / math.sqrt(math.pi)), gauss), differentiate(e.arg, axis, piecewise))
     if isinstance(e, Norm2):
         return mul(Const(2.0), Coord(axis))
     if isinstance(e, Max):
@@ -616,6 +610,7 @@ _OPS = {
     Exp: np.exp,
     Ln: np.log,
     Sqrt: np.sqrt,
+    Erf: scipy.special.erf,
     Max: np.maximum,
     Min: np.minimum,
     SelGe: lambda a, b, then, orelse: np.where(a >= b, then, orelse),
@@ -744,15 +739,13 @@ def fold_const(e: Expr) -> Optional[float]:
     return float(evaluate(e, np.zeros(1)))
 
 
-PointFunction = Union[Expr, CallableField, Callable[[np.ndarray], np.ndarray]]
+PointFunction = Union[Expr, Callable[[np.ndarray], np.ndarray]]
 
 
 def as_point_function(f: PointFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt an AST, CallableField, or raw callable to ``(n, d) -> (n,)``."""
+    """Adapt an AST or a raw callable to ``(n, d) -> (n,)``."""
     if isinstance(f, Expr):
         return Program(f)
-    if isinstance(f, CallableField):
-        return f.value
     if callable(f):
         return f
     raise TypeError(f"not a point function: {f!r}")

@@ -33,7 +33,7 @@ from scipy.special import ndtri
 
 from . import calculus as calc
 from .calculus import CoefficientSet, DensityField, QuadratureRule
-from .expr import CallableField, Expr, PointFunction, Program, as_point_function
+from .expr import Expr, PointFunction, Program, as_point_function
 
 __all__ = [
     "MonteCarloError",
@@ -154,8 +154,6 @@ def simulate_ensemble(
     Accumulators given as an :class:`Expr` are evaluated with the drift in one
     program; any other point function is called once per step.
     """
-    if cs.d < 2:
-        raise MonteCarloError("the simulator needs d >= 2")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cs.d,):
         raise MonteCarloError(f"x0 must have shape ({cs.d},)")
@@ -325,7 +323,7 @@ def ensemble_summary_rows(ens: PathEnsemble) -> Tuple[List[str], List[list]]:
 
 def moment_curve(
     ens: PathEnsemble,
-    phi: Union[Expr, CallableField, Callable],
+    phi: PointFunction,
     times: Sequence[float],
     bound: Optional[Dict[str, float]] = None,
 ) -> List[Dict[str, object]]:
@@ -357,7 +355,7 @@ def moment_curve(
 
 def krylov_functional(
     cs: CoefficientSet,
-    f: Union[Expr, CallableField, Callable],
+    f: PointFunction,
     t: float,
     x_grid: Sequence[Sequence[float]],
     cfg: SimulationConfig,
@@ -419,7 +417,7 @@ def ergodic_average(
     cs: CoefficientSet,
     x0: Sequence[float],
     cfg: SimulationConfig,
-    f: Union[Expr, CallableField, Callable],
+    f: PointFunction,
     burn_in: float,
 ) -> Dict[str, object]:
     """Running time-average ``(t - b)^{-1} int_b^t f(X_s) ds`` on one path.
@@ -495,18 +493,21 @@ def _batch_means_std_error(totals: Sequence[float], width: float) -> Optional[fl
 
 def _marginal_cdfs(rho: DensityField, d: int, box: float) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Normalized marginal CDFs of a density on [-box, box]^d, one per axis,
-    tabulated at the rule's axis nodes (the same on every axis).
+    tabulated at 481 nodes along the axis (the same nodes on every axis).
 
-    The marginal density at an axis node is the rule's weighted sum over the
-    other axes; its CDF is the cumulative trapezoid sum, normalized by its
-    last value, so the table's error is O(h^2).
+    The marginal density at an axis node is the weighted sum over the other
+    axes of a rule with 481 nodes along the axis and 481 (d = 2) or 61
+    (d >= 3) across it; its CDF is the cumulative trapezoid sum, normalized
+    by its last value, so the table's error is O(h^2) in the axis spacing.
     """
-    rule = QuadratureRule.box(box, d, 481 if d == 2 else 61)
-    pts, w = rule.points_and_weights()
-    xs, w_axis = rule.axis_nodes(0)
-    mass = (rho.rho(pts) * w).reshape((len(xs),) * d)
+    across = 481 if d == 2 else 61
     cdfs = []
     for axis in range(d):
+        nodes = tuple(481 if k == axis else across for k in range(d))
+        rule = QuadratureRule((-float(box),) * d, (float(box),) * d, nodes)
+        pts, w = rule.points_and_weights()
+        xs, w_axis = rule.axis_nodes(axis)
+        mass = (rho.rho(pts) * w).reshape(nodes)
         marginal = np.moveaxis(mass, axis, 0).reshape(len(xs), -1).sum(axis=1) / w_axis
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (marginal[1:] + marginal[:-1]) * np.diff(xs))])
         cdfs.append(cdf / cdf[-1])

@@ -149,8 +149,6 @@ def malformed_inputs():
     beta["coefficients"]["H"] = {"beta_of_density": "x"}
     a_entry = tiny_bm_config()
     a_entry["coefficients"]["A"] = [[{}, "0"], ["1"]]
-    one_d = tiny_bm_config(dimension=1, coefficients={"A": [["1"]], "H": ["0"]}, criteria=[])
-    one_d["simulation"].update(x0=[0.0], moments={"phi": "x1^2", "times": [0.5]})
     three_d = tiny_bm_config(
         dimension=3,
         coefficients={"A": [["1", "0", "0"], ["1", "0"], ["1"]], "H": ["0", "0", "0"]},
@@ -185,6 +183,9 @@ def malformed_inputs():
     candidate_on_eq_335 = builtin("ou_2d", lambda c: c["criteria"][0].update(candidate="norm2(x)"))
     growth_with_mode = builtin("planar_bm", lambda c: c["criteria"].append(
         {"id": "GROWTH_NONEXPLOSION", "mode": "forward", "density": "analytic:0"}))
+    # a candidate is an expression: a "builtin:" field name does not parse
+    builtin_candidate = builtin("remark_2_1_12_i", lambda c: c["criteria"][0].update(
+        candidate="builtin:gaussian_primitive"))
     n_se_on_exit_prob = builtin("planar_bm", lambda c: c["simulation"]["checks"][1].update(n_se=2.0))
     mean_at_off_time = builtin("example_3_8", lambda c: c["simulation"]["checks"][1].update(time=0.25))
     # N0 beside the region and the candidate it would otherwise place
@@ -200,6 +201,7 @@ def malformed_inputs():
     c_full["coefficients"]["C"] = [["0", "1"], ["1", "0"]]
     return [
         (candidate_on_eq_335, "$.criteria[0].candidate", "ERGODIC_DRIFT/eq_335 does not read candidate"),
+        (builtin_candidate, "$.criteria[0].candidate", "bad expression 'builtin:gaussian_primitive'"),
         (growth_with_mode, "$.criteria[4].mode", "GROWTH_NONEXPLOSION has no mode"),
         (n_se_on_exit_prob, "$.simulation.checks[1].n_se", "exit_prob check does not read this field"),
         (mean_at_off_time, "$.simulation.checks[1].time", "must equal simulation.transition.t"),
@@ -262,7 +264,6 @@ def malformed_inputs():
         (sim(transition={"t": 0.6}), "$.simulation.transition.t", "must lie in [dt, horizon]"),
         (sim(ergodic={"f": "1", "horizon": 2.0, "burn_in": 2.0}), "$.simulation.ergodic.burn_in", "[0, horizon)"),
         (sim(paths=0), "$.simulation.paths", "must be >= 1"),
-        (one_d, "$.simulation", "dimension >= 2"),
         (tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [2.0], "n": 15}}),
          "$.density.solve", "even cell count"),
         # criteria checked against their template
@@ -297,6 +298,29 @@ def malformed_inputs():
         (tiny_bm_config(density={"analytic": ["0"]}), "$.density.analytic[0]", "> 0 at the origin"),
         (tiny_bm_config(density={"analytic": ["-1"]}), "$.density.analytic[0]", ">= 0 at the probe points"),
     ]
+
+
+def test_one_dimensional_simulation():
+    # the stepping kernel is d-generic: a d=1 OU process reaches its N(0, 1/2) law exp(-x^2)
+    cfg = tiny_bm_config(
+        dimension=1,
+        coefficients={"A": [["1"]], "H": ["-x1"]},
+        density={"analytic": ["exp(-x1^2)"]},
+        criteria=[],
+    )
+    cfg["simulation"].update(
+        horizon=3.0,
+        paths=2000,
+        x0=[0.0],
+        moments={"phi": "x1^2", "times": [3.0]},
+        transition={"t": 3.0, "reference": "analytic:0"},
+        checks=[{"type": "moment_value", "time": 3.0, "value": 0.5}, {"type": "ks_below_critical"}],
+    )
+    report = run_scenario(cfg)
+    assert report["status"]["exit_code"] == 0
+    sim = report["stages"]["simulation"]
+    assert [c["passed"] for c in sim["checks"]] == [True, True]
+    assert max(sim["transition"]["ks_distance"]) <= sim["transition"]["ks_critical_5pct"]
 
 
 def test_run_scenario_reports_malformed_config():
@@ -363,9 +387,9 @@ def test_beta_of_density_keeps_the_density_invariant_with_variable_c():
     assert row["max_invariance_residual"] <= 1e-8 * row["residual_scale"]
 
 
-@pytest.mark.parametrize("name, skipped", [("example_3_2_1_4_ii", 1), ("planar_bm", 0)])
+@pytest.mark.parametrize("name, skipped", [("example_3_2_1_4_ii", 3), ("planar_bm", 0)])
 def test_declared_density_row_reports_skipped_nodes(name, skipped):
-    # example_3_2_1_4_ii's hump at the origin is singular on a node of every bump's box
+    # each of example_3_2_1_4_ii's three humps is singular at one grid node
     report = run_scenario(load_config(name), stages=("density",))
     (row,) = report["stages"]["density"]["analytic"]
     assert row["skipped_nodes"] == skipped

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,17 @@ def test_derivative_exp():
         assert eval_expr(d, [x]) == pytest.approx(2 * math.exp(2 * x), rel=1e-12)
 
 
+def test_derivative_erf():
+    # d/dx1 erf(x1^2) = 2/sqrt(pi) exp(-x1^4) 2 x1, and nothing along x2
+    t = parse_expr("erf(x1^2)", 2)
+    assert differentiate(t, 1) == Const(0.0)
+    d = differentiate(t, 0)
+    for x in (-1.3, -0.4, 0.0, 0.7, 2.0):
+        want = 2.0 / math.sqrt(math.pi) * math.exp(-(x**4)) * 2.0 * x
+        assert eval_expr(d, [x, 0.5]) == pytest.approx(want, rel=1e-14)
+    assert eval_expr(t, [0.8, 0.0]) == pytest.approx(math.erf(0.64), rel=1e-15)
+
+
 def test_gradient_of_log_candidate_fd():
     # gradient of ln(max(norm2(x), 9)) + 2 matches 2x/|x|^2 outside radius 3
     t = parse_expr("ln(max(norm2(x), 9)) + 2", 2)
@@ -152,7 +164,7 @@ def _tree_walk(e, pts):
     """Reference: recursive evaluation, one numpy operation per visited node."""
     binary = {ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply, ex.Div: np.divide,
               ex.Max: np.maximum, ex.Min: np.minimum}
-    unary = {ex.Exp: np.exp, ex.Ln: np.log, ex.Sqrt: np.sqrt}
+    unary = {ex.Exp: np.exp, ex.Ln: np.log, ex.Sqrt: np.sqrt, ex.Erf: scipy.special.erf}
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Coord):
@@ -180,6 +192,9 @@ def _program_sets():
     grads = ex.gradient(bump, 2, piecewise=True)
     hess = [differentiate(g, j, piecewise=True) for g in grads for j in range(2)]
     yield pytest.param(2, [bump] + grads + hess, id="bump_hessian")
+    primitive = parse_expr("0.8862269254527579*(1 + erf(x1))", 1)
+    slope = differentiate(primitive, 0)
+    yield pytest.param(1, [primitive, slope, differentiate(slope, 0)], id="gaussian_primitive")
 
 
 @pytest.mark.parametrize("d, exprs", list(_program_sets()))
@@ -289,6 +304,7 @@ def _exprs(dim=2):
             inner.map(ex.Exp),
             inner.map(ex.Ln),
             inner.map(ex.Sqrt),
+            inner.map(ex.Erf),
             st.tuples(inner, st.sampled_from([2.0, 3.0, 0.5, -1.0, 1.5])).map(
                 lambda be: ex.Pow(*be)
             ),
@@ -325,6 +341,7 @@ def test_printer_spelling_of_every_node_type():
         (ex.Exp(x1), "exp(x1)"),
         (ex.Ln(x2), "ln(x2)"),
         (ex.Sqrt(ex.Norm2()), "sqrt(norm2(x))"),
+        (ex.Erf(ex.Mul(Const(2.0), x1)), "erf((2.0 * x1))"),
         (Max(x1, x2), "max(x1, x2)"),
         (ex.Min(x1, Const(0.0)), "min(x1, 0.0)"),
         (ex.SelGe(x1, x2, Const(1.0), Const(-1.0)), "selge(x1, x2, 1.0, (-1.0))"),

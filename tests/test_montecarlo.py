@@ -517,10 +517,12 @@ def test_transition_histogram_flat_reference_rejected():
     assert out == {**transition_histogram(ens, 0.1), "reference_error": out["reference_error"]}
 
 
-def test_marginal_cdf_table_matches_erf():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_marginal_cdf_table_matches_erf(d):
     # exp(-|x|^2) has N(0, 1/2) marginals, whose CDF is (1 + erf(x)) / 2
-    rho = DensityField.from_expression("exp(-norm2(x))", 2)
-    grid, cdfs = montecarlo._marginal_cdfs(rho, 2, montecarlo._REF_BOX)
+    rho = DensityField.from_expression("exp(-norm2(x))", d)
+    grid, cdfs = montecarlo._marginal_cdfs(rho, d, montecarlo._REF_BOX)
+    assert len(cdfs) == d
     exact = 0.5 * (1.0 + np.array([math.erf(x) for x in grid]))
     for cdf in cdfs:
         assert np.max(np.abs(cdf - exact)) <= 1e-4
