@@ -607,12 +607,12 @@ def exact_sum(x: np.ndarray) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def integrate(f, rule: QuadratureRule) -> float:
-    """Tensor-product quadrature of a point function; the sum is correctly
-    rounded, equal to ``math.fsum`` (:func:`exact_sum`)."""
-    fn = ex.as_point_function(f)
+def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
+    """Tensor-product quadrature of ``f``, which maps ``(n, d)`` points to
+    ``(n,)``; the sum is correctly rounded, equal to ``math.fsum``
+    (:func:`exact_sum`)."""
     pts, w = rule.points_and_weights()
-    vals = np.asarray(fn(pts), dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
     vals = np.broadcast_to(vals, w.shape)
     return exact_sum(w * vals)
 

@@ -820,10 +820,11 @@ def run_density_stage(
             vb = last.to_density_field().rho(pts)
             out["solve"]["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
             out["solve"]["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
-        res_rep = dens.invariance_of_solution(cs, last)
-        out["solve"]["invariance_residual"] = res_rep["max_residual"]
-        out["solve"]["invariance_scale"] = res_rep["scale"]
-        out["solve"]["divergence_residual"] = res_rep["divergence_residual"]
+        check = dens.invariance_of_solution(cs, last)
+        out["solve"]["invariance_residual"] = check.max_residual
+        out["solve"]["invariance_scale"] = check.scale
+        out["solve"]["divergence_residual"] = check.max_divergence
+        out["solve"]["skipped_nodes"] = check.skipped_nodes
         mesh = last.mesh
         pts, vals = calc.lattice(mesh.axes()), last.values.reshape(-1)
         tables["density_grid.csv"] = Table(
@@ -887,12 +888,14 @@ def run_simulation_stage(scenario: Scenario, cs, analytic, solved: Solved) -> Tu
     tables: Dict[str, Table] = {}
 
     moments = sim.moments
-    save_times = set(moments.times) if moments else set()
-    if trans:
-        save_times.add(trans.t)
-    ens = mc.simulate_ensemble(cs, x0, scfg, save_times=sorted(save_times))
-    out["clip_events"] = int(ens.clip_counts.sum())
-    out["exited_paths"] = int(ens.status.sum())
+    # the ergodic and Krylov estimators step their own paths
+    if moments or sim.exit or trans or sim.save_paths:
+        save_times = set(moments.times) if moments else set()
+        if trans:
+            save_times.add(trans.t)
+        ens = mc.simulate_ensemble(cs, x0, scfg, save_times=sorted(save_times))
+        out["clip_events"] = int(ens.clip_counts.sum())
+        out["exited_paths"] = int(ens.status.sum())
     if sim.save_paths:
         tables["paths.csv"] = Table(*mc.ensemble_summary_rows(ens))
 
@@ -1124,7 +1127,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command in ("ergodic", "krylov") and scenario.simulation is not None:
         # keep only the estimator the subcommand names
-        drop = dict(moments=None, ergodic=None, krylov=None, transition=None, exit=None, checks=())
+        drop = dict(
+            moments=None, ergodic=None, krylov=None, transition=None, exit=None, save_paths=False, checks=()
+        )
         del drop[args.command]
         scenario = replace(scenario, simulation=replace(scenario.simulation, **drop))
 

@@ -248,7 +248,7 @@ def lyapunov_margin(
     rho: Optional[DensityField],
     candidate: Expr,
     mode: str,
-    rhs: Union[Expr, float, Callable[[np.ndarray], np.ndarray]],
+    rhs: Union[Expr, float],
     pts: np.ndarray,
 ) -> MarginResult:
     """Margin field ``rhs(x) - (operator candidate)(x)`` on the given points.
@@ -262,7 +262,7 @@ def lyapunov_margin(
         if isinstance(rhs, (int, float)):
             rhs_vals = np.full(len(pts), float(rhs))
         else:
-            rhs_vals = np.asarray(ex.as_point_function(rhs)(pts), dtype=float)
+            rhs_vals = ex.Program(rhs)(pts)
     return _finish_margin(pts, lhs, rhs_vals)
 
 
@@ -278,7 +278,7 @@ def growth_report(
     12 spheres of geometrically increasing radius and reports whether the
     infimum increases.
     """
-    fn = ex.as_point_function(candidate)
+    fn = ex.Program(candidate)
     radii = np.geomspace(max(r_start, 1e-3), r_stop, 12)
     dirs = _sphere(d, 128)[0]
     infs = []
@@ -447,7 +447,7 @@ def _handle_non_invariance(spec, cs, rho):
     # certificate direction: (op u) - alpha u >= 0
     op = apply_generator(cs, rho, u, mode=_GENERATOR_OF_MODE[spec.mode])
     with np.errstate(all="ignore"):
-        uvals = np.asarray(ex.as_point_function(u)(pts), dtype=float)
+        uvals = ex.Program(u)(pts)
         op_vals = op(pts)
     result = _finish_margin(pts, uvals * spec.constants["alpha"], op_vals)
     notes = [

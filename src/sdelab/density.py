@@ -353,21 +353,14 @@ def solve_density(
     )
 
 
-def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> Dict[str, object]:
-    """Quadrature residuals of the solved density against the bump library:
-    the invariance residuals and the largest divergence residual."""
+def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> calc.InvarianceCheck:
+    """Quadrature residuals of the solved density against the bump library."""
     mesh = approx.mesh
     # finer than the mesh (multilinear interpolation of the grid density);
     # 481/81 nodes per axis put every default bump edge on a Simpson panel
     # boundary, so the quadrature keeps its full order
     rule = QuadratureRule.box(mesh.R, mesh.d, 481 if mesh.d == 2 else 81)
-    check = calc.invariance_check(cs, approx.to_density_field(), rule)
-    return {
-        "max_residual": check.max_residual,
-        "scale": check.scale,
-        "residuals": list(check.residuals),
-        "divergence_residual": check.max_divergence,
-    }
+    return calc.invariance_check(cs, approx.to_density_field(), rule)
 
 
 def volume_profile(

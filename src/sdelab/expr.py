@@ -2,19 +2,21 @@
 
 The grammar is fixed: decimal constants, coordinates ``x1 .. xd``, the binary
 operators ``+ - * /``, powers with constant exponent (``^`` or ``**``), the
-functions ``exp``, ``ln``, ``sqrt``, ``norm2(x)`` (squared Euclidean norm of
-the full point), and the piecewise primitives ``max`` / ``min``.  There are no
-user-defined functions, so symbolic differentiation is total on the smooth
-part of the grammar.  Each node type is a frozen dataclass: its children are
+functions ``exp``, ``ln``, ``sqrt``, ``erf``, ``norm2(x)`` (squared Euclidean
+norm of the full point), the piecewise primitives ``max`` / ``min``, and the
+branch select ``selge(a, b, p, q)``, which writes an indicator such as
+``selge(1, norm2(x), 1, 0)`` (the unit ball's).  There are no user-defined
+functions, so symbolic differentiation is total on the smooth part of the
+grammar.  Each node type is a frozen dataclass: its children are
 its ``Expr``-valued fields, in order, and an operator's spelling is its
 class's ``symbol`` (infix) or ``name`` (function call), so :func:`children`,
 the parser and the printer all read the grammar off the node classes.
 
 Differentiating through ``max``/``min`` requires the caller to pass
-``piecewise=True`` and produces a branch-selection node ``selge(a, b, p, q)``
-(= ``p`` where ``a >= b``, else ``q``).  At exact ties the first branch wins,
-matching the convention that piecewise candidates like ``max(norm2(x), N0^2)``
-are differentiated from their max-branch.
+``piecewise=True`` and produces ``selge`` nodes (= ``p`` where ``a >= b``,
+else ``q``).  At exact ties the first branch wins, matching the convention
+that piecewise candidates like ``max(norm2(x), N0^2)`` are differentiated
+from their max-branch.
 
 Evaluation compiles expressions once into a :class:`Program`: the unique
 subexpressions of a whole set (hash-consed, so shared subterms of drifts and
@@ -29,7 +31,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 import scipy.special
@@ -183,11 +185,8 @@ class Min(_Binary):
 
 @dataclass(frozen=True)
 class SelGe(Expr):
-    """Branch select: ``then`` where ``a >= b``, else ``orelse``.
-
-    Only produced by :func:`differentiate` for max/min nodes; the surface
-    syntax ``selge(a, b, p, q)`` exists so printed derivatives re-parse.
-    """
+    """Branch select: ``then`` where ``a >= b``, else ``orelse``; what
+    :func:`differentiate` makes of max/min nodes, and how to write an indicator."""
 
     name = "selge"
     a: Expr
@@ -738,14 +737,3 @@ def fold_const(e: Expr) -> Optional[float]:
             return None
     return float(evaluate(e, np.zeros(1)))
 
-
-PointFunction = Union[Expr, Callable[[np.ndarray], np.ndarray]]
-
-
-def as_point_function(f: PointFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt an AST or a raw callable to ``(n, d) -> (n,)``."""
-    if isinstance(f, Expr):
-        return Program(f)
-    if callable(f):
-        return f
-    raise TypeError(f"not a point function: {f!r}")

@@ -15,25 +15,28 @@ estimators.  Everything is bit-reproducible for a fixed config, however the
 paths are split into batches.
 
 The loop's cost is mostly per numpy call, so each step makes few of them:
-the drift and every accumulator given as an expression are one compiled
+the drift and every accumulator are one compiled
 :class:`~sdelab.expr.Program`, evaluated by one ``Program.run`` call per step,
 and one ``np.errstate`` is entered per batch instead of once per evaluation.
 The per-node operations and their order are those of separate evaluations,
-so the numbers do not depend on which accumulators share the program.
+so the numbers do not depend on which accumulators share the program.  A
+non-finite accumulator increment (a path on a singular set) is skipped and
+counted in ``PathEnsemble.skipped``, as :func:`calculus.integrate_masked`
+skips and counts quadrature nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import calculus as calc
 from .calculus import CoefficientSet, DensityField, QuadratureRule
-from .expr import Expr, PointFunction, Program, as_point_function
+from .expr import Const, Expr, Max, Program, mul
 
 __all__ = [
     "MonteCarloError",
@@ -97,6 +100,7 @@ class PathEnsemble:
     status: np.ndarray  # (paths,) 0 = alive, 1 = exited-largest-radius
     overshoot_max: np.ndarray  # (paths,) max (|X_exit| - n) over ladder exits
     accumulators: Dict[str, np.ndarray] = field(default_factory=dict)
+    skipped: Dict[str, int] = field(default_factory=dict)  # non-finite increments
 
     @property
     def n_paths(self) -> int:
@@ -142,17 +146,16 @@ def simulate_ensemble(
     cfg: SimulationConfig,
     *,
     save_times: Optional[Sequence[float]] = None,
-    accumulate: Optional[Dict[str, PointFunction]] = None,
+    accumulate: Optional[Dict[str, Expr]] = None,
     accumulate_from: float = 0.0,
 ) -> PathEnsemble:
     """Simulate the ensemble; deterministic for fixed config and inputs.
 
     ``save_times`` lists process times whose states are stored (the terminal
-    time is always stored); ``accumulate`` maps names to point functions whose
+    time is always stored); ``accumulate`` maps names to expressions whose
     left-endpoint time integrals from ``accumulate_from`` on are accumulated
     along each living path and stored at the save times like the states.
-    Accumulators given as an :class:`Expr` are evaluated with the drift in one
-    program; any other point function is called once per step.
+    Non-finite increments are left out of the integrals and counted.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cs.d,):
@@ -179,20 +182,18 @@ def simulate_ensemble(
         calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None
     )
     accumulate = accumulate or {}
-    fused_names = [name for name, f in accumulate.items() if isinstance(f, Expr)]
-    # columns: the drift's d components, then one per fused accumulator
-    fused = Program(tuple(cs.G) + tuple(accumulate[name] for name in fused_names))
-    drift = Program(cs.G) if fused_names else fused  # the steps before acc_start
-    called = {
-        name: as_point_function(f) for name, f in accumulate.items() if name not in fused_names
-    }
+    names = list(accumulate)
+    # columns: the drift's d components, then one per accumulator
+    fused = Program(tuple(cs.G) + tuple(accumulate.values()))
+    drift = Program(cs.G) if names else fused  # the steps before acc_start
 
     states = np.empty((cfg.paths, len(save_idx), d))
     exit_t = np.full((cfg.paths, len(cfg.radii)), np.nan)
     clip_counts = np.zeros(cfg.paths, dtype=np.int64)
     status = np.zeros(cfg.paths, dtype=np.int8)
     overshoot = np.zeros(cfg.paths)
-    accs = {name: np.zeros((cfg.paths, len(save_idx))) for name in accumulate}
+    accs = np.zeros((cfg.paths, len(save_idx), len(names)))
+    skipped = np.zeros(len(names), dtype=np.int64)
 
     radii = np.array(cfg.radii, dtype=float)
     n_radii = len(radii)
@@ -209,7 +210,7 @@ def simulate_ensemble(
         ]
         xi = np.empty((min(n_steps, _NOISE_CHUNK), B, d))
         X = np.tile(x0, (B, 1))
-        totals = {name: np.zeros(B) for name in accumulate}
+        totals = np.zeros((B, len(names)))
         live = slice(None)  # the living paths; a slice, so views, until one leaves
         ids = np.arange(B)  # batch indices of the living paths
         nxt = np.zeros(B, dtype=np.intp)  # each path's next ladder radius ...
@@ -233,10 +234,12 @@ def simulate_ensemble(
                     if k >= acc_start:
                         V = fused.run(Xa)
                         G = V[:, :d]
-                        for j, name in enumerate(fused_names, d):
-                            totals[name][live] += V[:, j] * dt
-                        for name, fn in called.items():
-                            totals[name][live] += np.asarray(fn(Xa), dtype=float) * dt
+                        inc = V[:, d:] * dt
+                        ok = np.isfinite(inc)
+                        if np.count_nonzero(ok) < ok.size:
+                            skipped[:] += len(ok) - ok.sum(axis=0)
+                            inc[~ok] = 0.0
+                        totals[live] += inc
                     else:
                         G = drift.run(Xa)
                     gn = _row_norms(G)
@@ -272,8 +275,7 @@ def simulate_ensemble(
                 if (k + 1) in save_pos:
                     pos = save_pos[k + 1]
                     states[lo:hi, pos, :] = X
-                    for name, tot in totals.items():
-                        accs[name][lo:hi, pos] = tot
+                    accs[lo:hi, pos, :] = totals
 
     for bounds in _batch_bounds(cfg.paths, n_steps, d):
         run_batch(bounds)
@@ -287,7 +289,8 @@ def simulate_ensemble(
         clip_counts=clip_counts,
         status=status,
         overshoot_max=overshoot,
-        accumulators=accs,
+        accumulators={name: accs[:, :, j].copy() for j, name in enumerate(names)},
+        skipped={name: int(n) for name, n in zip(names, skipped)},
     )
 
 
@@ -323,7 +326,7 @@ def ensemble_summary_rows(ens: PathEnsemble) -> Tuple[List[str], List[list]]:
 
 def moment_curve(
     ens: PathEnsemble,
-    phi: PointFunction,
+    phi: Expr,
     times: Sequence[float],
     bound: Optional[Dict[str, float]] = None,
 ) -> List[Dict[str, object]]:
@@ -332,11 +335,11 @@ def moment_curve(
     The ensemble's frozen-at-exit states realize stopping at the largest
     ladder radius, matching the supermartingale bound being compared against.
     """
-    fn = as_point_function(phi)
+    fn = Program(phi)
     out = []
-    phi0 = float(np.asarray(fn(ens.x0[None, :]))[0])
+    phi0 = float(fn(ens.x0))
     for t in times:
-        vals = np.asarray(fn(ens.state_at(t)), dtype=float)
+        vals = fn(ens.state_at(t))
         est, se = _mean_se(vals)
         row: Dict[str, object] = {
             "time": float(t),
@@ -355,7 +358,7 @@ def moment_curve(
 
 def krylov_functional(
     cs: CoefficientSet,
-    f: PointFunction,
+    f: Expr,
     t: float,
     x_grid: Sequence[Sequence[float]],
     cfg: SimulationConfig,
@@ -371,23 +374,15 @@ def krylov_functional(
 
     Exact hits of the singular set evaluate to inf/nan; they contribute
     nothing to the left-endpoint sum (a measure-zero set of times) and the
-    hit count is reported as ``singular_hits``.
+    hit count is reported as ``singular_hits``.  Singular quadrature nodes
+    are left out of the norm likewise and counted as ``lq_skipped_nodes``.
     """
-    fn = as_point_function(f)
-    hits = [0]
-
-    def absf(pts):
-        with np.errstate(all="ignore"):
-            vals = np.abs(np.asarray(fn(pts), dtype=float))
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            hits[0] += int(np.sum(bad))
-            vals = np.where(bad, 0.0, vals)
-        return vals
-
+    absf = Max(f, mul(Const(-1.0), f))
+    hits = 0
     rows = []
     for x in x_grid:
         ens = simulate_ensemble(cs, x, replace(cfg, horizon=t), accumulate={"occupation": absf})
+        hits += ens.skipped["occupation"]
         est, se = _mean_se(ens.accumulators["occupation"][:, -1])
         rows.append({"x": list(map(float, x)), "estimate": est, "std_error": se})
     sup_row = max(rows, key=lambda r: r["estimate"])
@@ -396,17 +391,20 @@ def krylov_functional(
         "per_start": rows,
         "sup_estimate": sup_row["estimate"],
         "sup_at": sup_row["x"],
-        "singular_hits": hits[0],
+        "singular_hits": hits,
     }
     if rho is not None:
         if q is None:
             p = cs.integrability_p or float(cs.d + 1)
             q = p * cs.d / (p + cs.d)
         rule = QuadratureRule.box(8.0, cs.d, 241 if cs.d == 2 else 61)
-        norm_q = calc.integrate(
-            lambda pts: np.abs(np.asarray(fn(pts), dtype=float)) ** q * rho.rho(pts), rule
-        ) ** (1.0 / q)
+        pts = rule.points_and_weights()[0]
+        with np.errstate(all="ignore"):
+            integrand = Program(absf)(pts) ** q * rho.rho(pts)
+        total, skipped = calc.integrate_masked(integrand, rule)
+        norm_q = total ** (1.0 / q)
         out["f_lq_mu_norm"] = norm_q
+        out["lq_skipped_nodes"] = skipped
         out["q"] = q
         if norm_q > 0:
             out["fitted_constant"] = out["sup_estimate"] / (math.exp(t) * norm_q)
@@ -417,7 +415,7 @@ def ergodic_average(
     cs: CoefficientSet,
     x0: Sequence[float],
     cfg: SimulationConfig,
-    f: PointFunction,
+    f: Expr,
     burn_in: float,
 ) -> Dict[str, object]:
     """Running time-average ``(t - b)^{-1} int_b^t f(X_s) ds`` on one path.
@@ -426,7 +424,8 @@ def ergodic_average(
     ``n_steps // 200`` steps and ends before the path leaves the largest
     ladder radius, which also ends the average.  ``batch_means_std_error``
     is read off the integral at the curve's sample times, see
-    :func:`_batch_means_std_error`.
+    :func:`_batch_means_std_error`.  Steps at which ``f`` is not finite are
+    left out of the integral and counted as ``singular_hits``.
     """
     if burn_in >= cfg.horizon:
         raise MonteCarloError("burn-in must be shorter than the horizon")
@@ -470,6 +469,7 @@ def ergodic_average(
         "horizon": t_final,
         "non_converged_note": drift_note,
         "batch_means_std_error": _batch_means_std_error(curve_totals, stride * dt),
+        "singular_hits": ens.skipped["f"],
     }
 
 
@@ -518,8 +518,8 @@ def check_normalizable(rho: DensityField, d: int, box: float) -> float:
     """Total mass on the box; error when the mass keeps growing with the box."""
     rule1 = QuadratureRule.box(box / 2, d, 241 if d == 2 else 61)
     rule2 = QuadratureRule.box(box, d, 241 if d == 2 else 61)
-    m1 = calc.integrate(lambda pts: rho.rho(pts), rule1)
-    m2 = calc.integrate(lambda pts: rho.rho(pts), rule2)
+    m1 = calc.integrate(rho.rho, rule1)
+    m2 = calc.integrate(rho.rho, rule2)
     if m1 <= 0 or m2 / m1 > 1.05:
         raise MonteCarloError(
             "reference not normalizable: mass still growing "

@@ -397,13 +397,13 @@ def test_criterion_7c_moment_bound(mc_budget):
 def test_criterion_7d_krylov(mc_budget):
     truth, _ = si.quad(lambda s: 1 - math.exp(-1 / (2 * s)), 0, 1)
     cfg = mc.SimulationConfig(dt=1e-3, horizon=1.0, paths=10_000, seed=90004, radii=(16.0,))
-    ind = lambda pts: (np.einsum("ij,ij->i", pts, pts) <= 1.0).astype(float)
+    ind = parse_expr("selge(1, norm2(x), 1, 0)", 2)  # the unit ball's indicator
     out = mc.krylov_functional(BM, ind, 1.0, [[0.0, 0.0]], cfg)
     row = out["per_start"][0]
     ok_ball = abs(row["estimate"] - truth) <= 3 * row["std_error"] + 2e-3
 
     out1 = mc.krylov_functional(
-        BM, lambda pts: np.ones(len(pts)), 1.0, [[0.0, 0.0]],
+        BM, parse_expr("1", 2), 1.0, [[0.0, 0.0]],
         mc.SimulationConfig(dt=1e-2, horizon=1.0, paths=100, seed=1, radii=(16.0,)),
     )
     ok_const = out1["per_start"][0]["estimate"] == pytest.approx(1.0, abs=1e-12)

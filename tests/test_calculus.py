@@ -24,7 +24,7 @@ from sdelab.calculus import (
     invariance_residual,
     log_derivative_beta,
 )
-from sdelab.expr import evaluate, parse_expr
+from sdelab.expr import Program, evaluate, parse_expr
 
 
 def identity_cs(d=2, H=None):
@@ -369,7 +369,7 @@ def test_integrate_constant():
 
 def test_integrate_gaussian():
     rule = QuadratureRule.box(6.0, 2, 241)
-    f = parse_expr("exp(-norm2(x))", 2)
+    f = Program(parse_expr("exp(-norm2(x))", 2))
     assert integrate(f, rule) == pytest.approx(math.pi, abs=1e-6)
 
 
@@ -432,7 +432,7 @@ def test_simpson_rejects_even_nodes():
 
 def test_simpson_exact_on_cubics():
     rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(3,), scheme="simpson")
-    f = parse_expr("x1^3", 1)
+    f = Program(parse_expr("x1^3", 1))
     assert integrate(f, rule) == pytest.approx(4.0, abs=1e-13)
 
 

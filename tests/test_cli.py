@@ -529,22 +529,31 @@ def test_unavailable_solved_density_fails_before_stepping(monkeypatch, block):
     assert stepped == []
 
 
-def test_estimator_subcommands_keep_only_their_block(tmp_path):
+def test_estimator_subcommands_keep_only_their_block(tmp_path, monkeypatch):
     cfg = tiny_bm_config()
     cfg["coefficients"]["H"] = ["-x1", "-x2"]
     cfg["simulation"].update(
         ergodic={"f": "norm2(x)", "horizon": 1.0, "burn_in": 0.2},
-        krylov={"f": "norm2(x)", "t": 0.2, "x_grid": [[0.0, 0.0]]},
+        krylov={"f": "norm2(x)", "t": 0.2, "x_grid": [[0.0, 0.0], [0.5, 0.0]]},
         transition={"t": 0.5},
         exit={},
+        save_paths=True,
     )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    for command, csv in (("ergodic", "ergodic.csv"), ("krylov", "krylov.csv")):
+    # no ensemble is stepped that no block reads: one path for the ergodic
+    # average, one ensemble per Krylov start
+    stepped = []
+    simulate = mc.simulate_ensemble
+    monkeypatch.setattr(mc, "simulate_ensemble", lambda *a, **k: stepped.append(1) or simulate(*a, **k))
+    for command, csv, ensembles in (("ergodic", "ergodic.csv", 1), ("krylov", "krylov.csv", 2)):
         out = tmp_path / command
+        stepped.clear()
         assert cli.main([command, "--config", str(path), "--out", str(out), "--seed", "5"]) == 0
+        assert len(stepped) == ensembles
         assert sorted(p.name for p in out.glob("*.csv")) == [csv]
         blob = json.loads((out / "report.json").read_text())
+        assert "clip_events" not in blob["stages"]["simulation"]
         assert blob["seed_record"] == {"master_seed": 5, "overridden": True}
         assert blob["stages"]["simulation"]["checks"] == []
         echoed = copy.deepcopy(cfg)

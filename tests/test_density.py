@@ -239,8 +239,8 @@ def test_invariance_of_solution_constant():
     cs = cs_identity()
     approx = solve_density(cs, R=3.0, n=32, boundary="ones")
     rep = invariance_of_solution(cs, approx)
-    assert rep["max_residual"] <= 1e-8 * rep["scale"]
-    assert rep["divergence_residual"] <= 1e-8  # B = G - beta vanishes for a constant density
+    assert rep.max_residual <= 1e-8 * rep.scale
+    assert rep.max_divergence <= 1e-8  # B = G - beta vanishes for a constant density
 
 
 def test_invariance_of_solution_manufactured_decreases():
@@ -250,8 +250,8 @@ def test_invariance_of_solution_manufactured_decreases():
     for n in (64, 128):
         approx = solve_density(cs, R=4.0, n=n, boundary="exp(-norm2(x))")
         rep = invariance_of_solution(cs, approx)
-        res.append(rep["max_residual"])
-        scales.append(rep["scale"])
+        res.append(rep.max_residual)
+        scales.append(rep.scale)
     assert res[1] <= 1e-3 * scales[1]
     assert res[0] / res[1] >= 3.5
 

@@ -7,8 +7,7 @@ from scipy.special import ndtri
 from sdelab import montecarlo
 from sdelab import calculus as calc
 from sdelab.calculus import DensityField, build_coefficient_set
-from sdelab.expr import as_point_function
-from sdelab.expr import parse_expr
+from sdelab.expr import Program, parse_expr
 from sdelab.montecarlo import (
     MonteCarloError,
     SimulationConfig,
@@ -204,7 +203,7 @@ def test_weak_order_sanity():
 
 def test_krylov_constant_f_is_exact():
     cfg = SimulationConfig(dt=1e-2, horizon=1.0, paths=50, seed=5, radii=(16.0,))
-    out = krylov_functional(BM, lambda pts: np.ones(len(pts)), 1.0, [[0.0, 0.0]], cfg)
+    out = krylov_functional(BM, parse_expr("1", 2), 1.0, [[0.0, 0.0]], cfg)
     assert out["per_start"][0]["estimate"] == pytest.approx(1.0, abs=1e-12)
     assert out["per_start"][0]["std_error"] == pytest.approx(0.0, abs=1e-15)
 
@@ -215,8 +214,7 @@ def test_krylov_ball_occupation_matches_heat_kernel():
 
     truth, _ = quad(lambda s: 1 - math.exp(-1 / (2 * s)), 0, 1)
     cfg = SimulationConfig(dt=1e-3, horizon=1.0, paths=4000, seed=61, radii=(16.0,))
-    ind = lambda pts: (np.einsum("ij,ij->i", pts, pts) <= 1.0).astype(float)
-    out = krylov_functional(BM, ind, 1.0, [[0.0, 0.0]], cfg)
+    out = krylov_functional(BM, parse_expr("selge(1, norm2(x), 1, 0)", 2), 1.0, [[0.0, 0.0]], cfg)
     row = out["per_start"][0]
     assert abs(row["estimate"] - truth) <= 3 * row["std_error"] + 2e-3
 
@@ -233,10 +231,7 @@ def test_estimator_result_invariant():
 def test_krylov_singular_f_stable_under_refinement():
     # |x|^{-1/2} on the unit ball is integrable along paths: exact hits of
     # the singularity are counted and the estimate stays finite
-    def f(pts):
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        return np.where(r2 <= 1.0, np.minimum(r2, 1.0) ** -0.25, 0.0)
-
+    f = parse_expr("selge(1, norm2(x), min(norm2(x), 1)^(-0.25), 0)", 2)
     cfg = SimulationConfig(dt=2e-3, horizon=0.5, paths=2000, seed=99, radii=(16.0,))
     out = krylov_functional(BM, f, 0.5, [[0.0, 0.0]], cfg)
     assert out["singular_hits"] > 0  # every path starts exactly on the singularity
@@ -246,16 +241,25 @@ def test_krylov_singular_f_stable_under_refinement():
 def test_krylov_reports_lq_norm():
     rho = DensityField.from_expression("1", 2)
     cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=100, seed=7, radii=(16.0,))
-    ind = lambda pts: (np.einsum("ij,ij->i", pts, pts) <= 1.0).astype(float)
+    ind = parse_expr("selge(1, norm2(x), 1, 0)", 2)
     out = krylov_functional(BM, ind, 0.5, [[0.0, 0.0]], cfg, rho=rho, q=2.0)
     # ||1_{B_1}||_{L^2(dx)} = sqrt(pi)
     assert out["f_lq_mu_norm"] == pytest.approx(math.sqrt(math.pi), rel=0.02)
+    assert out["lq_skipped_nodes"] == 0
     assert "fitted_constant" in out
+    # a singular f: the origin is a node of the rule and is skipped, not summed as inf;
+    # ||r^{-1/2}||_{L^2(e^{-r^2} dx)} = (pi int_0^inf e^{-s} s^{-1/2} ds)^{1/2} = pi^{3/4}
+    rho = DensityField.from_expression("exp(-norm2(x))", 2)
+    f = parse_expr("norm2(x)^(-0.25)", 2)
+    out = krylov_functional(BM, f, 0.5, [[1.0, 0.0]], cfg, rho=rho, q=2.0)
+    assert out["f_lq_mu_norm"] == pytest.approx(math.pi**0.75, rel=0.03)
+    assert out["lq_skipped_nodes"] == 1
+    assert math.isfinite(out["fitted_constant"]) and out["fitted_constant"] > 0
 
 
 def test_ergodic_average_constant_function():
     cfg = SimulationConfig(dt=1e-2, horizon=20.0, paths=1, seed=71, radii=(16.0,))
-    out = ergodic_average(OU, [0.0, 0.0], cfg, lambda pts: np.ones(len(pts)), burn_in=1.0)
+    out = ergodic_average(OU, [0.0, 0.0], cfg, parse_expr("1", 2), burn_in=1.0)
     assert out["terminal_average"] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -278,7 +282,7 @@ def _philox_normals(seed, path, shape):
 
 def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
     """The scalar single-path loop that ``ergodic_average`` replaced."""
-    fn = as_point_function(f)
+    fn = Program(f)
     d = cs.d
     n_steps = cfg.n_steps
     xi = _philox_normals(cfg.seed, 0, (n_steps, d))
@@ -292,12 +296,16 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     burn_steps = int(round(burn_in / dt))
-    total = 0.0
+    total, hits = 0.0, 0
     stride = max(1, n_steps // curve_points)
     curve_t, curve_v, curve_totals = [], [], []
     for k in range(n_steps):
         if k >= burn_steps:
-            total += float(np.asarray(fn(x[None, :]))[0]) * dt
+            inc = float(fn(x)) * dt
+            if math.isfinite(inc):
+                total += inc
+            else:
+                hits += 1
         G = g_field(x[None, :])[0]
         gn = float(np.linalg.norm(G))
         if gn * dt > cfg.clip:
@@ -335,6 +343,7 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
         "horizon": t_final,
         "non_converged_note": drift_note,
         "batch_means_std_error": montecarlo._batch_means_std_error(curve_totals, stride * dt),
+        "singular_hits": hits,
     }
 
 
@@ -356,7 +365,7 @@ def test_ergodic_average_matches_scalar_loop():
 def test_ergodic_batch_means_std_error():
     # a constant has no batch-to-batch spread
     cfg = SimulationConfig(dt=1e-2, horizon=20.0, paths=1, seed=71, radii=(16.0,))
-    out = ergodic_average(OU, [0.0, 0.0], cfg, lambda pts: np.ones(len(pts)), burn_in=1.0)
+    out = ergodic_average(OU, [0.0, 0.0], cfg, parse_expr("1", 2), burn_in=1.0)
     assert 0.0 <= out["batch_means_std_error"] <= 1e-12
     # E[X1] = 0 under the stationary law: the average lies within its error bar
     cfg = SimulationConfig(dt=1e-2, horizon=100.0, paths=1, seed=72, radii=(16.0,))
@@ -372,15 +381,17 @@ def test_ergodic_batch_means_std_error():
 
 def plain_ensemble(cs, x0, cfg, save_times, accumulate, accumulate_from):
     """One path at a time: ``cs.eval_G``, ``np.linalg.norm`` and one call per
-    accumulator, the arithmetic ``simulate_ensemble`` must reproduce."""
+    accumulator, which skips and counts non-finite increments: the arithmetic
+    ``simulate_ensemble`` must reproduce."""
     d, dt, n_steps = cs.d, cfg.dt, cfg.n_steps
     sqrt_dt = math.sqrt(dt)
     radii = list(cfg.radii)
-    fns = {name: as_point_function(f) for name, f in accumulate.items()}
+    fns = {name: Program(f) for name, f in accumulate.items()}
     save_idx = sorted({n_steps} | {int(round(t / dt)) for t in save_times})
     acc_start = int(round(accumulate_from / dt))
     out = {"states": [], "exit_times": [], "clip_counts": [], "status": [], "overshoot_max": []}
     out.update({name: [] for name in fns})
+    out["skipped"] = {name: 0 for name in fns}
     for p in range(cfg.paths):
         xi = _philox_normals(cfg.seed, p, (n_steps, d))
         x = np.asarray(x0, dtype=float)
@@ -394,7 +405,11 @@ def plain_ensemble(cs, x0, cfg, save_times, accumulate, accumulate_from):
             if nxt < len(radii):
                 if k >= acc_start:
                     for name, fn in fns.items():
-                        totals[name] += float(fn(x[None, :])[0]) * dt
+                        inc = float(fn(x)) * dt
+                        if math.isfinite(inc):
+                            totals[name] += inc
+                        else:
+                            out["skipped"][name] += 1
                 G = cs.eval_G(x[None, :])
                 gn = float(np.linalg.norm(G, axis=1)[0])
                 if gn * dt > cfg.clip:
@@ -433,7 +448,8 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
     assert not cs.a_is_constant()
     dt = 2e-2
     cfg = SimulationConfig(dt=dt, horizon=600 * dt, paths=12, seed=404, radii=(1.0, 1.05, 1.1, 2.8), clip=0.06)
-    acc = {"r2": parse_expr("norm2(x)", 2), "mixed": parse_expr("x1*x2 - x1", 2)}
+    # ln(x1) is not finite wherever x1 <= 0
+    acc = {name: parse_expr(src, 2) for name, src in (("r2", "norm2(x)"), ("mixed", "x1*x2 - x1"), ("log", "ln(x1)"))}
     kw = dict(save_times=[0.3, 1.0, 5.0], accumulate=acc, accumulate_from=0.3)
     ens = simulate_ensemble(cs, [0.5, 0.2], cfg, **kw)
     ref = plain_ensemble(cs, [0.5, 0.2], cfg, **kw)
@@ -444,12 +460,15 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
         assert repr(getattr(ens, name).tolist()) == repr(ref[name])
     for name in acc:
         assert repr(ens.accumulators[name].tolist()) == repr(ref[name])
+    assert ens.skipped == ref["skipped"]
     # the case covers what it is meant to
     assert ens.clip_counts.sum() > 0
     assert 0 < ens.status.sum() < cfg.paths
     assert np.any(ens.exit_times[1.0] == ens.exit_times[1.1])
     assert np.all(ens.accumulators["mixed"][:, 0] == 0.0)  # nothing before accumulate_from
     assert np.all(ens.accumulators["mixed"][:, 1:] != 0.0)
+    assert ens.skipped["log"] > 0 and ens.skipped["r2"] == ens.skipped["mixed"] == 0
+    assert np.isfinite(ens.accumulators["log"]).all()
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -488,7 +507,7 @@ def test_ergodic_average_burn_in_guard():
     cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=1, seed=74, radii=(2.0,))
     cs = cs_identity(H=["4*x1", "4*x2"])
     with pytest.raises(MonteCarloError):
-        ergodic_average(cs, [1.0, 0.0], cfg, lambda pts: np.ones(len(pts)), burn_in=4.0)
+        ergodic_average(cs, [1.0, 0.0], cfg, parse_expr("1", 2), burn_in=4.0)
 
 
 def test_transition_histogram_short_time_concentrates():
