@@ -104,8 +104,8 @@ def _parse(cls, obj, path: str, d: int, readers: Optional[Dict[str, Reader]] = N
     return cls(**kw)
 
 
-def _block(cls) -> Reader:
-    return lambda v, path, d: _parse(cls, v, path, d)
+def _block(cls, readers: Optional[Dict[str, Reader]] = None) -> Reader:
+    return lambda v, path, d: _parse(cls, v, path, d, readers)
 
 
 def _typed(kind: type, name: str) -> Reader:
@@ -431,35 +431,20 @@ _TREND_CSV = {"VOLUME_RECURRENCE": ("volume_test.csv", ("n", "a_n", "v2_n", "log
 
 
 @dataclass(frozen=True)
-class Criterion:
-    id: str = _key(_choice(crit.TEMPLATES))
-    constants: Optional[Dict[str, float]] = _key(_constants, None)
-    candidate: Optional[Expr] = _key(_expr, None)
-    rhs: Optional[Expr] = _key(_expr, None)
-    region: Optional[crit.RegionSpec] = _key(_region, None)
-    variant: Optional[str] = _key(_str, None)
-    mode: Optional[str] = _key(_choice(crit.MODES), None)
-    density: Optional[DensityRef] = _key(_density_ref, None)
-    expect: str = _key(_choice(crit.VERDICTS), crit.VERDICTS[0])  # holds-on-grid
-    # eigenvalue, slack and volume-test drift fields; criteria.TEMPLATES says
-    # which template reads which
-    psi1: Optional[Expr] = _key(_expr, None)
-    psi2: Optional[Expr] = _key(_expr, None)
-    h1: Optional[Expr] = _key(_expr, None)
-    h2: Optional[Expr] = _key(_expr, None)
-    Bbar: Optional[Tuple[Expr, ...]] = _key(_vector(_expr), None)
+class Criterion(crit.CriterionSpec):
+    """A criterion as a config gives it: the spec, the density it reads and
+    the verdict it expects."""
 
-    @property
-    def inputs(self) -> Dict[str, object]:
-        """The extra inputs a template may read, besides candidate and rhs."""
-        return dict(psi1=self.psi1, psi2=self.psi2, h1=self.h1, h2=self.h2, Bbar=self.Bbar)
+    density: Optional[DensityRef] = None
+    expect: str = crit.VERDICTS[0]  # holds-on-grid
 
-    @cached_property
-    def spec(self) -> crit.CriterionSpec:
-        return crit.CriterionSpec(
-            id=self.id, constants=dict(self.constants or {}), candidate=self.candidate,
-            rhs=self.rhs, region=self.region, variant=self.variant, mode=self.mode,
-        )
+
+# one reader per Criterion field; Bbar, a drift, is a vector of expressions
+_CRITERION_READERS: Dict[str, Reader] = {
+    "id": _choice(crit.TEMPLATES), "constants": _constants, "region": _region, "variant": _str,
+    "mode": _choice(crit.MODES), **{name: _expr for name in crit.INPUTS}, "Bbar": _vector(_expr),
+    "density": _density_ref, "expect": _choice(crit.VERDICTS),
+}
 
 
 @dataclass(frozen=True)
@@ -557,7 +542,7 @@ class Scenario:
     dimension: int = _key(_count)
     coefficients: Coefficients = _key(_block(Coefficients))
     density: Densities = _key(_block(Densities), Densities())
-    criteria: Tuple[Criterion, ...] = _key(_list(_block(Criterion)), ())
+    criteria: Tuple[Criterion, ...] = _key(_list(_block(Criterion, _CRITERION_READERS)), ())
     simulation: Optional[Simulation] = _key(_block(Simulation), None)
     notes: Tuple[str, ...] = _key(_list(_str), ())
     output_dir: Optional[str] = _key(_str, None)
@@ -632,7 +617,7 @@ def _check_references(s: Scenario) -> None:
     for i, c in enumerate(s.criteria):
         ref(c.density, f"$.criteria[{i}].density")
         try:
-            crit.check_criterion(c.spec, s.dimension, c.density is not None, c.inputs)
+            crit.check_criterion(c, s.dimension, c.density is not None)
         except crit.CriterionError as err:
             raise ConfigError(err.message, f"$.criteria[{i}].{err.where}") from None
         if c.id in _TREND_CSV and any(b.id == c.id for b in s.criteria[:i]):
@@ -669,6 +654,8 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
         for i, x in enumerate(sim.krylov.x_grid):
             inside(x, f"{path}.krylov.x_grid[{i}]")
         ref(sim.krylov.density, f"{path}.krylov.density")
+        if sim.krylov.q is not None and sim.krylov.density is None:
+            raise ConfigError("q is read only with a density (the L^q(mu) norm)", f"{path}.krylov.q")
     if sim.transition:
         if not scfg.dt <= sim.transition.t <= scfg.horizon:
             raise ConfigError("must lie in [dt, horizon]", f"{path}.transition.t")
@@ -862,7 +849,7 @@ def run_criteria_stage(
     tables: Dict[str, Table] = {}
     for c in scenario.criteria:
         rho = _pick_density(c.density, analytic, solved)
-        verdict = crit.evaluate_criterion(c.spec, cs, rho=rho, **c.inputs)
+        verdict = crit.evaluate_criterion(c, cs, rho=rho)
         results.append(_expected(verdict, c.expect))
         t = verdict.trend_table
         if c.id in _TREND_CSV and t is not None:  # None when the volume test is silent

@@ -1,16 +1,20 @@
 """Sampled-grid checks of sufficient conditions for global properties.
 
-Every catalog entry instantiates one inequality template (a Lyapunov-type
-bound, a coefficient growth bound, or a volume/integrability trend) and
-reports the minimum margin ``rhs - lhs`` over a sampling grid together with
-the argmin witness.  Verdicts are explicitly "holds-on-grid": the artifact
-samples, it does not certify.  Limit-type conditions (integrability, volume
-growth, a_n divergence) are evaluated as trends over geometric radius
-ladders and report "inconclusive" when the trend is unstable.  The
-volume-integral recurrence test (:func:`recurrence_volume_test`) is one
-catalog entry like the others: it reads the density, an optional drift
-``Bbar`` and the constant ``n_max``, samples no region, and returns its
-``a_n`` ladder as the verdict's trend table.
+A criterion is one :class:`CriterionSpec`: a template id, its variant, mode,
+constants and region, and the inputs :data:`INPUTS` names (candidate and
+right-hand side, eigenvalue, slack and volume-test drift fields, all
+expressions) as fields of the one record.  Every catalog entry instantiates
+one inequality template (a Lyapunov-type bound, a coefficient growth bound,
+or a volume/integrability trend) and reports the minimum margin
+``rhs - lhs`` over a sampling grid together with the argmin witness.
+Verdicts are explicitly "holds-on-grid": the artifact samples, it does not
+certify.  Limit-type conditions (integrability, volume growth, a_n
+divergence) are evaluated as trends over geometric radius ladders and report
+"inconclusive" when the trend is unstable.  The volume-integral recurrence
+test (:func:`recurrence_volume_test`) is one catalog entry like the others:
+it reads the density, an optional drift ``Bbar`` and the constant ``n_max``,
+samples no region, and returns its ``a_n`` ladder as the verdict's trend
+table.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "Template",
     "Variant",
     "check_criterion",
+    "INPUTS",
     "MODES",
     "REGION_KINDS",
     "REGION_FIELDS",
@@ -81,12 +86,13 @@ REGION_FIELDS: Dict[str, Tuple[str, ...]] = {
     "interval": ("lo", "hi", "n_points"),
 }
 REGION_KINDS: Tuple[str, ...] = tuple(REGION_FIELDS)
+_SPHERE_MAX_D = 3  # _sphere has directions on the unit sphere up to this dimension
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Sampling region: an annulus (radial x angular, d >= 2), a box, or an
-    interval (d = 1); only the fields :data:`REGION_FIELDS` names for its
+    """Sampling region: an annulus (radial x angular, 2 <= d <= 3), a box, or
+    an interval (d = 1); only the fields :data:`REGION_FIELDS` names for its
     kind are checked."""
 
     kind: str = "annulus"  # one of REGION_KINDS
@@ -108,6 +114,11 @@ class RegionSpec:
                 raise CriterionError(f"r_max {self.r_max} does not exceed r_min {self.r_min}")
         elif not self.hi > self.lo:
             raise CriterionError(f"hi {self.hi} does not exceed lo {self.lo}")
+
+    def fits(self, d: int) -> bool:
+        if self.kind == "annulus":
+            return 2 <= d <= _SPHERE_MAX_D
+        return self.kind == "box" or d == 1
 
     def describe(self) -> str:
         if self.kind == "annulus":
@@ -162,15 +173,28 @@ def _sphere(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
 # specs and verdicts
 
 
-@dataclass
+# the inputs a criterion may give besides its constants, region, variant and
+# mode; each template variant needs or reads some of them (Variant)
+INPUTS: Tuple[str, ...] = ("candidate", "rhs", "psi1", "psi2", "h1", "h2", "Bbar")
+
+
+@dataclass(frozen=True)
 class CriterionSpec:
+    """One criterion; an input of :data:`INPUTS` that is None is not given."""
+
     id: str
     constants: Dict[str, float] = field(default_factory=dict)
-    candidate: Optional[Union[Expr, str]] = None
-    rhs: Optional[Union[Expr, str]] = None
+    candidate: Optional[Expr] = None
+    rhs: Optional[Expr] = None
     region: Optional[RegionSpec] = None
     variant: Optional[str] = None  # template-specific flavor
     mode: Optional[str] = None  # one of MODES, for the templates that have a mode
+    # eigenvalue, slack and volume-test drift fields
+    psi1: Optional[Expr] = None
+    psi2: Optional[Expr] = None
+    h1: Optional[Expr] = None
+    h2: Optional[Expr] = None
+    Bbar: Optional[Tuple[Expr, ...]] = None
 
     def __post_init__(self):
         if self.id not in TEMPLATES:
@@ -308,16 +332,9 @@ def _geometry(cs: CoefficientSet, pts: np.ndarray):
     return A, G, r2, axx, tra, gx
 
 
-def _coerce_candidate(c, d: int):
-    if isinstance(c, str):
-        return parse_expr(c, d)
-    return c
-
-
 # ---------------------------------------------------------------------------
 # template handlers: each gets the spec with its variant, mode, constants and
-# region resolved by check_criterion, and only the extra inputs its template
-# reads
+# region resolved by check_criterion, and reads its inputs off the spec
 
 
 def _margin_verdict(spec, result: MarginResult, notes=None, trend=None) -> CriterionVerdict:
@@ -378,23 +395,23 @@ def _growth(rhs: Callable, note: Optional[str] = None):
     return handle
 
 
-def _handle_eigengap_2d(spec, cs, rho, psi1, psi2):
+def _handle_eigengap_2d(spec, cs, rho):
     pts = spec.region.points(2)
     _, _, r2, _, _, gx = _geometry(cs, pts)
-    lhs = 0.5 * np.abs(evaluate(psi1, pts) - evaluate(psi2, pts)) + gx
+    lhs = 0.5 * np.abs(evaluate(spec.psi1, pts) - evaluate(spec.psi2, pts)) + gx
     rhs = spec.constants["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)
     return _margin_verdict(spec, _finish_margin(pts, lhs, rhs))
 
 
-def _handle_linear_growth_moment(spec, cs, rho, h1=None, h2=None):
+def _handle_linear_growth_moment(spec, cs, rho):
     pts = spec.region.points(cs.d)
     M = spec.constants["M"]
     A = cs.eval_A(pts)
     sigma = calc.diffusion_root_batch(A)
     G = cs.eval_G(pts)
     r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    h1v = np.abs(evaluate(h1, pts)) if h1 is not None else 0.0
-    h2v = np.abs(evaluate(h2, pts)) if h2 is not None else 0.0
+    h1v = np.abs(evaluate(spec.h1, pts)) if spec.h1 is not None else 0.0
+    h2v = np.abs(evaluate(spec.h2, pts)) if spec.h2 is not None else 0.0
     smax = np.max(np.abs(sigma), axis=(1, 2))
     gmax = np.max(np.abs(G), axis=1)
     if spec.variant == "split":
@@ -505,8 +522,8 @@ def _handle_ergodic_drift(spec, cs, rho):
     return _margin_verdict(spec, result, ["specialization: <= -M"])
 
 
-def _handle_volume_recurrence(spec, cs, rho, Bbar=None):
-    return recurrence_volume_test(cs, rho, Bbar, spec.constants["n_max"])
+def _handle_volume_recurrence(spec, cs, rho):
+    return recurrence_volume_test(cs, rho, spec.Bbar, spec.constants["n_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +538,11 @@ class Variant(NamedTuple):
     """What a criterion of one template variant may and must give."""
 
     constants: Dict[str, Optional[float]]  # constant -> default, or REQUIRED
-    needs: Tuple[str, ...] = ()  # extra inputs that must be given
-    reads: Tuple[str, ...] = ()  # extra inputs that may be given
+    needs: Tuple[str, ...] = ()  # INPUTS that must be given
+    reads: Tuple[str, ...] = ()  # INPUTS that may be given
+    # samples spheres whatever its region: the Lyapunov handlers' growth
+    # note, or a radial quadrature; so it runs only in d <= _SPHERE_MAX_D
+    spheres: bool = False
 
 
 class Template(NamedTuple):
@@ -549,10 +569,10 @@ TEMPLATES: Dict[str, Template] = {
     "LYAPUNOV_L": Template(
         _lyapunov("L", lambda k, d: parse_expr("norm2(x) + 1", d), _scaled("M")),
         "non-explosive; E_x[phi(X_t)] <= e^{M t} phi(x)",
-        {None: Variant({"M": REQUIRED}, reads=("candidate", "rhs"))}),
+        {None: Variant({"M": REQUIRED}, reads=("candidate", "rhs"), spheres=True)}),
     "LYAPUNOV_EXTERIOR": Template(
         _lyapunov("L", _growth_candidate, _scaled("M")), "non-explosive (exterior Lyapunov bound)",
-        {None: Variant({"M": REQUIRED, **_N0}, reads=("candidate",))}, region="exterior"),
+        {None: Variant({"M": REQUIRED, **_N0}, reads=("candidate",), spheres=True)}, region="exterior"),
     "GROWTH_NONEXPLOSION": Template(
         _growth(lambda k, r2: k["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)),
         "non-explosive (coefficient growth bound)", {None: Variant({"M": 0.0, **_N0})}, region="exterior"),
@@ -565,11 +585,11 @@ TEMPLATES: Dict[str, Template] = {
          "joint": Variant({"M": REQUIRED}, reads=("h1",))}),
     "INTEGRABLE_COEFFS": Template(
         _handle_integrable_coeffs, "mu invariant for the adjoint flow (L^1 coefficients)",
-        {None: Variant({"r_max": 64.0})}, region=None, density="always"),
+        {None: Variant({"r_max": 64.0}, spheres=True)}, region=None, density="always"),
     "INVARIANCE_LYAPUNOV": Template(
         _lyapunov("L_adjoint", _growth_candidate, _scaled("alpha")),
         "mu invariant / dual semigroup conservative",
-        {None: Variant({"alpha": REQUIRED, **_N0}, reads=("candidate",))}, density="always"),
+        {None: Variant({"alpha": REQUIRED, **_N0}, reads=("candidate",), spheres=True)}, density="always"),
     "INVARIANCE_LOG_GROWTH": Template(
         _handle_invariance_log_growth, "mu invariant / dual semigroup conservative",
         {None: Variant({"M": REQUIRED})}, density="adjoint"),
@@ -578,21 +598,22 @@ TEMPLATES: Dict[str, Template] = {
         {None: Variant({"alpha": REQUIRED}, needs=("candidate",))}, density="adjoint"),
     "RECURRENCE_SUPERSOLUTION": Template(
         _lyapunov("L", _growth_candidate, lambda k, g: 0.0), "recurrent (exterior supersolution)",
-        {None: Variant(dict(_N0), reads=("candidate",))}, region="exterior"),
+        {None: Variant(dict(_N0), reads=("candidate",), spheres=True)}, region="exterior"),
     "RECURRENCE_GROWTH": Template(
         _growth(lambda k, r2: np.zeros_like(r2)), "recurrent (coefficient growth bound)",
         {None: Variant(dict(_N0))}, region="exterior"),
     "VOLUME_CONSERVATIVE": Template(
         _handle_volume_conservative, "conservative (volume growth bound)",
-        {v: Variant({"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0}) for v in ("polynomial", "exponential")},
+        {v: Variant({"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0}, spheres=True)
+         for v in ("polynomial", "exponential")},
         region="exterior", density="always"),
     "ERGODIC_DRIFT": Template(
         _handle_ergodic_drift, "finite invariant measure; ergodic limits apply",
-        {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",)),
+        {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",), spheres=True),
          "eq_335": Variant({"M": 0.0, **_N0}), "eq_336": Variant({"M": REQUIRED, **_N0})}, region="exterior"),
     "VOLUME_RECURRENCE": Template(
         _handle_volume_recurrence, "recurrent (volume-integral test)",
-        {None: Variant({"n_max": 1e6}, reads=("Bbar",))}, region=None, density="always"),
+        {None: Variant({"n_max": 1e6}, reads=("Bbar",), spheres=True)}, region=None, density="always"),
 }
 
 # constants with a lower bound: N0 and r_max are radii, the annulus ladder of
@@ -614,17 +635,12 @@ def _default_region(where: Optional[str], d: int, n0: Optional[float]) -> Option
     return RegionSpec(r_min=r_min, n_radial=100, n_angular=4096) if d == 3 else RegionSpec(r_min=r_min)
 
 
-def check_criterion(
-    spec: CriterionSpec, d: int, has_density: bool, inputs: Dict[str, object]
-) -> CriterionSpec:
+def check_criterion(spec: CriterionSpec, d: int, has_density: bool) -> CriterionSpec:
     """``spec`` checked against its template, with the default variant, mode,
     constants (as floats) and region filled in.
 
-    ``inputs`` are the extra inputs given besides the spec's candidate and
-    rhs; None stands for one not given.  An input, a mode, a density or a
-    region that the template (in the given variant and mode) does not read is
-    an error.
-    A candidate or rhs given as a string is parsed.  Raises
+    An input, a mode, a density or a region that the template (in the given
+    variant and mode) does not read is an error.  Raises
     :class:`CriterionError` that names the criterion field at fault.
     """
     t = TEMPLATES[spec.id]
@@ -636,6 +652,9 @@ def check_criterion(
         message = f"{variant!r} is not one of {options}" if options else f"{spec.id} has no variants"
         raise CriterionError(message, "variant")
     var = t.variants[variant]
+    flavor = f"{spec.id}/{variant}" if variant else spec.id
+    if var.spheres and d > _SPHERE_MAX_D:
+        raise CriterionError(f"{flavor} samples spheres (d <= {_SPHERE_MAX_D} only)", "id")
     defaults = var.constants
     for name in spec.constants:
         if name not in defaults:
@@ -647,8 +666,7 @@ def check_criterion(
         constants[name] = float(spec.constants.get(name, default))
         if name in _BOUNDS and not _BOUNDS[name][1](constants[name]):
             raise CriterionError(f"{spec.id} needs {_BOUNDS[name][0]}", f"constants.{name}")
-    given = [k for k, v in {"candidate": spec.candidate, "rhs": spec.rhs, **inputs}.items() if v is not None]
-    flavor = f"{spec.id}/{variant}" if variant else spec.id
+    given = [name for name in INPUTS if getattr(spec, name) is not None]
     for name in given:
         if name not in var.needs + var.reads:
             raise CriterionError(f"{flavor} does not read {name}", name)
@@ -657,7 +675,7 @@ def check_criterion(
             raise CriterionError(f"{flavor} needs {name}", name)
     if spec.region is not None and t.region is None:
         raise CriterionError(f"{spec.id} reads no region", "region")
-    if spec.region is not None and spec.region.kind == ("annulus" if d == 1 else "interval"):
+    if spec.region is not None and not spec.region.fits(d):
         raise CriterionError(f"an {spec.region.kind} region does not apply in d={d}", "region.kind")
     has_mode = t.density == "adjoint"
     if spec.mode is not None and not has_mode:
@@ -679,26 +697,18 @@ def check_criterion(
         region = spec.region or _default_region(t.region, d, constants.get("N0"))
     except CriterionError as err:  # only N0 moves the default region
         raise CriterionError(f"default region: {err.message}", "constants.N0") from None
-    candidate, rhs = _coerce_candidate(spec.candidate, d), _coerce_candidate(spec.rhs, d)
-    return replace(
-        spec, variant=variant, mode=mode, constants=constants, region=region, candidate=candidate, rhs=rhs
-    )
+    if region is not None and not region.fits(d):
+        raise CriterionError(f"the default annulus region does not apply in d={d}; give a box", "region")
+    return replace(spec, variant=variant, mode=mode, constants=constants, region=region)
 
 
 def evaluate_criterion(
-    spec: CriterionSpec,
-    cs: CoefficientSet,
-    rho: Optional[DensityField] = None,
-    **inputs,
+    spec: CriterionSpec, cs: CoefficientSet, rho: Optional[DensityField] = None
 ) -> CriterionVerdict:
-    """Instantiate a catalog template and return its sampled-grid verdict.
-
-    ``inputs`` are the extra inputs some templates read (``psi1``/``psi2``,
-    ``h1``/``h2``, ``Bbar``); the spec is first checked against its template.
-    """
-    spec = check_criterion(spec, cs.d, rho is not None, inputs)
-    given = {k: _coerce_candidate(v, cs.d) for k, v in inputs.items() if v is not None}
-    return TEMPLATES[spec.id].handler(spec, cs, rho, **given)
+    """Instantiate a catalog template and return its sampled-grid verdict;
+    the spec is first checked against its template."""
+    spec = check_criterion(spec, cs.d, rho is not None)
+    return TEMPLATES[spec.id].handler(spec, cs, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +719,13 @@ def _radial_cumulative(
     integrand: Callable[[np.ndarray], np.ndarray], d: int, r_max: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid: 65
-    radii in ``[0, 1]``, then 64 per decade, each shell on 256 directions."""
+    radii in ``[0, min(r_max, 1)]``, then 64 per decade up to ``r_max`` if it
+    exceeds 1, each shell on 256 directions."""
     dirs, w = _sphere(d, 256)
-    r_lin = np.linspace(0.0, 1.0, 65)
-    decades = max(1, int(math.ceil(math.log10(max(r_max, 1.0 + 1e-9)))))
-    r_log = np.geomspace(1.0, r_max, decades * 64 + 1)
-    radii = np.concatenate([r_lin, r_log[1:]])
+    radii = np.linspace(0.0, min(r_max, 1.0), 65)
+    if r_max > 1.0:
+        decades = math.ceil(math.log10(r_max))
+        radii = np.concatenate([radii, np.geomspace(1.0, r_max, decades * 64 + 1)[1:]])
 
     def shell(r: float) -> float:
         if r == 0.0:
@@ -745,7 +756,7 @@ def _converging_trend(increments: np.ndarray) -> Tuple[str, str]:
 def volume_test_integrands(
     cs: CoefficientSet,
     rho: DensityField,
-    Bbar: Optional[Sequence[Union[str, Expr]]] = None,
+    Bbar: Optional[Sequence[Expr]] = None,
     r_max: float = 1e6,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative volume-test integrands ``(radii, v1, v2)``.
@@ -765,9 +776,7 @@ def volume_test_integrands(
     div_field = VectorField.from_exprs(calc.add_half_divergence([ex.Const(0.0)] * d, lambda i, j: cs.c_entry(j, i)))
     c_is_zero = all(e == ex.Const(0.0) for row in cs.c_upper for e in row)
     c_program = ex.Program([e for row in cs.C for e in row])
-    bbar_field = (
-        VectorField.from_exprs([_coerce_candidate(b, d) for b in Bbar]) if Bbar else None
-    )
+    bbar_field = VectorField.from_exprs(Bbar) if Bbar else None
 
     def v2_integrand(pts):
         r = rho.rho(pts)
@@ -789,7 +798,7 @@ def volume_test_integrands(
 def recurrence_volume_test(
     cs: CoefficientSet,
     rho: DensityField,
-    Bbar: Optional[Sequence[Union[str, Expr]]] = None,
+    Bbar: Optional[Sequence[Expr]] = None,
     n_max: float = 1e6,
 ) -> CriterionVerdict:
     """Volume-integral recurrence test via ``a_n = int_1^n r / v(r) dr``.

@@ -40,6 +40,26 @@ def tiny_bm_config(**overrides):
     return cfg
 
 
+def ou_4d_config(criterion):
+    """A d=4 OU scenario with one criterion, no density and no simulation."""
+    cfg = tiny_bm_config(
+        dimension=4,
+        coefficients={"A": [["1", "0", "0", "0"], ["1", "0", "0"], ["1", "0"], ["1"]], "H": ["-x1", "-x2", "-x3", "-x4"]},
+        density={},
+        criteria=[criterion],
+    )
+    del cfg["simulation"]
+    return cfg
+
+
+def test_four_dimensional_box_criterion_runs():
+    # a template that samples only its region runs in d=4 on a box; the annulus needs d <= 3
+    box = {"kind": "box", "lo": 1.0, "hi": 4.0, "n_points": 2000}
+    report = run_scenario(ou_4d_config({"id": "GROWTH_NONEXPLOSION", "region": box}))
+    assert report["status"]["exit_code"] == 0
+    assert report["stages"]["criteria"][0]["verdict"] == "holds-on-grid"
+
+
 def test_builtins_load_and_validate():
     for name in BUILTIN_NAMES:
         cfg = load_config(name)
@@ -293,6 +313,16 @@ def malformed_inputs():
         (crit0(region={"kind": "annulus", "lo": 3.0, "hi": 2.0}),
          "$.criteria[0].region.lo", "annulus region does not read this field"),
         (r_max_on_interval, "$.criteria[0].region.r_max", "interval region does not read this field"),
+        # the sphere has directions only in d <= 3: no annulus, given or default, and no template that samples spheres
+        (ou_4d_config({"id": "GROWTH_NONEXPLOSION", "region": {"kind": "annulus"}}),
+         "$.criteria[0].region.kind", "an annulus region does not apply in d=4"),
+        (ou_4d_config({"id": "GROWTH_NONEXPLOSION"}),
+         "$.criteria[0].region", "the default annulus region does not apply in d=4"),
+        (ou_4d_config({"id": "LYAPUNOV_L", "constants": {"M": 2}, "region": {"kind": "box"}}),
+         "$.criteria[0].id", "LYAPUNOV_L samples spheres"),
+        # q sets the L^q(mu) norm, which only a krylov density makes
+        (sim(krylov={"f": "1", "t": 0.5, "x_grid": [[0.0, 0.0]], "q": 2.0}),
+         "$.simulation.krylov.q", "q is read only with a density"),
         (crit0(id="INTEGRABLE_COEFFS", constants={"r_max": 0.0}, density="analytic:0"),
          "$.criteria[0].constants.r_max", "needs r_max > 0"),
         (tiny_bm_config(density={"analytic": ["0"]}), "$.density.analytic[0]", "> 0 at the origin"),

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sdelab import cli
 from sdelab import criteria as crit
 from sdelab.calculus import (
     DensityField,
@@ -10,6 +12,7 @@ from sdelab.calculus import (
 )
 from sdelab.criteria import (
     TEMPLATES,
+    VERDICTS,
     CriterionSpec,
     RegionSpec,
     default_growth_candidate,
@@ -50,6 +53,42 @@ def test_catalog_is_complete():
     assert set(TEMPLATES) == expected
     for row in TEMPLATES.values():
         assert row.conclusion and row.variants
+
+
+# a small expression for each input a template variant may take
+_SMALL_INPUTS = {"candidate": "norm2(x) + 1", "rhs": "2*norm2(x) + 2", "psi1": "1", "psi2": "1 + norm2(x)",
+                 "h1": "1", "h2": "1", "Bbar": "0.1*x1"}
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("tid,variant", [(k, v) for k, t in TEMPLATES.items() for v in t.variants])
+def test_every_template_variant_evaluates_from_one_record(tid, variant, d):
+    # every input the variant takes is a field of the one spec; in d=4 the templates
+    # that sample spheres, and the d=2 template, are rejected at the id
+    t, var = TEMPLATES[tid], TEMPLATES[tid].variants[variant]
+    inputs = {name: parse_expr(_SMALL_INPUTS[name], d) for name in var.needs + var.reads}
+    if "Bbar" in inputs:
+        inputs["Bbar"] = (inputs["Bbar"],) * d
+    spec = CriterionSpec(
+        id=tid,
+        variant=variant,
+        constants={name: 1.0 for name, default in var.constants.items() if default is crit.REQUIRED},
+        region=None if t.region is None else RegionSpec(kind="box", lo=0.5, hi=2.0, n_points=2000),
+        **inputs,
+    )
+    rho = None if t.density == "never" else DensityField.from_expression("exp(-norm2(x))", d)
+    if d == 4 and (var.spheres or t.dimension == 2):
+        with pytest.raises(crit.CriterionError) as err:
+            evaluate_criterion(spec, cs_ou(d), rho)
+        assert err.value.where == "id"
+    else:
+        assert evaluate_criterion(spec, cs_ou(d), rho).verdict in VERDICTS
+
+
+def test_criterion_readers_cover_every_field():
+    # a field without a reader would make its config key an "unknown field"
+    assert issubclass(cli.Criterion, CriterionSpec)
+    assert set(cli._CRITERION_READERS) == {f.name for f in fields(cli.Criterion)}
 
 
 def test_unknown_id_rejected():
@@ -149,16 +188,18 @@ def test_eigengap_2d_demo():
         G=["-0.5*norm2(x)*x1", "-0.5*norm2(x)*x2"],
         d=2,
     )
-    spec = CriterionSpec(id="EIGENGAP_2D", constants={"M": 1.0, "N0": 1})
-    v = evaluate_criterion(spec, cs, psi1="1", psi2="1 + norm2(x)^2")
+    spec = CriterionSpec(
+        id="EIGENGAP_2D", constants={"M": 1.0, "N0": 1}, psi1=parse_expr("1", 2), psi2=parse_expr("1 + norm2(x)^2", 2)
+    )
+    v = evaluate_criterion(spec, cs)
     assert v.verdict == "holds-on-grid"
 
 
 def test_eigengap_requires_d2():
     cs = cs_ou(d=3)
-    spec = CriterionSpec(id="EIGENGAP_2D", constants={"M": 1.0})
+    spec = CriterionSpec(id="EIGENGAP_2D", constants={"M": 1.0}, psi1=parse_expr("1", 3), psi2=parse_expr("1", 3))
     with pytest.raises(crit.CriterionError):
-        evaluate_criterion(spec, cs, psi1="1", psi2="1")
+        evaluate_criterion(spec, cs)
 
 
 def test_non_invariance_gaussian_primitive():
@@ -219,7 +260,7 @@ def test_box_region_sampling():
     spec = CriterionSpec(
         id="LYAPUNOV_L",
         constants={"M": 2.0},
-        candidate="norm2(x) + 1",
+        candidate=parse_expr("norm2(x) + 1", 2),
         region=RegionSpec(kind="box", lo=-5.0, hi=5.0, n_points=10_000),
     )
     v = evaluate_criterion(spec, cs)
@@ -239,7 +280,7 @@ def test_growth_note_samples_the_interval():
     spec = CriterionSpec(
         id="LYAPUNOV_L",
         constants={"M": 2.0},
-        candidate="x1^2 + 1",
+        candidate=parse_expr("x1^2 + 1", 1),
         region=RegionSpec(kind="interval", lo=-10.0, hi=10.0),
     )
     (note,) = evaluate_criterion(spec, cs).notes
@@ -252,7 +293,8 @@ def test_growth_note_samples_the_interval():
 )
 def test_growth_note_on_a_region_inside_the_unit_ball(region):
     # the sampled radii start inside the region, not at r = 1 above its outer radius
-    spec = CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}, candidate="norm2(x) + 1", region=region)
+    candidate = parse_expr("norm2(x) + 1", 2)
+    spec = CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}, candidate=candidate, region=region)
     (note,) = evaluate_criterion(spec, cs_ou()).notes
     assert note.endswith(": increasing (not certified)"), note
 
@@ -299,7 +341,7 @@ def test_recurrence_growth_fails_with_witness_on_outward_drift():
 
 def test_lyapunov_l_with_moment_conclusion():
     cs = cs_ou()
-    spec = CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}, candidate="norm2(x) + 1")
+    spec = CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}, candidate=parse_expr("norm2(x) + 1", 2))
     v = evaluate_criterion(spec, cs)
     assert v.verdict == "holds-on-grid"
     assert "e^{M t}" in v.conclusion
@@ -388,6 +430,15 @@ def test_volume_conservative_bounded_density():
     assert evaluate_criterion(box, cs, rho=rho).trend_table["n"] == [1]
 
 
+@pytest.mark.parametrize("r_max", [0.5, 1.0, 64.0])
+def test_radial_grid_increases_to_r_max(r_max):
+    radii, totals = crit._radial_cumulative(lambda p: np.exp(-np.einsum("ij,ij->i", p, p)), 2, r_max)
+    assert np.all(np.diff(radii) > 0)
+    assert radii[-1] == r_max
+    if r_max == 0.5:  # the Gaussian's mass on the disc of radius 1/2
+        assert abs(totals[-1] - math.pi * (1.0 - math.exp(-0.25))) < 1e-4
+
+
 def test_growth_report_flags_bounded_candidate():
     rep = growth_report(parse_expr("1/(1 + norm2(x))", 2), 2, 1.0, 100.0)
     assert not rep["increasing"]
@@ -429,9 +480,9 @@ def test_volume_test_ou_recurrent():
 def test_volume_template_matches_direct_call_with_c_and_bbar():
     cs = build_coefficient_set([["1", "0"], ["1"]], [["x1*x2"]], ["-x1", "-x2"], d=2)
     rho = DensityField.from_expression("exp(-norm2(x))", 2)
-    bbar = [parse_expr("x1", 2), parse_expr("0", 2)]
-    spec = CriterionSpec(id="VOLUME_RECURRENCE", constants={"n_max": 1e3})
-    via_template = evaluate_criterion(spec, cs, rho=rho, Bbar=bbar)
+    bbar = (parse_expr("x1", 2), parse_expr("0", 2))
+    spec = CriterionSpec(id="VOLUME_RECURRENCE", constants={"n_max": 1e3}, Bbar=bbar)
+    via_template = evaluate_criterion(spec, cs, rho=rho)
     direct = recurrence_volume_test(cs, rho, bbar, 1e3)
     assert via_template.to_json() == direct.to_json()
     assert direct.id == "VOLUME_RECURRENCE" and direct.trend_table is not None
