@@ -10,10 +10,9 @@ divergence against ``rho dx``; ``L`` has drift ``G`` and its mu-adjoint
 density are checked by quadrature against compactly supported bump test
 functions ``f``, in one pass of :func:`invariance_residual`: infinitesimal invariance
 ``integral (L f) rho dx = 0`` and the divergence condition
-``integral <B, grad f> rho dx = 0``.  Each bump is integrated only over the
-rule's nodes in its support box (the zero products outside it change no
-exact sum); whether a test function vanishes on the box faces is checked on
-the whole rule.
+``integral <B, grad f> rho dx = 0``.  Each bump is integrated on its own
+composite Gauss-Legendre product rule over its support box
+(:func:`gauss_rule`), and must vanish on that box's faces.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
     "CoefficientSet",
     "DensityField",
     "QuadratureRule",
-    "SubRule",
+    "gauss_rule",
     "Bump",
     "VectorField",
     "build_coefficient_set",
@@ -467,17 +466,18 @@ class QuadratureRule:
     lo: Tuple[float, ...]
     hi: Tuple[float, ...]
     nodes: Tuple[int, ...]
-    scheme: str = "simpson"  # "midpoint" | "simpson"
+    scheme: str = "simpson"  # "midpoint" | "simpson" | "gauss"
 
     def __post_init__(self):
-        if self.scheme not in ("midpoint", "simpson"):
+        if self.scheme not in ("midpoint", "simpson", "gauss"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.nodes):
             raise ShapeError("lo/hi/nodes must have equal lengths")
-        if self.scheme == "simpson":
-            for n in self.nodes:
-                if n < 3 or n % 2 == 0:
-                    raise ValueError("Simpson needs an odd node count >= 3 per axis")
+        for n in self.nodes:
+            if self.scheme == "simpson" and (n < 3 or n % 2 == 0):
+                raise ValueError("Simpson needs an odd node count >= 3 per axis")
+            if self.scheme == "gauss" and (n < _GAUSS_M or n % _GAUSS_M):
+                raise ValueError(f"Gauss needs a positive multiple of {_GAUSS_M} nodes per axis")
 
     @classmethod
     def box(cls, halfwidth: float, d: int, nodes: int, scheme: str = "simpson"):
@@ -498,6 +498,12 @@ class QuadratureRule:
             h = (hi - lo) / n
             x = lo + h * (np.arange(n) + 0.5)
             w = np.full(n, h)
+        elif self.scheme == "gauss":
+            panels = n // _GAUSS_M
+            h = (hi - lo) / panels
+            t, wt = np.polynomial.legendre.leggauss(_GAUSS_M)
+            x = (lo + h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).reshape(-1)
+            w = np.tile(0.5 * h * wt, panels)
         else:
             h = (hi - lo) / (n - 1)
             x = lo + h * np.arange(n)
@@ -523,43 +529,32 @@ class QuadratureRule:
         pts.flags.writeable = w.flags.writeable = False
         return pts, w
 
-    def restrict(self, lo: Sequence[float], hi: Sequence[float]) -> SubRule:
-        """This rule cut to the node-index sub-box around the closed box
-        ``[lo, hi]``: the nodes inside it and one more on each side, clipped
-        to the rule.  The weights stay the whole rule's, so a sum over the
-        sub-box equals the whole rule's sum of a field that is 0 outside it."""
-        start, stop = [], []
-        for k in range(self.dim):
-            x = self.axis_nodes(k)[0]
-            start.append(max(int(np.searchsorted(x, lo[k], side="left")) - 1, 0))
-            stop.append(min(int(np.searchsorted(x, hi[k], side="right")) + 1, self.nodes[k]))
-        return SubRule(self, tuple(start), tuple(b - a for a, b in zip(start, stop)))
+    def faces(self) -> np.ndarray:
+        """Points on the faces of the box, one row each: on the two faces
+        across axis ``k``, the rule's nodes of the other axes."""
+        axes = [self.axis_nodes(k)[0] for k in range(self.dim)]
+        return np.concatenate(
+            [
+                lattice(axes[:k] + [np.array([side])] + axes[k + 1 :])
+                for k in range(self.dim)
+                for side in (self.lo[k], self.hi[k])
+            ]
+        )
 
 
-@dataclass(frozen=True)
-class SubRule:
-    """The nodes and weights of ``rule`` on the sub-box of ``nodes`` node
-    indices per axis starting at ``start`` (see :meth:`QuadratureRule.restrict`)."""
+# Gauss-Legendre nodes per panel, and the node budget of one residual rule
+_GAUSS_M = 8
+_GAUSS_BUDGET = 2**16
 
-    rule: QuadratureRule
-    start: Tuple[int, ...]
-    nodes: Tuple[int, ...]
 
-    def take(self, values: np.ndarray) -> np.ndarray:
-        """``values`` given at the whole rule's nodes, at the sub-box's nodes."""
-        grid = values.reshape(self.rule.nodes + values.shape[1:])
-        box = tuple(slice(a, a + n) for a, n in zip(self.start, self.nodes))
-        return grid[box].reshape((-1,) + values.shape[1:])
-
-    def points_and_weights(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Nodes ``(n, d)`` and weights ``(n,)`` of the sub-box, read-only."""
-        return self._grid
-
-    @cached_property
-    def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
-        pts, w = (self.take(a) for a in self.rule.points_and_weights())
-        pts.flags.writeable = w.flags.writeable = False
-        return pts, w
+def gauss_rule(lo: Sequence[float], hi: Sequence[float]) -> QuadratureRule:
+    """The composite Gauss-Legendre product rule on the box ``[lo, hi]`` of
+    the residual checks: ``8 * round((2**16)**(1/d) / 8)`` nodes per axis in
+    panels of 8, about 2**16 nodes in all (65536 per axis in d=1, 256 in
+    d=2, 40 in d=3, 16 in d=4)."""
+    d = len(lo)
+    n = _GAUSS_M * max(1, round(_GAUSS_BUDGET ** (1.0 / d) / _GAUSS_M))
+    return QuadratureRule(tuple(map(float, lo)), tuple(map(float, hi)), (n,) * d, scheme="gauss")
 
 
 # Adding and then subtracting this rounds a frexp mantissa, |m| < 1, to a
@@ -617,7 +612,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> fl
     return exact_sum(w * vals)
 
 
-def integrate_masked(values: np.ndarray, rule: Union[QuadratureRule, SubRule]) -> Tuple[float, int]:
+def integrate_masked(values: np.ndarray, rule: QuadratureRule) -> Tuple[float, int]:
     """Quadrature of ``values`` given at the rule's nodes, skipping (and
     counting) the non-finite ones; the sum is correctly rounded, equal to
     ``math.fsum`` (:func:`exact_sum`).
@@ -695,13 +690,12 @@ class DivergenceReport:
 def decompose_drift(
     cs: CoefficientSet,
     rho: DensityField,
-    rule: Optional[QuadratureRule] = None,
+    halfwidth: float = 3.0,
 ) -> Tuple[VectorField, DivergenceReport]:
     """Split ``G = beta + B`` and report how far B is from mu-divergence zero:
-    the divergence residuals of :func:`invariance_check` on the rule's box."""
-    if rule is None:
-        rule = QuadratureRule.box(3.0, cs.d, 241 if cs.d <= 2 else 81)
-    check = invariance_check(cs, rho, rule)
+    the divergence residuals of :func:`invariance_check` on the box
+    ``[-halfwidth, halfwidth]^d``."""
+    check = invariance_check(cs, rho, halfwidth)
     report = DivergenceReport(check.max_divergence, check.divergences, check.mass, check.skipped_nodes)
     return b_field(cs, rho), report
 
@@ -717,14 +711,17 @@ class Bump:
 
 def bump_expression(center: Sequence[float], radius: Sequence[float], d: int) -> Bump:
     """C^2 product bump ``prod_i max(1 - ((x_i - c_i)/r_i)^2, 0)^3`` with its
-    support ``[c - r, c + r]``."""
-    c = [float(center[i]) for i in range(d)]
-    r = [abs(float(radius[i])) for i in range(d)]
+    support ``[lo, hi] = [c - r, c + r]``, written as
+    ``prod_i max((x_i - lo_i)/r_i * (hi_i - x_i)/r_i, 0)^3`` so that it is
+    exactly 0 on the faces of its support box."""
+    lo = tuple(float(center[i]) - abs(float(radius[i])) for i in range(d))
+    hi = tuple(float(center[i]) + abs(float(radius[i])) for i in range(d))
     out: Expr = Const(1.0)
     for i in range(d):
-        t = ex.div(sub(coord(i), Const(c[i])), Const(r[i]))
-        out = mul(out, powc(ex.Max(sub(Const(1.0), powc(t, 2.0)), Const(0.0)), 3.0))
-    return Bump(out, tuple(c[i] - r[i] for i in range(d)), tuple(c[i] + r[i] for i in range(d)))
+        r = Const(abs(float(radius[i])))
+        t = mul(ex.div(sub(coord(i), Const(lo[i])), r), ex.div(sub(Const(hi[i]), coord(i)), r))
+        out = mul(out, powc(ex.Max(t, Const(0.0)), 3.0))
+    return Bump(out, lo, hi)
 
 
 def default_bump_library(lo, hi, d: int) -> List[Bump]:
@@ -807,10 +804,11 @@ class ResidualReport:
 
     ``residual`` is ``integral (L f) rho dx`` and ``divergence`` is
     ``integral <B, grad f> rho dx``; both vanish when ``rho`` is
-    infinitesimally invariant.  ``mass`` is ``|integral rho dx|`` over the
-    box and ``scale`` is ``max|f|`` times it.  The skip counts are the
-    non-finite nodes each sum left out, among the nodes it ran over (for a
-    :class:`Bump`, those of its support box).
+    infinitesimally invariant.  Both are sums on the :func:`gauss_rule` of
+    ``f``'s support box.  ``mass`` is ``|integral rho dx|`` over the whole
+    box and ``scale`` is ``max|f|`` (over the nodes and the support box's
+    centre) times it.  The skip counts are the non-finite nodes each sum
+    left out.
     """
 
     residual: float
@@ -825,48 +823,49 @@ def invariance_residual(
     cs: CoefficientSet,
     rho: DensityField,
     f,
-    rule: QuadratureRule,
+    halfwidth: float,
 ) -> Union[ResidualReport, List[ResidualReport]]:
-    """Residuals of a test function ``f`` against ``rho`` on the rule's box,
-    or one report per test function given a list of them.
+    """Residuals of a test function ``f`` against ``rho`` on the box
+    ``[-halfwidth, halfwidth]^d``, or one report per test function given a
+    list of them.
 
-    This is the only loop over test functions.  The rule's nodes, ``rho`` and
-    ``B = G - beta`` are evaluated, and the box mass of ``rho`` integrated,
-    once per call.  Each test function then runs one program of ``f``, its
-    gradient and its Hessian on the nodes of its support box, and both sums
-    run over those nodes only: a :class:`Bump` is integrated over
-    ``rule.restrict(lo, hi)``, any other test function over the whole rule.
-    ``f`` must be supported inside the box: a test function that is nonzero
-    at a node on the whole rule's outermost layer (the box faces for Simpson)
-    raises :class:`CalculusError`.
+    This is the only loop over test functions.  A :class:`Bump` is integrated
+    on the :func:`gauss_rule` of its support box, any other test function on
+    that of the whole box; each runs one program of ``f``, its gradient and
+    its Hessian, and evaluates ``rho`` and ``B = G - beta`` on its own nodes.
+    The box mass of ``rho`` is integrated once per call.  A test function
+    that is nonzero on a face of its support box (at a face point on the
+    rule's nodes of the other axes) raises :class:`CalculusError`.
     """
-    pts, w = rule.points_and_weights()
-    # the nodes on the rule's outermost layer
-    face = pts[np.pad(np.zeros(np.subtract(rule.nodes, 2), dtype=bool), 1, constant_values=True).reshape(-1)]
-    B = b_field(cs, rho)(pts)
-    r = rho.rho(pts)
-    mass = abs(exact_sum(w * r))
-    reports = [_bump_report(cs, g, rule, r, B, face, mass) for g in (f if isinstance(f, list) else [f])]
+    lo, hi = (-float(halfwidth),) * cs.d, (float(halfwidth),) * cs.d
+    mass = abs(integrate(rho.rho, gauss_rule(lo, hi)))
+    B = b_field(cs, rho)
+    tests = [g if isinstance(g, Bump) else Bump(g, lo, hi) for g in (f if isinstance(f, list) else [f])]
+    reports = [_bump_report(cs, rho, B, g, mass) for g in tests]
     return reports if isinstance(f, list) else reports[0]
 
 
-def _bump_report(cs, f, rule, r, B, face, mass: float) -> ResidualReport:
-    """One test function's residuals over its support box (the whole rule
-    for a test function without one); its arrays are freed on return."""
-    f, box = (f.expr, rule.restrict(f.lo, f.hi)) if isinstance(f, Bump) else (f, rule.restrict(rule.lo, rule.hi))
-    derivatives = _f_derivatives(f, cs.d, with_value=True)
-    if np.any(derivatives(face)[0] != 0.0):
-        raise CalculusError("test function does not vanish on the faces of the quadrature box")
-    pts = box.points_and_weights()[0]
+def _bump_report(cs, rho, B, bump: Bump, mass: float) -> ResidualReport:
+    """One test function's residuals on the rule of its support box; its
+    arrays are freed on return."""
+    rule = gauss_rule(bump.lo, bump.hi)
+    derivatives = _f_derivatives(bump.expr, cs.d, with_value=True)
+    # f on the faces, where it must be 0, and at the centre, where a bump
+    # peaks and no Gauss node lies
+    centre = np.add(bump.lo, bump.hi)[None] / 2
+    edge = derivatives(np.concatenate([rule.faces(), centre]))[0]
+    if np.any(edge[:-1] != 0.0):
+        raise CalculusError("test function does not vanish on the faces of its support box")
+    pts = rule.points_and_weights()[0]
     value, grad, hess = derivatives(pts)
-    fmax = float(np.nanmax(np.abs(value)))
-    r = box.take(r)
+    fmax = float(np.nanmax(np.abs(np.append(value, edge[-1]))))
     with np.errstate(all="ignore"):
+        r = rho.rho(pts)
         lf = _generator_sum(cs, cs.eval_G, pts, grad, hess)
-        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", box.take(B), grad) * r
+        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", B(pts), grad) * r
     del value, grad, hess, lf  # freed before the sums allocate their temporaries
-    residual, skipped = integrate_masked(lf_rho, box)
-    divergence, divergence_skipped = integrate_masked(div_rho, box)
+    residual, skipped = integrate_masked(lf_rho, rule)
+    divergence, divergence_skipped = integrate_masked(div_rho, rule)
     return ResidualReport(
         residual=residual,
         divergence=divergence,
@@ -892,9 +891,11 @@ class InvarianceCheck:
     skipped_nodes: int
 
 
-def invariance_check(cs: CoefficientSet, rho: DensityField, rule: QuadratureRule) -> InvarianceCheck:
-    """Residuals of ``rho`` against the default bump library on the rule's box."""
-    reports = invariance_residual(cs, rho, default_bump_library(rule.lo, rule.hi, cs.d), rule)
+def invariance_check(cs: CoefficientSet, rho: DensityField, halfwidth: float) -> InvarianceCheck:
+    """Residuals of ``rho`` against the default bump library on the box
+    ``[-halfwidth, halfwidth]^d``."""
+    R = float(halfwidth)
+    reports = invariance_residual(cs, rho, default_bump_library([-R] * cs.d, [R] * cs.d, cs.d), R)
     residuals = tuple(r.residual for r in reports)
     divergences = tuple(r.divergence for r in reports)
     return InvarianceCheck(

@@ -389,8 +389,9 @@ def _growth(rhs: Callable, note: Optional[str] = None):
     def handle(spec, cs, rho):
         pts = spec.region.points(cs.d)
         _, _, r2, axx, tra, gx = _geometry(cs, pts)
-        result = _finish_margin(pts, -axx / r2 + 0.5 * tra + gx, rhs(spec.constants, r2))
-        return _margin_verdict(spec, result, [note] if note else None)
+        with np.errstate(all="ignore"):  # the origin's margin is non-finite, skipped and counted
+            lhs, bound = -axx / r2 + 0.5 * tra + gx, rhs(spec.constants, r2)
+        return _margin_verdict(spec, _finish_margin(pts, lhs, bound), [note] if note else None)
 
     return handle
 
@@ -399,7 +400,8 @@ def _handle_eigengap_2d(spec, cs, rho):
     pts = spec.region.points(2)
     _, _, r2, _, _, gx = _geometry(cs, pts)
     lhs = 0.5 * np.abs(evaluate(spec.psi1, pts) - evaluate(spec.psi2, pts)) + gx
-    rhs = spec.constants["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)
+    with np.errstate(all="ignore"):  # the origin's margin is non-finite, skipped and counted
+        rhs = spec.constants["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)
     return _margin_verdict(spec, _finish_margin(pts, lhs, rhs))
 
 
@@ -484,7 +486,8 @@ def _handle_volume_conservative(spec, cs, rho):
     _, _, r2, axx, _, _ = _geometry(cs, pts)
     bx = np.abs(np.einsum("ni,ni->n", calc.b_field(cs, rho)(pts), pts))
     if variant == "polynomial":
-        lhs = axx / r2 + bx
+        with np.errstate(all="ignore"):  # the origin's margin is non-finite, skipped and counted
+            lhs = axx / r2 + bx
         rhs = M * r2 * np.log(np.sqrt(r2) + 1.0)
     else:  # exponential
         lhs = axx + bx

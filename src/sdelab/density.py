@@ -355,12 +355,7 @@ def solve_density(
 
 def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> calc.InvarianceCheck:
     """Quadrature residuals of the solved density against the bump library."""
-    mesh = approx.mesh
-    # finer than the mesh (multilinear interpolation of the grid density);
-    # 481/81 nodes per axis put every default bump edge on a Simpson panel
-    # boundary, so the quadrature keeps its full order
-    rule = QuadratureRule.box(mesh.R, mesh.d, 481 if mesh.d == 2 else 81)
-    return calc.invariance_check(cs, approx.to_density_field(), rule)
+    return calc.invariance_check(cs, approx.to_density_field(), approx.mesh.R)
 
 
 def volume_profile(

@@ -19,7 +19,6 @@ from sdelab import density as dens
 from sdelab import montecarlo as mc
 from sdelab.calculus import (
     DensityField,
-    QuadratureRule,
     build_coefficient_set,
     bump_expression,
     decompose_drift,
@@ -144,15 +143,15 @@ def test_criterion_2_decomposition_identities():
 
 
 # --------------------------------------------------------------------------
-# 3. invariance residuals at Simpson 241 nodes/axis
+# 3. invariance residuals on each bump's composite Gauss-Legendre rule
 
 
 def test_criterion_3_invariance_residuals():
-    rule = QuadratureRule.box(3.0, 2, 241)
+    box = 3.0
     f = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)
     cs = cs_identity(H=["1", "0"])
-    rep_flat = invariance_residual(cs, DensityField.from_expression("1", 2), f, rule)
-    rep_tilt = invariance_residual(cs, DensityField.from_expression("exp(2*x1)", 2), f, rule)
+    rep_flat = invariance_residual(cs, DensityField.from_expression("1", 2), f, box)
+    rep_tilt = invariance_residual(cs, DensityField.from_expression("exp(2*x1)", 2), f, box)
     ok_inv = (
         abs(rep_flat.residual) <= 1e-8 * rep_flat.scale
         and abs(rep_tilt.residual) <= 1e-8 * rep_tilt.scale
@@ -162,7 +161,7 @@ def test_criterion_3_invariance_residuals():
     cs_bm = cs_identity()
     f2 = bump_expression([0.0, 0.0], [2.5, 2.5], 2)
     rep_bad = invariance_residual(
-        cs_bm, DensityField.from_expression("exp(x1)", 2), f2, rule
+        cs_bm, DensityField.from_expression("exp(x1)", 2), f2, box
     )
     b = lambda t: np.maximum(1 - (t / 2.5) ** 2, 0.0) ** 3
     ix, _ = si.quad(lambda t: b(t) * math.exp(t), -2.5, 2.5, epsabs=1e-14)

@@ -203,7 +203,7 @@ def test_generator_mode_identities():
     f = parse_expr("x1^2 * x2 + exp(-norm2(x))", 2)
     L = apply_generator(cs, rho, f, mode="L")
     Lp = apply_generator(cs, rho, f, mode="L_adjoint")
-    B, _ = decompose_drift(cs, rho, rule=QuadratureRule.box(2.0, 2, 41))
+    B, _ = decompose_drift(cs, rho, 2.0)
     grads = [parse_expr("2*x1*x2 - 2*x1*exp(-norm2(x))", 2), parse_expr("x1^2 - 2*x2*exp(-norm2(x))", 2)]
     pts = np.random.default_rng(12).uniform(-2, 2, size=(60, 2))
     gvals = np.stack([evaluate(g, pts) for g in grads], axis=-1)
@@ -213,26 +213,22 @@ def test_generator_mode_identities():
 
 def test_invariance_residual_unit_drift():
     cs = identity_cs(H=["1", "0"])
-    rule = QuadratureRule.box(3.0, 2, 241)
     rho = DensityField.from_expression("1", 2)
-    # bump sits where the tilted weight exp(2 x1) stays moderate, else the
-    # Simpson truncation at 241 nodes/axis dominates the residual
     f = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)
-    rep = invariance_residual(cs, rho, f, rule)
+    rep = invariance_residual(cs, rho, f, 3.0)
     assert abs(rep.residual) <= 1e-8 * rep.scale
 
     rho2 = DensityField.from_expression("exp(2*x1)", 2)
-    rep2 = invariance_residual(cs, rho2, f, rule)
+    rep2 = invariance_residual(cs, rho2, f, 3.0)
     assert abs(rep2.residual) <= 1e-8 * rep2.scale
 
 
 def test_invariance_residual_non_invariant_pair():
     # L = (1/2) Laplacian against exp(x1) dx: residual = 1/2 int f e^{x1} dx
     cs = identity_cs()
-    rule = QuadratureRule.box(3.0, 2, 241)
     rho = DensityField.from_expression("exp(x1)", 2)
     f = bump_expression([0.0, 0.0], [2.0, 2.0], 2)
-    rep = invariance_residual(cs, rho, f, rule)
+    rep = invariance_residual(cs, rho, f, 3.0)
 
     bump1d = lambda t: np.maximum(1 - (t / 2.0) ** 2, 0.0) ** 3
     ix, err1 = sci_integrate.quad(lambda t: bump1d(t) * math.exp(t), -2, 2, epsabs=1e-13)
@@ -242,12 +238,17 @@ def test_invariance_residual_non_invariant_pair():
 
 
 def test_invariance_residual_flags_support_leak():
-    # a test function that does not vanish on the box faces is rejected
+    # a test function that does not vanish on the faces of its support box is
+    # rejected: a bare expression's box is the whole box, a bump's its own
     cs = identity_cs()
-    rule = QuadratureRule.box(2.0, 2, 81)
     rho = DensityField.from_expression("1", 2)
     with pytest.raises(calc.CalculusError, match="faces"):
-        invariance_residual(cs, rho, parse_expr("exp(-norm2(x))", 2), rule)
+        invariance_residual(cs, rho, parse_expr("exp(-norm2(x))", 2), 2.0)
+    wide = bump_expression([0.0, 0.0], [1.5, 1.5], 2)
+    narrow = calc.Bump(wide.expr, (-1.0, -1.5), (1.0, 1.5))
+    assert invariance_residual(cs, rho, wide, 2.0).residual == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(calc.CalculusError, match="faces"):
+        invariance_residual(cs, rho, narrow, 2.0)
 
 
 def test_default_bumps_vanish_on_box_faces():
@@ -262,70 +263,48 @@ def test_default_bumps_vanish_on_box_faces():
                         assert np.all(evaluate(f.expr, face) == 0.0), (d, R, k, side)
 
 
-def _same_reports(restricted, whole):
-    for a, b in zip(restricted, whole, strict=True):
-        assert repr(a.residual) == repr(b.residual) and repr(a.divergence) == repr(b.divergence)
-        assert (a.skipped_points, a.divergence_skipped) == (b.skipped_points, b.divergence_skipped)
-        assert (a.mass, a.scale) == (b.mass, b.scale)
+def test_default_bumps_vanish_on_their_own_support_faces():
+    for d in (1, 2, 3):
+        for R in (1.8, 2.5, 2.7, 3.0, 4.0, 5.0):
+            for f in default_bump_library([-R] * d, [R] * d, d):
+                assert np.all(evaluate(f.expr, calc.gauss_rule(f.lo, f.hi).faces()) == 0.0), (d, R, f.lo)
 
 
-@pytest.mark.parametrize("d, nodes", [(1, 2001), (2, 721), (3, 81)])
-def test_bump_support_box_gives_the_whole_rule_sums(d, nodes):
-    # example_3_8 in d dimensions: unit drift, with exp(2 x1) dx invariant;
-    # a bare expression (no support box) is summed over the whole rule
-    cs = identity_cs(d, H=["1"] + ["0"] * (d - 1))
-    rho = DensityField.from_expression("exp(2*x1)", d)
-    rule = QuadratureRule.box(3.0, d, nodes)
-    bumps = default_bump_library(rule.lo, rule.hi, d)
-    _same_reports(
-        invariance_residual(cs, rho, bumps, rule),
-        invariance_residual(cs, rho, [b.expr for b in bumps], rule),
-    )
-
-
-def test_bump_support_box_gives_the_whole_rule_sums_on_a_solved_density():
-    from sdelab.density import solve_density
-
-    cs = identity_cs(H=["1", "0"])
-    rho = solve_density(cs, 3.0, 16).to_density_field()
-    rule = QuadratureRule.box(3.0, 2, 481)  # the rule of density.invariance_of_solution
-    bumps = default_bump_library(rule.lo, rule.hi, 2)
-    _same_reports(
-        invariance_residual(cs, rho, bumps, rule),
-        invariance_residual(cs, rho, [b.expr for b in bumps], rule),
-    )
-
-
-@pytest.mark.parametrize("d, nodes", [(1, 2001), (2, 721), (2, 481), (3, 81)])
-def test_bump_support_box_holds_every_nonzero_node(d, nodes):
-    # f, grad f and the Hessian are exactly 0 at every node outside the
-    # sub-box a bump is integrated over, at the node counts the program uses
-    for R in (1.8, 3.0, 4.0):
-        rule = QuadratureRule.box(R, d, nodes)
-        pts = rule.points_and_weights()[0]
-        for bump in default_bump_library(rule.lo, rule.hi, d):
-            box = rule.restrict(bump.lo, bump.hi)
-            outside = np.ones(rule.nodes, dtype=bool)
-            outside[tuple(slice(a, a + n) for a, n in zip(box.start, box.nodes))] = False
-            value, grad, hess = calc._f_derivatives(bump.expr, d, with_value=True)(pts[outside.reshape(-1)])
-            assert not value.any() and not grad.any() and not hess.any(), (d, nodes, R, bump)
-
-
-def test_skipped_nodes_are_counted_on_the_support_box_only():
-    # G1 = 1/(x1 - 2.5) is infinite on the node column x1 = 2.5
-    cs = identity_cs(H=["1/(x1 - 2.5)", "0"])
-    rule = QuadratureRule.box(3.0, 2, 241)
+def test_skipped_nodes_are_counted_on_the_bump_rule():
+    # G1 = 1/(x1 - p) is infinite on the node column x1 = p of the across bump's rule
+    across = bump_expression([1.0, 0.0], [1.9, 1.9], 2)  # x1 in [-0.9, 2.9]
+    rule = calc.gauss_rule(across.lo, across.hi)
+    xs = rule.axis_nodes(0)[0]
+    p = float(xs[100])
+    cs = identity_cs(H=[f"1/(x1 - {p!r})", "0"])
     rho = DensityField.from_expression("1", 2)
-    away = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)  # x1 in [-2.9, 0.9]
-    rep = invariance_residual(cs, rho, away, rule)
+    rep = invariance_residual(cs, rho, across, 3.0)
+    assert rep.skipped_points == rep.divergence_skipped == rule.nodes[1] == 256
+    assert math.isfinite(rep.residual) and math.isfinite(rep.divergence)
+    # x1 in [-2.9, 0.9]: p is not in this bump's box, so none of its nodes is skipped
+    away = bump_expression([-1.0, 0.0], [1.9, 1.9], 2)
+    rep = invariance_residual(cs, rho, away, 3.0)
     assert (rep.skipped_points, rep.divergence_skipped) == (0, 0)
     assert math.isfinite(rep.residual) and math.isfinite(rep.divergence)
-    # x1 in [-0.9, 2.9]: the column's nodes in the sub-box, not all 241
-    across = bump_expression([1.0, 0.0], [1.9, 1.9], 2)
-    rep = invariance_residual(cs, rho, across, rule)
-    column = rule.restrict(across.lo, across.hi).nodes[1]
-    assert column < 241
-    assert rep.skipped_points == rep.divergence_skipped == column
+
+
+@pytest.mark.parametrize("H, rho, invariant", [
+    (["0", "0", "0"], "1", True),
+    (["-x1", "-x2", "-x3"], "exp(-norm2(x))", True),
+    (["-x1", "-x2", "-x3"], "exp(-0.9*norm2(x))", False),
+])
+def test_invariance_check_in_d3_at_the_default_tolerance(H, rho, invariant):
+    # Brownian motion against Lebesgue measure and OU against its Gaussian are
+    # invariant; OU against a wider Gaussian is not
+    check = calc.invariance_check(identity_cs(3, H=H), DensityField.from_expression(rho, 3), 3.0)
+    assert (check.max_residual <= 1e-8 * check.scale) == invariant
+    assert check.skipped_nodes == 0
+
+
+def test_residual_scale_counts_the_bump_centre():
+    # max|f| = 1 at each bump's centre, which no Gauss node hits; the box mass of 1 on [-3, 3]^2 is 36
+    check = calc.invariance_check(identity_cs(), DensityField.from_expression("1", 2), 3.0)
+    assert check.scale == pytest.approx(36.0, rel=1e-12)
 
 
 def test_diffusion_root_identity_and_diag():
@@ -434,6 +413,24 @@ def test_simpson_exact_on_cubics():
     rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(3,), scheme="simpson")
     f = Program(parse_expr("x1^3", 1))
     assert integrate(f, rule) == pytest.approx(4.0, abs=1e-13)
+
+
+def test_gauss_rejects_a_node_count_not_a_multiple_of_8():
+    for n in (0, 12):
+        with pytest.raises(ValueError):
+            QuadratureRule(lo=(-1,), hi=(1,), nodes=(n,), scheme="gauss")
+
+
+def test_gauss_panels_are_exact_on_degree_15():
+    # two 8-point panels on [0, 2]; x^15 has integral 2^16 / 16
+    rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(16,), scheme="gauss")
+    f = Program(parse_expr("x1^15 - 3*x1^7", 1))
+    assert integrate(f, rule) == pytest.approx(2.0**16 / 16 - 3 * 2.0**8 / 8, rel=1e-14)
+
+
+def test_gauss_rule_spends_about_2_to_the_16_nodes():
+    counts = [calc.gauss_rule([-1.0] * d, [1.0] * d).nodes for d in (1, 2, 3, 4)]
+    assert counts == [(65536,), (256, 256), (40, 40, 40), (16, 16, 16, 16)]
 
 
 def test_density_grid_mode_gradient():

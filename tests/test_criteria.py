@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -501,3 +502,42 @@ def test_verdict_serializes():
     assert blob["id"] == "RECURRENCE_SUPERSOLUTION"
     assert blob["verdict"] == "holds-on-grid"
     assert "min_margin" in blob and "witness" in blob
+
+
+def test_growth_on_a_box_through_the_origin_skips_it_without_a_warning():
+    # 45 x 45 nodes on [-2, 2]^2 put one at the origin, where -<Ax, x>/|x|^2 is 0/0
+    cfg = {
+        "schema_version": 1,
+        "name": "ou_growth_box",
+        "dimension": 2,
+        "coefficients": {"A": [["1", "0"], ["1"]], "H": ["-x1", "-x2"]},
+        "criteria": [
+            {
+                "id": "GROWTH_NONEXPLOSION",
+                "constants": {"M": 0.25},
+                "region": {"kind": "box", "lo": -2.0, "hi": 2.0, "n_points": 2025},
+            }
+        ],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cli.run_scenario(cfg)
+    assert report["status"]["exit_code"] == 0
+    (verdict,) = report["stages"]["criteria"]
+    assert verdict["verdict"] == "holds-on-grid"
+    assert verdict["skipped_points"] == 1
+
+
+@pytest.mark.parametrize("spec, rho", [
+    (CriterionSpec(id="EIGENGAP_2D", constants={"M": 1.0}, psi1=parse_expr("1", 2), psi2=parse_expr("1", 2)), None),
+    (
+        CriterionSpec(id="VOLUME_CONSERVATIVE", constants={"M": 2.0, "c": 3.0, "N1": 1}, variant="polynomial"),
+        DensityField.from_expression("exp(-norm2(x))", 2),
+    ),
+], ids=["EIGENGAP_2D", "VOLUME_CONSERVATIVE"])
+def test_margins_dividing_by_r2_skip_the_origin_without_a_warning(spec, rho):
+    spec = replace(spec, region=RegionSpec(kind="box", lo=-2.0, hi=2.0, n_points=2025))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = evaluate_criterion(spec, cs_ou(), rho=rho)
+    assert v.skipped_points == 1
