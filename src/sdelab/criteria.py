@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.special
 
 from . import calculus as calc
 from . import expr as ex
@@ -86,12 +87,11 @@ REGION_FIELDS: Dict[str, Tuple[str, ...]] = {
     "interval": ("lo", "hi", "n_points"),
 }
 REGION_KINDS: Tuple[str, ...] = tuple(REGION_FIELDS)
-_SPHERE_MAX_D = 3  # _sphere has directions on the unit sphere up to this dimension
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Sampling region: an annulus (radial x angular, 2 <= d <= 3), a box, or
+    """Sampling region: an annulus (radial x angular, d >= 2), a box, or
     an interval (d = 1); only the fields :data:`REGION_FIELDS` names for its
     kind are checked."""
 
@@ -117,7 +117,7 @@ class RegionSpec:
 
     def fits(self, d: int) -> bool:
         if self.kind == "annulus":
-            return 2 <= d <= _SPHERE_MAX_D
+            return d >= 2
         return self.kind == "box" or d == 1
 
     def describe(self) -> str:
@@ -149,24 +149,29 @@ class RegionSpec:
 
 
 def _sphere(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Directions and quadrature weights on the unit sphere (sum = surface)."""
+    """Directions and quadrature weights on the unit sphere (sum = surface).
+
+    Stroud's recursive product rule (*Approximate Calculation of Multiple
+    Integrals*, 1971): m uniform azimuths on S^1, then for k = 2 .. d-1 lift
+    S^{k-1} to S^k as ``(sqrt(1 - t^2) y, t)``, t on the m Gauss-Gegenbauer
+    nodes of weight ``(1 - t^2)^{(k-2)/2}``; ``m = max(5, round(n_angular^{1/(d-1)}))``.
+    The floor of 5 (exact to degree 4) gives 5^(d-1) directions; past
+    ``max(n_angular, 4096)`` (4096: the d=3 default annulus) it raises unbuilt.
+    """
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        th = 2 * math.pi * np.arange(n_angular) / n_angular
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return dirs, np.full(len(dirs), 2 * math.pi / len(dirs))
-    if d == 3:
-        n_pol = max(4, int(round(math.sqrt(n_angular))))
-        n_az = n_pol
-        z, wz = np.polynomial.legendre.leggauss(n_pol)
-        phi = 2 * math.pi * np.arange(n_az) / n_az
-        Z, P = np.meshgrid(z, phi, indexing="ij")
-        W = np.broadcast_to(wz[:, None], Z.shape) * (2 * math.pi / n_az)
-        s = np.sqrt(1 - Z**2)
-        dirs = np.stack([s * np.cos(P), s * np.sin(P), Z], axis=-1).reshape(-1, 3)
-        return dirs, W.reshape(-1)
-    raise CriterionError(f"no angular sampling for d={d}")
+    if 5 ** (d - 1) > max(n_angular, 4096):
+        raise CriterionError(f"the d={d} sphere rule has {5 ** (d - 1)} directions, more than max({n_angular}, 4096)")
+    m = max(5, int(round(n_angular ** (1.0 / (d - 1)))))
+    th = 2 * math.pi * np.arange(m) / m
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    w = np.full(m, 2 * math.pi / m)
+    for k in range(2, d):
+        t, wt = np.polynomial.legendre.leggauss(m) if k == 2 else scipy.special.roots_gegenbauer(m, (k - 1) / 2)
+        s = np.sqrt(1 - t**2)
+        dirs = np.concatenate([(s[:, None, None] * dirs).reshape(-1, k), np.repeat(t, len(dirs))[:, None]], axis=1)
+        w = (wt[:, None] * w).reshape(-1)
+    return dirs, w
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +303,9 @@ def growth_report(
 ) -> Dict[str, object]:
     """Sampled check that ``inf over spheres`` of the candidate grows.
 
-    Reported, never certified: evaluates the candidate on 128 directions of
-    12 spheres of geometrically increasing radius and reports whether the
+    Reported, never certified: evaluates the candidate on the sphere rule at
+    ``n_angular`` 128 (128 directions in d=2, 121 in d=3, 5^(d-1) in d = 4..6)
+    on 12 spheres of geometrically increasing radius and reports whether the
     infimum increases.
     """
     fn = ex.Program(candidate)
@@ -543,9 +549,6 @@ class Variant(NamedTuple):
     constants: Dict[str, Optional[float]]  # constant -> default, or REQUIRED
     needs: Tuple[str, ...] = ()  # INPUTS that must be given
     reads: Tuple[str, ...] = ()  # INPUTS that may be given
-    # samples spheres whatever its region: the Lyapunov handlers' growth
-    # note, or a radial quadrature; so it runs only in d <= _SPHERE_MAX_D
-    spheres: bool = False
 
 
 class Template(NamedTuple):
@@ -572,10 +575,10 @@ TEMPLATES: Dict[str, Template] = {
     "LYAPUNOV_L": Template(
         _lyapunov("L", lambda k, d: parse_expr("norm2(x) + 1", d), _scaled("M")),
         "non-explosive; E_x[phi(X_t)] <= e^{M t} phi(x)",
-        {None: Variant({"M": REQUIRED}, reads=("candidate", "rhs"), spheres=True)}),
+        {None: Variant({"M": REQUIRED}, reads=("candidate", "rhs"))}),
     "LYAPUNOV_EXTERIOR": Template(
         _lyapunov("L", _growth_candidate, _scaled("M")), "non-explosive (exterior Lyapunov bound)",
-        {None: Variant({"M": REQUIRED, **_N0}, reads=("candidate",), spheres=True)}, region="exterior"),
+        {None: Variant({"M": REQUIRED, **_N0}, reads=("candidate",))}, region="exterior"),
     "GROWTH_NONEXPLOSION": Template(
         _growth(lambda k, r2: k["M"] * r2 * (np.log(np.sqrt(r2)) + 1.0)),
         "non-explosive (coefficient growth bound)", {None: Variant({"M": 0.0, **_N0})}, region="exterior"),
@@ -588,11 +591,11 @@ TEMPLATES: Dict[str, Template] = {
          "joint": Variant({"M": REQUIRED}, reads=("h1",))}),
     "INTEGRABLE_COEFFS": Template(
         _handle_integrable_coeffs, "mu invariant for the adjoint flow (L^1 coefficients)",
-        {None: Variant({"r_max": 64.0}, spheres=True)}, region=None, density="always"),
+        {None: Variant({"r_max": 64.0})}, region=None, density="always"),
     "INVARIANCE_LYAPUNOV": Template(
         _lyapunov("L_adjoint", _growth_candidate, _scaled("alpha")),
         "mu invariant / dual semigroup conservative",
-        {None: Variant({"alpha": REQUIRED, **_N0}, reads=("candidate",), spheres=True)}, density="always"),
+        {None: Variant({"alpha": REQUIRED, **_N0}, reads=("candidate",))}, density="always"),
     "INVARIANCE_LOG_GROWTH": Template(
         _handle_invariance_log_growth, "mu invariant / dual semigroup conservative",
         {None: Variant({"M": REQUIRED})}, density="adjoint"),
@@ -601,22 +604,22 @@ TEMPLATES: Dict[str, Template] = {
         {None: Variant({"alpha": REQUIRED}, needs=("candidate",))}, density="adjoint"),
     "RECURRENCE_SUPERSOLUTION": Template(
         _lyapunov("L", _growth_candidate, lambda k, g: 0.0), "recurrent (exterior supersolution)",
-        {None: Variant(dict(_N0), reads=("candidate",), spheres=True)}, region="exterior"),
+        {None: Variant(dict(_N0), reads=("candidate",))}, region="exterior"),
     "RECURRENCE_GROWTH": Template(
         _growth(lambda k, r2: np.zeros_like(r2)), "recurrent (coefficient growth bound)",
         {None: Variant(dict(_N0))}, region="exterior"),
     "VOLUME_CONSERVATIVE": Template(
         _handle_volume_conservative, "conservative (volume growth bound)",
-        {v: Variant({"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0}, spheres=True)
+        {v: Variant({"M": REQUIRED, "c": REQUIRED, **_N0, "N1": 1.0})
          for v in ("polynomial", "exponential")},
         region="exterior", density="always"),
     "ERGODIC_DRIFT": Template(
         _handle_ergodic_drift, "finite invariant measure; ergodic limits apply",
-        {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",), spheres=True),
+        {"lyapunov": Variant({"c": REQUIRED, **_N0}, reads=("candidate",)),
          "eq_335": Variant({"M": 0.0, **_N0}), "eq_336": Variant({"M": REQUIRED, **_N0})}, region="exterior"),
     "VOLUME_RECURRENCE": Template(
         _handle_volume_recurrence, "recurrent (volume-integral test)",
-        {None: Variant({"n_max": 1e6}, reads=("Bbar",), spheres=True)}, region=None, density="always"),
+        {None: Variant({"n_max": 1e6}, reads=("Bbar",))}, region=None, density="always"),
 }
 
 # constants with a lower bound: N0 and r_max are radii, the annulus ladder of
@@ -656,8 +659,6 @@ def check_criterion(spec: CriterionSpec, d: int, has_density: bool) -> Criterion
         raise CriterionError(message, "variant")
     var = t.variants[variant]
     flavor = f"{spec.id}/{variant}" if variant else spec.id
-    if var.spheres and d > _SPHERE_MAX_D:
-        raise CriterionError(f"{flavor} samples spheres (d <= {_SPHERE_MAX_D} only)", "id")
     defaults = var.constants
     for name in spec.constants:
         if name not in defaults:
@@ -700,8 +701,6 @@ def check_criterion(spec: CriterionSpec, d: int, has_density: bool) -> Criterion
         region = spec.region or _default_region(t.region, d, constants.get("N0"))
     except CriterionError as err:  # only N0 moves the default region
         raise CriterionError(f"default region: {err.message}", "constants.N0") from None
-    if region is not None and not region.fits(d):
-        raise CriterionError(f"the default annulus region does not apply in d={d}; give a box", "region")
     return replace(spec, variant=variant, mode=mode, constants=constants, region=region)
 
 
@@ -723,7 +722,7 @@ def _radial_cumulative(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid: 65
     radii in ``[0, min(r_max, 1)]``, then 64 per decade up to ``r_max`` if it
-    exceeds 1, each shell on 256 directions."""
+    exceeds 1, each shell on the sphere rule at ``n_angular`` 256."""
     dirs, w = _sphere(d, 256)
     radii = np.linspace(0.0, min(r_max, 1.0), 65)
     if r_max > 1.0:

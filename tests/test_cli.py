@@ -52,10 +52,16 @@ def ou_4d_config(criterion):
     return cfg
 
 
-def test_four_dimensional_box_criterion_runs():
-    # a template that samples only its region runs in d=4 on a box; the annulus needs d <= 3
-    box = {"kind": "box", "lo": 1.0, "hi": 4.0, "n_points": 2000}
-    report = run_scenario(ou_4d_config({"id": "GROWTH_NONEXPLOSION", "region": box}))
+@pytest.mark.parametrize("criterion", [
+    # a template that samples only its region, on a box
+    {"id": "GROWTH_NONEXPLOSION", "region": {"kind": "box", "lo": 1.0, "hi": 4.0, "n_points": 2000}},
+    # an annulus, given or default, and a template whose growth note samples spheres
+    {"id": "GROWTH_NONEXPLOSION", "region": {"kind": "annulus"}},
+    {"id": "GROWTH_NONEXPLOSION"},
+    {"id": "LYAPUNOV_L", "constants": {"M": 2}, "region": {"kind": "box"}},
+])
+def test_four_dimensional_criterion_runs(criterion):
+    report = run_scenario(ou_4d_config(criterion))
     assert report["status"]["exit_code"] == 0
     assert report["stages"]["criteria"][0]["verdict"] == "holds-on-grid"
 
@@ -313,13 +319,6 @@ def malformed_inputs():
         (crit0(region={"kind": "annulus", "lo": 3.0, "hi": 2.0}),
          "$.criteria[0].region.lo", "annulus region does not read this field"),
         (r_max_on_interval, "$.criteria[0].region.r_max", "interval region does not read this field"),
-        # the sphere has directions only in d <= 3: no annulus, given or default, and no template that samples spheres
-        (ou_4d_config({"id": "GROWTH_NONEXPLOSION", "region": {"kind": "annulus"}}),
-         "$.criteria[0].region.kind", "an annulus region does not apply in d=4"),
-        (ou_4d_config({"id": "GROWTH_NONEXPLOSION"}),
-         "$.criteria[0].region", "the default annulus region does not apply in d=4"),
-        (ou_4d_config({"id": "LYAPUNOV_L", "constants": {"M": 2}, "region": {"kind": "box"}}),
-         "$.criteria[0].id", "LYAPUNOV_L samples spheres"),
         # q sets the L^q(mu) norm, which only a krylov density makes
         (sim(krylov={"f": "1", "t": 0.5, "x_grid": [[0.0, 0.0]], "q": 2.0}),
          "$.simulation.krylov.q", "q is read only with a density"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -64,8 +65,8 @@ _SMALL_INPUTS = {"candidate": "norm2(x) + 1", "rhs": "2*norm2(x) + 2", "psi1": "
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("tid,variant", [(k, v) for k, t in TEMPLATES.items() for v in t.variants])
 def test_every_template_variant_evaluates_from_one_record(tid, variant, d):
-    # every input the variant takes is a field of the one spec; in d=4 the templates
-    # that sample spheres, and the d=2 template, are rejected at the id
+    # every input the variant takes is a field of the one spec; in d=4 only the
+    # d=2 template is rejected at the id
     t, var = TEMPLATES[tid], TEMPLATES[tid].variants[variant]
     inputs = {name: parse_expr(_SMALL_INPUTS[name], d) for name in var.needs + var.reads}
     if "Bbar" in inputs:
@@ -78,7 +79,7 @@ def test_every_template_variant_evaluates_from_one_record(tid, variant, d):
         **inputs,
     )
     rho = None if t.density == "never" else DensityField.from_expression("exp(-norm2(x))", d)
-    if d == 4 and (var.spheres or t.dimension == 2):
+    if d == 4 and t.dimension == 2:
         with pytest.raises(crit.CriterionError) as err:
             evaluate_criterion(spec, cs_ou(d), rho)
         assert err.value.where == "id"
@@ -438,6 +439,84 @@ def test_radial_grid_increases_to_r_max(r_max):
     assert radii[-1] == r_max
     if r_max == 0.5:  # the Gaussian's mass on the disc of radius 1/2
         assert abs(totals[-1] - math.pi * (1.0 - math.exp(-0.25))) < 1e-4
+
+
+def _sphere_moments(d):
+    """Exact surface integrals of 1, x1^2, x1^4 and x1^2 xd^2 over the unit sphere."""
+    surface = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+    return surface, surface / d, 3 * surface / (d * (d + 2)), surface / (d * (d + 2))
+
+
+def _sphere_d2_d3_reference(d, n_angular):
+    """The hand-written d=2 and d=3 rules the recursive rule replaced."""
+    if d == 2:
+        th = 2 * math.pi * np.arange(n_angular) / n_angular
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return dirs, np.full(len(dirs), 2 * math.pi / len(dirs))
+    n_pol = max(4, int(round(math.sqrt(n_angular))))
+    n_az = n_pol
+    z, wz = np.polynomial.legendre.leggauss(n_pol)
+    phi = 2 * math.pi * np.arange(n_az) / n_az
+    Z, P = np.meshgrid(z, phi, indexing="ij")
+    W = np.broadcast_to(wz[:, None], Z.shape) * (2 * math.pi / n_az)
+    s = np.sqrt(1 - Z**2)
+    dirs = np.stack([s * np.cos(P), s * np.sin(P), Z], axis=-1).reshape(-1, 3)
+    return dirs, W.reshape(-1)
+
+
+@pytest.mark.parametrize("d, n_min", [(2, 5), (3, 21)])
+def test_sphere_rule_keeps_the_d2_and_d3_bytes(d, n_min):
+    # above the floor of 5 nodes per axis the recursive rule is the old rule, bit for bit;
+    # at 4200 the d=3 rule rounds up to 65^2 = 4225 directions and is still built
+    for n in [*range(n_min, 301), 1000, 4096, 4200]:
+        dirs, w = crit._sphere(d, n)
+        ref_dirs, ref_w = _sphere_d2_d3_reference(d, n)
+        assert np.array_equal(dirs, ref_dirs) and np.array_equal(w, ref_w), n
+
+
+@pytest.mark.parametrize("d, n_angular", [(3, n) for n in range(1, 21)]
+                         + [(d, n) for d in (4, 5, 6) for n in (128, 256, 4096)])
+def test_sphere_rule_is_exact_to_degree_four(d, n_angular):
+    # the old d=3 rule had a floor of 4 nodes and missed x1^4 by 1/3 at n_angular <= 20
+    dirs, w = crit._sphere(d, n_angular)
+    x1, xd = dirs[:, 0], dirs[:, -1]
+    for got, want in zip((w.sum(), w @ x1**2, w @ x1**4, w @ (x1**2 * xd**2)), _sphere_moments(d)):
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_sphere_rule_beyond_its_size_limit_raises_before_it_allocates():
+    # the floor of 5 gives 5^6 = 15625 directions in d=7, more than max(256, 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(crit.CriterionError, match="15625 directions"):
+            crit._sphere(7, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15625 * 8  # less than one column of the rule
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ou_lyapunov_margin_in_every_dimension(d):
+    # L(|x|^2 + 1) = d - 2|x|^2 for A = I, H = -x, so the margin against 2(|x|^2 + 1)
+    # is 2 - d + 4|x|^2, least at the default region's r_min = 1e-6
+    v = evaluate_criterion(CriterionSpec(id="LYAPUNOV_L", constants={"M": 2.0}), cs_ou(d))
+    assert v.min_margin == pytest.approx(2 - d + 4e-12, abs=1e-12)
+    assert v.verdict == ("holds-on-grid" if d == 2 else "fails-with-witness")
+
+
+@pytest.mark.parametrize("d, ratio", [(2, None), (3, "0.50"), (4, "0.25"), (5, "0.12")])
+def test_brownian_motion_is_recurrent_only_in_the_plane(d, ratio):
+    # Polya: with density 1, a_n grows like ln(n) in d=2 and its increments shrink by 2^(2-d)
+    cs, rho = cs_identity(d=d), DensityField.from_expression("1", d)
+    volume = evaluate_criterion(CriterionSpec(id="VOLUME_RECURRENCE"), cs, rho)
+    growth = evaluate_criterion(CriterionSpec(id="RECURRENCE_GROWTH"), cs)
+    if d == 2:
+        assert volume.verdict == growth.verdict == "holds-on-grid"
+    else:
+        assert volume.verdict == "inconclusive"
+        assert volume.notes[0] == f"a_n trend: increment ratio {ratio} <= 0.7"
+        assert growth.verdict == "fails-with-witness"
 
 
 def test_growth_report_flags_bounded_candidate():
