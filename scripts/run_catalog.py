@@ -34,7 +34,8 @@ def main() -> int:
         code = report["status"]["exit_code"]
         worst = max(worst, code)
         verdicts = report["stages"].get("criteria", [])
-        summary = ", ".join(f"{v['id']}={v['verdict']}" for v in verdicts) or "no criteria"
+        # a criterion that failed numerically has an "error" row and no verdict
+        summary = ", ".join(f"{v['id']}={v.get('verdict', 'error')}" for v in verdicts) or "no criteria"
         print(f"{name:24s} exit={code} sha256={output_digest(out_root / name)}  {summary}")
         for note in report["status"]["notes"]:
             print(f"{'':24s}  - {note}")

@@ -12,7 +12,8 @@ functions ``f``, in one pass of :func:`invariance_residual`: infinitesimal invar
 ``integral (L f) rho dx = 0`` and the divergence condition
 ``integral <B, grad f> rho dx = 0``.  Each bump is integrated on its own
 composite Gauss-Legendre product rule over its support box
-(:func:`gauss_rule`), and must vanish on that box's faces.
+(:func:`gauss_rule`), and must vanish on that box's faces.  Every integral
+over balls ``B_r`` reads one polar rule (:func:`ball_integrals`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import cached_property, partial, reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.special
 
 from . import expr as ex
 from .expr import (
@@ -49,6 +51,9 @@ __all__ = [
     "DensityField",
     "QuadratureRule",
     "gauss_rule",
+    "sphere_rule",
+    "radial_ladder",
+    "ball_integrals",
     "Bump",
     "VectorField",
     "build_coefficient_set",
@@ -466,10 +471,10 @@ class QuadratureRule:
     lo: Tuple[float, ...]
     hi: Tuple[float, ...]
     nodes: Tuple[int, ...]
-    scheme: str = "simpson"  # "midpoint" | "simpson" | "gauss"
+    scheme: str = "simpson"  # "simpson" | "gauss"
 
     def __post_init__(self):
-        if self.scheme not in ("midpoint", "simpson", "gauss"):
+        if self.scheme not in ("simpson", "gauss"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.nodes):
             raise ShapeError("lo/hi/nodes must have equal lengths")
@@ -479,26 +484,13 @@ class QuadratureRule:
             if self.scheme == "gauss" and (n < _GAUSS_M or n % _GAUSS_M):
                 raise ValueError(f"Gauss needs a positive multiple of {_GAUSS_M} nodes per axis")
 
-    @classmethod
-    def box(cls, halfwidth: float, d: int, nodes: int, scheme: str = "simpson"):
-        return cls(
-            lo=(-float(halfwidth),) * d,
-            hi=(float(halfwidth),) * d,
-            nodes=(int(nodes),) * d,
-            scheme=scheme,
-        )
-
     @property
     def dim(self) -> int:
         return len(self.lo)
 
     def axis_nodes(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         lo, hi, n = self.lo[k], self.hi[k], self.nodes[k]
-        if self.scheme == "midpoint":
-            h = (hi - lo) / n
-            x = lo + h * (np.arange(n) + 0.5)
-            w = np.full(n, h)
-        elif self.scheme == "gauss":
+        if self.scheme == "gauss":
             panels = n // _GAUSS_M
             h = (hi - lo) / panels
             t, wt = np.polynomial.legendre.leggauss(_GAUSS_M)
@@ -543,6 +535,7 @@ class QuadratureRule:
 
 
 # Gauss-Legendre nodes per panel, and the node budget of one residual rule
+# and of one block of the polar rule (ball_integrals)
 _GAUSS_M = 8
 _GAUSS_BUDGET = 2**16
 
@@ -555,6 +548,71 @@ def gauss_rule(lo: Sequence[float], hi: Sequence[float]) -> QuadratureRule:
     d = len(lo)
     n = _GAUSS_M * max(1, round(_GAUSS_BUDGET ** (1.0 / d) / _GAUSS_M))
     return QuadratureRule(tuple(map(float, lo)), tuple(map(float, hi)), (n,) * d, scheme="gauss")
+
+
+def sphere_rule(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Directions and quadrature weights on the unit sphere (sum = surface).
+
+    Stroud's recursive product rule (*Approximate Calculation of Multiple
+    Integrals*, 1971): m uniform azimuths on S^1, then for k = 2 .. d-1 lift
+    S^{k-1} to S^k as ``(sqrt(1 - t^2) y, t)``, t on the m Gauss-Gegenbauer
+    nodes of weight ``(1 - t^2)^{(k-2)/2}``; ``m = max(5, round(n_angular^{1/(d-1)}))``.
+    The floor of 5 (exact to degree 4) gives 5^(d-1) directions; past
+    ``max(n_angular, 4096)`` (4096: the d=3 default annulus) it raises unbuilt.
+    """
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if 5 ** (d - 1) > max(n_angular, 4096):
+        raise CalculusError(f"the d={d} sphere rule has {5 ** (d - 1)} directions, more than max({n_angular}, 4096)")
+    m = max(5, int(round(n_angular ** (1.0 / (d - 1)))))
+    th = 2 * math.pi * np.arange(m) / m
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    w = np.full(m, 2 * math.pi / m)
+    for k in range(2, d):
+        t, wt = np.polynomial.legendre.leggauss(m) if k == 2 else scipy.special.roots_gegenbauer(m, (k - 1) / 2)
+        s = np.sqrt(1 - t**2)
+        dirs = np.concatenate([(s[:, None, None] * dirs).reshape(-1, k), np.repeat(t, len(dirs))[:, None]], axis=1)
+        w = (wt[:, None] * w).reshape(-1)
+    return dirs, w
+
+
+def radial_ladder(r_max: float) -> np.ndarray:
+    """65 radii on ``[0, min(r_max, 1)]``, then 64 per decade up to ``r_max`` > 1."""
+    radii = np.linspace(0.0, min(r_max, 1.0), 65)
+    if r_max > 1.0:
+        decades = math.ceil(math.log10(r_max))
+        radii = np.concatenate([radii, np.geomspace(1.0, r_max, decades * 64 + 1)[1:]])
+    return radii
+
+
+def ball_integrals(
+    f: Callable[[np.ndarray], np.ndarray], d: int, radii: Sequence[float]
+) -> Tuple[np.ndarray, int]:
+    """``int_{B_r} f dx`` at each of ``radii``, and the count of skipped values.
+
+    The polar rule: panels between the radii of :func:`radial_ladder` up to
+    ``max(radii)`` and ``radii`` themselves, each with the 2-point
+    Gauss-Legendre rule in ``r`` (exact for cubics) times :func:`sphere_rule`
+    at ``n_angular`` 256, weighted by ``r^(d-1)``.  ``f`` maps ``(n, d)``
+    points to ``(n,)`` and sees at most ``2**16`` points a call; non-finite
+    values are skipped and counted, as in :func:`integrate_masked`.
+    """
+    radii = np.asarray(radii, dtype=float)
+    ends = np.union1d(radial_ladder(float(radii.max())), radii)
+    dirs, w = sphere_rule(d, 256)
+    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    r = (mid[:, None] + np.array([-1.0, 1.0]) / math.sqrt(3.0) * half[:, None]).reshape(-1)
+    shells, skipped = np.empty(len(r)), 0
+    step = _GAUSS_BUDGET // len(dirs)  # >= 16: sphere_rule builds at most 4096 directions
+    with np.errstate(all="ignore"):
+        for k in range(0, len(r), step):
+            pts = (r[k : k + step, None, None] * dirs).reshape(-1, d)
+            vals = np.asarray(f(pts), dtype=float).reshape(-1, len(dirs))
+            ok = np.isfinite(vals)
+            skipped += int(np.count_nonzero(~ok))
+            shells[k : k + step] = np.where(ok, vals, 0.0) @ w
+    panels = half * (shells * r ** (d - 1)).reshape(-1, 2).sum(axis=1)
+    return np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(ends, radii)], skipped
 
 
 # Adding and then subtracting this rounds a frexp mantissa, |m| < 1, to a

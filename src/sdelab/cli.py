@@ -12,8 +12,8 @@ included, raises :class:`ConfigError` with its field path, such as
 ``$.simulation.checks[0].time``.  The stages read typed fields only.
 
 ``run`` executes the stages in order density -> criteria -> simulation ->
-comparisons; partial failures are embedded per stage and reflected in the
-exit code:
+comparisons; partial failures are embedded per stage (per criterion in
+the criteria stage) and reflected in the exit code:
 
     0  all stages green
     2  a criterion verdict differed from its declared expectation
@@ -412,7 +412,6 @@ class PowerBound:
 class VolumeProfile:
     radii: Tuple[float, ...] = _key(_list(_positive, nonempty=True))
     density: DensityRef = _key(_density_ref, 0)
-    nodes: int = _key(_count, 401)
     bound: Optional[PowerBound] = _key(_block(PowerBound), None)
 
 
@@ -736,6 +735,9 @@ def _fmt(v) -> str:
 # run or has no solve block), or the reason the stage failed
 Solved = Union[None, str, dens.DensityApproximation]
 
+# numerical failures: each fails its stage, or its one criterion, with exit 3
+_NUMERICAL_ERRORS = (dens.DensityError, calc.CalculusError, mc.MonteCarloError, crit.CriterionError)
+
 
 def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], solved: Solved):
     """A failed density stage fails the stage that reads its solution (exit 3);
@@ -820,8 +822,9 @@ def run_density_stage(
     profile = block.volume_profile
     if profile is not None:
         rho = _pick_density(profile.density, analytic, last)
-        mu_ball = dens.volume_profile(rho, profile.radii, d=cs.d, nodes=profile.nodes)["mu_ball"]
-        out["volume_profile"] = {"mu_ball": {str(k): v for k, v in mu_ball.items()}}
+        prof = dens.volume_profile(rho, profile.radii, d=cs.d)
+        mu_ball = prof["mu_ball"]
+        out["volume_profile"] = {**prof, "mu_ball": {str(k): v for k, v in mu_ball.items()}}
         tables["volume_profile.csv"] = Table(["radius", "mu_ball"], sorted(mu_ball.items()))
         bound = profile.bound
         if bound is not None:
@@ -843,11 +846,17 @@ def _expected(verdict: crit.CriterionVerdict, expect: str) -> dict:
 def run_criteria_stage(
     scenario: Scenario, cs, analytic, solved: Solved
 ) -> Tuple[List[dict], Dict[str, Table]]:
+    """One row per criterion: its verdict and expectation, or ``{"id", "error"}``
+    when it failed numerically; a density that cannot be had fails the stage."""
     results = []
     tables: Dict[str, Table] = {}
     for c in scenario.criteria:
         rho = _pick_density(c.density, analytic, solved)
-        verdict = crit.evaluate_criterion(c, cs, rho=rho)
+        try:
+            verdict = crit.evaluate_criterion(c, cs, rho=rho)
+        except _NUMERICAL_ERRORS as err:
+            results.append({"id": c.id, "error": str(err)})
+            continue
         results.append(_expected(verdict, c.expect))
         t = verdict.trend_table
         if c.id in _TREND_CSV and t is not None:  # None when the volume test is silent
@@ -1026,11 +1035,12 @@ def run_scenario(
                         exit_code = max(exit_code, 3)
             elif stage == "criteria":
                 blob, stage_tables = run_criteria_stage(scenario, cs, analytic, solved)
-                for v in blob:
-                    if not v["as_expected"]:
-                        notes.append(
-                            f"criterion {v['id']}: verdict {v['verdict']} != expected {v['expect']}"
-                        )
+                for i, v in enumerate(blob):
+                    if "error" in v:
+                        notes.append(f"criteria[{i}] {v['id']} error: {v['error']}")
+                        exit_code = max(exit_code, 3)
+                    elif not v["as_expected"]:
+                        notes.append(f"criterion {v['id']}: verdict {v['verdict']} != expected {v['expect']}")
                         exit_code = max(exit_code, 2)
             elif stage == "simulation":
                 blob, stage_tables = run_simulation_stage(scenario, cs, analytic, solved)
@@ -1042,7 +1052,7 @@ def run_scenario(
                 raise ConfigError(f"unknown stage {stage!r}")
             report["stages"][stage] = blob
             tables.update(stage_tables)
-        except (dens.DensityError, calc.CalculusError, mc.MonteCarloError, crit.CriterionError) as err:
+        except _NUMERICAL_ERRORS as err:
             report["stages"][stage] = {"error": str(err)}
             notes.append(f"stage {stage} error: {err}")
             exit_code = max(exit_code, 3)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.special
 
 from . import calculus as calc
 from . import expr as ex
@@ -143,35 +142,9 @@ class RegionSpec:
             n_side = max(2, int(round(self.n_points ** (1.0 / d))))
             return calc.lattice([np.linspace(self.lo, self.hi, n_side)] * d)
         radii = np.linspace(self.r_min, self.r_max, self.n_radial)
-        dirs = _sphere(d, self.n_angular)[0]
+        dirs = calc.sphere_rule(d, self.n_angular)[0]
         pts = radii[:, None, None] * dirs[None, :, :]
         return pts.reshape(-1, d)
-
-
-def _sphere(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Directions and quadrature weights on the unit sphere (sum = surface).
-
-    Stroud's recursive product rule (*Approximate Calculation of Multiple
-    Integrals*, 1971): m uniform azimuths on S^1, then for k = 2 .. d-1 lift
-    S^{k-1} to S^k as ``(sqrt(1 - t^2) y, t)``, t on the m Gauss-Gegenbauer
-    nodes of weight ``(1 - t^2)^{(k-2)/2}``; ``m = max(5, round(n_angular^{1/(d-1)}))``.
-    The floor of 5 (exact to degree 4) gives 5^(d-1) directions; past
-    ``max(n_angular, 4096)`` (4096: the d=3 default annulus) it raises unbuilt.
-    """
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if 5 ** (d - 1) > max(n_angular, 4096):
-        raise CriterionError(f"the d={d} sphere rule has {5 ** (d - 1)} directions, more than max({n_angular}, 4096)")
-    m = max(5, int(round(n_angular ** (1.0 / (d - 1)))))
-    th = 2 * math.pi * np.arange(m) / m
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    w = np.full(m, 2 * math.pi / m)
-    for k in range(2, d):
-        t, wt = np.polynomial.legendre.leggauss(m) if k == 2 else scipy.special.roots_gegenbauer(m, (k - 1) / 2)
-        s = np.sqrt(1 - t**2)
-        dirs = np.concatenate([(s[:, None, None] * dirs).reshape(-1, k), np.repeat(t, len(dirs))[:, None]], axis=1)
-        w = (wt[:, None] * w).reshape(-1)
-    return dirs, w
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +283,10 @@ def growth_report(
     """
     fn = ex.Program(candidate)
     radii = np.geomspace(max(r_start, 1e-3), r_stop, 12)
-    dirs = _sphere(d, 128)[0]
-    infs = []
-    for r in radii:
-        vals = fn(r * dirs)
-        infs.append(float(np.min(vals)))
-    infs_arr = np.array(infs)
-    increasing = bool(np.all(np.diff(infs_arr) >= -1e-12)) and infs_arr[-1] > infs_arr[0]
-    return {
-        "radii": [float(r) for r in radii],
-        "sphere_inf": infs,
-        "increasing": increasing,
-    }
+    dirs = calc.sphere_rule(d, 128)[0]
+    infs = [float(np.min(fn(r * dirs))) for r in radii]
+    increasing = bool(np.all(np.diff(infs) >= -1e-12)) and infs[-1] > infs[0]
+    return {"radii": radii.tolist(), "sphere_inf": infs, "increasing": increasing}
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +407,17 @@ def _handle_integrable_coeffs(spec, cs, rho):
         A = np.abs(cs.eval_A(pts)).sum(axis=(1, 2))
         return (A + np.abs(b(pts)).sum(axis=1)) * rho.rho(pts)
 
-    ladder, totals = _radial_cumulative(integrand, cs.d, r_max)
-    incs = np.diff(totals)
-    trend = {"radius": ladder.tolist(), "integral": totals.tolist()}
-    verdict, note = _converging_trend(incs)
+    ladder = calc.radial_ladder(r_max)
+    totals, skipped = calc.ball_integrals(integrand, cs.d, ladder)
+    verdict, note = _converging_trend(np.diff(totals))
     return CriterionVerdict(
         id=spec.id,
         region=f"balls up to r={r_max}",
         verdict="holds-on-grid" if verdict == "converging" else "inconclusive",
         conclusion=TEMPLATES[spec.id].conclusion,
         notes=[f"L^1(mu) totals {note} (trend, not certified)"],
-        trend_table=trend,
+        trend_table={"radius": ladder.tolist(), "integral": totals.tolist()},
+        skipped_points=skipped,
     )
 
 
@@ -504,13 +469,13 @@ def _handle_volume_conservative(spec, cs, rho):
     ns = [n1]
     while ns[-1] * 2 * 4 <= region.extent(cs.d)[1]:
         ns.append(ns[-1] * 2)
-    ladder, totals = _radial_cumulative(lambda p: rho.rho(p), cs.d, max(4 * max(ns), 4.0))
-    mu_of = lambda r: float(np.interp(r, ladder, totals))
-    mu_ann = [mu_of(4 * m) - mu_of(2 * m) for m in ns]
+    mu, skipped = calc.ball_integrals(rho.rho, cs.d, [r for m in ns for r in (2 * m, 4 * m)])
+    mu_ann = [float(outer - inner) for inner, outer in mu.reshape(-1, 2)]
     bounds = [(4 * m) ** c if variant == "polynomial" else math.exp(c * (4 * m) ** 2) for m in ns]
     trend = {"n": ns, "mu_annulus": mu_ann, "bound": bounds}
     notes = [f"variant {variant}; annulus ladder n in {ns}"]
     v = _margin_verdict(spec, coeff_result, notes, trend)
+    v.skipped_points += skipped
     if v.verdict == "holds-on-grid" and not all(b - mu >= 0 for mu, b in zip(mu_ann, bounds)):
         v.verdict = "fails-with-witness"
     return v
@@ -717,30 +682,6 @@ def evaluate_criterion(
 # volume-based recurrence test
 
 
-def _radial_cumulative(
-    integrand: Callable[[np.ndarray], np.ndarray], d: int, r_max: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative ``int_{B_r} f dx`` on a linear+geometric radius grid: 65
-    radii in ``[0, min(r_max, 1)]``, then 64 per decade up to ``r_max`` if it
-    exceeds 1, each shell on the sphere rule at ``n_angular`` 256."""
-    dirs, w = _sphere(d, 256)
-    radii = np.linspace(0.0, min(r_max, 1.0), 65)
-    if r_max > 1.0:
-        decades = math.ceil(math.log10(r_max))
-        radii = np.concatenate([radii, np.geomspace(1.0, r_max, decades * 64 + 1)[1:]])
-
-    def shell(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        pts = r * dirs
-        vals = np.asarray(integrand(pts), dtype=float)
-        return float(np.dot(w, vals)) * r ** (d - 1)
-
-    shells = np.array([shell(r) for r in radii])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (shells[1:] + shells[:-1]) * np.diff(radii))])
-    return radii, cum
-
-
 def _converging_trend(increments: np.ndarray) -> Tuple[str, str]:
     pos = increments[increments > 0]
     if len(pos) < 4:
@@ -760,8 +701,9 @@ def volume_test_integrands(
     rho: DensityField,
     Bbar: Optional[Sequence[Expr]] = None,
     r_max: float = 1e6,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative volume-test integrands ``(radii, v1, v2)``.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cumulative volume-test integrands ``(radii, v1, v2, skipped)`` on the
+    :func:`~sdelab.calculus.radial_ladder` up to ``r_max``.
 
     ``v1(r) = int_{B_r} <A x, x>/|x|^2 dmu``; ``v2(r)`` integrates
     ``|<(beta_C + Bbar)(x), x>|`` against ``mu``, where ``beta_C`` is the
@@ -792,9 +734,10 @@ def volume_test_integrands(
             vec_rho = vec_rho + bbar_field(pts) * r[:, None]
         return np.abs(np.einsum("ni,ni->n", vec_rho, pts))
 
-    radii, v1 = _radial_cumulative(v1_integrand, d, r_max)
-    _, v2 = _radial_cumulative(v2_integrand, d, r_max)
-    return radii, v1, v2
+    radii = calc.radial_ladder(r_max)
+    v1, skipped1 = calc.ball_integrals(v1_integrand, d, radii)
+    v2, skipped2 = calc.ball_integrals(v2_integrand, d, radii)
+    return radii, v1, v2, skipped1 + skipped2
 
 
 def recurrence_volume_test(
@@ -809,7 +752,7 @@ def recurrence_volume_test(
     requires ``a_n`` to be unbounded-trending and ``ln(v2 v 1)/a_n`` to trend
     to zero on the ladder ``n = 1, 2, 4, ...`` up to ``n_max``.
     """
-    radii, v1, v2 = volume_test_integrands(cs, rho, Bbar, n_max)
+    radii, v1, v2, skipped = volume_test_integrands(cs, rho, Bbar, n_max)
     rs, vs = radii[radii >= 1.0], (v1 + v2)[radii >= 1.0]
     verdict, table = "inconclusive", None
     notes = ["v(r) vanishes on a radius interval; division guard"]
@@ -846,4 +789,5 @@ def recurrence_volume_test(
         conclusion=TEMPLATES[_VOLUME_TEST].conclusion,
         notes=notes,
         trend_table=table,
+        skipped_points=skipped,
     )

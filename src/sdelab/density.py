@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from . import calculus as calc
 from . import expr as ex
-from .calculus import CoefficientSet, DensityField, QuadratureRule, ShapeError
+from .calculus import CoefficientSet, DensityField, ShapeError
 from .expr import Expr, evaluate, parse_expr
 
 __all__ = [
@@ -358,23 +358,14 @@ def invariance_of_solution(cs: CoefficientSet, approx: DensityApproximation) -> 
     return calc.invariance_check(cs, approx.to_density_field(), approx.mesh.R)
 
 
-def volume_profile(
-    rho: DensityField, radii: Sequence[float], *, d: int, nodes: int = 401
-) -> Dict[str, object]:
-    """Indicator-quadrature measures ``mu(B_r)`` of balls, by the midpoint
-    rule with ``nodes`` nodes per axis on ``[-max r, max r]^d``."""
+def volume_profile(rho: DensityField, radii: Sequence[float], *, d: int) -> Dict[str, object]:
+    """Measures ``mu(B_r)`` of balls by the polar rule
+    (:func:`~sdelab.calculus.ball_integrals`), each radius a panel end, and
+    the number of skipped nodes."""
     radii = [float(r) for r in radii]
-    rmax = max(radii)
     if rho.mode == "grid":
         box = float(rho.axes[0][-1])
-        if rmax > box + 1e-12:
-            raise DensityError(f"radius {rmax} exceeds meshed domain [{-box}, {box}]")
-    rule = QuadratureRule.box(rmax, d, nodes, scheme="midpoint")
-    pts, w = rule.points_and_weights()
-    vals = rho.rho(pts)
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    mu_ball = {}
-    for r in radii:
-        mu_ball[r] = calc.exact_sum(w * vals * (r2 <= r * r))
-    return {"mu_ball": mu_ball}
-
+        if max(radii) > box + 1e-12:
+            raise DensityError(f"radius {max(radii)} exceeds meshed domain [{-box}, {box}]")
+    mu, skipped = calc.ball_integrals(rho.rho, d, radii)
+    return {"mu_ball": dict(zip(radii, mu.tolist())), "skipped_nodes": skipped}

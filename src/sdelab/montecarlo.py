@@ -369,12 +369,13 @@ def krylov_functional(
     """Estimates of ``E_x[int_0^t |f|(X_s) ds]`` over starting points.
 
     Returns the per-start estimates, their sup, and (given a density) the
-    ``L^q(mu)`` norm of ``f`` on ``[-8, 8]^d`` so the occupation bound's
+    ``L^q(mu)`` norm of ``f`` on the ball ``B_8``, by the polar rule
+    (:func:`~sdelab.calculus.ball_integrals`), so the occupation bound's
     constant can be fitted.
 
     Exact hits of the singular set evaluate to inf/nan; they contribute
     nothing to the left-endpoint sum (a measure-zero set of times) and the
-    hit count is reported as ``singular_hits``.  Singular quadrature nodes
+    hit count is reported as ``singular_hits``.  Non-finite quadrature values
     are left out of the norm likewise and counted as ``lq_skipped_nodes``.
     """
     absf = Max(f, mul(Const(-1.0), f))
@@ -397,12 +398,9 @@ def krylov_functional(
         if q is None:
             p = cs.integrability_p or float(cs.d + 1)
             q = p * cs.d / (p + cs.d)
-        rule = QuadratureRule.box(8.0, cs.d, 241 if cs.d == 2 else 61)
-        pts = rule.points_and_weights()[0]
-        with np.errstate(all="ignore"):
-            integrand = Program(absf)(pts) ** q * rho.rho(pts)
-        total, skipped = calc.integrate_masked(integrand, rule)
-        norm_q = total ** (1.0 / q)
+        absf_fn = Program(absf)
+        (total,), skipped = calc.ball_integrals(lambda pts: absf_fn(pts) ** q * rho.rho(pts), cs.d, [8.0])
+        norm_q = float(total) ** (1.0 / q)
         out["f_lq_mu_norm"] = norm_q
         out["lq_skipped_nodes"] = skipped
         out["q"] = q
@@ -514,18 +512,16 @@ def _marginal_cdfs(rho: DensityField, d: int, box: float) -> Tuple[np.ndarray, L
     return xs, cdfs
 
 
-def check_normalizable(rho: DensityField, d: int, box: float) -> float:
-    """Total mass on the box; error when the mass keeps growing with the box."""
-    rule1 = QuadratureRule.box(box / 2, d, 241 if d == 2 else 61)
-    rule2 = QuadratureRule.box(box, d, 241 if d == 2 else 61)
-    m1 = calc.integrate(rho.rho, rule1)
-    m2 = calc.integrate(rho.rho, rule2)
+def check_normalizable(rho: DensityField, d: int, radius: float) -> float:
+    """Mass of the ball of ``radius``; error when it exceeds 1.05 times that of
+    the ball of half the radius (both from one pass of the polar rule)."""
+    (m1, m2), _ = calc.ball_integrals(rho.rho, d, [radius / 2, radius])
     if m1 <= 0 or m2 / m1 > 1.05:
         raise MonteCarloError(
             "reference not normalizable: mass still growing "
-            f"({m1:.4g} on half-box vs {m2:.4g} on box)"
+            f"({m1:.4g} on B_{radius / 2:g} vs {m2:.4g} on B_{radius:g})"
         )
-    return m2
+    return float(m2)
 
 
 def ks_marginal_distance(samples: np.ndarray, grid: np.ndarray, cdf: np.ndarray) -> float:
@@ -544,9 +540,9 @@ def transition_histogram(
     """Empirical per-coordinate CDFs of ``X_t`` and KS distance to a reference.
 
     ``t`` is a time the ensemble saved.  The reference density is normalized
-    on ``[-_REF_BOX, _REF_BOX]^d``; a reference whose mass keeps growing with
-    the box is non-normalizable: the result then holds the reason as
-    ``reference_error`` and no KS distance.
+    on ``[-_REF_BOX, _REF_BOX]^d``; a reference that fails
+    :func:`check_normalizable` at radius ``_REF_BOX`` is non-normalizable: the
+    result then holds the reason as ``reference_error`` and no KS distance.
     """
     X = ens.state_at(t)
     d = X.shape[1]

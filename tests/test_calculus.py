@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
@@ -347,16 +348,43 @@ def test_integrate_constant():
 
 
 def test_integrate_gaussian():
-    rule = QuadratureRule.box(6.0, 2, 241)
+    rule = QuadratureRule(lo=(-6.0, -6.0), hi=(6.0, 6.0), nodes=(241, 241))
     f = Program(parse_expr("exp(-norm2(x))", 2))
     assert integrate(f, rule) == pytest.approx(math.pi, abs=1e-6)
 
 
-def test_integrate_ball_indicator():
-    rule = QuadratureRule.box(3.0, 2, 401, scheme="midpoint")
-    r = 2.0
-    ind = lambda pts: (np.einsum("ij,ij->i", pts, pts) <= r * r).astype(float)
-    assert integrate(ind, rule) == pytest.approx(math.pi * r * r, rel=0.02)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polar_rule_gives_lebesgue_ball_volumes(d):
+    radii = [0.25, 1.0, 2.0, 3.0, 8.0]
+    volumes, skipped = calc.ball_integrals(lambda pts: np.ones(len(pts)), d, radii)
+    unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    for r, v in zip(radii, volumes):
+        assert abs(v / (unit * r**d) - 1.0) <= 1e-13, r
+    assert skipped == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_polar_rule_gives_gaussian_ball_masses(d):
+    # int_{B_r} exp(-|x|^2) dx = pi^(d/2) P(d/2, r^2), P the regularized lower incomplete gamma
+    f = Program(parse_expr("exp(-norm2(x))", d))
+    for r in (0.5, 1.0, 3.0, 6.0):
+        (mass,), _ = calc.ball_integrals(f, d, [r])
+        assert abs(mass / (math.pi ** (d / 2) * scipy.special.gammainc(d / 2, r * r)) - 1.0) <= 1e-8, r
+
+
+def test_polar_rule_reads_blocks_and_skips_non_finite_values():
+    # 1/|x2| is infinite on the x1 axis: at the direction (1, 0) of each shell
+    calls = []
+
+    def f(pts):
+        calls.append(len(pts))
+        return 1.0 / np.abs(pts[:, 1])
+
+    radii = calc.radial_ladder(1e6)
+    _, skipped = calc.ball_integrals(f, 2, radii)
+    nodes = 2 * (len(radii) - 1) * 256
+    assert max(calls) <= 2**16 and sum(calls) == nodes and len(calls) == math.ceil(nodes / 2**16)
+    assert skipped == 2 * (len(radii) - 1)
 
 
 # terms over the whole exponent range: 1e+-300 magnitudes, subnormals, +-0.0
@@ -394,7 +422,7 @@ def test_exact_sum_special_inputs_behave_as_fsum():
 
 
 def test_integrate_masked_skips_and_counts_non_finite_nodes():
-    rule = QuadratureRule.box(1.0, 2, 21)
+    rule = QuadratureRule(lo=(-1.0, -1.0), hi=(1.0, 1.0), nodes=(21, 21))
     w = rule.points_and_weights()[1]
     rng = np.random.default_rng(5)
     values = rng.standard_normal(w.size) * 10.0 ** rng.uniform(-200, 200, w.size)

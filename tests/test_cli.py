@@ -219,6 +219,8 @@ def malformed_inputs():
     # INTEGRABLE_COEFFS reads a radius, not a region: the box was replaced by balls up to r=40
     box_on_integrable = builtin("ou_2d", lambda c: c["criteria"][2].update(
         region={"kind": "box", "lo": -1.0, "hi": 1.0}))
+    # volume_profile reads the polar rule; its midpoint node count is gone
+    profile_nodes = builtin("example_3_2_1_4_ii", lambda c: c["density"]["volume_profile"].update(nodes=401))
     a_rows = tiny_bm_config()
     a_rows["coefficients"]["A"] = [["1", "0", "0"], ["1"]]
     a_full = tiny_bm_config()
@@ -228,6 +230,7 @@ def malformed_inputs():
     return [
         (candidate_on_eq_335, "$.criteria[0].candidate", "ERGODIC_DRIFT/eq_335 does not read candidate"),
         (builtin_candidate, "$.criteria[0].candidate", "bad expression 'builtin:gaussian_primitive'"),
+        (profile_nodes, "$.density.volume_profile.nodes", "unknown field"),
         (growth_with_mode, "$.criteria[4].mode", "GROWTH_NONEXPLOSION has no mode"),
         (n_se_on_exit_prob, "$.simulation.checks[1].n_se", "exit_prob check does not read this field"),
         (mean_at_off_time, "$.simulation.checks[1].time", "must equal simulation.transition.t"),
@@ -517,8 +520,47 @@ def test_failed_criteria_stage_still_writes_report(tmp_path):
     report = run_scenario(cfg, tmp_path, stages=("density", "criteria"))
     assert report["status"]["exit_code"] == 3
     blob = json.loads((tmp_path / "report.json").read_text())
-    assert "margin evaluation failed" in blob["stages"]["criteria"]["error"]
-    assert not (tmp_path / "verdicts.json").exists()
+    (row,) = blob["stages"]["criteria"]
+    assert row["id"] == "LYAPUNOV_L" and "margin evaluation failed" in row["error"]
+    assert json.loads((tmp_path / "verdicts.json").read_text()) == [row]
+    assert report["status"]["notes"] == [f"criteria[0] LYAPUNOV_L error: {row['error']}"]
+
+
+def test_failed_criterion_keeps_the_other_verdicts(tmp_path):
+    # d = 7: the default annulus of LYAPUNOV_L needs 5^6 sphere directions and
+    # fails; the box criterion beside it still gets its verdict
+    d = 7
+    cfg = tiny_bm_config(
+        dimension=d,
+        coefficients={"A": [["1"] + ["0"] * (d - 1 - i) for i in range(d)], "H": [f"-x{i + 1}" for i in range(d)]},
+        density={},
+        criteria=[
+            {"id": "GROWTH_NONEXPLOSION", "region": {"kind": "box", "lo": 1.0, "hi": 3.0, "n_points": 200}},
+            {"id": "LYAPUNOV_L", "constants": {"M": 2}},
+        ],
+    )
+    del cfg["simulation"]
+    report = run_scenario(cfg, tmp_path)
+    assert report["status"]["exit_code"] == 3
+    growth, lyapunov = json.loads((tmp_path / "verdicts.json").read_text())
+    assert growth["verdict"] == "holds-on-grid" and growth["as_expected"]
+    assert lyapunov == {"id": "LYAPUNOV_L", "error": lyapunov["error"]}
+    assert "15625 directions" in lyapunov["error"]
+    assert report["status"]["notes"] == [f"criteria[1] LYAPUNOV_L error: {lyapunov['error']}"]
+
+
+def test_builtin_reports_hold_no_nan(tmp_path):
+    # strict JSON has no NaN; planar_bm's log_v2_over_a at n = 1 is a stated Infinity
+    def refuse(token):
+        if token == "NaN":
+            raise ValueError(token)
+        return float(token)
+
+    for name in BUILTIN_NAMES:
+        out = tmp_path / name
+        run_scenario(load_config(name), out)
+        for path in (out / "report.json", out / "verdicts.json"):
+            json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):

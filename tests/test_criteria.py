@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdelab import cli
+from sdelab import calculus as calc
 from sdelab import criteria as crit
 from sdelab.calculus import (
     DensityField,
@@ -434,11 +435,12 @@ def test_volume_conservative_bounded_density():
 
 @pytest.mark.parametrize("r_max", [0.5, 1.0, 64.0])
 def test_radial_grid_increases_to_r_max(r_max):
-    radii, totals = crit._radial_cumulative(lambda p: np.exp(-np.einsum("ij,ij->i", p, p)), 2, r_max)
+    radii = calc.radial_ladder(r_max)
+    totals, _ = calc.ball_integrals(lambda p: np.exp(-np.einsum("ij,ij->i", p, p)), 2, radii)
     assert np.all(np.diff(radii) > 0)
     assert radii[-1] == r_max
     if r_max == 0.5:  # the Gaussian's mass on the disc of radius 1/2
-        assert abs(totals[-1] - math.pi * (1.0 - math.exp(-0.25))) < 1e-4
+        assert abs(totals[-1] - math.pi * (1.0 - math.exp(-0.25))) < 1e-9
 
 
 def _sphere_moments(d):
@@ -469,7 +471,7 @@ def test_sphere_rule_keeps_the_d2_and_d3_bytes(d, n_min):
     # above the floor of 5 nodes per axis the recursive rule is the old rule, bit for bit;
     # at 4200 the d=3 rule rounds up to 65^2 = 4225 directions and is still built
     for n in [*range(n_min, 301), 1000, 4096, 4200]:
-        dirs, w = crit._sphere(d, n)
+        dirs, w = calc.sphere_rule(d, n)
         ref_dirs, ref_w = _sphere_d2_d3_reference(d, n)
         assert np.array_equal(dirs, ref_dirs) and np.array_equal(w, ref_w), n
 
@@ -478,7 +480,7 @@ def test_sphere_rule_keeps_the_d2_and_d3_bytes(d, n_min):
                          + [(d, n) for d in (4, 5, 6) for n in (128, 256, 4096)])
 def test_sphere_rule_is_exact_to_degree_four(d, n_angular):
     # the old d=3 rule had a floor of 4 nodes and missed x1^4 by 1/3 at n_angular <= 20
-    dirs, w = crit._sphere(d, n_angular)
+    dirs, w = calc.sphere_rule(d, n_angular)
     x1, xd = dirs[:, 0], dirs[:, -1]
     for got, want in zip((w.sum(), w @ x1**2, w @ x1**4, w @ (x1**2 * xd**2)), _sphere_moments(d)):
         assert abs(got - want) <= 1e-14 * want
@@ -488,8 +490,8 @@ def test_sphere_rule_beyond_its_size_limit_raises_before_it_allocates():
     # the floor of 5 gives 5^6 = 15625 directions in d=7, more than max(256, 4096)
     tracemalloc.start()
     try:
-        with pytest.raises(crit.CriterionError, match="15625 directions"):
-            crit._sphere(7, 256)
+        with pytest.raises(calc.CalculusError, match="15625 directions"):
+            calc.sphere_rule(7, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

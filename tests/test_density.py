@@ -6,7 +6,7 @@ import pytest
 from sdelab import criteria as crit
 from sdelab import density
 from sdelab.calculus import DensityField, build_coefficient_set, lattice
-from sdelab.cli import build_problem
+from sdelab.cli import build_problem, load_config
 from sdelab.density import (
     BoxMesh,
     SolverError,
@@ -268,15 +268,23 @@ def test_invariance_analytic_tilted_unit_drift():
 
 def test_volume_profile_lebesgue():
     rho = DensityField.from_expression("1", 2)
-    prof = volume_profile(rho, [1.0, 2.0], d=2, nodes=401)
-    assert prof["mu_ball"][2.0] == pytest.approx(math.pi * 4, rel=0.02)
-    assert prof["mu_ball"][1.0] == pytest.approx(math.pi, rel=0.02)
+    prof = volume_profile(rho, [1.0, 2.0], d=2)
+    assert prof["mu_ball"][2.0] == pytest.approx(math.pi * 4, rel=1e-12)
+    assert prof["mu_ball"][1.0] == pytest.approx(math.pi, rel=1e-12)
+    assert prof["skipped_nodes"] == 0
+
+
+def test_volume_profile_of_the_hump_density():
+    # example_3_2_1_4_ii's density: on B_1 only the hump at the origin adds to 1, and
+    # int_{B_1} (1 - |x|^2) |x|^(1/2) dx = 2 pi (2/5 - 2/9) = 16 pi / 45, so mu(B_1) = 61 pi / 45
+    rho = DensityField.from_expression(load_config("example_3_2_1_4_ii")["density"]["analytic"][0], 2)
+    assert volume_profile(rho, [1.0], d=2)["mu_ball"][1.0] == pytest.approx(61 * math.pi / 45, abs=1e-6)
 
 
 def test_volume_profile_bounded_density_polynomial_growth():
     # bounded density: mu(B_r) <= 2 pi r^2 (measure with cap 2 on a bump train)
     rho = DensityField.from_expression("1 + exp(-norm2(x))", 2)
-    prof = volume_profile(rho, [1.0, 2.0, 4.0], d=2, nodes=401)
+    prof = volume_profile(rho, [1.0, 2.0, 4.0], d=2)
     for r, v in prof["mu_ball"].items():
         assert v <= 2 * math.pi * r * r * 1.02
 
@@ -293,7 +301,8 @@ def test_volume_profile_returns_test_integrands():
     # planar BM data: v1(r) = pi r^2 exactly, v2 vanishes
     cs = cs_identity()
     rho = DensityField.from_expression("1", 2)
-    rr, v1, v2 = crit.volume_test_integrands(cs, rho, None, 4.0)
+    rr, v1, v2, skipped = crit.volume_test_integrands(cs, rho, None, 4.0)
+    assert skipped == 0
     for r in (2.0, 4.0):
         assert np.interp(r, rr, v1) == pytest.approx(math.pi * r * r, rel=1e-3)
         assert np.interp(r, rr, v2) == pytest.approx(0.0, abs=1e-12)
