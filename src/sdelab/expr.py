@@ -18,17 +18,18 @@ else ``q``).  At exact ties the first branch wins, matching the convention
 that piecewise candidates like ``max(norm2(x), N0^2)`` are differentiated
 from their max-branch.
 
-Evaluation compiles expressions once into a :class:`Program`: the unique
-subexpressions of a whole set (hash-consed, so shared subterms of drifts and
-derivatives run once) in topological order, each a numpy operation per point
-batch.  :func:`evaluate` compiles a one-off program for a single call.
+Evaluation compiles expressions once into a :class:`Program`: one generated
+Python function with one assignment per unique subexpression of a whole set
+(hash-consed, so shared subterms of drifts and derivatives run once), in
+topological order, each the numpy operation of its node type.  It takes the
+coordinate columns of a point batch, or one point as Python floats, with the
+same bits.  :func:`evaluate` compiles a one-off program for a single call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -598,85 +599,116 @@ def batched(method):
     return wrapper
 
 
-_OPS = {
-    Coord: lambda pts, axis: pts[:, axis],
-    Norm2: lambda pts: np.einsum("ij,ij->i", pts, pts),
-    Add: operator.add,
-    Sub: operator.sub,
-    Mul: operator.mul,
-    Div: operator.truediv,
-    Pow: np.power,  # a negative base with a fractional exponent gives nan
-    Exp: np.exp,
-    Ln: np.log,
-    Sqrt: np.sqrt,
-    Erf: scipy.special.erf,
-    Max: np.maximum,
-    Min: np.minimum,
-    SelGe: lambda a, b, then, orelse: np.where(a >= b, then, orelse),
+# one source template per node type, over the names of its arguments; each
+# calls the numpy (scipy) ufunc, never ``math`` or Python ``/``, so a Python
+# float gives the bits of a one-element array: ``/`` raises on a zero divisor,
+# and ``math.exp`` differs from ``np.exp`` in the last bit on some arguments
+_TEMPLATES = {
+    Add: "{} + {}",
+    Sub: "{} - {}",
+    Mul: "{} * {}",
+    Div: "_np.divide({}, {})",
+    Pow: "_np.power({}, {})",  # a negative base with a fractional exponent gives nan
+    Exp: "_np.exp({})",
+    Ln: "_np.log({})",
+    Sqrt: "_np.sqrt({})",
+    Erf: "_erf({})",
+    Max: "_np.maximum({}, {})",
+    Min: "_np.minimum({}, {})",
+    SelGe: "_np.where({} >= {}, {}, {})",
 }
 
-_PTS = 0  # slot of the evaluation points
+
+def _norm2_source(d: int) -> str:
+    """``norm2(x)`` summed in order in d <= 2, where it is bit-equal to
+    ``einsum``; from d = 3 on ``einsum``'s order follows the host's SIMD width,
+    so it stays ``einsum`` over the points."""
+    if d >= 3:
+        return '_np.einsum("ij,ij->i", pts, pts)'
+    return " + ".join(f"x{k + 1} * x{k + 1}" for k in range(d))
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The code of a generated function: programs of one shape share it, and
+    their constants differ only in the scope it runs in."""
+    return compile(source, "<sdelab.expr.Program>", "exec")
 
 
 class Program:
-    """Expressions compiled once into a straight-line numpy program.
+    """Expressions compiled once into one straight-line Python function.
 
-    Structurally equal subexpressions are hash-consed into one slot, and the
-    unique nodes run in topological order, each once per call with the numpy
-    operation of its node type.  Constants are keyed by value *and* sign
-    (``Const(0.0) == Const(-0.0)`` as dataclasses).  A slot is released after
-    its last use, and all scratch space lives inside the call, so one program
-    may serve several threads.
+    Structurally equal subexpressions are hash-consed into one node, and the
+    unique nodes become one assignment each, in topological order, written
+    from its node type's source template; a temporary is ``del``-ed after its
+    last use, so a large batch holds no dead intermediates.  Constants are
+    keyed by value *and* sign (``Const(0.0) == Const(-0.0)`` as dataclasses).
+    The function is generated per dimension (``norm2`` reads it) on first use;
+    it keeps no state between calls, so one program may serve several threads.
 
-    A single expression maps ``(n, d)`` points to ``(n,)``; a sequence of
-    ``m`` expressions maps them to ``(n, m)``.  Calling the program also takes
-    one point ``(d,)`` and evaluates under ``np.errstate(all="ignore")``;
-    :meth:`run` is the same evaluation without either, for a stepping loop
-    that passes ``(n, d)`` batches and holds one ``errstate`` around all its
-    calls (entering and leaving one costs about a third of a small
-    program's run on one point).
+    :meth:`function` ``(d)`` is that function of ``(pts, x1, .., xd)``: the
+    coordinate columns ``(n,)`` of the points ``pts`` ``(n, d)``, or one point
+    as Python floats, where ``pts`` is read only by ``norm2`` in d >= 3 (see
+    :meth:`on_floats`); it returns one value per expression.  Both give the
+    same bits.  A single expression maps ``(n, d)`` points to ``(n,)``; a
+    sequence of ``m`` expressions maps them to ``(n, m)``.  Calling the
+    program also takes one point ``(d,)`` and evaluates under
+    ``np.errstate(all="ignore")``; :meth:`run` is the same evaluation without
+    either, for a stepping loop that holds one ``errstate`` around all its
+    calls.
     """
 
     def __init__(self, exprs: Union[Expr, Sequence[Expr]]):
         self._scalar = isinstance(exprs, Expr)
-        self._init: list = [None]  # slot values before a run: points, constants, None
-        code = []  # (slot, fn, argument slots) in topological order
-        slots: dict = {}  # structural key -> slot
+        self._consts: dict = {}  # name -> value
+        self._code: list = []  # (name, node type, argument names) in topological order
+        self._norm2 = False
+        self._fns: dict = {}  # d -> generated function
+        names: dict = {}  # structural key -> name
 
-        def intern(key: tuple, value=None) -> int:
-            if key not in slots:
-                slots[key] = len(self._init)
-                self._init.append(value)
-                if value is None:  # an operation on the slots named in its key
-                    code.append((slots[key], _OPS[key[0]], key[1:]))
-            return slots[key]
-
-        def const(value) -> int:
-            # a float constant is held as np.float64, so that constant-only
-            # nodes divide by zero as numpy does (inf/nan) instead of raising
-            stored = np.float64(value) if isinstance(value, float) else value
-            return intern((Const, type(value), value, math.copysign(1.0, value)), stored)
-
-        def visit(e: Expr) -> int:
+        def visit(e: Expr) -> str:
             if isinstance(e, Const):
-                return const(e.value)
-            if isinstance(e, Coord):
-                args = (_PTS, const(e.axis))
-            elif isinstance(e, Norm2):
-                args = (_PTS,)
+                key = (Const, type(e.value), e.value, math.copysign(1.0, e.value))
+            elif isinstance(e, Coord):
+                return f"x{e.axis + 1}"
             elif isinstance(e, Pow):
-                args = (visit(e.base), const(e.exponent))
+                key = (Pow, visit(e.base), visit(Const(e.exponent)))
             else:
-                args = tuple(visit(c) for c in children(e))
-            return intern((type(e), *args))
+                key = (type(e), *(visit(c) for c in children(e)))
+            if key not in names:
+                name = names[key] = f"_{len(names)}"
+                if isinstance(e, Const):
+                    self._consts[name] = e.value
+                else:
+                    self._code.append((name, key[0], key[1:]))
+                    self._norm2 |= isinstance(e, Norm2)
+            return names[key]
 
         self._outputs = tuple(visit(e) for e in ([exprs] if self._scalar else exprs))
-        last = {a: i for i, (_, _, args) in enumerate(code) for a in args}
-        temporary = [self._init[a] is None and a not in self._outputs for a in range(len(self._init))]
-        self._code = tuple(
-            (slot, fn, args, tuple(a for a in args if temporary[a] and last[a] == i))
-            for i, (slot, fn, args) in enumerate(code)
-        )
+
+    def on_floats(self, d: int) -> bool:
+        """Whether :meth:`function` ``(d)`` takes one point as Python floats
+        (``pts`` None): everywhere but ``norm2`` in d >= 3."""
+        return not (self._norm2 and d >= 3)
+
+    def function(self, d: int):
+        fn = self._fns.get(d)
+        if fn is None:
+            fn = self._fns[d] = self._generate(d)
+        return fn
+
+    def _generate(self, d: int):
+        last = {a: name for name, _, args in self._code for a in args}  # argument -> its last user
+        temporaries = {name for name, _, _ in self._code} - set(self._outputs)
+        lines = [f"def program(pts, {', '.join(f'x{k + 1}' for k in range(d))}):"]
+        for name, kind, args in self._code:
+            src = _norm2_source(d) if kind is Norm2 else _TEMPLATES[kind].format(*args)
+            dead = [a for a in dict.fromkeys(args) if a in temporaries and last[a] == name]
+            lines.append(f"    {name} = {src}" + (f"; del {', '.join(dead)}" if dead else ""))
+        lines.append(f"    return ({''.join(o + ', ' for o in self._outputs)})")
+        scope = {"_np": np, "_erf": scipy.special.erf, **self._consts}
+        exec(_compiled("\n".join(lines)), scope)
+        return scope["program"]
 
     @batched
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -685,15 +717,10 @@ class Program:
 
     def run(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at ``(n, d)`` points under the caller's ``np.errstate``."""
-        v = list(self._init)
-        v[_PTS] = pts
-        for slot, fn, args, dead in self._code:
-            v[slot] = fn(*[v[a] for a in args])
-            for a in dead:  # last use: release the intermediate
-                v[a] = None
-        out = np.empty((pts.shape[0], len(self._outputs)))
-        for k, slot in enumerate(self._outputs):
-            out[:, k] = v[slot]
+        values = self.function(pts.shape[1])(pts, *pts.T)
+        out = np.empty((pts.shape[0], len(values)))
+        for k, v in enumerate(values):
+            out[:, k] = v
         return out[:, 0] if self._scalar else out
 
 

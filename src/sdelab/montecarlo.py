@@ -8,28 +8,35 @@ Gaussians drawn by inverse CDF from counter-based Philox streams keyed by
 numbers are those of one long read.  A path stops permanently at its first
 exit from the largest ladder radius (absorption is the simulator's proxy for
 the cemetery state); exit times are recorded for every ladder radius at the
-first sample index with ``|X| >= n``.  ``simulate_ensemble`` holds the only
-stepping loop: the ergodic average runs as a one-path ensemble, and a
-transition histogram reads the state of an ensemble stepped for other
-estimators.  Everything is bit-reproducible for a fixed config, however the
-paths are split into batches.
+first sample index with ``|X| >= n``.  ``simulate_ensemble`` steps every
+ensemble: the ergodic average runs as a one-path ensemble, and a transition
+histogram reads the state of an ensemble stepped for other estimators.
+Everything is bit-reproducible for a fixed config, however the paths are
+split into batches.
 
-The loop's cost is mostly per numpy call, so each step makes few of them:
-the drift and every accumulator are one compiled
-:class:`~sdelab.expr.Program`, evaluated by one ``Program.run`` call per step,
-and one ``np.errstate`` is entered per batch instead of once per evaluation.
-The per-node operations and their order are those of separate evaluations,
-so the numbers do not depend on which accumulators share the program.  A
-non-finite accumulator increment (a path on a singular set) is skipped and
-counted in ``PathEnsemble.skipped``, as :func:`calculus.integrate_masked`
-skips and counts quadrature nodes.
+Two loops step a batch, with the same operations in the same order, and
+share the noise chunks, the save slots and the result arrays.
+:func:`_step_batch` steps the batch's paths together.  Its cost is mostly
+per numpy call, so each step makes few: the drift and every accumulator are
+one compiled :class:`~sdelab.expr.Program`, evaluated by one ``Program.run``
+call per step, and one ``np.errstate`` is entered per batch.
+:func:`_step_path` steps a batch of one path on Python floats through the
+same program's generated function, at a tenth of the cost per step.  It
+needs a constant ``A``, no ``norm2`` in d >= 3 (there it sums through
+``einsum``, in an order of its own) and d < 8 (from there on
+:func:`_row_norms` sums pairwise); the ergodic average is such a batch.
+The noise of a constant ``A`` is an in-order sum over the columns of its
+root (:func:`_mix`), elementwise, so a path's bits do not depend on how
+many paths share its batch.  A non-finite accumulator increment (a path on
+a singular set) is skipped and counted in ``PathEnsemble.skipped``, as
+:func:`calculus.integrate_masked` skips and counts quadrature nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,6 +64,7 @@ _NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
 _BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
 _REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 _BATCHES = 20  # batch means behind the ergodic average's standard error
+_CDF_NODES = 481 * 61**2  # nodes per axis of the largest marginal CDF rule built (d = 3)
 # KS level -> (critical distance times sqrt(paths), significance)
 KS_FACTOR = {"5pct": (1.358, 0.05), "1pct": (1.63, 0.01)}
 
@@ -140,6 +148,67 @@ def _batch_bounds(paths: int, n_steps: int, d: int) -> List[Tuple[int, int]]:
     return [(s, min(s + batch, paths)) for s in range(0, paths, batch)]
 
 
+def _noise(seed: int, lo: int, hi: int, n_steps: int, d: int) -> Iterator[np.ndarray]:
+    """The standard Gaussians of paths ``lo .. hi-1``, one ``(steps, paths, d)``
+    chunk of at most ``_NOISE_CHUNK`` steps at a time, in one reused buffer."""
+    gens = [
+        np.random.Generator(np.random.Philox(key=[seed & _MASK64, p & _MASK64]))
+        for p in range(lo, hi)
+    ]
+    xi = np.empty((min(n_steps, _NOISE_CHUNK), hi - lo, d))
+    for k in range(0, n_steps, _NOISE_CHUNK):
+        # successive draws continue each path's stream, so the numbers do
+        # not depend on the chunk length
+        u = xi[: min(_NOISE_CHUNK, n_steps - k)]
+        for i, gen in enumerate(gens):
+            u[:, i, :] = gen.random((len(u), d))
+        u[u == 0.0] = 2.0**-54
+        ndtri(u, out=u)
+        yield u
+
+
+def _mix(xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``xi @ sigma.T`` as the in-order sum over j of ``xi[..., j] * sigma[:, j]``.
+
+    It is elementwise, so a path's noise has the same bits however many
+    paths share the call; a matmul picks its kernel by shape, and its one-row
+    product can differ from its two-row product in the last bit."""
+    out = xi[..., :1] * sigma[:, 0]
+    for j in range(1, len(sigma)):
+        out = out + xi[..., j : j + 1] * sigma[:, j]
+    return out
+
+
+@dataclass
+class _Job:
+    """An ensemble's step settings and the result arrays that both stepping
+    loops fill, path by path."""
+
+    cs: CoefficientSet
+    cfg: SimulationConfig
+    x0: np.ndarray
+    fused: Program  # the drift's d columns, then one per accumulator
+    drift: Program  # the steps before acc_start
+    sigma: Optional[np.ndarray]  # the root of a constant A
+    acc_start: int
+    save_pos: Dict[int, int]  # step -> save slot
+    states: np.ndarray
+    exit_t: np.ndarray
+    clip_counts: np.ndarray
+    status: np.ndarray
+    overshoot: np.ndarray
+    accs: np.ndarray
+    skipped: np.ndarray
+
+    def save(self, k: int, rows, X, totals) -> None:
+        """Store the states and totals of ``rows`` (a path or a slice of
+        paths) after ``k`` steps, if ``k`` is saved."""
+        pos = self.save_pos.get(k)
+        if pos is not None:
+            self.states[rows, pos] = X
+            self.accs[rows, pos] = totals
+
+
 def simulate_ensemble(
     cs: CoefficientSet,
     x0: Sequence[float],
@@ -173,125 +242,178 @@ def simulate_ensemble(
                 raise MonteCarloError(f"save time {t} outside horizon")
             save_idx.add(k)
     save_idx = sorted(save_idx)
-    save_pos = {k: i for i, k in enumerate(save_idx)}
-    acc_start = int(round(accumulate_from / dt))
 
     d = cs.d
     a_const = cs.a_is_constant()
-    sigma_const = (
-        calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None
-    )
     accumulate = accumulate or {}
     names = list(accumulate)
-    # columns: the drift's d components, then one per accumulator
     fused = Program(tuple(cs.G) + tuple(accumulate.values()))
-    drift = Program(cs.G) if names else fused  # the steps before acc_start
-
-    states = np.empty((cfg.paths, len(save_idx), d))
-    exit_t = np.full((cfg.paths, len(cfg.radii)), np.nan)
-    clip_counts = np.zeros(cfg.paths, dtype=np.int64)
-    status = np.zeros(cfg.paths, dtype=np.int8)
-    overshoot = np.zeros(cfg.paths)
-    accs = np.zeros((cfg.paths, len(save_idx), len(names)))
-    skipped = np.zeros(len(names), dtype=np.int64)
-
-    radii = np.array(cfg.radii, dtype=float)
-    n_radii = len(radii)
-    next_radius = np.append(radii, np.inf)  # a path past the last radius has none
-    cols = np.arange(n_radii)
-    sqrt_dt = math.sqrt(dt)
-
-    def run_batch(bounds: Tuple[int, int]) -> None:
-        lo, hi = bounds
-        B = hi - lo
-        gens = [
-            np.random.Generator(np.random.Philox(key=[cfg.seed & _MASK64, p & _MASK64]))
-            for p in range(lo, hi)
-        ]
-        xi = np.empty((min(n_steps, _NOISE_CHUNK), B, d))
-        X = np.tile(x0, (B, 1))
-        totals = np.zeros((B, len(names)))
-        live = slice(None)  # the living paths; a slice, so views, until one leaves
-        ids = np.arange(B)  # batch indices of the living paths
-        nxt = np.zeros(B, dtype=np.intp)  # each path's next ladder radius ...
-        thr = np.full(B, radii[0])  # ... and its value, updated on crossings only
-        if 0 in save_pos:
-            states[lo:hi, save_pos[0], :] = X
+    paths, n_saved = cfg.paths, len(save_idx)
+    job = _Job(
+        cs=cs,
+        cfg=cfg,
+        x0=x0,
+        fused=fused,
+        drift=Program(cs.G) if names else fused,
+        sigma=calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None,
+        acc_start=int(round(accumulate_from / dt)),
+        save_pos={k: i for i, k in enumerate(save_idx)},
+        states=np.empty((paths, n_saved, d)),
+        exit_t=np.full((paths, len(cfg.radii)), np.nan),
+        clip_counts=np.zeros(paths, dtype=np.int64),
+        status=np.zeros(paths, dtype=np.int8),
+        overshoot=np.zeros(paths),
+        accs=np.zeros((paths, n_saved, len(names))),
+        skipped=np.zeros(len(names), dtype=np.int64),
+    )
+    on_floats = a_const and d < 8 and fused.on_floats(d)  # see the module docstring
+    for lo, hi in _batch_bounds(paths, n_steps, d):
+        noise = _noise(cfg.seed, lo, hi, n_steps, d)
         with np.errstate(all="ignore"):
-            for k in range(n_steps):
-                c = k % _NOISE_CHUNK
-                if c == 0:
-                    # successive draws continue each path's stream, so the
-                    # numbers do not depend on the chunk length
-                    u = xi[: min(_NOISE_CHUNK, n_steps - k)]
-                    for i, gen in enumerate(gens):
-                        u[:, i, :] = gen.random((len(u), d))
-                    u[u == 0.0] = 2.0**-54
-                    ndtri(u, out=u)
-                if len(ids):
-                    Xa = X[live]
-                    e = xi[c][live]
-                    if k >= acc_start:
-                        V = fused.run(Xa)
-                        G = V[:, :d]
-                        inc = V[:, d:] * dt
-                        ok = np.isfinite(inc)
-                        if np.count_nonzero(ok) < ok.size:
-                            skipped[:] += len(ok) - ok.sum(axis=0)
-                            inc[~ok] = 0.0
-                        totals[live] += inc
-                    else:
-                        G = drift.run(Xa)
-                    gn = _row_norms(G)
-                    too_big = gn * dt > cfg.clip
-                    if np.count_nonzero(too_big):
-                        scale = np.ones(len(Xa))
-                        scale[too_big] = cfg.clip / (gn[too_big] * dt)
-                        G = G * scale[:, None]
-                        clip_counts[lo + ids[too_big]] += 1
-                    if a_const:
-                        noise = e @ sigma_const.T
-                    else:
-                        sig = calc.diffusion_root_batch(cs.eval_A(Xa))
-                        noise = np.einsum("nij,nj->ni", sig, e)
-                    Xa = Xa + G * dt + sqrt_dt * noise
-                    X[live] = Xa
-                    rn = _row_norms(Xa)
-                    hit = rn >= thr[live]
-                    if np.count_nonzero(hit):
-                        p, r_p = ids[hit], rn[hit]
-                        # a path may cross several radii in one step; the smallest
-                        # of them gives the largest overshoot
-                        overshoot[lo + p] = np.maximum(overshoot[lo + p], r_p - thr[p])
-                        new = np.searchsorted(radii, r_p, side="right")
-                        crossed = (nxt[p, None] <= cols) & (cols < new[:, None])
-                        exit_t[lo + p] = np.where(crossed, (k + 1) * dt, exit_t[lo + p])
-                        nxt[p] = new
-                        thr[p] = next_radius[new]
-                        left = p[new == n_radii]
-                        if len(left):
-                            status[lo + left] = 1
-                            live = ids = np.nonzero(nxt < n_radii)[0]
-                if (k + 1) in save_pos:
-                    pos = save_pos[k + 1]
-                    states[lo:hi, pos, :] = X
-                    accs[lo:hi, pos, :] = totals
-
-    for bounds in _batch_bounds(cfg.paths, n_steps, d):
-        run_batch(bounds)
+            if hi - lo == 1 and on_floats:
+                _step_path(job, lo, noise)
+            else:
+                _step_batch(job, lo, hi, noise)
 
     return PathEnsemble(
         config=cfg,
         x0=x0,
         saved_times=np.array([k * dt for k in save_idx]),
-        states=states,
-        exit_times={float(r): exit_t[:, j].copy() for j, r in enumerate(cfg.radii)},
-        clip_counts=clip_counts,
-        status=status,
-        overshoot_max=overshoot,
-        accumulators={name: accs[:, :, j].copy() for j, name in enumerate(names)},
-        skipped={name: int(n) for name, n in zip(names, skipped)},
+        states=job.states,
+        exit_times={float(r): job.exit_t[:, j].copy() for j, r in enumerate(cfg.radii)},
+        clip_counts=job.clip_counts,
+        status=job.status,
+        overshoot_max=job.overshoot,
+        accumulators={name: job.accs[:, :, j].copy() for j, name in enumerate(names)},
+        skipped={name: int(n) for name, n in zip(names, job.skipped)},
     )
+
+
+def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> None:
+    """Step paths ``lo .. hi-1`` together, one numpy operation per step over
+    the living paths."""
+    cfg, cs, d = job.cfg, job.cs, len(job.x0)
+    dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
+    radii = np.array(cfg.radii, dtype=float)
+    n_radii = len(radii)
+    next_radius = np.append(radii, np.inf)  # a path past the last radius has none
+    cols = np.arange(n_radii)
+    B = hi - lo
+    X = np.tile(job.x0, (B, 1))
+    totals = np.zeros((B, job.accs.shape[2]))
+    live = slice(None)  # the living paths; a slice, so views, until one leaves
+    ids = np.arange(B)  # batch indices of the living paths
+    nxt = np.zeros(B, dtype=np.intp)  # each path's next ladder radius ...
+    thr = np.full(B, radii[0])  # ... and its value, updated on crossings only
+    job.save(0, slice(lo, hi), X, totals)
+    for k in range(cfg.n_steps):
+        c = k % _NOISE_CHUNK
+        if c == 0:
+            xi = next(noise)
+        if len(ids):
+            Xa = X[live]
+            e = xi[c][live]
+            if k >= job.acc_start:
+                V = job.fused.run(Xa)
+                G = V[:, :d]
+                inc = V[:, d:] * dt
+                ok = np.isfinite(inc)
+                if np.count_nonzero(ok) < ok.size:
+                    job.skipped[:] += len(ok) - ok.sum(axis=0)
+                    inc[~ok] = 0.0
+                totals[live] += inc
+            else:
+                G = job.drift.run(Xa)
+            gn = _row_norms(G)
+            too_big = gn * dt > cfg.clip
+            if np.count_nonzero(too_big):
+                scale = np.ones(len(Xa))
+                scale[too_big] = cfg.clip / (gn[too_big] * dt)
+                G = G * scale[:, None]
+                job.clip_counts[lo + ids[too_big]] += 1
+            if job.sigma is not None:
+                noise_k = _mix(e, job.sigma)
+            else:
+                sig = calc.diffusion_root_batch(cs.eval_A(Xa))
+                noise_k = np.einsum("nij,nj->ni", sig, e)
+            Xa = Xa + G * dt + sqrt_dt * noise_k
+            X[live] = Xa
+            rn = _row_norms(Xa)
+            hit = rn >= thr[live]
+            if np.count_nonzero(hit):
+                p, r_p = ids[hit], rn[hit]
+                # a path may cross several radii in one step; the smallest
+                # of them gives the largest overshoot
+                job.overshoot[lo + p] = np.maximum(job.overshoot[lo + p], r_p - thr[p])
+                new = np.searchsorted(radii, r_p, side="right")
+                crossed = (nxt[p, None] <= cols) & (cols < new[:, None])
+                job.exit_t[lo + p] = np.where(crossed, (k + 1) * dt, job.exit_t[lo + p])
+                nxt[p] = new
+                thr[p] = next_radius[new]
+                left = p[new == n_radii]
+                if len(left):
+                    job.status[lo + left] = 1
+                    live = ids = np.nonzero(nxt < n_radii)[0]
+        job.save(k + 1, slice(lo, hi), X, totals)
+
+
+def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
+    """Step path ``p`` alone on Python floats, with :func:`_step_batch`'s
+    operations in its order: the program's function takes the point as
+    floats, the noise rows are one chunk's ``.tolist()``, and the clip and
+    the ladder are ``if``s."""
+    cfg, d = job.cfg, len(job.x0)
+    dt, sqrt_dt, clip = cfg.dt, math.sqrt(cfg.dt), cfg.clip
+    radii = cfg.radii
+    n_radii = len(radii)
+    fused, drift = job.fused.function(d), job.drift.function(d)
+    n_acc = job.accs.shape[2]
+    x = job.x0.tolist()
+    totals = [0.0] * n_acc
+    skipped = [0] * n_acc
+    nxt, thr, clips, over = 0, radii[0], 0, 0.0
+    job.save(0, p, x, totals)
+    for k in range(cfg.n_steps):
+        c = k % _NOISE_CHUNK
+        if c == 0:
+            rows = _mix(next(noise)[:, 0], job.sigma).tolist()
+        if nxt < n_radii:
+            if k >= job.acc_start:
+                V = fused(None, *x)
+                G = V[:d]
+                for j in range(n_acc):
+                    inc = V[d + j] * dt
+                    if math.isfinite(inc):
+                        totals[j] += inc
+                    else:
+                        skipped[j] += 1
+            else:
+                G = drift(None, *x)
+            s = G[0] * G[0]
+            for g in G[1:]:
+                s = s + g * g
+            gn = math.sqrt(s)
+            if gn * dt > clip:
+                scale = clip / (gn * dt)
+                G = [g * scale for g in G]
+                clips += 1
+            e = rows[c]
+            x = [x[i] + G[i] * dt + sqrt_dt * e[i] for i in range(d)]
+            s = x[0] * x[0]
+            for v in x[1:]:
+                s = s + v * v
+            r = math.sqrt(s)
+            if r >= thr:
+                over = max(over, r - thr)
+                while nxt < n_radii and r >= radii[nxt]:
+                    job.exit_t[p, nxt] = (k + 1) * dt
+                    nxt += 1
+                thr = radii[nxt] if nxt < n_radii else math.inf
+        job.save(k + 1, p, x, totals)
+    job.clip_counts[p] = clips
+    job.status[p] = nxt == n_radii
+    job.overshoot[p] = over
+    job.skipped += np.array(skipped, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +619,14 @@ def _marginal_cdfs(rho: DensityField, d: int, box: float) -> Tuple[np.ndarray, L
     axes of a rule with 481 nodes along the axis and 481 (d = 2) or 61
     (d >= 3) across it; its CDF is the cumulative trapezoid sum, normalized
     by its last value, so the table's error is O(h^2) in the axis spacing.
+    A rule larger than the d = 3 one (1.1e8 nodes in d = 4) raises unbuilt.
     """
     across = 481 if d == 2 else 61
+    size = 481 * across ** (d - 1)
+    if size > _CDF_NODES:
+        raise MonteCarloError(
+            f"the d={d} marginal CDF rule has {size} nodes per axis, more than {_CDF_NODES} (d=3)"
+        )
     cdfs = []
     for axis in range(d):
         nodes = tuple(481 if k == axis else across for k in range(d))

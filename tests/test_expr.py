@@ -1,3 +1,4 @@
+import dis
 import math
 
 import numpy as np
@@ -222,6 +223,29 @@ def test_program_keeps_signed_zero_constants_apart():
     assert list(np.signbit(out[0])) == [False, True]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_norm2_sums_in_order_bit_equal_to_einsum(d):
+    # the generated function sums norm2 in order in d <= 2, where einsum does too
+    rng = np.random.default_rng(d)
+    fn = ex.Program(ex.Norm2())
+    for magnitude in (1e-200, 1e-10, 1.0, 1e10, 1e200):
+        pts = magnitude * rng.standard_normal((2000, d)) * np.exp(rng.standard_normal((2000, d)))
+        with np.errstate(all="ignore"):
+            assert fn(pts).tobytes() == np.einsum("ij,ij->i", pts, pts).tobytes()
+
+
+def test_program_releases_temporaries():
+    # each temporary is deleted after its last use; outputs and arguments stay
+    prog = ex.Program([parse_expr("exp(x1*x2) + x1*x2", 2), parse_expr("x1*x2", 2)])
+    fn = prog.function(2)
+    assert fn.__code__.co_varnames[:3] == ("pts", "x1", "x2")
+    # x1*x2 is an output; exp(x1*x2) is the one temporary
+    deleted = [i.argval for i in dis.get_instructions(fn) if i.opname == "DELETE_FAST"]
+    assert len(deleted) == 1
+    assert repr(fn(None, 0.5, 2.0)) == repr((np.exp(1.0) + 1.0, 1.0))
+    assert not ex.Program(ex.Norm2()).on_floats(3) and ex.Program(ex.Norm2()).on_floats(2)
+
+
 def test_program_constant_division_follows_numpy():
     # constant-only nodes divide like numpy arrays (inf/nan), not like Python floats
     out = ex.Program([parse_expr("1/0", 1), parse_expr("x1 + 0/(1 - 1)", 1)])(np.array([[2.0]]))
@@ -357,3 +381,16 @@ def test_printer_spelling_of_every_node_type():
 def test_reprint_is_stable(tree):
     once = to_source(tree)
     assert to_source(parse_expr(once, 2)) == once
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_program_on_floats_matches_arrays(tree, point):
+    # one point as Python floats gives the bits of that point in a batch:
+    # every node calls the numpy ufunc, and a zero divisor does not raise
+    prog = ex.Program([tree, ex.Div(Const(1.0), ex.Sub(Coord(0), Coord(0)))])
+    pts = np.array([point, [0.5, -1.5]])
+    with np.errstate(all="ignore"):
+        floats = prog.function(2)(None, *point)
+        arrays = prog.run(pts)[0]
+    assert repr([float(v) for v in floats]) == repr(arrays.tolist())

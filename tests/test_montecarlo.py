@@ -1,13 +1,18 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from sdelab import montecarlo
+from sdelab import cli, montecarlo
+from sdelab import expr as ex
 from sdelab import calculus as calc
 from sdelab.calculus import DensityField, build_coefficient_set
-from sdelab.expr import Program, parse_expr
+from sdelab.expr import Program, parse_expr, to_source
 from sdelab.montecarlo import (
     MonteCarloError,
     SimulationConfig,
@@ -64,26 +69,23 @@ def test_seed_determinism_across_batch_splits(monkeypatch):
     cfg = SimulationConfig(dt=1e-2, horizon=0.5, paths=600, seed=77, radii=(1.5, 16.0), clip=0.012)
     acc = {"r2": parse_expr("norm2(x)", 2)}
     assert len(montecarlo._batch_bounds(cfg.paths, cfg.n_steps, 2)) == 1
-    a = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
-    # the same paths again in 64-path batches
-    batches = []
-
-    def bounds_64(paths, n_steps, d):
-        bounds = [(s, min(s + 64, paths)) for s in range(0, paths, 64)]
-        batches.append(len(bounds))
-        return bounds
-
-    monkeypatch.setattr(montecarlo, "_batch_bounds", bounds_64)
-    b = simulate_ensemble(OU, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
-    assert batches == [10]
-    assert a.clip_counts.sum() > 0 and np.isfinite(a.exit_times[1.5]).any()
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.clip_counts, b.clip_counts)
-    assert np.array_equal(a.accumulators["r2"], b.accumulators["r2"])
-    for r in cfg.radii:
-        assert np.array_equal(
-            a.exit_times[r], b.exit_times[r], equal_nan=True
-        )
+    splits = {
+        "64-path batches": [(s, min(s + 64, cfg.paths)) for s in range(0, cfg.paths, 64)],
+        "one path alone": [(0, 1), (1, cfg.paths)],
+    }
+    # a constant A whose root is not diagonal: a matmul's bits depend on its row count
+    for cs in (OU, build_coefficient_set([["2", "0.8"], ["1.5"]], None, ["-x1", "-x2"], d=2)):
+        monkeypatch.undo()
+        a = simulate_ensemble(cs, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
+        assert a.clip_counts.sum() > 0 and np.isfinite(a.exit_times[1.5]).any()
+        for bounds in splits.values():
+            monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: bounds)
+            b = simulate_ensemble(cs, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.clip_counts, b.clip_counts)
+            assert np.array_equal(a.accumulators["r2"], b.accumulators["r2"])
+            for r in cfg.radii:
+                assert np.array_equal(a.exit_times[r], b.exit_times[r], equal_nan=True)
 
 
 def test_clip_accounting_zero_for_lipschitz():
@@ -561,3 +563,127 @@ def test_x0_must_start_inside_ladder():
     cfg = SimulationConfig(dt=1e-2, horizon=0.1, paths=10, seed=1, radii=(1.0,))
     with pytest.raises(MonteCarloError):
         simulate_ensemble(BM, [2.0, 0.0], cfg)
+
+
+# --- the float loop: a one-path batch against the same path in a batch of two ---
+
+_A_CONST = {
+    "diagonal": [["1.7", "0", "0"], ["0.6", "0"], ["1"]],
+    "non_diagonal": [["2", "0.8", "0.3"], ["1.5", "0.2"], ["1"]],
+}
+# the fixed accumulators: a Div by an exact 0 (Python's / would raise), ln of
+# negative values (skipped and counted), and SelGe, Min, Max, Pow and Erf
+_FIXED_ACC = {
+    "div": "1/(x1 - x1)",
+    "ln": "ln(x1)",
+    "sel": "selge(x1, 0, min(x1, 1)^1.5, erf(max(x1, -1)))",
+}
+
+
+def _nodes(d):
+    """Expressions over x1 .. xd that use every node type."""
+    leaves = st.one_of(
+        st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.5]).map(ex.Const),
+        st.integers(0, d - 1).map(ex.Coord),
+        st.just(ex.Norm2()),
+    )
+
+    def extend(inner):
+        two = st.tuples(inner, inner)
+        return st.one_of(
+            *(two.map(lambda ab, cls=cls: cls(*ab)) for cls in (ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Max, ex.Min)),
+            *(inner.map(cls) for cls in (ex.Exp, ex.Ln, ex.Sqrt, ex.Erf)),
+            st.tuples(inner, st.sampled_from([2.0, 3.0, 0.5, -1.0, 1.5])).map(lambda be: ex.Pow(*be)),
+            st.tuples(inner, inner, inner, inner).map(lambda n: ex.SelGe(*n)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_NODES = {d: _nodes(d) for d in (1, 2, 3)}
+
+
+def _per_path(ens, p):
+    exit_times = [float(ens.exit_times[r][p]) for r in ens.config.radii]
+    fields = (ens.states[p], exit_times, ens.clip_counts[p], ens.status[p], ens.overshoot_max[p])
+    accs = {name: v[p] for name, v in ens.accumulators.items()}
+    return repr([np.asarray(f).tolist() for f in fields]) + repr({k: v.tolist() for k, v in accs.items()})
+
+
+def _float_oracle(monkeypatch, cs, accumulate, accumulate_from):
+    """A one-path run against path 0 of a two-path batch, and two one-path
+    batches against one two-path batch; returns the one-path ensemble and
+    how many paths the float loop stepped."""
+    monkeypatch.undo()  # hypothesis runs every example in one test's fixture
+    d = cs.d
+    stepped = []
+    real = montecarlo._step_path
+
+    def counted(job, p, noise):
+        stepped.append(p)
+        return real(job, p, noise)
+
+    monkeypatch.setattr(montecarlo, "_step_path", counted)
+    dt = 2e-2
+    cfg = SimulationConfig(dt=dt, horizon=150 * dt, paths=1, seed=404, radii=(1.0, 1.02, 1.04, 2.5), clip=0.03)
+    x0 = [0.5, 0.0, -0.25][:d]
+    kw = dict(save_times=[0.3, 1.0, 2.0], accumulate=accumulate, accumulate_from=accumulate_from)
+    one = simulate_ensemble(cs, x0, cfg, **kw)
+    two = simulate_ensemble(cs, x0, replace(cfg, paths=2), **kw)
+    assert _per_path(one, 0) == _per_path(two, 0)
+    monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: [(0, 1), (1, 2)])
+    split = simulate_ensemble(cs, x0, replace(cfg, paths=2), **kw)
+    for p in (0, 1):
+        assert _per_path(split, p) == _per_path(two, p)
+    assert split.skipped == two.skipped
+    return one, len(stepped)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from(sorted(_A_CONST)), st.sampled_from([0.0, 0.3]))
+def test_float_loop_matches_the_array_loop(monkeypatch, data, d, a_kind, accumulate_from):
+    drift = [data.draw(_NODES[d]) for _ in range(d)]
+    accumulate = {name: parse_expr(src, d) for name, src in _FIXED_ACC.items()}
+    accumulate["drawn"] = data.draw(_NODES[d])
+    A = [row[: d - i] for i, row in enumerate(_A_CONST[a_kind][:d])]
+    cs = build_coefficient_set(A, None, [to_source(g) for g in drift], d=d)
+    _, stepped = _float_oracle(monkeypatch, cs, accumulate, accumulate_from)
+    # the float loop steps every one-path batch unless norm2 runs through einsum
+    floats = Program(tuple(cs.G) + tuple(accumulate.values())).on_floats(d)
+    assert stepped == (3 if floats else 0)
+
+
+def test_float_loop_covers_clips_ladders_and_skips(monkeypatch):
+    # outward drift inside radius sqrt(3), inward outside: the tight clip
+    # fires, and steps cross several of the close inner radii at once
+    cs = build_coefficient_set([["2", "0.8"], ["1.5"]], None, ["3*x1 - x1*norm2(x)", "3*x2 - x2*norm2(x)"], d=2)
+    accumulate = {name: parse_expr(src, 2) for name, src in _FIXED_ACC.items()}
+    one, stepped = _float_oracle(monkeypatch, cs, accumulate, 0.3)
+    assert stepped == 3
+    assert one.clip_counts[0] > 0
+    assert one.exit_times[1.0][0] == one.exit_times[1.04][0]
+    assert one.status[0] == 1
+    assert np.all(one.accumulators["sel"][0, :1] == 0.0) and one.accumulators["sel"][0, -1] != 0.0
+    assert one.skipped["div"] > 0 and 0 < one.skipped["ln"] < one.skipped["div"]
+    assert one.skipped["sel"] == 0
+
+
+def test_d4_transition_reference_fails_before_building_its_rule(monkeypatch):
+    # 481 * 61^3 = 109177861 nodes per axis: more than the d = 3 rule's, so
+    # the stage fails with exit 3 and the count, and no rule is built
+    built = []
+    monkeypatch.setattr(montecarlo, "QuadratureRule", lambda *a: built.append(a))
+    cfg = {
+        "schema_version": 1,
+        "name": "ou_4d_transition",
+        "dimension": 4,
+        "coefficients": {"A": [["1", "0", "0", "0"], ["1", "0", "0"], ["1", "0"], ["1"]],
+                         "H": ["-x1", "-x2", "-x3", "-x4"]},
+        "density": {"analytic": ["exp(-norm2(x))"]},
+        "simulation": {"dt": 0.01, "horizon": 0.05, "paths": 20, "seed": 3, "x0": [0.0] * 4, "radii": [8.0],
+                       "transition": {"t": 0.05, "reference": "analytic:0"}},
+    }
+    report = cli.run_scenario(cfg, stages=("simulation",))
+    assert report["status"]["exit_code"] == 3
+    assert any("109177861 nodes" in note for note in report["status"]["notes"])
+    assert built == []
