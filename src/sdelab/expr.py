@@ -619,15 +619,6 @@ _TEMPLATES = {
 }
 
 
-def _norm2_source(d: int) -> str:
-    """``norm2(x)`` summed in order in d <= 2, where it is bit-equal to
-    ``einsum``; from d = 3 on ``einsum``'s order follows the host's SIMD width,
-    so it stays ``einsum`` over the points."""
-    if d >= 3:
-        return '_np.einsum("ij,ij->i", pts, pts)'
-    return " + ".join(f"x{k + 1} * x{k + 1}" for k in range(d))
-
-
 @functools.lru_cache(maxsize=256)
 def _compiled(source: str):
     """The code of a generated function: programs of one shape share it, and
@@ -646,23 +637,22 @@ class Program:
     The function is generated per dimension (``norm2`` reads it) on first use;
     it keeps no state between calls, so one program may serve several threads.
 
-    :meth:`function` ``(d)`` is that function of ``(pts, x1, .., xd)``: the
-    coordinate columns ``(n,)`` of the points ``pts`` ``(n, d)``, or one point
-    as Python floats, where ``pts`` is read only by ``norm2`` in d >= 3 (see
-    :meth:`on_floats`); it returns one value per expression.  Both give the
-    same bits.  A single expression maps ``(n, d)`` points to ``(n,)``; a
-    sequence of ``m`` expressions maps them to ``(n, m)``.  Calling the
-    program also takes one point ``(d,)`` and evaluates under
-    ``np.errstate(all="ignore")``; :meth:`run` is the same evaluation without
-    either, for a stepping loop that holds one ``errstate`` around all its
-    calls.
+    :meth:`function` ``(d)`` is that function of ``(x1, .., xd)``: the
+    coordinate columns ``(n,)`` of a point batch, or one point as Python
+    floats; it returns one value per expression, with the same bits either
+    way.  ``norm2`` is the in-order sum ``x1*x1 + ... + xd*xd`` in every d,
+    so its bits do not depend on the host.  A single expression maps
+    ``(n, d)`` points to ``(n,)``; a sequence of ``m`` expressions maps them
+    to ``(n, m)``.  Calling the program also takes one point ``(d,)`` and
+    evaluates under ``np.errstate(all="ignore")``; :meth:`run` is the same
+    evaluation without either, for a stepping loop that holds one
+    ``errstate`` around all its calls.
     """
 
     def __init__(self, exprs: Union[Expr, Sequence[Expr]]):
         self._scalar = isinstance(exprs, Expr)
         self._consts: dict = {}  # name -> value
         self._code: list = []  # (name, node type, argument names) in topological order
-        self._norm2 = False
         self._fns: dict = {}  # d -> generated function
         names: dict = {}  # structural key -> name
 
@@ -681,15 +671,9 @@ class Program:
                     self._consts[name] = e.value
                 else:
                     self._code.append((name, key[0], key[1:]))
-                    self._norm2 |= isinstance(e, Norm2)
             return names[key]
 
         self._outputs = tuple(visit(e) for e in ([exprs] if self._scalar else exprs))
-
-    def on_floats(self, d: int) -> bool:
-        """Whether :meth:`function` ``(d)`` takes one point as Python floats
-        (``pts`` None): everywhere but ``norm2`` in d >= 3."""
-        return not (self._norm2 and d >= 3)
 
     def function(self, d: int):
         fn = self._fns.get(d)
@@ -700,9 +684,13 @@ class Program:
     def _generate(self, d: int):
         last = {a: name for name, _, args in self._code for a in args}  # argument -> its last user
         temporaries = {name for name, _, _ in self._code} - set(self._outputs)
-        lines = [f"def program(pts, {', '.join(f'x{k + 1}' for k in range(d))}):"]
+        coords = [f"x{k + 1}" for k in range(d)]
+        lines = [f"def program({', '.join(coords)}):"]
         for name, kind, args in self._code:
-            src = _norm2_source(d) if kind is Norm2 else _TEMPLATES[kind].format(*args)
+            if kind is Norm2:  # in order: the same bits on floats, on columns and on every host
+                src = " + ".join(f"{x} * {x}" for x in coords)
+            else:
+                src = _TEMPLATES[kind].format(*args)
             dead = [a for a in dict.fromkeys(args) if a in temporaries and last[a] == name]
             lines.append(f"    {name} = {src}" + (f"; del {', '.join(dead)}" if dead else ""))
         lines.append(f"    return ({''.join(o + ', ' for o in self._outputs)})")
@@ -717,7 +705,7 @@ class Program:
 
     def run(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at ``(n, d)`` points under the caller's ``np.errstate``."""
-        values = self.function(pts.shape[1])(pts, *pts.T)
+        values = self.function(pts.shape[1])(*pts.T)
         out = np.empty((pts.shape[0], len(values)))
         for k, v in enumerate(values):
             out[:, k] = v

@@ -22,9 +22,9 @@ one compiled :class:`~sdelab.expr.Program`, evaluated by one ``Program.run``
 call per step, and one ``np.errstate`` is entered per batch.
 :func:`_step_path` steps a batch of one path on Python floats through the
 same program's generated function, at a tenth of the cost per step.  It
-needs a constant ``A``, no ``norm2`` in d >= 3 (there it sums through
-``einsum``, in an order of its own) and d < 8 (from there on
-:func:`_row_norms` sums pairwise); the ergodic average is such a batch.
+needs a constant ``A`` only, because every sum of squares (``norm2`` and
+:func:`_row_norms`) is the in-order sum in every d; the ergodic average is
+such a batch.
 The noise of a constant ``A`` is an in-order sum over the columns of its
 root (:func:`_mix`), elementwise, so a path's bits do not depend on how
 many paths share its batch.  A non-finite accumulator increment (a path on
@@ -124,19 +124,16 @@ class PathEnsemble:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)``, bit for bit, at a fraction of its cost.
+    """Row norms, the squares summed column by column in order, as ``norm2``
+    sums them and as :func:`_step_path` sums them on floats.
 
-    Below 8 columns ``np.add.reduce`` adds a row's squares one after the
-    other, so the squares are summed here column by column in that order:
-    at 2000 rows and d=2 this takes about a quarter of the time of
-    ``add.reduce`` along the short axis.  From 8 columns on numpy sums
-    pairwise, and so does this function.  (``einsum`` is not bit-equal.)
+    Below 8 columns numpy adds a row's squares in order too, so this is
+    ``np.linalg.norm(x, axis=1)`` bit for bit there, at about a quarter of
+    its cost at 2000 rows and d=2; from 8 columns on numpy sums pairwise,
+    and the two may differ in the last bit.
     """
-    d = x.shape[1]
-    if d >= 8:
-        return np.sqrt(np.add.reduce(x * x, axis=1))
     s = x[:, 0] * x[:, 0]
-    for k in range(1, d):
+    for k in range(1, x.shape[1]):
         s = s + x[:, k] * x[:, k]
     return np.sqrt(s)
 
@@ -244,7 +241,6 @@ def simulate_ensemble(
     save_idx = sorted(save_idx)
 
     d = cs.d
-    a_const = cs.a_is_constant()
     accumulate = accumulate or {}
     names = list(accumulate)
     fused = Program(tuple(cs.G) + tuple(accumulate.values()))
@@ -255,7 +251,7 @@ def simulate_ensemble(
         x0=x0,
         fused=fused,
         drift=Program(cs.G) if names else fused,
-        sigma=calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None,
+        sigma=calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if cs.a_is_constant() else None,
         acc_start=int(round(accumulate_from / dt)),
         save_pos={k: i for i, k in enumerate(save_idx)},
         states=np.empty((paths, n_saved, d)),
@@ -266,11 +262,10 @@ def simulate_ensemble(
         accs=np.zeros((paths, n_saved, len(names))),
         skipped=np.zeros(len(names), dtype=np.int64),
     )
-    on_floats = a_const and d < 8 and fused.on_floats(d)  # see the module docstring
     for lo, hi in _batch_bounds(paths, n_steps, d):
         noise = _noise(cfg.seed, lo, hi, n_steps, d)
         with np.errstate(all="ignore"):
-            if hi - lo == 1 and on_floats:
+            if hi - lo == 1 and job.sigma is not None:
                 _step_path(job, lo, noise)
             else:
                 _step_batch(job, lo, hi, noise)
@@ -379,7 +374,7 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
             rows = _mix(next(noise)[:, 0], job.sigma).tolist()
         if nxt < n_radii:
             if k >= job.acc_start:
-                V = fused(None, *x)
+                V = fused(*x)
                 G = V[:d]
                 for j in range(n_acc):
                     inc = V[d + j] * dt
@@ -388,7 +383,7 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
                     else:
                         skipped[j] += 1
             else:
-                G = drift(None, *x)
+                G = drift(*x)
             s = G[0] * G[0]
             for g in G[1:]:
                 s = s + g * g
@@ -681,11 +676,13 @@ def transition_histogram(
         except MonteCarloError as err:
             rho_ref, reference_error = None, str(err)
     qs = np.linspace(0.0, 1.0, 129)
+    # the standard error is 0 for a single path, as in _mean_se
+    se = X.std(axis=0, ddof=1) / math.sqrt(len(X)) if len(X) > 1 else np.zeros(d)
     out: Dict[str, object] = {
         "time": float(t),
         "paths": ens.n_paths,
         "mean": [float(v) for v in X.mean(axis=0)],
-        "mean_std_error": [float(v) for v in X.std(axis=0, ddof=1) / math.sqrt(len(X))],
+        "mean_std_error": [float(v) for v in se],
         # empirical per-coordinate CDF, tabulated as quantiles
         "cdf_levels": qs.tolist(),
         "cdf_quantiles": [np.quantile(X[:, k], qs).tolist() for k in range(d)],

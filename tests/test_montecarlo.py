@@ -1,3 +1,4 @@
+import json
 import math
 
 from dataclasses import replace
@@ -475,11 +476,17 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_row_norms_equal_linalg_norm_bit_for_bit(d):
+    # the squares are summed in order in every d; below 8 columns numpy does
+    # too, and from 8 on it sums pairwise
     rng = np.random.default_rng(d)
     for magnitude in (1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200):
         x = magnitude * rng.standard_normal((200, d)) * np.exp(rng.standard_normal((200, d)))
         with np.errstate(all="ignore"):
-            got, want = montecarlo._row_norms(x), np.linalg.norm(x, axis=1)
+            got = montecarlo._row_norms(x)
+            if d < 8:
+                want = np.linalg.norm(x, axis=1)
+            else:
+                want = np.sqrt(sum((x[:, k] * x[:, k] for k in range(1, d)), x[:, 0] * x[:, 0]))
         assert repr(got.tolist()) == repr(want.tolist())
 
 
@@ -525,6 +532,17 @@ def test_transition_histogram_ou_vs_gaussian_reference():
     out = transition_histogram(simulate_ensemble(OU, [1.0, 1.0], cfg), 6.0, rho_ref=rho)
     for ks in out["ks_distance"]:
         assert ks <= 1.63 / math.sqrt(cfg.paths)
+
+
+def test_transition_histogram_one_path_is_finite():
+    # the standard error of one path is 0, as in _mean_se, so the block holds
+    # no NaN and raises no warning
+    cfg = SimulationConfig(dt=1e-2, horizon=0.1, paths=1, seed=85, radii=(16.0,))
+    ens = simulate_ensemble(OU, [0.5, -0.5], cfg)
+    out = transition_histogram(ens, 0.1)
+    assert out["mean_std_error"] == [0.0, 0.0]
+    assert out["mean"] == ens.states[0, -1].tolist()
+    json.dumps(out, allow_nan=False)
 
 
 def test_transition_histogram_flat_reference_rejected():
@@ -626,7 +644,7 @@ def _float_oracle(monkeypatch, cs, accumulate, accumulate_from):
     monkeypatch.setattr(montecarlo, "_step_path", counted)
     dt = 2e-2
     cfg = SimulationConfig(dt=dt, horizon=150 * dt, paths=1, seed=404, radii=(1.0, 1.02, 1.04, 2.5), clip=0.03)
-    x0 = [0.5, 0.0, -0.25][:d]
+    x0 = ([0.5, 0.0, -0.25] + [0.0] * d)[:d]
     kw = dict(save_times=[0.3, 1.0, 2.0], accumulate=accumulate, accumulate_from=accumulate_from)
     one = simulate_ensemble(cs, x0, cfg, **kw)
     two = simulate_ensemble(cs, x0, replace(cfg, paths=2), **kw)
@@ -648,9 +666,16 @@ def test_float_loop_matches_the_array_loop(monkeypatch, data, d, a_kind, accumul
     A = [row[: d - i] for i, row in enumerate(_A_CONST[a_kind][:d])]
     cs = build_coefficient_set(A, None, [to_source(g) for g in drift], d=d)
     _, stepped = _float_oracle(monkeypatch, cs, accumulate, accumulate_from)
-    # the float loop steps every one-path batch unless norm2 runs through einsum
-    floats = Program(tuple(cs.G) + tuple(accumulate.values())).on_floats(d)
-    assert stepped == (3 if floats else 0)
+    # the float loop steps every one-path batch of a constant A, norm2 or not
+    assert stepped == 3
+
+
+def test_float_loop_steps_d8(monkeypatch):
+    # numpy sums a row of 8 or more squares pairwise; every sum of squares
+    # here is in order, so the float loop steps d = 8 with the batch's bytes
+    one, stepped = _float_oracle(monkeypatch, cs_ou(d=8), {"r2": parse_expr("norm2(x)", 8)}, 0.0)
+    assert stepped == 3
+    assert one.clip_counts[0] > 0 and one.accumulators["r2"][0, -1] > 0.0
 
 
 def test_float_loop_covers_clips_ladders_and_skips(monkeypatch):
