@@ -53,6 +53,7 @@ __all__ = [
     "gauss_rule",
     "sphere_rule",
     "radial_ladder",
+    "gauss2_panels",
     "ball_integrals",
     "Bump",
     "VectorField",
@@ -466,44 +467,27 @@ def lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor-product rule on an axis-aligned box."""
+    """Composite Gauss-Legendre product rule on an axis-aligned box:
+    ``nodes[k]`` nodes along axis ``k``, in equal panels of 8."""
 
     lo: Tuple[float, ...]
     hi: Tuple[float, ...]
     nodes: Tuple[int, ...]
-    scheme: str = "simpson"  # "simpson" | "gauss"
 
     def __post_init__(self):
-        if self.scheme not in ("simpson", "gauss"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.nodes):
             raise ShapeError("lo/hi/nodes must have equal lengths")
         for n in self.nodes:
-            if self.scheme == "simpson" and (n < 3 or n % 2 == 0):
-                raise ValueError("Simpson needs an odd node count >= 3 per axis")
-            if self.scheme == "gauss" and (n < _GAUSS_M or n % _GAUSS_M):
+            if n < _GAUSS_M or n % _GAUSS_M:
                 raise ValueError(f"Gauss needs a positive multiple of {_GAUSS_M} nodes per axis")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
 
     def axis_nodes(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         lo, hi, n = self.lo[k], self.hi[k], self.nodes[k]
-        if self.scheme == "gauss":
-            panels = n // _GAUSS_M
-            h = (hi - lo) / panels
-            t, wt = np.polynomial.legendre.leggauss(_GAUSS_M)
-            x = (lo + h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).reshape(-1)
-            w = np.tile(0.5 * h * wt, panels)
-        else:
-            h = (hi - lo) / (n - 1)
-            x = lo + h * np.arange(n)
-            w = np.ones(n)
-            w[1:-1:2] = 4.0
-            w[2:-2:2] = 2.0
-            w *= h / 3.0
-        return x, w
+        panels = n // _GAUSS_M
+        h = (hi - lo) / panels
+        t, wt = np.polynomial.legendre.leggauss(_GAUSS_M)
+        x = (lo + h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).reshape(-1)
+        return x, np.tile(0.5 * h * wt, panels)
 
     def points_and_weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """Nodes ``(n, d)`` and weights ``(n,)``, built on first use and shared
@@ -512,30 +496,27 @@ class QuadratureRule:
 
     @cached_property
     def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
-        axes = [self.axis_nodes(k) for k in range(self.dim)]
+        axes = [self.axis_nodes(k) for k in range(len(self.lo))]
         pts = lattice([a[0] for a in axes])
-        w = axes[0][1]
-        for k in range(1, self.dim):
-            w = np.multiply.outer(w, axes[k][1])
-        w = w.reshape(-1)
+        w = reduce(np.multiply.outer, [a[1] for a in axes]).reshape(-1)
         pts.flags.writeable = w.flags.writeable = False
         return pts, w
 
     def faces(self) -> np.ndarray:
         """Points on the faces of the box, one row each: on the two faces
         across axis ``k``, the rule's nodes of the other axes."""
-        axes = [self.axis_nodes(k)[0] for k in range(self.dim)]
+        axes = [self.axis_nodes(k)[0] for k in range(len(self.lo))]
         return np.concatenate(
             [
                 lattice(axes[:k] + [np.array([side])] + axes[k + 1 :])
-                for k in range(self.dim)
+                for k in range(len(self.lo))
                 for side in (self.lo[k], self.hi[k])
             ]
         )
 
 
-# Gauss-Legendre nodes per panel, and the node budget of one residual rule
-# and of one block of the polar rule (ball_integrals)
+# Gauss-Legendre nodes per panel, and the node budget of one residual rule and
+# of one block of the polar rule (ball_integrals) and of the marginal CDF table
 _GAUSS_M = 8
 _GAUSS_BUDGET = 2**16
 
@@ -547,7 +528,7 @@ def gauss_rule(lo: Sequence[float], hi: Sequence[float]) -> QuadratureRule:
     d=2, 40 in d=3, 16 in d=4)."""
     d = len(lo)
     n = _GAUSS_M * max(1, round(_GAUSS_BUDGET ** (1.0 / d) / _GAUSS_M))
-    return QuadratureRule(tuple(map(float, lo)), tuple(map(float, hi)), (n,) * d, scheme="gauss")
+    return QuadratureRule(tuple(map(float, lo)), tuple(map(float, hi)), (n,) * d)
 
 
 def sphere_rule(d: int, n_angular: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -585,6 +566,14 @@ def radial_ladder(r_max: float) -> np.ndarray:
     return radii
 
 
+def gauss2_panels(ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 2-point Gauss-Legendre rule (exact for cubics) on each panel
+    between consecutive ``ends``: the nodes, two per panel in order, and each
+    panel's half-width, the weight of both its nodes."""
+    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    return (mid[:, None] + np.array([-1.0, 1.0]) / math.sqrt(3.0) * half[:, None]).reshape(-1), half
+
+
 def ball_integrals(
     f: Callable[[np.ndarray], np.ndarray], d: int, radii: Sequence[float]
 ) -> Tuple[np.ndarray, int]:
@@ -592,7 +581,7 @@ def ball_integrals(
 
     The polar rule: panels between the radii of :func:`radial_ladder` up to
     ``max(radii)`` and ``radii`` themselves, each with the 2-point
-    Gauss-Legendre rule in ``r`` (exact for cubics) times :func:`sphere_rule`
+    Gauss-Legendre rule in ``r`` (:func:`gauss2_panels`) times :func:`sphere_rule`
     at ``n_angular`` 256, weighted by ``r^(d-1)``.  ``f`` maps ``(n, d)``
     points to ``(n,)`` and sees at most ``2**16`` points a call; non-finite
     values are skipped and counted, as in :func:`integrate_masked`.
@@ -600,8 +589,7 @@ def ball_integrals(
     radii = np.asarray(radii, dtype=float)
     ends = np.union1d(radial_ladder(float(radii.max())), radii)
     dirs, w = sphere_rule(d, 256)
-    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
-    r = (mid[:, None] + np.array([-1.0, 1.0]) / math.sqrt(3.0) * half[:, None]).reshape(-1)
+    r, half = gauss2_panels(ends)
     shells, skipped = np.empty(len(r)), 0
     step = _GAUSS_BUDGET // len(dirs)  # >= 16: sphere_rule builds at most 4096 directions
     with np.errstate(all="ignore"):

@@ -64,7 +64,7 @@ _NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
 _BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
 _REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 _BATCHES = 20  # batch means behind the ergodic average's standard error
-_CDF_NODES = 481 * 61**2  # nodes per axis of the largest marginal CDF rule built (d = 3)
+_CDF_POINTS = 2**22  # points per axis of a marginal CDF rule, at most
 # KS level -> (critical distance times sqrt(paths), significance)
 KS_FACTOR = {"5pct": (1.358, 0.05), "1pct": (1.63, 0.01)}
 
@@ -165,14 +165,15 @@ def _noise(seed: int, lo: int, hi: int, n_steps: int, d: int) -> Iterator[np.nda
 
 
 def _mix(xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``xi @ sigma.T`` as the in-order sum over j of ``xi[..., j] * sigma[:, j]``.
+    """``xi @ sigma.T``, column by column: ``out[..., i]`` is the in-order sum
+    over j of ``xi[..., j] * sigma[i, j]``, with scalar factors.
 
     It is elementwise, so a path's noise has the same bits however many
     paths share the call; a matmul picks its kernel by shape, and its one-row
     product can differ from its two-row product in the last bit."""
-    out = xi[..., :1] * sigma[:, 0]
-    for j in range(1, len(sigma)):
-        out = out + xi[..., j : j + 1] * sigma[:, j]
+    out = np.empty(xi.shape)
+    for i, r in enumerate(sigma.tolist()):
+        out[..., i] = sum((xi[..., j] * r[j] for j in range(1, len(r))), xi[..., 0] * r[0])
     return out
 
 
@@ -608,29 +609,37 @@ def _batch_means_std_error(totals: Sequence[float], width: float) -> Optional[fl
 
 def _marginal_cdfs(rho: DensityField, d: int, box: float) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Normalized marginal CDFs of a density on [-box, box]^d, one per axis,
-    tabulated at 481 nodes along the axis (the same nodes on every axis).
+    tabulated at 481 equispaced nodes along the axis (the same on every axis).
 
-    The marginal density at an axis node is the weighted sum over the other
-    axes of a rule with 481 nodes along the axis and 481 (d = 2) or 61
-    (d >= 3) across it; its CDF is the cumulative trapezoid sum, normalized
-    by its last value, so the table's error is O(h^2) in the axis spacing.
-    A rule larger than the d = 3 one (1.1e8 nodes in d = 4) raises unbuilt.
+    The 480 panels between the table nodes carry the 2-point Gauss-Legendre
+    rule (:func:`calc.gauss2_panels`).  At each of its nodes the marginal
+    density is the sum over the other axes of a :class:`QuadratureRule` of 8
+    panels of 8 nodes per axis, or of 4 or 2 panels where 8 would put more
+    than ``_CDF_POINTS`` points on one axis's rule; d = 1 has no rule across.
+    The CDF is the cumulative panel sum, normalized by its last value.
+    ``rho`` sees at most ``2**16`` points a call.  Where even 2 panels exceed
+    ``_CDF_POINTS`` (d >= 5), it raises before any rule is built.
     """
-    across = 481 if d == 2 else 61
-    size = 481 * across ** (d - 1)
-    if size > _CDF_NODES:
+    xs = np.linspace(-box, box, 481)
+    t, half = calc.gauss2_panels(xs)
+    panels = next((p for p in (8, 4, 2) if len(t) * (8 * p) ** (d - 1) <= _CDF_POINTS), 0)
+    if not panels:
         raise MonteCarloError(
-            f"the d={d} marginal CDF rule has {size} nodes per axis, more than {_CDF_NODES} (d=3)"
+            f"the d={d} marginal CDF rule has {len(t) * 16 ** (d - 1)} points per axis with 2 panels across, "
+            f"more than {_CDF_POINTS}"
         )
+    across, w = np.zeros((1, 0)), np.ones(1)  # d = 1: no rule across
+    if d > 1:
+        across, w = QuadratureRule((-box,) * (d - 1), (box,) * (d - 1), (8 * panels,) * (d - 1)).points_and_weights()
+    step = calc._GAUSS_BUDGET // len(w)
     cdfs = []
     for axis in range(d):
-        nodes = tuple(481 if k == axis else across for k in range(d))
-        rule = QuadratureRule((-float(box),) * d, (float(box),) * d, nodes)
-        pts, w = rule.points_and_weights()
-        xs, w_axis = rule.axis_nodes(axis)
-        mass = (rho.rho(pts) * w).reshape(nodes)
-        marginal = np.moveaxis(mass, axis, 0).reshape(len(xs), -1).sum(axis=1) / w_axis
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (marginal[1:] + marginal[:-1]) * np.diff(xs))])
+        marginal = np.empty(len(t))
+        for k in range(0, len(t), step):
+            tk = t[k : k + step]
+            pts = np.insert(np.tile(across, (len(tk), 1)), axis, np.repeat(tk, len(w)), axis=1)
+            marginal[k : k + step] = rho.rho(pts).reshape(len(tk), len(w)) @ w
+        cdf = np.concatenate([[0.0], np.cumsum(half * marginal.reshape(-1, 2).sum(axis=1))])
         cdfs.append(cdf / cdf[-1])
     return xs, cdfs
 

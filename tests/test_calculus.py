@@ -343,12 +343,12 @@ def test_diffusion_root_degenerate_error():
 
 
 def test_integrate_constant():
-    rule = QuadratureRule(lo=(-1, -1), hi=(1, 1), nodes=(21, 21), scheme="simpson")
+    rule = QuadratureRule(lo=(-1, -1), hi=(1, 1), nodes=(16, 16))
     assert integrate(lambda pts: np.ones(len(pts)), rule) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_integrate_gaussian():
-    rule = QuadratureRule(lo=(-6.0, -6.0), hi=(6.0, 6.0), nodes=(241, 241))
+    rule = QuadratureRule(lo=(-6.0, -6.0), hi=(6.0, 6.0), nodes=(64, 64))
     f = Program(parse_expr("exp(-norm2(x))", 2))
     assert integrate(f, rule) == pytest.approx(math.pi, abs=1e-6)
 
@@ -422,7 +422,7 @@ def test_exact_sum_special_inputs_behave_as_fsum():
 
 
 def test_integrate_masked_skips_and_counts_non_finite_nodes():
-    rule = QuadratureRule(lo=(-1.0, -1.0), hi=(1.0, 1.0), nodes=(21, 21))
+    rule = QuadratureRule(lo=(-1.0, -1.0), hi=(1.0, 1.0), nodes=(24, 24))
     w = rule.points_and_weights()[1]
     rng = np.random.default_rng(5)
     values = rng.standard_normal(w.size) * 10.0 ** rng.uniform(-200, 200, w.size)
@@ -432,26 +432,15 @@ def test_integrate_masked_skips_and_counts_non_finite_nodes():
     assert repr(integrate_masked(values, rule)) == repr((math.fsum((w[ok] * values[ok]).tolist()), 3))
 
 
-def test_simpson_rejects_even_nodes():
-    with pytest.raises(ValueError):
-        QuadratureRule(lo=(-1,), hi=(1,), nodes=(10,), scheme="simpson")
-
-
-def test_simpson_exact_on_cubics():
-    rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(3,), scheme="simpson")
-    f = Program(parse_expr("x1^3", 1))
-    assert integrate(f, rule) == pytest.approx(4.0, abs=1e-13)
-
-
 def test_gauss_rejects_a_node_count_not_a_multiple_of_8():
     for n in (0, 12):
         with pytest.raises(ValueError):
-            QuadratureRule(lo=(-1,), hi=(1,), nodes=(n,), scheme="gauss")
+            QuadratureRule(lo=(-1,), hi=(1,), nodes=(n,))
 
 
 def test_gauss_panels_are_exact_on_degree_15():
     # two 8-point panels on [0, 2]; x^15 has integral 2^16 / 16
-    rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(16,), scheme="gauss")
+    rule = QuadratureRule(lo=(0.0,), hi=(2.0,), nodes=(16,))
     f = Program(parse_expr("x1^15 - 3*x1^7", 1))
     assert integrate(f, rule) == pytest.approx(2.0**16 / 16 - 3 * 2.0**8 / 8, rel=1e-14)
 

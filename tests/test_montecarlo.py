@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from sdelab import cli, montecarlo
 from sdelab import expr as ex
@@ -490,6 +490,21 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
         assert repr(got.tolist()) == repr(want.tolist())
 
 
+def test_mix_is_the_in_order_float_sum():
+    # out[..., i] = xi[..., 0] * s[i][0] + xi[..., 1] * s[i][1] + ..., added
+    # left to right on Python floats, at both of the shapes the loops pass
+    sigma = np.array([[1.3, 0.4, -0.2], [0.4, 0.9, 0.35], [-0.2, 0.35, 2.1]])
+    s = sigma.tolist()
+    rng = np.random.default_rng(7)
+    for shape in ((3334, 3), (512, 1, 3)):
+        xi = rng.standard_normal(shape)
+        want = [
+            [sum((v[j] * s[i][j] for j in range(1, 3)), v[0] * s[i][0]) for i in range(3)]
+            for v in xi.reshape(-1, 3).tolist()
+        ]
+        assert repr(montecarlo._mix(xi, sigma).reshape(-1, 3).tolist()) == repr(want)
+
+
 def test_chunked_noise_reproduces_the_stream(monkeypatch):
     # BM: each step adds sqrt(dt) * xi_k, so the saved states are the running
     # sums of one long read of each path's stream
@@ -556,7 +571,7 @@ def test_transition_histogram_flat_reference_rejected():
     assert out == {**transition_histogram(ens, 0.1), "reference_error": out["reference_error"]}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_marginal_cdf_table_matches_erf(d):
     # exp(-|x|^2) has N(0, 1/2) marginals, whose CDF is (1 + erf(x)) / 2
     rho = DensityField.from_expression("exp(-norm2(x))", d)
@@ -564,7 +579,25 @@ def test_marginal_cdf_table_matches_erf(d):
     assert len(cdfs) == d
     exact = 0.5 * (1.0 + np.array([math.erf(x) for x in grid]))
     for cdf in cdfs:
-        assert np.max(np.abs(cdf - exact)) <= 1e-4
+        assert np.max(np.abs(cdf - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("d, bound", [(2, 1e-8), (3, 1e-8), (4, 1e-4)])
+def test_marginal_cdf_table_of_a_correlated_gaussian(d, bound):
+    # exp(-|x|^2 - (x1 x2 + ... + x_{d-1} x_d)) is N(0, P^-1) with P = 2 I plus
+    # 1 beside the diagonal; its k-th marginal CDF is Phi(x / sqrt(P^-1_kk)).
+    # It is not a product, so the error across the axis does not cancel in
+    # the normalization
+    rho = DensityField.from_expression(
+        "exp(-norm2(x) - (" + " + ".join(f"x{i}*x{i + 1}" for i in range(1, d)) + "))", d
+    )
+    cov = np.linalg.inv(2 * np.eye(d) + np.eye(d, k=1) + np.eye(d, k=-1))
+    calls, density = [], rho.rho
+    rho.rho = lambda pts: calls.append(len(pts)) or density(pts)
+    grid, cdfs = montecarlo._marginal_cdfs(rho, d, montecarlo._REF_BOX)
+    for k, cdf in enumerate(cdfs):
+        assert np.max(np.abs(cdf - ndtr(grid / math.sqrt(cov[k, k])))) <= bound, k
+    assert max(calls) <= 2**16
 
 
 def test_ks_distance_helper():
@@ -693,22 +726,33 @@ def test_float_loop_covers_clips_ladders_and_skips(monkeypatch):
     assert one.skipped["sel"] == 0
 
 
-def test_d4_transition_reference_fails_before_building_its_rule(monkeypatch):
-    # 481 * 61^3 = 109177861 nodes per axis: more than the d = 3 rule's, so
-    # the stage fails with exit 3 and the count, and no rule is built
-    built = []
-    monkeypatch.setattr(montecarlo, "QuadratureRule", lambda *a: built.append(a))
-    cfg = {
+def _transition_scenario(d):
+    return {
         "schema_version": 1,
-        "name": "ou_4d_transition",
-        "dimension": 4,
-        "coefficients": {"A": [["1", "0", "0", "0"], ["1", "0", "0"], ["1", "0"], ["1"]],
-                         "H": ["-x1", "-x2", "-x3", "-x4"]},
+        "name": f"ou_{d}d_transition",
+        "dimension": d,
+        "coefficients": {"A": [["1" if j == i else "0" for j in range(i, d)] for i in range(d)],
+                         "H": [f"-x{i + 1}" for i in range(d)]},
         "density": {"analytic": ["exp(-norm2(x))"]},
-        "simulation": {"dt": 0.01, "horizon": 0.05, "paths": 20, "seed": 3, "x0": [0.0] * 4, "radii": [8.0],
+        "simulation": {"dt": 0.01, "horizon": 0.05, "paths": 20, "seed": 3, "x0": [0.0] * d, "radii": [8.0],
                        "transition": {"t": 0.05, "reference": "analytic:0"}},
     }
-    report = cli.run_scenario(cfg, stages=("simulation",))
+
+
+def test_d4_transition_reference_runs():
+    report = cli.run_scenario(_transition_scenario(4), stages=("simulation",))
+    assert report["status"]["exit_code"] == 0
+    ks = report["stages"]["simulation"]["transition"]["ks_distance"]
+    assert len(ks) == 4 and all(0.0 < v < 1.0 for v in ks)
+
+
+def test_d5_transition_reference_fails_before_building_its_rule(monkeypatch):
+    # 960 * 16^4 = 62914560 points per axis with 2 panels of 8 nodes across:
+    # more than 2**22, so the stage fails with exit 3 and the count, and no
+    # rule is built
+    built = []
+    monkeypatch.setattr(montecarlo, "QuadratureRule", lambda *a: built.append(a))
+    report = cli.run_scenario(_transition_scenario(5), stages=("simulation",))
     assert report["status"]["exit_code"] == 3
-    assert any("109177861 nodes" in note for note in report["status"]["notes"])
+    assert any("62914560 points" in note for note in report["status"]["notes"])
     assert built == []
