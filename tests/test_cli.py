@@ -580,6 +580,15 @@ def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):
     assert run_scenario(cfg, stages=("criteria",))["status"]["exit_code"] == 4
 
 
+def test_zero_boundary_solve_is_a_numerical_failure(tmp_path):
+    # boundary data 0 on every boundary node leave the tau column empty
+    cfg = tiny_bm_config(density={"solve": {"R_ladder": [2.0], "n": 8, "boundary": "0*x1"}}, criteria=[])
+    cfg.pop("simulation")
+    report = run_scenario(cfg, tmp_path, stages=("density",))
+    assert report["status"]["exit_code"] == 3
+    assert "exactly singular" in report["stages"]["density"]["error"]
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -759,9 +768,13 @@ def test_density_solve_emits_grid_csv(tmp_path):
     }
     report = run_scenario(cfg, tmp_path, stages=("density",))
     assert report["status"]["exit_code"] == 0
-    # the divergence residual goes to report.json only
+    # the divergence residual and what the solver did go to report.json only
     solve = json.loads((tmp_path / "report.json").read_text())["stages"]["density"]["solve"]
     assert 0 <= solve["divergence_residual"] < solve["invariance_scale"]
+    diag = solve["diagnostics"]
+    assert diag["method"] == "gmres-ilu"
+    assert diag["iterations"] == len(diag["residual_history"]) >= 1
+    assert diag["factor_nnz"] > 0
     grid = (tmp_path / "density_grid.csv").read_text().splitlines()
     assert grid[0].startswith("# R=2.0,n=16,d=2")
     assert grid[1] == "index,x1,x2,value"
