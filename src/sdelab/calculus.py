@@ -173,14 +173,29 @@ class CoefficientSet:
         out = self._A_program(pts)
         return out.reshape(out.shape[:-1] + (self.d, self.d))
 
+    @cached_property
+    def cholesky(self) -> Tuple[Expr, ...]:
+        """The lower Cholesky factor ``L`` of ``A`` row by row, constants folded
+        (Golub & Van Loan, *Matrix Computations*, 4.2; each sum in order), then
+        ``min_j p_j - 1e-12 trace(A)`` over the pivots ``p_j = L_jj^2``: not
+        positive (or NaN) where ``A`` is degenerate.  No ``p_j`` is below ``A``'s
+        least eigenvalue."""
+        L, pivots = [], []
+        for i in range(self.d):
+            L.append([])
+            for j in range(i + 1):
+                s = reduce(sub, (mul(L[i][k], L[j][k]) for k in range(j)), self.a_entry(i, j))
+                L[i].append(ex.fold_const(ex.div(s, L[j][j]) if j < i else ex.Sqrt(s)))
+            pivots.append(s)  # j = i
+        trace = reduce(ex.add, (self.a_entry(j, j) for j in range(self.d)))
+        margin = sub(reduce(ex.Min, pivots), mul(Const(1e-12), trace))
+        return tuple(e for row in L for e in row) + (ex.fold_const(margin),)
+
     def eval_G(self, pts) -> np.ndarray:
         return self._G_field(pts)
 
     def eval_H(self, pts) -> np.ndarray:
         return self._H_field(pts)
-
-    def a_is_constant(self) -> bool:
-        return all(ex.fold_const(e) is not None for row in self.a_upper for e in row)
 
 
 def upper_triangle(M, d: int, kind: str) -> Tuple[Tuple[Expr, ...], ...]:
@@ -219,9 +234,7 @@ def upper_triangle(M, d: int, kind: str) -> Tuple[Tuple[Expr, ...], ...]:
 def _mirror_ok(upper: Expr, lower: Expr, strict: bool) -> bool:
     # constants may be written out numerically on both sides
     cu, cl = ex.fold_const(upper), ex.fold_const(lower)
-    if cu is None or cl is None:
-        return False
-    return cl == (-cu if strict else cu)
+    return isinstance(cu, Const) and isinstance(cl, Const) and cl.value == (-cu.value if strict else cu.value)
 
 
 def _coerce(e, d: int) -> Expr:
@@ -960,16 +973,14 @@ def invariance_check(cs: CoefficientSet, rho: DensityField, halfwidth: float) ->
 
 
 def diffusion_root_batch(A_vals: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite square roots of a batch of SPD matrices.
+    """Symmetric positive-definite square roots of a batch ``(n, d, d)`` of SPD
+    matrices: the ``LINEAR_GROWTH_MOMENT`` margin reads their largest entry.
 
     Eigendecomposition with descending eigenvalues; the root is
     ``V sqrt(diag) V^T``, which does not depend on the eigenvector signs.  A
     smallest eigenvalue at or below ``1e-12`` times the trace is degenerate.
     """
     A_vals = np.asarray(A_vals, dtype=float)
-    single = A_vals.ndim == 2
-    if single:
-        A_vals = A_vals[None]
     w, v = np.linalg.eigh(A_vals)
     w = w[:, ::-1]
     v = v[:, :, ::-1]
@@ -978,6 +989,5 @@ def diffusion_root_batch(A_vals: np.ndarray) -> np.ndarray:
     if np.any(bad):
         k = int(np.argmax(bad))
         raise DegenerateDiffusionError(f"diffusion matrix degenerate: eigenvalue {w[k, -1]:.3e} <= 1e-12 * trace")
-    root = np.einsum("nik,nk,njk->nij", v, np.sqrt(w), v)
-    return root[0] if single else root
+    return np.einsum("nik,nk,njk->nij", v, np.sqrt(w), v)
 

@@ -65,6 +65,7 @@ __all__ = [
     "eval_expr",
     "evaluate",
     "Program",
+    "columns",
     "batched",
     "coord",
     "add",
@@ -640,13 +641,12 @@ class Program:
     :meth:`function` ``(d)`` is that function of ``(x1, .., xd)``: the
     coordinate columns ``(n,)`` of a point batch, or one point as Python
     floats; it returns one value per expression, with the same bits either
-    way.  ``norm2`` is the in-order sum ``x1*x1 + ... + xd*xd`` in every d,
-    so its bits do not depend on the host.  A single expression maps
-    ``(n, d)`` points to ``(n,)``; a sequence of ``m`` expressions maps them
-    to ``(n, m)``.  Calling the program also takes one point ``(d,)`` and
-    evaluates under ``np.errstate(all="ignore")``; :meth:`run` is the same
-    evaluation without either, for a stepping loop that holds one
-    ``errstate`` around all its calls.
+    way; a constant expression's value is a Python float either way.
+    ``norm2`` is the in-order sum ``x1*x1 + ... + xd*xd`` in every d, so its
+    bits do not depend on the host.  Calling the program evaluates under
+    ``np.errstate(all="ignore")``: a single expression maps ``(n, d)`` points
+    to ``(n,)``, a sequence of ``m`` expressions maps them to ``(n, m)``, and
+    one point ``(d,)`` is taken as a batch of one.
     """
 
     def __init__(self, exprs: Union[Expr, Sequence[Expr]]):
@@ -701,15 +701,17 @@ class Program:
     @batched
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return self.run(pts)
-
-    def run(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at ``(n, d)`` points under the caller's ``np.errstate``."""
-        values = self.function(pts.shape[1])(*pts.T)
-        out = np.empty((pts.shape[0], len(values)))
-        for k, v in enumerate(values):
-            out[:, k] = v
+            out = columns(self.function(pts.shape[1])(*pts.T), pts.shape[0])
         return out[:, 0] if self._scalar else out
+
+
+def columns(values: Sequence, n: int) -> np.ndarray:
+    """A program function's values at ``n`` points (columns, or Python floats
+    where constant) as the columns of one ``(n, len(values))`` array."""
+    out = np.empty((n, len(values)))
+    for k, v in enumerate(values):
+        out[:, k] = v
+    return out
 
 
 def evaluate(e: Expr, points: np.ndarray) -> np.ndarray:
@@ -745,10 +747,10 @@ def _locate_domain_failure(e: Expr, pt: np.ndarray) -> Expr:
     return e
 
 
-def fold_const(e: Expr) -> Optional[float]:
-    """Value of a constant expression, or None when it mentions coordinates."""
+def fold_const(e: Expr) -> Expr:
+    """``e``, or its value as a :class:`Const` when it mentions no coordinate."""
     for node in walk(e):
         if isinstance(node, (Coord, Norm2)):
-            return None
-    return float(evaluate(e, np.zeros(1)))
+            return e
+    return Const(float(evaluate(e, np.zeros(1))))
 

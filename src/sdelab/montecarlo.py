@@ -1,49 +1,46 @@
 """Euler-Maruyama ensembles with localization ladders and estimators.
 
-Paths follow ``X_{k+1} = X_k + G_clip(X_k) dt + sigma(X_k) sqrt(dt) xi_k``
-with ``sigma`` the symmetric square root of ``A`` and ``xi_k`` standard
-Gaussians drawn by inverse CDF from counter-based Philox streams keyed by
-``(master seed, path index)``.  Each path's stream is read in chunks of
-``_NOISE_CHUNK`` time steps; successive reads continue the stream, so the
-numbers are those of one long read.  A path stops permanently at its first
-exit from the largest ladder radius (absorption is the simulator's proxy for
-the cemetery state); exit times are recorded for every ladder radius at the
-first sample index with ``|X| >= n``.  ``simulate_ensemble`` steps every
-ensemble: the ergodic average runs as a one-path ensemble, and a transition
-histogram reads the state of an ensemble stepped for other estimators.
-Everything is bit-reproducible for a fixed config, however the paths are
-split into batches.
+Paths follow ``X_{k+1} = X_k + G_clip(X_k) dt + L(X_k) sqrt(dt) xi_k``
+with ``L`` the lower Cholesky factor of ``A`` (any ``sigma sigma^T = A`` gives
+the same law) and ``xi_k`` standard Gaussians drawn by inverse CDF from
+counter-based Philox streams keyed by ``(master seed, path index)``.  Each
+path's stream is read in chunks of ``_NOISE_CHUNK`` time steps; successive
+reads continue the stream, so the numbers are those of one long read.  A
+path stops permanently at its first exit from the largest ladder radius
+(absorption is the simulator's proxy for the cemetery state); exit times are
+recorded for every ladder radius at the first sample index with
+``|X| >= n``.  ``simulate_ensemble`` steps every ensemble: the ergodic
+average runs as a one-path ensemble, and a transition histogram reads the
+state of an ensemble stepped for other estimators.  Everything is
+bit-reproducible for a fixed config, however the paths are split into
+batches.
 
-Two loops step a batch, with the same operations in the same order, and
-share the noise chunks, the save slots and the result arrays.
-:func:`_step_batch` steps the batch's paths together.  Its cost is mostly
-per numpy call, so each step makes few: the drift and every accumulator are
-one compiled :class:`~sdelab.expr.Program`, evaluated by one ``Program.run``
-call per step, and one ``np.errstate`` is entered per batch.
-:func:`_step_path` steps a batch of one path on Python floats through the
-same program's generated function, at a tenth of the cost per step.  It
-needs a constant ``A`` only, because every sum of squares (``norm2`` and
-:func:`_row_norms`) is the in-order sum in every d; the ergodic average is
-such a batch.
-The noise of a constant ``A`` is an in-order sum over the columns of its
-root (:func:`_mix`), elementwise, so a path's bits do not depend on how
-many paths share its batch.  A non-finite accumulator increment (a path on
-a singular set) is skipped and counted in ``PathEnsemble.skipped``, as
-:func:`calculus.integrate_masked` skips and counts quadrature nodes.
+Two loops step a batch, with the same operations in the same order: each
+step calls one compiled :class:`~sdelab.expr.Program` for the drift, every
+accumulator and :attr:`CoefficientSet.cholesky` (``L``, then a margin that
+raises :class:`~sdelab.calculus.DegenerateDiffusionError` where it is not
+positive).  :func:`_step_batch` steps the batch's paths together, with few
+numpy calls per step; :func:`_step_path` steps a batch of one path on Python
+floats, at a tenth of the cost per step.  Every sum (``norm2``,
+:func:`_row_norms`, the noise ``sum_{j<=i} L_ij xi_j``, :func:`_mix`) is in
+order and elementwise, so a path's bits do not depend on its batch.  A
+non-finite accumulator increment (a path on a singular set) is skipped and
+counted in ``PathEnsemble.skipped``, as :func:`calculus.integrate_masked`
+skips and counts quadrature nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import calculus as calc
 from .calculus import CoefficientSet, DensityField, QuadratureRule
-from .expr import Const, Expr, Max, Program, mul
+from .expr import Const, Expr, Max, Program, columns, mul
 
 __all__ = [
     "MonteCarloError",
@@ -164,17 +161,25 @@ def _noise(seed: int, lo: int, hi: int, n_steps: int, d: int) -> Iterator[np.nda
         yield u
 
 
-def _mix(xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``xi @ sigma.T``, column by column: ``out[..., i]`` is the in-order sum
-    over j of ``xi[..., j] * sigma[i, j]``, with scalar factors.
-
-    It is elementwise, so a path's noise has the same bits however many
-    paths share the call; a matmul picks its kernel by shape, and its one-row
-    product can differ from its two-row product in the last bit."""
-    out = np.empty(xi.shape)
-    for i, r in enumerate(sigma.tolist()):
-        out[..., i] = sum((xi[..., j] * r[j] for j in range(1, len(r))), xi[..., 0] * r[0])
+def _mix(e: np.ndarray, V: Sequence, rows: List[Tuple[int, int, range]]) -> np.ndarray:
+    """``out[:, i]`` is the in-order sum over ``j <= i`` of ``e[:, j] * L_ij``,
+    ``L`` read from a program's values ``V`` at ``rows`` (``_Job.rows``),
+    elementwise: a path's bits do not depend on its batch, as a matmul's do."""
+    out = np.empty(e.shape)
+    for i, o, js in rows:
+        s = e[:, 0] * V[o]
+        for j in js:
+            s = s + e[:, j] * V[o + j]
+        out[:, i] = s
     return out
+
+
+def _degenerate(X, margin) -> calc.DegenerateDiffusionError:
+    """The error at the first row of ``X`` whose degeneracy margin is not positive."""
+    x = np.asarray(X[int(np.argmin(np.broadcast_to(margin, (len(X),)) > 0))]).tolist()
+    return calc.DegenerateDiffusionError(
+        f"diffusion matrix degenerate at x = {x}: a Cholesky pivot is not above 1e-12 * trace"
+    )
 
 
 @dataclass
@@ -182,12 +187,10 @@ class _Job:
     """An ensemble's step settings and the result arrays that both stepping
     loops fill, path by path."""
 
-    cs: CoefficientSet
     cfg: SimulationConfig
     x0: np.ndarray
-    fused: Program  # the drift's d columns, then one per accumulator
-    drift: Program  # the steps before acc_start
-    sigma: Optional[np.ndarray]  # the root of a constant A
+    fused: Callable  # the generated function of the drift's d columns, one per accumulator, then cs.cholesky
+    rows: List[Tuple[int, int, range]]  # per row i of L: i, L_i0's index from the values' end, the j > 0
     acc_start: int
     save_pos: Dict[int, int]  # step -> save slot
     states: np.ndarray
@@ -244,15 +247,12 @@ def simulate_ensemble(
     d = cs.d
     accumulate = accumulate or {}
     names = list(accumulate)
-    fused = Program(tuple(cs.G) + tuple(accumulate.values()))
     paths, n_saved = cfg.paths, len(save_idx)
     job = _Job(
-        cs=cs,
         cfg=cfg,
         x0=x0,
-        fused=fused,
-        drift=Program(cs.G) if names else fused,
-        sigma=calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if cs.a_is_constant() else None,
+        fused=Program(tuple(cs.G) + tuple(accumulate.values()) + cs.cholesky).function(d),
+        rows=[(i, i * (i + 1) // 2 - len(cs.cholesky), range(1, i + 1)) for i in range(d)],
         acc_start=int(round(accumulate_from / dt)),
         save_pos={k: i for i, k in enumerate(save_idx)},
         states=np.empty((paths, n_saved, d)),
@@ -266,7 +266,7 @@ def simulate_ensemble(
     for lo, hi in _batch_bounds(paths, n_steps, d):
         noise = _noise(cfg.seed, lo, hi, n_steps, d)
         with np.errstate(all="ignore"):
-            if hi - lo == 1 and job.sigma is not None:
+            if hi - lo == 1:
                 _step_path(job, lo, noise)
             else:
                 _step_batch(job, lo, hi, noise)
@@ -288,15 +288,16 @@ def simulate_ensemble(
 def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> None:
     """Step paths ``lo .. hi-1`` together, one numpy operation per step over
     the living paths."""
-    cfg, cs, d = job.cfg, job.cs, len(job.x0)
+    cfg, d = job.cfg, len(job.x0)
     dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
+    n_acc = job.accs.shape[2]
     radii = np.array(cfg.radii, dtype=float)
     n_radii = len(radii)
     next_radius = np.append(radii, np.inf)  # a path past the last radius has none
     cols = np.arange(n_radii)
     B = hi - lo
     X = np.tile(job.x0, (B, 1))
-    totals = np.zeros((B, job.accs.shape[2]))
+    totals = np.zeros((B, n_acc))
     live = slice(None)  # the living paths; a slice, so views, until one leaves
     ids = np.arange(B)  # batch indices of the living paths
     nxt = np.zeros(B, dtype=np.intp)  # each path's next ladder radius ...
@@ -309,17 +310,18 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> Non
         if len(ids):
             Xa = X[live]
             e = xi[c][live]
+            V = job.fused(*Xa.T)
+            if not np.all(V[-1] > 0):
+                raise _degenerate(Xa, V[-1])
+            W = columns(V[: d + n_acc], len(Xa))
+            G = W[:, :d]
             if k >= job.acc_start:
-                V = job.fused.run(Xa)
-                G = V[:, :d]
-                inc = V[:, d:] * dt
+                inc = W[:, d:] * dt
                 ok = np.isfinite(inc)
                 if np.count_nonzero(ok) < ok.size:
                     job.skipped[:] += len(ok) - ok.sum(axis=0)
                     inc[~ok] = 0.0
                 totals[live] += inc
-            else:
-                G = job.drift.run(Xa)
             gn = _row_norms(G)
             too_big = gn * dt > cfg.clip
             if np.count_nonzero(too_big):
@@ -327,12 +329,7 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> Non
                 scale[too_big] = cfg.clip / (gn[too_big] * dt)
                 G = G * scale[:, None]
                 job.clip_counts[lo + ids[too_big]] += 1
-            if job.sigma is not None:
-                noise_k = _mix(e, job.sigma)
-            else:
-                sig = calc.diffusion_root_batch(cs.eval_A(Xa))
-                noise_k = np.einsum("nij,nj->ni", sig, e)
-            Xa = Xa + G * dt + sqrt_dt * noise_k
+            Xa = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
             X[live] = Xa
             rn = _row_norms(Xa)
             hit = rn >= thr[live]
@@ -356,13 +353,14 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> Non
 def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
     """Step path ``p`` alone on Python floats, with :func:`_step_batch`'s
     operations in its order: the program's function takes the point as
-    floats, the noise rows are one chunk's ``.tolist()``, and the clip and
-    the ladder are ``if``s."""
+    floats, the noise rows are one chunk's ``.tolist()``, :func:`_mix` is
+    written out, and the clip and the ladder are ``if``s.  No noise is drawn
+    after the path leaves."""
     cfg, d = job.cfg, len(job.x0)
     dt, sqrt_dt, clip = cfg.dt, math.sqrt(cfg.dt), cfg.clip
     radii = cfg.radii
     n_radii = len(radii)
-    fused, drift = job.fused.function(d), job.drift.function(d)
+    fused = job.fused
     n_acc = job.accs.shape[2]
     x = job.x0.tolist()
     totals = [0.0] * n_acc
@@ -372,40 +370,49 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
     for k in range(cfg.n_steps):
         c = k % _NOISE_CHUNK
         if c == 0:
-            rows = _mix(next(noise)[:, 0], job.sigma).tolist()
-        if nxt < n_radii:
-            if k >= job.acc_start:
-                V = fused(*x)
-                G = V[:d]
-                for j in range(n_acc):
-                    inc = V[d + j] * dt
-                    if math.isfinite(inc):
-                        totals[j] += inc
-                    else:
-                        skipped[j] += 1
-            else:
-                G = drift(*x)
-            s = G[0] * G[0]
-            for g in G[1:]:
-                s = s + g * g
-            gn = math.sqrt(s)
-            if gn * dt > clip:
-                scale = clip / (gn * dt)
-                G = [g * scale for g in G]
-                clips += 1
-            e = rows[c]
-            x = [x[i] + G[i] * dt + sqrt_dt * e[i] for i in range(d)]
-            s = x[0] * x[0]
-            for v in x[1:]:
-                s = s + v * v
-            r = math.sqrt(s)
-            if r >= thr:
-                over = max(over, r - thr)
-                while nxt < n_radii and r >= radii[nxt]:
-                    job.exit_t[p, nxt] = (k + 1) * dt
-                    nxt += 1
-                thr = radii[nxt] if nxt < n_radii else math.inf
+            chunk = next(noise)[:, 0].tolist()
+        V = fused(*x)
+        if not V[-1] > 0:
+            raise _degenerate([x], V[-1])
+        if k >= job.acc_start:
+            for j in range(n_acc):
+                inc = V[d + j] * dt
+                if math.isfinite(inc):
+                    totals[j] += inc
+                else:
+                    skipped[j] += 1
+        G = V[:d]
+        s = G[0] * G[0]
+        for g in G[1:]:
+            s = s + g * g
+        gn = math.sqrt(s)
+        if gn * dt > clip:
+            scale = clip / (gn * dt)
+            G = [g * scale for g in G]
+            clips += 1
+        e = chunk[c]
+        xn = []
+        for i, o, js in job.rows:
+            s = e[0] * V[o]
+            for j in js:
+                s = s + e[j] * V[o + j]
+            xn.append(x[i] + G[i] * dt + sqrt_dt * s)
+        x = xn
+        s = x[0] * x[0]
+        for v in x[1:]:
+            s = s + v * v
+        r = math.sqrt(s)
         job.save(k + 1, p, x, totals)
+        if r >= thr:
+            over = max(over, r - thr)
+            while nxt < n_radii and r >= radii[nxt]:
+                job.exit_t[p, nxt] = (k + 1) * dt
+                nxt += 1
+            thr = radii[nxt] if nxt < n_radii else math.inf
+            if nxt == n_radii:  # the path has left: its state and totals stay
+                for later in range(k + 2, cfg.n_steps + 1):
+                    job.save(later, p, x, totals)
+                break
     job.clip_counts[p] = clips
     job.status[p] = nxt == n_radii
     job.overshoot[p] = over

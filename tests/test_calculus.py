@@ -310,16 +310,16 @@ def test_residual_scale_counts_the_bump_centre():
 
 def test_diffusion_root_identity_and_diag():
     cs = identity_cs()
-    assert np.allclose(calc.diffusion_root_batch(cs.eval_A([0.3, -1.2])), np.eye(2))
+    assert np.allclose(calc.diffusion_root_batch(cs.eval_A([[0.3, -1.2]])), np.eye(2))
     cs2 = build_coefficient_set([["4", "0"], ["9"]], None, None, d=2)
-    assert np.allclose(calc.diffusion_root_batch(cs2.eval_A([0.0, 0.0])), np.diag([2.0, 3.0]))
+    assert np.allclose(calc.diffusion_root_batch(cs2.eval_A([[0.0, 0.0]])), np.diag([2.0, 3.0]))
 
 
 def test_diffusion_root_multiplies_back():
     rng = np.random.default_rng(123)
     M = rng.normal(size=(3, 3))
     A = M @ M.T + 3 * np.eye(3)
-    root = calc.diffusion_root_batch(A)
+    (root,) = calc.diffusion_root_batch(A[None])
     assert np.max(np.abs(root @ root - A)) <= 1e-12 * np.max(np.abs(A))
 
 
@@ -331,15 +331,14 @@ def test_diffusion_root_locally_lipschitz():
     P = rng.normal(size=(3, 3))
     P = (P + P.T) / 2
     P *= delta / np.max(np.abs(P))
-    r0 = calc.diffusion_root_batch(A)
-    r1 = calc.diffusion_root_batch(A + P)
+    r0, r1 = calc.diffusion_root_batch(np.stack([A, A + P]))
     assert np.max(np.abs(r1 - r0)) <= 50 * delta
 
 
 def test_diffusion_root_degenerate_error():
     cs = build_coefficient_set([["x1^2 + 1e-300", "0"], ["1"]], None, None, d=2, probes=np.array([[1.0, 0.0]]))
     with pytest.raises(calc.DegenerateDiffusionError):
-        calc.diffusion_root_batch(cs.eval_A([0.0, 0.0]))
+        calc.diffusion_root_batch(cs.eval_A([[0.0, 0.0]]))
 
 
 def test_integrate_constant():

@@ -589,6 +589,18 @@ def test_zero_boundary_solve_is_a_numerical_failure(tmp_path):
     assert "exactly singular" in report["stages"]["density"]["error"]
 
 
+@pytest.mark.parametrize("paths", [1, 50])
+def test_degenerate_diffusion_is_a_numerical_failure(tmp_path, paths):
+    # the outward drift takes the paths to |x| > 5.26, where the pivot
+    # exp(-|x|^2) of A is at most 1e-12 * trace: exit 3 with the state
+    cfg = tiny_bm_config(criteria=[])
+    cfg["coefficients"] = {"A": [["1", "0"], ["exp(-norm2(x))"]], "H": ["x1", "x2"]}
+    cfg["simulation"].update(paths=paths, horizon=5.0, x0=[1.0, 0.0])
+    report = run_scenario(cfg, tmp_path, stages=("simulation",))
+    assert report["status"]["exit_code"] == 3
+    assert "diffusion matrix degenerate at x = " in report["stages"]["simulation"]["error"]
+
+
 @pytest.mark.parametrize(
     "block",
     [

@@ -405,5 +405,5 @@ def test_program_on_floats_matches_arrays(tree, point):
     pts = np.array([point, [0.5, -1.5]])
     with np.errstate(all="ignore"):
         floats = prog.function(2)(*point)
-        arrays = prog.run(pts)[0]
+        arrays = prog(pts)[0]
     assert repr([float(v) for v in floats]) == repr(arrays.tolist())

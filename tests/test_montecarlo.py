@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
@@ -74,8 +74,11 @@ def test_seed_determinism_across_batch_splits(monkeypatch):
         "64-path batches": [(s, min(s + 64, cfg.paths)) for s in range(0, cfg.paths, 64)],
         "one path alone": [(0, 1), (1, cfg.paths)],
     }
-    # a constant A whose root is not diagonal: a matmul's bits depend on its row count
-    for cs in (OU, build_coefficient_set([["2", "0.8"], ["1.5"]], None, ["-x1", "-x2"], d=2)):
+    # a constant A whose root is not diagonal (a matmul's bits depend on its
+    # row count), and an A whose root is a column per path
+    non_constant = [["2 + x1/(1 + norm2(x))", "0.3*x2/(1 + norm2(x))"], ["1.5 + 0.5*exp(-norm2(x))"]]
+    for A in ([["1", "0"], ["1"]], [["2", "0.8"], ["1.5"]], non_constant):
+        cs = build_coefficient_set(A, None, ["-x1", "-x2"], d=2)
         monkeypatch.undo()
         a = simulate_ensemble(cs, [1.0, -1.0], cfg, save_times=[0.25, 0.5], accumulate=acc)
         assert a.clip_counts.sum() > 0 and np.isfinite(a.exit_times[1.5]).any()
@@ -283,16 +286,35 @@ def _philox_normals(seed, path, shape):
     return ndtri(u)
 
 
+def cholesky_noise(A, xi):
+    """``L xi`` for the lower Cholesky factor ``L`` of ``A``, both by the
+    recurrence on Python floats with each sum taken in order; not
+    ``np.linalg.cholesky``, whose LAPACK kernel scales by a reciprocal, so
+    its bits differ."""
+    A, xi = A.tolist(), xi.tolist()
+    d = len(A)
+    L = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1):
+            s = A[i][j]
+            for k in range(j):
+                s = s - L[i][k] * L[j][k]
+            L[i][j] = math.sqrt(s) if i == j else s / L[j][j]
+    noise = []
+    for i in range(d):
+        s = xi[0] * L[i][0]
+        for j in range(1, i + 1):
+            s = s + xi[j] * L[i][j]
+        noise.append(s)
+    return np.array(noise)
+
+
 def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
     """The scalar single-path loop that ``ergodic_average`` replaced."""
     fn = Program(f)
     d = cs.d
     n_steps = cfg.n_steps
     xi = _philox_normals(cfg.seed, 0, (n_steps, d))
-    a_const = cs.a_is_constant()
-    sigma_const = (
-        calc.diffusion_root_batch(cs.eval_A(np.zeros((1, d))))[0] if a_const else None
-    )
     g_field = cs.eval_G
     x = np.asarray(x0, dtype=float).copy()
     r_top = cfg.radii[-1]
@@ -313,11 +335,7 @@ def scalar_ergodic_average(cs, x0, cfg, f, burn_in, curve_points=200):
         gn = float(np.linalg.norm(G))
         if gn * dt > cfg.clip:
             G = G * (cfg.clip / (gn * dt))
-        if a_const:
-            noise = sigma_const @ xi[k]
-        else:
-            noise = calc.diffusion_root_batch(cs.eval_A(x[None, :]))[0] @ xi[k]
-        x = x + G * dt + sqrt_dt * noise
+        x = x + G * dt + sqrt_dt * cholesky_noise(cs.eval_A(x), xi[k])
         if float(np.linalg.norm(x)) >= r_top:
             t_exit = (k + 1) * dt
             if t_exit <= burn_in:
@@ -418,9 +436,7 @@ def plain_ensemble(cs, x0, cfg, save_times, accumulate, accumulate_from):
                 if gn * dt > cfg.clip:
                     G = G * (cfg.clip / (gn * dt))
                     clips += 1
-                sig = calc.diffusion_root_batch(cs.eval_A(x[None, :]))
-                noise = np.einsum("nij,nj->ni", sig, xi[k][None, :])
-                x = (x[None, :] + G * dt + sqrt_dt * noise)[0]
+                x = (x[None, :] + G * dt + sqrt_dt * cholesky_noise(cs.eval_A(x), xi[k]))[0]
                 r = float(np.linalg.norm(x[None, :], axis=1)[0])
                 if r >= radii[nxt]:
                     over = max(over, r - radii[nxt])
@@ -448,7 +464,7 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
     cs = build_coefficient_set(
         [["2 + x1/(1 + norm2(x))", "0.3"], ["1.5"]], None, ["3*x1 - x1*norm2(x)", "3*x2 - x2*norm2(x)"], d=2
     )
-    assert not cs.a_is_constant()
+    assert not isinstance(cs.cholesky[0], ex.Const)
     dt = 2e-2
     cfg = SimulationConfig(dt=dt, horizon=600 * dt, paths=12, seed=404, radii=(1.0, 1.05, 1.1, 2.8), clip=0.06)
     # ln(x1) is not finite wherever x1 <= 0
@@ -491,23 +507,35 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(d):
 
 
 def test_mix_is_the_in_order_float_sum():
-    # out[..., i] = xi[..., 0] * s[i][0] + xi[..., 1] * s[i][1] + ..., added
-    # left to right on Python floats, at both of the shapes the loops pass
-    sigma = np.array([[1.3, 0.4, -0.2], [0.4, 0.9, 0.35], [-0.2, 0.35, 2.1]])
-    s = sigma.tolist()
+    # out[:, i] = e[:, 0] * L_i0 + ... + e[:, i] * L_ii, added left to right
+    # as on Python floats, with L's entries as Python floats (a constant A)
+    # and as one column per path; in d = 3 the values end with L's 6 entries
+    # and the margin, so row i starts i(i+1)/2 - 7 from their end
     rng = np.random.default_rng(7)
-    for shape in ((3334, 3), (512, 1, 3)):
-        xi = rng.standard_normal(shape)
-        want = [
-            [sum((v[j] * s[i][j] for j in range(1, 3)), v[0] * s[i][0]) for i in range(3)]
-            for v in xi.reshape(-1, 3).tolist()
-        ]
-        assert repr(montecarlo._mix(xi, sigma).reshape(-1, 3).tolist()) == repr(want)
+    e = rng.standard_normal((3334, 3))
+    rows = [(0, -7, range(1, 1)), (1, -6, range(1, 2)), (2, -4, range(1, 3))]
+    for L in (rng.standard_normal(6).tolist(), list(rng.standard_normal((6, 3334)))):
+        per_path = np.broadcast_to(np.array(L).T, (3334, 6)).tolist()
+        want = []
+        for v, l in zip(e.tolist(), per_path):
+            out = []
+            for i, o, js in rows:
+                s = v[0] * l[o + 7]
+                for j in js:
+                    s = s + v[j] * l[o + 7 + j]
+                out.append(s)
+            want.append(out)
+        got = montecarlo._mix(e, (None,) + tuple(L) + (1.0,), rows)  # a drift value, L, the margin
+        assert repr(got.tolist()) == repr(want)
 
 
-def test_chunked_noise_reproduces_the_stream(monkeypatch):
-    # BM: each step adds sqrt(dt) * xi_k, so the saved states are the running
-    # sums of one long read of each path's stream
+@pytest.mark.parametrize(
+    "a", [(1.0, 1.0), (2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 2.0, 7.0)], ids=["I2", "diag_2_3", "I3", "diag_05_2_7"]
+)
+def test_chunked_noise_reproduces_the_stream(monkeypatch, a):
+    # BM with a constant diagonal A: each step adds sqrt(dt) * xi_k * sqrt(a),
+    # so the saved states are the running sums of one long read of each
+    # path's stream; diag(sqrt(a)) is the symmetric root bit for bit as well
     batches = []
 
     def two_batches(paths, n_steps, d):
@@ -515,16 +543,33 @@ def test_chunked_noise_reproduces_the_stream(monkeypatch):
         return [(0, 3), (3, paths)]
 
     monkeypatch.setattr(montecarlo, "_batch_bounds", two_batches)
+    d = len(a)
+    assert np.array_equal(calc.diffusion_root_batch(np.diag(a)[None])[0], np.diag(np.sqrt(a)))
+    cs = build_coefficient_set([[repr(a[i]) if j == i else "0" for j in range(i, d)] for i in range(d)], d=d)
     n_steps = 2 * montecarlo._NOISE_CHUNK + 276
     dt = 1e-3
     cfg = SimulationConfig(dt=dt, horizon=n_steps * dt, paths=5, seed=2024, radii=(16.0,))
-    x0 = np.array([0.3, -0.2])
-    ens = simulate_ensemble(BM, x0, cfg, save_times=[k * dt for k in range(n_steps + 1)])
+    x0 = np.array([0.3, -0.2, 0.1][:d])
+    ens = simulate_ensemble(cs, x0, cfg, save_times=[k * dt for k in range(n_steps + 1)])
     assert batches == [(5, n_steps)]
-    assert ens.states.shape == (5, n_steps + 1, 2)
+    assert ens.states.shape == (5, n_steps + 1, d)
     for p in range(cfg.paths):
-        steps = math.sqrt(dt) * _philox_normals(cfg.seed, p, (n_steps, 2))
+        steps = math.sqrt(dt) * (_philox_normals(cfg.seed, p, (n_steps, d)) * np.sqrt(a))
         assert np.array_equal(ens.states[p], np.cumsum(np.vstack([x0, steps]), axis=0))
+
+
+@pytest.mark.parametrize("paths", [1, 3], ids=["float loop", "batch loop"])
+@pytest.mark.parametrize("a22", ["exp(-norm2(x))", "sqrt(60 - norm2(x))"], ids=["small pivot", "nan pivot"])
+def test_degenerate_diffusion_fails_in_both_loops(paths, a22):
+    # the outward drift takes every path to where the second pivot a22 is at
+    # most 1e-12 * trace (|x|^2 >= ln(1e12 - 1) = 27.63) or not finite
+    # (|x|^2 > 60); the error names the first state where it is
+    cs = build_coefficient_set([["1", "0"], [a22]], None, ["x1", "x2"], d=2)
+    cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=paths, seed=5, radii=(16.0,))
+    with pytest.raises(calc.DegenerateDiffusionError, match="diffusion matrix degenerate at x = ") as err:
+        simulate_ensemble(cs, [1.0, 0.0], cfg)
+    x = json.loads(str(err.value).split("x = ")[1].split(":")[0])
+    assert sum(v * v for v in x) >= (27.63 if a22.startswith("exp") else 60.0)
 
 
 def test_ergodic_average_burn_in_guard():
@@ -618,9 +663,11 @@ def test_x0_must_start_inside_ladder():
 
 # --- the float loop: a one-path batch against the same path in a batch of two ---
 
-_A_CONST = {
+_A = {
     "diagonal": [["1.7", "0", "0"], ["0.6", "0"], ["1"]],
     "non_diagonal": [["2", "0.8", "0.3"], ["1.5", "0.2"], ["1"]],
+    # diagonally dominant wherever it is finite
+    "non_constant": [["1.5 + exp(-norm2(x))", "0.3/(1 + norm2(x))", "0.2"], ["1.2 + 0.5*erf(x1)", "0.1"], ["1"]],
 }
 # the fixed accumulators: a Div by an exact 0 (Python's / would raise), ln of
 # negative values (skipped and counted), and SelGe, Min, Max, Pow and Erf
@@ -691,15 +738,22 @@ def _float_oracle(monkeypatch, cs, accumulate, accumulate_from):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from(sorted(_A_CONST)), st.sampled_from([0.0, 0.3]))
+@given(st.data(), st.sampled_from([1, 2, 3]), st.sampled_from(sorted(_A)), st.sampled_from([0.0, 0.3]))
 def test_float_loop_matches_the_array_loop(monkeypatch, data, d, a_kind, accumulate_from):
     drift = [data.draw(_NODES[d]) for _ in range(d)]
     accumulate = {name: parse_expr(src, d) for name, src in _FIXED_ACC.items()}
     accumulate["drawn"] = data.draw(_NODES[d])
-    A = [row[: d - i] for i, row in enumerate(_A_CONST[a_kind][:d])]
+    A = [row[: d - i] for i, row in enumerate(_A[a_kind][:d])]
     cs = build_coefficient_set(A, None, [to_source(g) for g in drift], d=d)
-    _, stepped = _float_oracle(monkeypatch, cs, accumulate, accumulate_from)
-    # the float loop steps every one-path batch of a constant A, norm2 or not
+    try:
+        _, stepped = _float_oracle(monkeypatch, cs, accumulate, accumulate_from)
+    except calc.DegenerateDiffusionError as err:
+        # a drift that is not finite takes a path to a NaN state, where a
+        # non-constant A has no root: each run raises, at the step where its
+        # batch first meets one
+        assert a_kind == "non_constant" and "nan" in str(err).split(":")[0], err
+        assume(False)
+    # the float loop steps every one-path batch, whatever A is
     assert stepped == 3
 
 
@@ -713,8 +767,11 @@ def test_float_loop_steps_d8(monkeypatch):
 
 def test_float_loop_covers_clips_ladders_and_skips(monkeypatch):
     # outward drift inside radius sqrt(3), inward outside: the tight clip
-    # fires, and steps cross several of the close inner radii at once
-    cs = build_coefficient_set([["2", "0.8"], ["1.5"]], None, ["3*x1 - x1*norm2(x)", "3*x2 - x2*norm2(x)"], d=2)
+    # fires, and steps cross several of the close inner radii at once; A is
+    # not constant, and the path reaches x1 <= 0 before it leaves
+    cs = build_coefficient_set(
+        [["2 + x1/(1 + norm2(x))", "0.8"], ["1"]], None, ["3*x1 - x1*norm2(x)", "3*x2 - x2*norm2(x)"], d=2
+    )
     accumulate = {name: parse_expr(src, 2) for name, src in _FIXED_ACC.items()}
     one, stepped = _float_oracle(monkeypatch, cs, accumulate, 0.3)
     assert stepped == 3
@@ -724,6 +781,23 @@ def test_float_loop_covers_clips_ladders_and_skips(monkeypatch):
     assert np.all(one.accumulators["sel"][0, :1] == 0.0) and one.accumulators["sel"][0, -1] != 0.0
     assert one.skipped["div"] > 0 and 0 < one.skipped["ln"] < one.skipped["div"]
     assert one.skipped["sel"] == 0
+
+
+def test_float_loop_draws_no_noise_after_its_path_leaves(monkeypatch):
+    # the strong outward drift takes the path past radius 3 in its first
+    # noise chunk of three; later save slots hold its frozen state and totals
+    drawn, noise = [], montecarlo._noise
+    monkeypatch.setattr(montecarlo, "_noise", lambda *args: (drawn.append(args[1]) or u for u in noise(*args)))
+    cs = cs_identity(H=["4*x1", "4*x2"])
+    dt = 1e-2
+    cfg = SimulationConfig(dt=dt, horizon=3 * montecarlo._NOISE_CHUNK * dt, paths=1, seed=9, radii=(2.0, 3.0))
+    kw = dict(save_times=[0.5, 2.0, 5.0, 10.0], accumulate={"r2": parse_expr("norm2(x)", 2)})
+    one = simulate_ensemble(cs, [1.0, 0.0], cfg, **kw)
+    assert one.status[0] == 1 and one.exit_times[3.0][0] < 0.5
+    assert drawn == [0]
+    two = simulate_ensemble(cs, [1.0, 0.0], replace(cfg, paths=2), **kw)
+    assert _per_path(one, 0) == _per_path(two, 0)
+    assert np.all(one.states[0, 1:] == one.states[0, -1]) and one.accumulators["r2"][0, -1] > 0.0
 
 
 def _transition_scenario(d):
