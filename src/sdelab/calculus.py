@@ -10,9 +10,11 @@ divergence against ``rho dx``; ``L`` has drift ``G`` and its mu-adjoint
 density are checked by quadrature against compactly supported bump test
 functions ``f``, in one pass of :func:`invariance_residual`: infinitesimal invariance
 ``integral (L f) rho dx = 0`` and the divergence condition
-``integral <B, grad f> rho dx = 0``.  Each bump is integrated on its own
-composite Gauss-Legendre product rule over its support box
-(:func:`gauss_rule`), and must vanish on that box's faces.  Every integral
+``integral <B, grad f> rho dx = 0``.  Each bump is a product of 1-d
+factors that vanish at the ends of its support box, and is integrated on
+its own composite Gauss-Legendre product rule over that box
+(:func:`gauss_rule`); its value, gradient and Hessian there are outer
+products of the factors and their closed-form derivatives.  Every integral
 over balls ``B_r`` reads one polar rule (:func:`ball_integrals`).
 """
 
@@ -32,12 +34,10 @@ from .expr import (
     Expr,
     Program,
     batched,
-    coord,
     differentiate,
     gradient,
     mul,
     parse_expr,
-    powc,
     sub,
 )
 
@@ -478,6 +478,13 @@ def lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
+# Gauss-Legendre nodes per panel, with their nodes and weights on [-1, 1]; the node budget
+# of one residual rule, of one block of the polar rule (ball_integrals) and of the marginal CDF table
+_GAUSS_M = 8
+_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_M)
+_GAUSS_BUDGET = 2**16
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre product rule on an axis-aligned box:
@@ -498,9 +505,8 @@ class QuadratureRule:
         lo, hi, n = self.lo[k], self.hi[k], self.nodes[k]
         panels = n // _GAUSS_M
         h = (hi - lo) / panels
-        t, wt = np.polynomial.legendre.leggauss(_GAUSS_M)
-        x = (lo + h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).reshape(-1)
-        return x, np.tile(0.5 * h * wt, panels)
+        x = (lo + h * (np.arange(panels)[:, None] + 0.5 * (_GAUSS_T + 1.0))).reshape(-1)
+        return x, np.tile(0.5 * h * _GAUSS_W, panels)
 
     def points_and_weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """Nodes ``(n, d)`` and weights ``(n,)``, built on first use and shared
@@ -514,24 +520,6 @@ class QuadratureRule:
         w = reduce(np.multiply.outer, [a[1] for a in axes]).reshape(-1)
         pts.flags.writeable = w.flags.writeable = False
         return pts, w
-
-    def faces(self) -> np.ndarray:
-        """Points on the faces of the box, one row each: on the two faces
-        across axis ``k``, the rule's nodes of the other axes."""
-        axes = [self.axis_nodes(k)[0] for k in range(len(self.lo))]
-        return np.concatenate(
-            [
-                lattice(axes[:k] + [np.array([side])] + axes[k + 1 :])
-                for k in range(len(self.lo))
-                for side in (self.lo[k], self.hi[k])
-            ]
-        )
-
-
-# Gauss-Legendre nodes per panel, and the node budget of one residual rule and
-# of one block of the polar rule (ball_integrals) and of the marginal CDF table
-_GAUSS_M = 8
-_GAUSS_BUDGET = 2**16
 
 
 def gauss_rule(lo: Sequence[float], hi: Sequence[float]) -> QuadratureRule:
@@ -761,26 +749,43 @@ def decompose_drift(
 
 @dataclass(frozen=True)
 class Bump:
-    """A test function ``expr`` that is 0 outside the closed box ``[lo, hi]``."""
+    """The C^2 test function ``f = prod_k phi_k(x_k)``, 0 outside the closed box ``[lo, hi]``:
+    ``phi_k = max(t_k, 0)^3``, ``t_k = ((x_k - lo_k)/r_k) ((hi_k - x_k)/r_k)``, ``r_k = (hi_k - lo_k)/2``.
+    ``t_k`` is exactly 0 at ``lo_k`` and at ``hi_k``, so ``f`` vanishes on the faces of its
+    box, and integration by parts leaves no boundary term."""
 
-    expr: Expr
     lo: Tuple[float, ...]
     hi: Tuple[float, ...]
 
+    def factor(self, k: int, x):
+        """``phi_k``, ``phi_k'`` and ``phi_k''`` at ``x`` on axis ``k``, in closed
+        form: ``3 m^2 t'`` and ``6 m t'^2 + 3 m^2 t''`` with ``m = max(t, 0)``,
+        ``t' = ((hi - x) - (x - lo))/r^2`` and ``t'' = -2/r^2``."""
+        lo, hi = self.lo[k], self.hi[k]
+        r = (hi - lo) / 2
+        m = np.maximum(((x - lo) / r) * ((hi - x) / r), 0.0)
+        t1 = ((hi - x) - (x - lo)) / r**2
+        return m**3, 3 * m**2 * t1, 6 * m * t1**2 + 3 * m**2 * (-2 / r**2)
+
+    def derivatives(self, rule: QuadratureRule):
+        """``f``, ``[d_i f]`` and ``{(i, j): d_ij f}`` for ``i <= j`` at the nodes of
+        ``rule``, in :func:`lattice` order: outer products of each axis's
+        factor, or of its first or second derivative, on that axis's nodes."""
+        d = len(self.lo)
+        F = [self.factor(k, rule.axis_nodes(k)[0]) for k in range(d)]
+
+        def outer(*axes):  # each axis listed once per derivative taken along it
+            return reduce(np.multiply.outer, [F[k][axes.count(k)] for k in range(d)]).reshape(-1)
+
+        return outer(), [outer(i) for i in range(d)], {(i, j): outer(i, j) for i in range(d) for j in range(i, d)}
+
 
 def bump_expression(center: Sequence[float], radius: Sequence[float], d: int) -> Bump:
-    """C^2 product bump ``prod_i max(1 - ((x_i - c_i)/r_i)^2, 0)^3`` with its
-    support ``[lo, hi] = [c - r, c + r]``, written as
-    ``prod_i max((x_i - lo_i)/r_i * (hi_i - x_i)/r_i, 0)^3`` so that it is
-    exactly 0 on the faces of its support box."""
+    """The :class:`Bump` on ``[lo, hi] = [c - r, c + r]``, the C^2 product
+    ``prod_i max(1 - ((x_i - c_i)/r_i)^2, 0)^3``."""
     lo = tuple(float(center[i]) - abs(float(radius[i])) for i in range(d))
     hi = tuple(float(center[i]) + abs(float(radius[i])) for i in range(d))
-    out: Expr = Const(1.0)
-    for i in range(d):
-        r = Const(abs(float(radius[i])))
-        t = mul(ex.div(sub(coord(i), Const(lo[i])), r), ex.div(sub(Const(hi[i]), coord(i)), r))
-        out = mul(out, powc(ex.Max(t, Const(0.0)), 3.0))
-    return Bump(out, lo, hi)
+    return Bump(lo, hi)
 
 
 def default_bump_library(lo, hi, d: int) -> List[Bump]:
@@ -804,19 +809,14 @@ def default_bump_library(lo, hi, d: int) -> List[Bump]:
     return bumps[:8]
 
 
-def _f_derivatives(f: Expr, d: int, with_value: bool = False):
-    """``pts -> (value (n,) or None, grad (n, d), hessian (n, d, d))`` for an
-    AST, the value only ``with_value``; max/min nodes take branch derivatives."""
+def _f_derivatives(f: Expr, d: int):
+    """``pts -> (grad (n, d), hessian (n, d, d))`` of an AST; max/min nodes take branch derivatives."""
     grads = gradient(f, d, piecewise=True)
-    head = [f] if with_value else []
-    program = Program(head + grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
-    k = len(head)
+    program = Program(grads + [differentiate(g, j, piecewise=True) for g in grads for j in range(d)])
 
     def derivatives(pts):
         out = program(pts)
-        grad = np.ascontiguousarray(out[:, k : k + d])
-        hess = np.ascontiguousarray(out[:, k + d :]).reshape(len(pts), d, d)
-        return (out[:, 0].copy() if with_value else None), grad, hess
+        return np.ascontiguousarray(out[:, :d]), np.ascontiguousarray(out[:, d:]).reshape(len(pts), d, d)
 
     return derivatives
 
@@ -854,7 +854,7 @@ def apply_generator(
     with the drift of :func:`generator_drift`."""
     drift = generator_drift(cs, rho, mode)
     derivatives = _f_derivatives(f, cs.d)
-    return lambda pts: _generator_sum(cs, drift, pts, *derivatives(pts)[1:])
+    return lambda pts: _generator_sum(cs, drift, pts, *derivatives(pts))
 
 
 @dataclass(frozen=True)
@@ -879,60 +879,46 @@ class ResidualReport:
 
 
 def invariance_residual(
-    cs: CoefficientSet,
-    rho: DensityField,
-    f,
-    halfwidth: float,
+    cs: CoefficientSet, rho: DensityField, f, halfwidth: float
 ) -> Union[ResidualReport, List[ResidualReport]]:
-    """Residuals of a test function ``f`` against ``rho`` on the box
-    ``[-halfwidth, halfwidth]^d``, or one report per test function given a
-    list of them.
+    """Residuals of a :class:`Bump` ``f`` against ``rho``, with the mass of
+    ``rho`` on the box ``[-halfwidth, halfwidth]^d``, or one report per bump
+    given a list of them.
 
-    This is the only loop over test functions.  A :class:`Bump` is integrated
-    on the :func:`gauss_rule` of its support box, any other test function on
-    that of the whole box; each runs one program of ``f``, its gradient and
-    its Hessian, and evaluates ``rho`` and ``B = G - beta`` on its own nodes.
-    The box mass of ``rho`` is integrated once per call.  A test function
-    that is nonzero on a face of its support box (at a face point on the
-    rule's nodes of the other axes) raises :class:`CalculusError`.
+    This is the only loop over test functions.  Each bump is integrated on
+    the :func:`gauss_rule` of its support box, where ``rho``, ``A``, ``G`` and
+    ``B = G - beta`` are evaluated on its nodes and its derivatives are outer
+    products of its factors (:meth:`Bump.derivatives`).  The box mass of
+    ``rho`` is integrated once per call.  A test function that is not a
+    :class:`Bump` raises :class:`CalculusError`.
     """
+    bumps = f if isinstance(f, list) else [f]
+    if not all(isinstance(g, Bump) for g in bumps):
+        raise CalculusError("a test function must be a Bump, a product of 1-d factors on its support box")
     lo, hi = (-float(halfwidth),) * cs.d, (float(halfwidth),) * cs.d
     mass = abs(integrate(rho.rho, gauss_rule(lo, hi)))
     B = b_field(cs, rho)
-    tests = [g if isinstance(g, Bump) else Bump(g, lo, hi) for g in (f if isinstance(f, list) else [f])]
-    reports = [_bump_report(cs, rho, B, g, mass) for g in tests]
+    reports = [_bump_report(cs, rho, B, g, mass) for g in bumps]
     return reports if isinstance(f, list) else reports[0]
 
 
 def _bump_report(cs, rho, B, bump: Bump, mass: float) -> ResidualReport:
-    """One test function's residuals on the rule of its support box; its
-    arrays are freed on return."""
+    """One bump's residuals on the rule of its support box: the integrands
+    ``(1/2 sum_ij a_ij d_ij f + sum_i G_i d_i f) rho`` and
+    ``(sum_i B_i d_i f) rho``, summed column by column."""
     rule = gauss_rule(bump.lo, bump.hi)
-    derivatives = _f_derivatives(bump.expr, cs.d, with_value=True)
-    # f on the faces, where it must be 0, and at the centre, where a bump
-    # peaks and no Gauss node lies
-    centre = np.add(bump.lo, bump.hi)[None] / 2
-    edge = derivatives(np.concatenate([rule.faces(), centre]))[0]
-    if np.any(edge[:-1] != 0.0):
-        raise CalculusError("test function does not vanish on the faces of its support box")
     pts = rule.points_and_weights()[0]
-    value, grad, hess = derivatives(pts)
-    fmax = float(np.nanmax(np.abs(np.append(value, edge[-1]))))
+    value, grad, hess = bump.derivatives(rule)
+    # a bump peaks at its centre, where no Gauss node lies
+    centre = math.prod(float(bump.factor(k, (a + b) / 2)[0]) for k, (a, b) in enumerate(zip(bump.lo, bump.hi)))
     with np.errstate(all="ignore"):
-        r = rho.rho(pts)
-        lf = _generator_sum(cs, cs.eval_G, pts, grad, hess)
-        lf_rho, div_rho = lf * r, np.einsum("ni,ni->n", B(pts), grad) * r
-    del value, grad, hess, lf  # freed before the sums allocate their temporaries
-    residual, skipped = integrate_masked(lf_rho, rule)
-    divergence, divergence_skipped = integrate_masked(div_rho, rule)
-    return ResidualReport(
-        residual=residual,
-        divergence=divergence,
-        mass=mass,
-        scale=fmax * mass,
-        skipped_points=skipped,
-        divergence_skipped=divergence_skipped,
-    )
+        r, A, G, Bv = rho.rho(pts), cs.eval_A(pts), cs.eval_G(pts), B(pts)
+        lf = sum((0.5 if i == j else 1.0) * A[:, i, j] * h for (i, j), h in hess.items())
+        lf_rho = (lf + sum(G[:, i] * g for i, g in enumerate(grad))) * r
+        div_rho = sum(Bv[:, i] * g for i, g in enumerate(grad)) * r
+    (residual, skipped), (divergence, divergence_skipped) = (integrate_masked(v, rule) for v in (lf_rho, div_rho))
+    fmax = max(float(value.max()), centre)
+    return ResidualReport(residual, divergence, mass, fmax * mass, skipped, divergence_skipped)
 
 
 @dataclass(frozen=True)

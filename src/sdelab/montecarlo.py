@@ -26,7 +26,9 @@ floats, at a tenth of the cost per step.  Every sum (``norm2``,
 order and elementwise, so a path's bits do not depend on its batch.  A
 non-finite accumulator increment (a path on a singular set) is skipped and
 counted in ``PathEnsemble.skipped``, as :func:`calculus.integrate_masked`
-skips and counts quadrature nodes.
+skips and counts quadrature nodes.  A step to a state that is not finite
+raises :class:`MonteCarloError`; the ladder test finds it (its norm is
+not below the next radius) and names the step and the last finite state.
 """
 
 from __future__ import annotations
@@ -182,6 +184,13 @@ def _degenerate(X, margin) -> calc.DegenerateDiffusionError:
     )
 
 
+def _not_finite(k: int, paths, before, after) -> MonteCarloError:
+    """The error at the first of ``paths`` whose state ``after`` step ``k + 1`` is not finite."""
+    i = int(np.argmin(np.isfinite(after).all(axis=1)))
+    where = f"path {int(paths[i])}: the state is not finite after step {k + 1}"
+    return MonteCarloError(f"{where}; the last finite state is x = {np.asarray(before[i]).tolist()}")
+
+
 @dataclass
 class _Job:
     """An ensemble's step settings and the result arrays that both stepping
@@ -329,11 +338,14 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> Non
                 scale[too_big] = cfg.clip / (gn[too_big] * dt)
                 G = G * scale[:, None]
                 job.clip_counts[lo + ids[too_big]] += 1
-            Xa = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
-            X[live] = Xa
-            rn = _row_norms(Xa)
-            hit = rn >= thr[live]
-            if np.count_nonzero(hit):
+            Xn = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
+            rn = _row_norms(Xn)
+            hit = ~(rn < thr[live])  # a NaN norm too: its state is not finite
+            hits = np.count_nonzero(hit)
+            if hits and not np.isfinite(Xn[hit]).all():
+                raise _not_finite(k, lo + ids[hit], Xa[hit], Xn[hit])
+            X[live] = Xn
+            if hits:
                 p, r_p = ids[hit], rn[hit]
                 # a path may cross several radii in one step; the smallest
                 # of them gives the largest overshoot
@@ -397,11 +409,13 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
             for j in js:
                 s = s + e[j] * V[o + j]
             xn.append(x[i] + G[i] * dt + sqrt_dt * s)
-        x = xn
-        s = x[0] * x[0]
-        for v in x[1:]:
+        s = xn[0] * xn[0]
+        for v in xn[1:]:
             s = s + v * v
         r = math.sqrt(s)
+        if not r < thr and not all(map(math.isfinite, xn)):
+            raise _not_finite(k, [p], [x], [xn])
+        x = xn
         job.save(k + 1, p, x, totals)
         if r >= thr:
             over = max(over, r - thr)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from sdelab import calculus as calc
+from sdelab import expr as ex
 from sdelab.calculus import (
     CoefficientSet,
     DensityField,
@@ -238,37 +239,53 @@ def test_invariance_residual_non_invariant_pair():
     assert rep.residual == pytest.approx(oracle, rel=1e-6)
 
 
-def test_invariance_residual_flags_support_leak():
-    # a test function that does not vanish on the faces of its support box is
-    # rejected: a bare expression's box is the whole box, a bump's its own
+def test_invariance_residual_takes_only_bumps():
+    # a test function must be a product bump: a bare expression, alone or in
+    # a list, has no support box and no factors
     cs = identity_cs()
     rho = DensityField.from_expression("1", 2)
-    with pytest.raises(calc.CalculusError, match="faces"):
-        invariance_residual(cs, rho, parse_expr("exp(-norm2(x))", 2), 2.0)
+    bare = parse_expr("exp(-norm2(x))", 2)
     wide = bump_expression([0.0, 0.0], [1.5, 1.5], 2)
-    narrow = calc.Bump(wide.expr, (-1.0, -1.5), (1.0, 1.5))
+    for f in (bare, [wide, bare]):
+        with pytest.raises(calc.CalculusError, match="Bump"):
+            invariance_residual(cs, rho, f, 2.0)
     assert invariance_residual(cs, rho, wide, 2.0).residual == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(calc.CalculusError, match="faces"):
-        invariance_residual(cs, rho, narrow, 2.0)
 
 
-def test_default_bumps_vanish_on_box_faces():
-    for d in (1, 2, 3):
-        for R in (1.8, 3.0, 4.0):
-            ts = np.linspace(-R, R, 41)
-            for k in range(d):
-                for side in (-R, R):
-                    grids = np.meshgrid(*[[side] if j == k else ts for j in range(d)], indexing="ij")
-                    face = np.stack([g.reshape(-1) for g in grids], axis=-1)
-                    for f in default_bump_library([-R] * d, [R] * d, d):
-                        assert np.all(evaluate(f.expr, face) == 0.0), (d, R, k, side)
-
-
-def test_default_bumps_vanish_on_their_own_support_faces():
+def test_default_bump_factors_vanish_at_their_box_ends():
+    # each factor and its two derivatives are exactly 0 at lo and hi and
+    # outside, so f, its gradient and its Hessian vanish on the support faces
     for d in (1, 2, 3):
         for R in (1.8, 2.5, 2.7, 3.0, 4.0, 5.0):
             for f in default_bump_library([-R] * d, [R] * d, d):
-                assert np.all(evaluate(f.expr, calc.gauss_rule(f.lo, f.hi).faces()) == 0.0), (d, R, f.lo)
+                for k in range(d):
+                    ends = np.array([f.lo[k], f.hi[k], -R, R, f.lo[k] - 0.1, f.hi[k] + 0.1])
+                    for part in f.factor(k, ends):
+                        assert np.all(part == 0.0), (d, R, f.lo, k)
+
+
+def test_product_bump_derivatives_match_the_symbolic_route():
+    # the outer products of the closed-form factors against the piecewise
+    # symbolic derivatives of the same product written as an expression, at
+    # the rule's nodes: equal to rounding (1e-13 of each array's max)
+    for d in (1, 2, 3, 4):
+        for f in default_bump_library([-3.0] * d, [3.0] * d, d):
+            expr = ex.Const(1.0)
+            for k in range(d):
+                lo, hi, r = ex.Const(f.lo[k]), ex.Const(f.hi[k]), ex.Const((f.hi[k] - f.lo[k]) / 2)
+                t = ex.mul(ex.div(ex.sub(ex.coord(k), lo), r), ex.div(ex.sub(hi, ex.coord(k)), r))
+                expr = ex.mul(expr, ex.powc(ex.Max(t, ex.Const(0.0)), 3.0))
+            rule = calc.gauss_rule(f.lo, f.hi)
+            pts = rule.points_and_weights()[0]
+            grad, hess = calc._f_derivatives(expr, d)(pts)
+            value, grads, hessians = f.derivatives(rule)
+            pairs = [(value, evaluate(expr, pts))]
+            pairs += [(grads[i], grad[:, i]) for i in range(d)]
+            pairs += [(h, hess[:, i, j]) for (i, j), h in hessians.items()]
+            pairs += [(h, hess[:, j, i]) for (i, j), h in hessians.items()]
+            assert len(hessians) == d * (d + 1) // 2
+            for mine, symbolic in pairs:
+                assert np.max(np.abs(mine - symbolic)) <= 1e-13 * np.max(np.abs(symbolic)), (d, f.lo)
 
 
 def test_skipped_nodes_are_counted_on_the_bump_rule():

@@ -197,7 +197,12 @@ def _program_sets():
     for name in cli.BUILTIN_NAMES:
         cs, _ = cli.build_problem(cli.load_config(name))
         yield pytest.param(cs.d, list(cs.G), id=name)
-    bump = default_bump_library((-3.0, -3.0), (3.0, 3.0), 2)[2].expr
+    # a default bump's product prod_k max(((x_k - lo_k)/r_k) ((hi_k - x_k)/r_k), 0)^3
+    box, bump = default_bump_library((-3.0, -3.0), (3.0, 3.0), 2)[2], ex.Const(1.0)
+    for k in range(2):
+        lo, hi, r = ex.Const(box.lo[k]), ex.Const(box.hi[k]), ex.Const((box.hi[k] - box.lo[k]) / 2)
+        t = ex.mul(ex.div(ex.sub(ex.coord(k), lo), r), ex.div(ex.sub(hi, ex.coord(k)), r))
+        bump = ex.mul(bump, ex.powc(ex.Max(t, ex.Const(0.0)), 3.0))
     grads = ex.gradient(bump, 2, piecewise=True)
     hess = [differentiate(g, j, piecewise=True) for g in grads for j in range(2)]
     yield pytest.param(2, [bump] + grads + hess, id="bump_hessian")

@@ -572,6 +572,21 @@ def test_degenerate_diffusion_fails_in_both_loops(paths, a22):
     assert sum(v * v for v in x) >= (27.63 if a22.startswith("exp") else 60.0)
 
 
+@pytest.mark.parametrize("paths", [1, 3], ids=["float loop", "batch loop"])
+@pytest.mark.parametrize("a11", ["1", "1 + 0.5*exp(-norm2(x))"], ids=["constant A", "non-constant A"])
+def test_a_drift_that_is_not_finite_ends_the_run(paths, a11):
+    # the drift sqrt(1 - x1) takes path 0 past x1 = 1, where it is NaN: the
+    # next step makes the state NaN, and both loops raise there, whatever A
+    # is, naming the step and the last finite state (past x1 = 1)
+    cs = build_coefficient_set([[a11, "0"], ["1"]], None, ["sqrt(1 - x1)", "0"], d=2)
+    cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=paths, seed=3, radii=(4.0,))
+    with pytest.raises(MonteCarloError, match=r"^path 0: the state is not finite after step \d+; ") as err:
+        simulate_ensemble(cs, [0.0, 0.0], cfg)
+    step = int(str(err.value).split("after step ")[1].split(";")[0])
+    x = json.loads(str(err.value).split("x = ")[1])
+    assert step > 1 and x[0] > 1.0 and all(map(math.isfinite, x))
+
+
 def test_ergodic_average_burn_in_guard():
     cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=1, seed=74, radii=(2.0,))
     cs = cs_identity(H=["4*x1", "4*x2"])
@@ -708,6 +723,28 @@ def _per_path(ens, p):
     return repr([np.asarray(f).tolist() for f in fields]) + repr({k: v.tolist() for k, v in accs.items()})
 
 
+def _oracle_run(d, accumulate, accumulate_from):
+    """The start, the one-path config and the keywords of the oracle runs."""
+    dt = 2e-2
+    cfg = SimulationConfig(dt=dt, horizon=150 * dt, paths=1, seed=404, radii=(1.0, 1.02, 1.04, 2.5), clip=0.03)
+    x0 = ([0.5, 0.0, -0.25] + [0.0] * d)[:d]
+    return x0, cfg, dict(save_times=[0.3, 1.0, 2.0], accumulate=accumulate, accumulate_from=accumulate_from)
+
+
+def _split_error(monkeypatch, cs, accumulate, accumulate_from, array_loop):
+    """The error of two paths stepped as two one-path batches, by the float
+    loop or, with ``array_loop``, by the array loop."""
+    monkeypatch.undo()
+    monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: [(0, 1), (1, 2)])
+    if array_loop:
+        batch_of_one = lambda job, p, noise: montecarlo._step_batch(job, p, p + 1, noise)
+        monkeypatch.setattr(montecarlo, "_step_path", batch_of_one)
+    x0, cfg, kw = _oracle_run(cs.d, accumulate, accumulate_from)
+    with pytest.raises(MonteCarloError) as err:
+        simulate_ensemble(cs, x0, replace(cfg, paths=2), **kw)
+    return str(err.value)
+
+
 def _float_oracle(monkeypatch, cs, accumulate, accumulate_from):
     """A one-path run against path 0 of a two-path batch, and two one-path
     batches against one two-path batch; returns the one-path ensemble and
@@ -722,10 +759,7 @@ def _float_oracle(monkeypatch, cs, accumulate, accumulate_from):
         return real(job, p, noise)
 
     monkeypatch.setattr(montecarlo, "_step_path", counted)
-    dt = 2e-2
-    cfg = SimulationConfig(dt=dt, horizon=150 * dt, paths=1, seed=404, radii=(1.0, 1.02, 1.04, 2.5), clip=0.03)
-    x0 = ([0.5, 0.0, -0.25] + [0.0] * d)[:d]
-    kw = dict(save_times=[0.3, 1.0, 2.0], accumulate=accumulate, accumulate_from=accumulate_from)
+    x0, cfg, kw = _oracle_run(d, accumulate, accumulate_from)
     one = simulate_ensemble(cs, x0, cfg, **kw)
     two = simulate_ensemble(cs, x0, replace(cfg, paths=2), **kw)
     assert _per_path(one, 0) == _per_path(two, 0)
@@ -747,11 +781,12 @@ def test_float_loop_matches_the_array_loop(monkeypatch, data, d, a_kind, accumul
     cs = build_coefficient_set(A, None, [to_source(g) for g in drift], d=d)
     try:
         _, stepped = _float_oracle(monkeypatch, cs, accumulate, accumulate_from)
-    except calc.DegenerateDiffusionError as err:
-        # a drift that is not finite takes a path to a NaN state, where a
-        # non-constant A has no root: each run raises, at the step where its
-        # batch first meets one
-        assert a_kind == "non_constant" and "nan" in str(err).split(":")[0], err
+    except MonteCarloError:
+        # a drift that is not finite takes a path to a state that is not
+        # finite, whatever A is: both loops raise the same error, naming the
+        # path, the step and the last finite state
+        float_err, array_err = (_split_error(monkeypatch, cs, accumulate, accumulate_from, a) for a in (False, True))
+        assert float_err == array_err and "not finite after step" in float_err, (float_err, array_err)
         assume(False)
     # the float loop steps every one-path batch, whatever A is
     assert stepped == 3
