@@ -418,7 +418,10 @@ class DensityField:
     @batched
     def log_grad(self, pts: np.ndarray) -> np.ndarray:
         """grad(rho)/rho; raises if rho <= 0 at an evaluation point."""
-        r = self.rho(pts)
+        return self._log_grad(pts, self.rho(pts))
+
+    def _log_grad(self, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """:meth:`log_grad` at ``(n, d)`` points where the density is ``r``."""
         if np.any(~np.isfinite(r)) or np.any(r <= 0):
             bad = pts[np.argmin(r)]
             raise PositivityError(
@@ -701,18 +704,17 @@ def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
     Symbolic throughout in analytic mode; in grid mode the density's log
     gradient is sampled from the stored values.
     """
-    div_a = add_half_divergence([Const(0.0)] * cs.d, cs.a_entry)
     if rho.mode == "analytic":
+        div_a = add_half_divergence([Const(0.0)] * cs.d, cs.a_entry)
         return VectorField.from_exprs(add_half_a_log_grad(div_a, cs.a_entry, rho.expr))
+    beta = _grid_beta(cs, rho)
+    return VectorField(lambda pts: beta(pts, rho.rho(pts)))
 
-    div_a_field = VectorField.from_exprs(div_a)
 
-    def fn(pts):
-        A = cs.eval_A(pts)
-        lg = rho.log_grad(pts)
-        return div_a_field(pts) + 0.5 * np.einsum("nij,nj->ni", A, lg)
-
-    return VectorField(fn)
+def _grid_beta(cs: CoefficientSet, rho: DensityField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(pts, r) -> beta`` of a grid density at ``(n, d)`` points where it is ``r``."""
+    div_a = VectorField.from_exprs(add_half_divergence([Const(0.0)] * cs.d, cs.a_entry))
+    return lambda pts, r: div_a(pts) + 0.5 * np.einsum("nij,nj->ni", cs.eval_A(pts), rho._log_grad(pts, r))
 
 
 def b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
@@ -721,6 +723,16 @@ def b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
     if beta.exprs is not None:
         return VectorField.from_exprs([sub(cs.G[i], beta.exprs[i]) for i in range(cs.d)])
     return VectorField(lambda pts: cs.eval_G(pts) - beta(pts))
+
+
+def _b_given_rho(cs: CoefficientSet, rho: DensityField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(pts, r) -> B`` at ``(n, d)`` points where the density is ``r``: a grid
+    density's ``beta`` divides by ``r`` and does not interpolate it again."""
+    if rho.mode == "analytic":
+        B = b_field(cs, rho)
+        return lambda pts, r: B(pts)
+    beta = _grid_beta(cs, rho)
+    return lambda pts, r: cs.eval_G(pts) - beta(pts, r)
 
 
 @dataclass(frozen=True)
@@ -897,7 +909,7 @@ def invariance_residual(
         raise CalculusError("a test function must be a Bump, a product of 1-d factors on its support box")
     lo, hi = (-float(halfwidth),) * cs.d, (float(halfwidth),) * cs.d
     mass = abs(integrate(rho.rho, gauss_rule(lo, hi)))
-    B = b_field(cs, rho)
+    B = _b_given_rho(cs, rho)
     reports = [_bump_report(cs, rho, B, g, mass) for g in bumps]
     return reports if isinstance(f, list) else reports[0]
 
@@ -912,7 +924,8 @@ def _bump_report(cs, rho, B, bump: Bump, mass: float) -> ResidualReport:
     # a bump peaks at its centre, where no Gauss node lies
     centre = math.prod(float(bump.factor(k, (a + b) / 2)[0]) for k, (a, b) in enumerate(zip(bump.lo, bump.hi)))
     with np.errstate(all="ignore"):
-        r, A, G, Bv = rho.rho(pts), cs.eval_A(pts), cs.eval_G(pts), B(pts)
+        r, A, G = rho.rho(pts), cs.eval_A(pts), cs.eval_G(pts)
+        Bv = B(pts, r)
         lf = sum((0.5 if i == j else 1.0) * A[:, i, j] * h for (i, j), h in hess.items())
         lf_rho = (lf + sum(G[:, i] * g for i, g in enumerate(grad))) * r
         div_rho = sum(Bv[:, i] * g for i, g in enumerate(grad)) * r

@@ -760,7 +760,12 @@ def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], solve
 def run_density_stage(
     scenario: Scenario, cs: CoefficientSet, analytic: List[DensityField]
 ) -> Tuple[dict, Dict[str, Table], Optional[dens.DensityApproximation]]:
-    """The density blob, its tables, and the solved density (None without a solve block)."""
+    """The density blob, its tables, and the solved density (None without a solve block).
+
+    A part that fails numerically (an analytic row, the checks of a solved
+    density, the volume profile) carries its own ``error`` and leaves the
+    others as they are; a solve that fails fails the stage.
+    """
     out: Dict[str, object] = {}
     tables: Dict[str, Table] = {}
     last = None
@@ -768,11 +773,15 @@ def run_density_stage(
     if analytic:
         rows = []
         for k, rho in enumerate(analytic):
-            check = calc.invariance_check(cs, rho, block.residual_box)
+            row: Dict[str, object] = {"index": k, "expression": block.analytic[k].source}
+            try:
+                check = calc.invariance_check(cs, rho, block.residual_box)
+            except _NUMERICAL_ERRORS as err:
+                rows.append({**row, "error": str(err)})
+                continue
             rows.append(
                 {
-                    "index": k,
-                    "expression": block.analytic[k].source,
+                    **row,
                     "max_invariance_residual": check.max_residual,
                     "residual_scale": check.scale,
                     "invariant_on_grid": bool(check.max_residual <= block.residual_tolerance * check.scale),
@@ -782,7 +791,7 @@ def run_density_stage(
                 }
             )
         out["analytic"] = rows
-        if len(rows) >= 2 and all(r["invariant_on_grid"] for r in rows):
+        if len(rows) >= 2 and all(r.get("invariant_on_grid") for r in rows):
             out["non_uniqueness_note"] = (
                 "several declared densities are infinitesimally invariant and are "
                 "not constant multiples of each other; the computed normalized "
@@ -793,25 +802,28 @@ def run_density_stage(
         ladder = list(solve.R_ladder)
         approxes = [dens.solve_density(cs, R, solve.n, solve.boundary) for R in ladder]
         last = approxes[-1]
-        out["solve"] = {
+        out["solve"] = blob = {
             "R_ladder": ladder,
             "n": solve.n,
             "positivity_min": last.positivity_min,
             "valid": last.valid,
             "diagnostics": last.diagnostics,
         }
-        if len(approxes) >= 2:
-            inner = min(ladder) / 4.0
-            pts = calc.lattice([np.linspace(-inner, inner, 25)] * cs.d)
-            va = approxes[-2].to_density_field().rho(pts)
-            vb = last.to_density_field().rho(pts)
-            out["solve"]["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
-            out["solve"]["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
-        check = dens.invariance_of_solution(cs, last)
-        out["solve"]["invariance_residual"] = check.max_residual
-        out["solve"]["invariance_scale"] = check.scale
-        out["solve"]["divergence_residual"] = check.max_divergence
-        out["solve"]["skipped_nodes"] = check.skipped_nodes
+        try:  # an invalid mesh is no density: these checks read it as one
+            if len(approxes) >= 2:
+                inner = min(ladder) / 4.0
+                pts = calc.lattice([np.linspace(-inner, inner, 25)] * cs.d)
+                va = approxes[-2].to_density_field().rho(pts)
+                vb = last.to_density_field().rho(pts)
+                blob["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
+                blob["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
+            check = dens.invariance_of_solution(cs, last)
+            blob["invariance_residual"] = check.max_residual
+            blob["invariance_scale"] = check.scale
+            blob["divergence_residual"] = check.max_divergence
+            blob["skipped_nodes"] = check.skipped_nodes
+        except _NUMERICAL_ERRORS as err:
+            blob["error"] = str(err)
         mesh = last.mesh
         pts, vals = calc.lattice(mesh.axes()), last.values.reshape(-1)
         tables["density_grid.csv"] = Table(
@@ -821,19 +833,31 @@ def run_density_stage(
         )
     profile = block.volume_profile
     if profile is not None:
-        rho = _pick_density(profile.density, analytic, last)
-        prof = dens.volume_profile(rho, profile.radii, d=cs.d)
-        mu_ball = prof["mu_ball"]
-        out["volume_profile"] = {**prof, "mu_ball": {str(k): v for k, v in mu_ball.items()}}
-        tables["volume_profile.csv"] = Table(["radius", "mu_ball"], sorted(mu_ball.items()))
-        bound = profile.bound
-        if bound is not None:
-            ok = all(v <= bound.c * r**bound.power * (1 + 1e-9) for r, v in mu_ball.items())
-            out["volume_profile"]["bound"] = asdict(bound)
-            out["volume_profile"]["within_bound"] = bool(ok)
-            if not ok:
-                raise dens.DensityError("volume profile exceeded its declared bound")
+        try:
+            rho = _pick_density(profile.density, analytic, last)
+            prof = dens.volume_profile(rho, profile.radii, d=cs.d)
+        except _NUMERICAL_ERRORS as err:
+            out["volume_profile"] = {"error": str(err)}
+        else:
+            mu_ball = prof["mu_ball"]
+            out["volume_profile"] = {**prof, "mu_ball": {str(k): v for k, v in mu_ball.items()}}
+            tables["volume_profile.csv"] = Table(["radius", "mu_ball"], sorted(mu_ball.items()))
+            bound = profile.bound
+            if bound is not None:
+                ok = all(v <= bound.c * r**bound.power * (1 + 1e-9) for r, v in mu_ball.items())
+                out["volume_profile"]["bound"] = asdict(bound)
+                out["volume_profile"]["within_bound"] = bool(ok)
+                if not ok:
+                    out["volume_profile"]["error"] = "volume profile exceeded its declared bound"
     return out, tables, last
+
+
+def _density_errors(blob: dict) -> List[str]:
+    """The notes of the density stage's failed parts."""
+    rows = blob.get("analytic", [])
+    notes = [f"density analytic[{row['index']}] error: {row['error']}" for row in rows if "error" in row]
+    parts = [part for part in ("solve", "volume_profile") if "error" in blob.get(part, {})]
+    return notes + [f"density {part} error: {blob[part]['error']}" for part in parts]
 
 
 def _expected(verdict: crit.CriterionVerdict, expect: str) -> dict:
@@ -1026,8 +1050,12 @@ def run_scenario(
         try:
             if stage == "density":
                 blob, stage_tables, solved = run_density_stage(scenario, cs, analytic)
+                errors = _density_errors(blob)
+                notes.extend(errors)
+                if errors:
+                    exit_code = max(exit_code, 3)
                 for row in blob.get("analytic", []):
-                    if not row["invariant_on_grid"]:
+                    if not row.get("invariant_on_grid", True):
                         notes.append(
                             f"declared density {row['index']} fails the invariance "
                             f"residual at tolerance"

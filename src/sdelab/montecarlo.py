@@ -15,6 +15,15 @@ state of an ensemble stepped for other estimators.  Everything is
 bit-reproducible for a fixed config, however the paths are split into
 batches.
 
+Noise is drawn for living paths only: a chunk covers the paths alive when
+its draw starts, and a batch whose paths have all left stops, its later save
+slots holding the frozen states and totals.  :func:`_noise` draws every
+uniform on the calling thread, stream by stream in path order, so no stream
+depends on thread timing.  For a batch of several paths one worker thread
+runs the inverse CDF (``ndtri``, which releases the GIL) on chunk k+1 while
+the batch steps through chunk k; a one-path batch converts each chunk inline
+when it needs it.
+
 Two loops step a batch, with the same operations in the same order: each
 step calls one compiled :class:`~sdelab.expr.Program` for the drift, every
 accumulator and :attr:`CoefficientSet.cholesky` (``L``, then a margin that
@@ -34,6 +43,7 @@ not below the next radius) and names the step and the last finite state.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,8 +69,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_NOISE_CHUNK = 512  # time steps of Gaussian noise drawn per path at a time
-_BATCH_FLOATS = 1 << 22  # noise numbers held per batch (32 MiB)
+_NOISE_CHUNK = 128  # time steps of Gaussian noise drawn per path at a time
+_BATCH_FLOATS = 1 << 22  # noise numbers held per batch in its three buffers (32 MiB)
 _REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 _BATCHES = 20  # batch means behind the ergodic average's standard error
 _CDF_POINTS = 2**22  # points per axis of a marginal CDF rule, at most
@@ -138,29 +148,66 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _batch_bounds(paths: int, n_steps: int, d: int) -> List[Tuple[int, int]]:
-    """Path ranges whose noise chunk holds at most ``_BATCH_FLOATS`` numbers."""
-    per_path = min(n_steps, _NOISE_CHUNK) * d
+    """Path ranges whose three noise buffers (:func:`_noise`) hold at most
+    ``_BATCH_FLOATS`` numbers."""
+    per_path = 3 * min(n_steps, _NOISE_CHUNK) * d
     batch = max(1, min(paths, _BATCH_FLOATS // per_path))
     return [(s, min(s + batch, paths)) for s in range(0, paths, batch)]
 
 
-def _noise(seed: int, lo: int, hi: int, n_steps: int, d: int) -> Iterator[np.ndarray]:
-    """The standard Gaussians of paths ``lo .. hi-1``, one ``(steps, paths, d)``
-    chunk of at most ``_NOISE_CHUNK`` steps at a time, in one reused buffer."""
+def _gaussians(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The standard Gaussians of the path-major uniforms ``u`` (rows, steps,
+    d), written step-major into the flat buffer ``out``; ``u`` is changed."""
+    g = out[: u.size].reshape(u.shape[1], u.shape[0], u.shape[2])
+    u[u == 0.0] = 2.0**-54
+    ndtri(u, out=g.transpose(1, 0, 2))
+    return g
+
+
+def _noise(
+    seed: int, lo: int, hi: int, n_steps: int, d: int, status: np.ndarray, pool: Optional[Executor] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The standard Gaussians of the living paths among ``lo .. hi-1``, one
+    ``(steps, rows, d)`` chunk of at most ``_NOISE_CHUNK`` steps at a time,
+    each with the batch indices of its rows.
+
+    ``status`` is the batch's view of the ensemble's status; a chunk's rows
+    are the paths whose status is 0 (alive) when its draw starts, and no
+    other stream is advanced.  The calling thread draws each row's uniforms
+    into one path-major buffer, contiguously, stream by stream in path order.
+    With ``pool`` its worker converts chunk k+1 into one of two step-major
+    buffers while the caller steps through chunk k; without one each chunk is
+    converted when it is asked for.
+    """
     gens = [
         np.random.Generator(np.random.Philox(key=[seed & _MASK64, p & _MASK64]))
         for p in range(lo, hi)
     ]
-    xi = np.empty((min(n_steps, _NOISE_CHUNK), hi - lo, d))
-    for k in range(0, n_steps, _NOISE_CHUNK):
+    size = min(n_steps, _NOISE_CHUNK) * (hi - lo) * d
+    u, out = np.empty(size), (np.empty(size), np.empty(size))
+
+    def draw(k: int) -> Tuple[np.ndarray, np.ndarray]:
         # successive draws continue each path's stream, so the numbers do
         # not depend on the chunk length
-        u = xi[: min(_NOISE_CHUNK, n_steps - k)]
-        for i, gen in enumerate(gens):
-            u[:, i, :] = gen.random((len(u), d))
-        u[u == 0.0] = 2.0**-54
-        ndtri(u, out=u)
-        yield u
+        rows, steps = np.flatnonzero(status == 0), min(_NOISE_CHUNK, n_steps - k)
+        v = u[: len(rows) * steps * d].reshape(len(rows), steps, d)
+        for r, i in enumerate(rows.tolist()):
+            gens[i].random(out=v[r])
+        return v, rows
+
+    if pool is None:
+        for k in range(0, n_steps, _NOISE_CHUNK):
+            v, rows = draw(k)
+            yield _gaussians(v, out[0]), rows
+        return
+    v, rows = draw(0)
+    ahead = pool.submit(_gaussians, v, out[0])
+    for i, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
+        xi, xi_rows = ahead.result(), rows
+        if k + _NOISE_CHUNK < n_steps:
+            v, rows = draw(k + _NOISE_CHUNK)
+            ahead = pool.submit(_gaussians, v, out[(i + 1) % 2])
+        yield xi, xi_rows
 
 
 def _mix(e: np.ndarray, V: Sequence, rows: List[Tuple[int, int, range]]) -> np.ndarray:
@@ -174,6 +221,12 @@ def _mix(e: np.ndarray, V: Sequence, rows: List[Tuple[int, int, range]]) -> np.n
             s = s + e[:, j] * V[o + j]
         out[:, i] = s
     return out
+
+
+def _rows_at(rows: np.ndarray, ids: np.ndarray):
+    """Where the batch indices ``ids`` sit in a chunk's sorted ``rows``, which
+    hold them all: every row (a slice, so a view) when nothing else is there."""
+    return slice(None) if len(rows) == len(ids) else np.searchsorted(rows, ids)
 
 
 def _degenerate(X, margin) -> calc.DegenerateDiffusionError:
@@ -217,6 +270,13 @@ class _Job:
         if pos is not None:
             self.states[rows, pos] = X
             self.accs[rows, pos] = totals
+
+    def save_from(self, k: int, rows, X, totals) -> None:
+        """Store the states and totals of ``rows``, whose paths have all left,
+        at every saved step from ``k`` on."""
+        for step in self.save_pos:
+            if step >= k:
+                self.save(step, rows, X, totals)
 
 
 def simulate_ensemble(
@@ -272,13 +332,14 @@ def simulate_ensemble(
         accs=np.zeros((paths, n_saved, len(names))),
         skipped=np.zeros(len(names), dtype=np.int64),
     )
-    for lo, hi in _batch_bounds(paths, n_steps, d):
-        noise = _noise(cfg.seed, lo, hi, n_steps, d)
-        with np.errstate(all="ignore"):
+    # the worker is shut down and joined however the loop ends; a run of
+    # one-path batches submits nothing to it and so starts no thread
+    with ThreadPoolExecutor(1) as pool, np.errstate(all="ignore"):
+        for lo, hi in _batch_bounds(paths, n_steps, d):
             if hi - lo == 1:
-                _step_path(job, lo, noise)
+                _step_path(job, lo, _noise(cfg.seed, lo, hi, n_steps, d, job.status[lo:hi]))
             else:
-                _step_batch(job, lo, hi, noise)
+                _step_batch(job, lo, hi, _noise(cfg.seed, lo, hi, n_steps, d, job.status[lo:hi], pool))
 
     return PathEnsemble(
         config=cfg,
@@ -294,9 +355,9 @@ def simulate_ensemble(
     )
 
 
-def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> None:
+def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[Tuple[np.ndarray, np.ndarray]]) -> None:
     """Step paths ``lo .. hi-1`` together, one numpy operation per step over
-    the living paths."""
+    the living paths, until the horizon or until every path has left."""
     cfg, d = job.cfg, len(job.x0)
     dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
     n_acc = job.accs.shape[2]
@@ -315,54 +376,58 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[np.ndarray]) -> Non
     for k in range(cfg.n_steps):
         c = k % _NOISE_CHUNK
         if c == 0:
-            xi = next(noise)
-        if len(ids):
-            Xa = X[live]
-            e = xi[c][live]
-            V = job.fused(*Xa.T)
-            if not np.all(V[-1] > 0):
-                raise _degenerate(Xa, V[-1])
-            W = columns(V[: d + n_acc], len(Xa))
-            G = W[:, :d]
-            if k >= job.acc_start:
-                inc = W[:, d:] * dt
-                ok = np.isfinite(inc)
-                if np.count_nonzero(ok) < ok.size:
-                    job.skipped[:] += len(ok) - ok.sum(axis=0)
-                    inc[~ok] = 0.0
-                totals[live] += inc
-            gn = _row_norms(G)
-            too_big = gn * dt > cfg.clip
-            if np.count_nonzero(too_big):
-                scale = np.ones(len(Xa))
-                scale[too_big] = cfg.clip / (gn[too_big] * dt)
-                G = G * scale[:, None]
-                job.clip_counts[lo + ids[too_big]] += 1
-            Xn = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
-            rn = _row_norms(Xn)
-            hit = ~(rn < thr[live])  # a NaN norm too: its state is not finite
-            hits = np.count_nonzero(hit)
-            if hits and not np.isfinite(Xn[hit]).all():
-                raise _not_finite(k, lo + ids[hit], Xa[hit], Xn[hit])
-            X[live] = Xn
-            if hits:
-                p, r_p = ids[hit], rn[hit]
-                # a path may cross several radii in one step; the smallest
-                # of them gives the largest overshoot
-                job.overshoot[lo + p] = np.maximum(job.overshoot[lo + p], r_p - thr[p])
-                new = np.searchsorted(radii, r_p, side="right")
-                crossed = (nxt[p, None] <= cols) & (cols < new[:, None])
-                job.exit_t[lo + p] = np.where(crossed, (k + 1) * dt, job.exit_t[lo + p])
-                nxt[p] = new
-                thr[p] = next_radius[new]
-                left = p[new == n_radii]
-                if len(left):
-                    job.status[lo + left] = 1
-                    live = ids = np.nonzero(nxt < n_radii)[0]
+            xi, rows = next(noise)  # rows: the paths alive when the chunk was drawn
+            at = _rows_at(rows, ids)
+        Xa = X[live]
+        e = xi[c][at]
+        V = job.fused(*Xa.T)
+        if not np.all(V[-1] > 0):
+            raise _degenerate(Xa, V[-1])
+        W = columns(V[: d + n_acc], len(Xa))
+        G = W[:, :d]
+        if k >= job.acc_start:
+            inc = W[:, d:] * dt
+            ok = np.isfinite(inc)
+            if np.count_nonzero(ok) < ok.size:
+                job.skipped[:] += len(ok) - ok.sum(axis=0)
+                inc[~ok] = 0.0
+            totals[live] += inc
+        gn = _row_norms(G)
+        too_big = gn * dt > cfg.clip
+        if np.count_nonzero(too_big):
+            scale = np.ones(len(Xa))
+            scale[too_big] = cfg.clip / (gn[too_big] * dt)
+            G = G * scale[:, None]
+            job.clip_counts[lo + ids[too_big]] += 1
+        Xn = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
+        rn = _row_norms(Xn)
+        hit = ~(rn < thr[live])  # a NaN norm too: its state is not finite
+        hits = np.count_nonzero(hit)
+        if hits and not np.isfinite(Xn[hit]).all():
+            raise _not_finite(k, lo + ids[hit], Xa[hit], Xn[hit])
+        X[live] = Xn
+        if hits:
+            p, r_p = ids[hit], rn[hit]
+            # a path may cross several radii in one step; the smallest
+            # of them gives the largest overshoot
+            job.overshoot[lo + p] = np.maximum(job.overshoot[lo + p], r_p - thr[p])
+            new = np.searchsorted(radii, r_p, side="right")
+            crossed = (nxt[p, None] <= cols) & (cols < new[:, None])
+            job.exit_t[lo + p] = np.where(crossed, (k + 1) * dt, job.exit_t[lo + p])
+            nxt[p] = new
+            thr[p] = next_radius[new]
+            left = p[new == n_radii]
+            if len(left):
+                job.status[lo + left] = 1
+                live = ids = np.nonzero(nxt < n_radii)[0]
+                at = _rows_at(rows, ids)
         job.save(k + 1, slice(lo, hi), X, totals)
+        if not len(ids):
+            job.save_from(k + 2, slice(lo, hi), X, totals)
+            return
 
 
-def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
+def _step_path(job: _Job, p: int, noise: Iterator[Tuple[np.ndarray, np.ndarray]]) -> None:
     """Step path ``p`` alone on Python floats, with :func:`_step_batch`'s
     operations in its order: the program's function takes the point as
     floats, the noise rows are one chunk's ``.tolist()``, :func:`_mix` is
@@ -382,7 +447,7 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
     for k in range(cfg.n_steps):
         c = k % _NOISE_CHUNK
         if c == 0:
-            chunk = next(noise)[:, 0].tolist()
+            chunk = next(noise)[0][:, 0].tolist()
         V = fused(*x)
         if not V[-1] > 0:
             raise _degenerate([x], V[-1])
@@ -424,8 +489,7 @@ def _step_path(job: _Job, p: int, noise: Iterator[np.ndarray]) -> None:
                 nxt += 1
             thr = radii[nxt] if nxt < n_radii else math.inf
             if nxt == n_radii:  # the path has left: its state and totals stay
-                for later in range(k + 2, cfg.n_steps + 1):
-                    job.save(later, p, x, totals)
+                job.save_from(k + 2, p, x, totals)
                 break
     job.clip_counts[p] = clips
     job.status[p] = nxt == n_radii

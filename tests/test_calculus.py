@@ -225,6 +225,26 @@ def test_invariance_residual_unit_drift():
     assert abs(rep2.residual) <= 1e-8 * rep2.scale
 
 
+def test_a_grid_density_is_interpolated_once_on_each_bump(monkeypatch):
+    # rho on a bump's nodes serves the residuals and B, whose beta divides
+    # by it: the box mass, then rho and its two gradient components, are the
+    # only interpolations; the residuals are those of B evaluated on its own
+    xs = np.linspace(-3.0, 3.0, 61)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    rho = DensityField(axes=(xs, xs), values=np.exp(-(X**2 + X * Y + Y**2)))
+    cs = build_coefficient_set([["1", "0.3"], ["1.5"]], None, ["-x1", "-x2"], d=2)
+    f = bump_expression([0.2, -0.1], [1.0, 1.2], 2)
+    calls, interp = [], DensityField._interp
+    monkeypatch.setattr(DensityField, "_interp", lambda self, grid, pts: calls.append(len(pts)) or interp(self, grid, pts))
+    rep = invariance_residual(cs, rho, f, 3.0)
+    nodes = calc.gauss_rule(f.lo, f.hi).points_and_weights()[1].size
+    assert calls == [calc.gauss_rule((-3.0, -3.0), (3.0, 3.0)).points_and_weights()[1].size] + [nodes] * 3
+    B = calc.b_field(cs, rho)
+    monkeypatch.setattr(calc, "_b_given_rho", lambda cs, rho: lambda pts, r: B(pts))
+    assert repr(invariance_residual(cs, rho, f, 3.0)) == repr(rep)
+    assert rep.divergence != 0.0
+
+
 def test_invariance_residual_non_invariant_pair():
     # L = (1/2) Laplacian against exp(x1) dx: residual = 1/2 int f e^{x1} dx
     cs = identity_cs()

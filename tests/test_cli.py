@@ -580,6 +580,38 @@ def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):
     assert run_scenario(cfg, stages=("criteria",))["status"]["exit_code"] == 4
 
 
+def test_an_invalid_mesh_fails_only_the_parts_that_read_it(tmp_path):
+    # dX = -BX dt + sigma dW with B non-normal and A = sigma sigma^T not
+    # diagonal: the declared density is the exact invariant one, with
+    # covariance S solving BS + SB^T = A. The R = 5 mesh of n = 64 is invalid
+    # (Pe 3.96, a negative node), so the checks that read it as a density
+    # fail on their own, as does the criteria stage, which reads it; the
+    # analytic row and the solve's positivity_min, valid and peclet_max stay,
+    # and the exit is 3
+    cfg = tiny_bm_config(
+        coefficients={"A": [["1", "0.4"], ["0.8"]], "H": ["-(x1 + 1.5*x2)", "-(-0.5*x1 + x2)"]},
+        density={
+            "analytic": ["exp(-(114*x1^2 - 8*x1*x2 + 134*x2^2)/109)"],
+            "solve": {"R_ladder": [4.0, 5.0], "n": 64, "boundary": "ones"},
+        },
+        criteria=[{"id": "INVARIANCE_LOG_GROWTH", "constants": {"M": 2}, "density": "solved"}],
+    )
+    cfg.pop("simulation")
+    report = run_scenario(cfg, tmp_path, stages=("density", "criteria"))
+    assert report["status"]["exit_code"] == 3
+    density = report["stages"]["density"]
+    (row,) = density["analytic"]
+    assert row["invariant_on_grid"] and "error" not in row
+    solve = density["solve"]
+    assert solve["valid"] is False and solve["positivity_min"] < 0.0
+    assert solve["diagnostics"]["peclet_max"] > 3.9
+    assert solve["error"].startswith("approximation flagged invalid (min node value -1.8")
+    assert "invariance_residual" not in solve
+    assert report["stages"]["criteria"]["error"].startswith("approximation flagged invalid")
+    assert report["status"]["notes"][0] == f"density solve error: {solve['error']}"
+    assert (tmp_path / "density_grid.csv").exists()
+
+
 def test_zero_boundary_solve_is_a_numerical_failure(tmp_path):
     # boundary data 0 on every boundary node leave the tau column empty
     cfg = tiny_bm_config(density={"solve": {"R_ladder": [2.0], "n": 8, "boundary": "0*x1"}}, criteria=[])

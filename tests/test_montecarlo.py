@@ -1,6 +1,8 @@
 import json
 import math
-
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +40,8 @@ def cs_ou(d=2):
 
 BM = cs_identity()
 OU = cs_ou()
+# superlinear_blowup's coefficients
+BLOWUP = build_coefficient_set([["1", "0"], ["1"]], None, G=["norm2(x)*x1", "norm2(x)*x2"], d=2)
 
 
 def test_config_validation():
@@ -90,6 +94,109 @@ def test_seed_determinism_across_batch_splits(monkeypatch):
             assert np.array_equal(a.accumulators["r2"], b.accumulators["r2"])
             for r in cfg.radii:
                 assert np.array_equal(a.exit_times[r], b.exit_times[r], equal_nan=True)
+    # superlinear_blowup's drift: 63 of the 64 paths leave, over many noise
+    # chunks, and later chunks are drawn for the living paths only; the
+    # tight clip fires on the way out
+    cfg = SimulationConfig(dt=1e-3, horizon=2.0, paths=64, seed=90210, radii=(4.0, 8.0), clip=0.05)
+    monkeypatch.undo()
+    a = simulate_ensemble(BLOWUP, [1.0, 0.0], cfg, save_times=[0.25, 1.0])
+    assert a.status.sum() == 63 and a.clip_counts.sum() > 0
+    assert np.nanmax(a.exit_times[8.0]) > 8 * montecarlo._NOISE_CHUNK * cfg.dt
+    monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: [(0, 1), (1, 5), (5, 64)])
+    b = simulate_ensemble(BLOWUP, [1.0, 0.0], cfg, save_times=[0.25, 1.0])
+    assert [_per_path(b, p) for p in range(cfg.paths)] == [_per_path(a, p) for p in range(cfg.paths)]
+
+
+def test_a_batch_whose_paths_have_all_left_stops(monkeypatch):
+    # the strong outward drift takes all 40 paths past radius 3 in the first
+    # noise chunk of three: the batch asks for no later chunk, and the save
+    # slots after each exit hold the frozen states
+    chunks, noise = [], montecarlo._noise
+    monkeypatch.setattr(montecarlo, "_noise", lambda *args: (chunks.append(args[1]) or u for u in noise(*args)))
+    cs = cs_identity(H=["4*x1", "4*x2"])
+    dt = 1e-2
+    cfg = SimulationConfig(dt=dt, horizon=3 * montecarlo._NOISE_CHUNK * dt, paths=40, seed=9, radii=(2.0, 3.0))
+    kw = dict(save_times=[1.0, 2.0, 3.0], accumulate={"r2": parse_expr("norm2(x)", 2)})
+    ens = simulate_ensemble(cs, [1.0, 0.0], cfg, **kw)
+    assert chunks == [0]
+    assert ens.status.sum() == cfg.paths and np.nanmax(ens.exit_times[3.0]) < 1.0
+    assert np.all(ens.states[:, 1:] == ens.states[:, -1:]) and np.all(np.linalg.norm(ens.states[:, -1], axis=1) >= 3.0)
+    assert np.all(ens.accumulators["r2"][:, 1:] == ens.accumulators["r2"][:, -1:])
+    monkeypatch.setattr(montecarlo, "_batch_bounds", lambda paths, n_steps, d: [(0, 1), (1, 7), (7, paths)])
+    split = simulate_ensemble(cs, [1.0, 0.0], cfg, **kw)
+    assert [_per_path(split, p) for p in range(cfg.paths)] == [_per_path(ens, p) for p in range(cfg.paths)]
+
+
+def test_no_stream_is_drawn_past_the_chunk_after_its_path_left(monkeypatch):
+    # each stream's draws (one a chunk) are counted; a path that left in
+    # chunk j was drawn for chunks 0 .. j, and for chunk j + 1 at most, which
+    # a batch draws one chunk ahead
+    streams = []
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.chunks = self.numbers = 0
+            streams.append(self)
+
+        def random(self, *args, out=None, **kwargs):
+            self.chunks += 1
+            self.numbers += out.size
+            return super().random(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    cfg = SimulationConfig(dt=1e-3, horizon=2.0, paths=64, seed=90210, radii=(4.0, 8.0))
+    ens = simulate_ensemble(BLOWUP, [1.0, 0.0], cfg)
+    chunk = montecarlo._NOISE_CHUNK
+    n_chunks = -(-cfg.n_steps // chunk)
+    assert len(streams) == cfg.paths
+    left = []
+    for stream, t in zip(streams, ens.exit_times[8.0]):
+        if np.isnan(t):
+            assert (stream.chunks, stream.numbers) == (n_chunks, cfg.n_steps * 2)
+            continue
+        j = (int(round(t / cfg.dt)) - 1) // chunk  # the chunk of the step that left
+        assert j + 1 <= stream.chunks <= min(j + 2, n_chunks)
+        assert stream.numbers == min(stream.chunks * chunk, cfg.n_steps) * 2
+        left.append(j)
+    assert len(left) == 63 and max(left) - min(left) >= 8
+    assert sum(s.numbers for s in streams) < 0.5 * cfg.paths * cfg.n_steps * 2
+
+
+def test_concurrent_ensembles_keep_their_bytes():
+    # three ensembles at once, each with its own noise worker (six threads
+    # on two cores), with the GIL handed over every 10 us: each gives the
+    # bytes it gives alone, so no chunk is read while it is being written
+    cfg = SimulationConfig(dt=1e-2, horizon=4 * montecarlo._NOISE_CHUNK * 1e-2, paths=48, seed=0, radii=(1.5, 2.5))
+    seeds = (11, 12, 13)
+
+    def run(seed):
+        ens = simulate_ensemble(OU, [1.0, 0.0], replace(cfg, seed=seed), save_times=[1.0, 3.0])
+        return [_per_path(ens, p) for p in range(cfg.paths)]
+
+    alone = [run(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            futures = [pool.submit(run, seed) for seed in seeds]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+
+
+def test_the_inverse_cdf_runs_on_one_worker_thread_that_ends_with_the_run(monkeypatch):
+    workers, gaussians = [], montecarlo._gaussians
+    monkeypatch.setattr(montecarlo, "_gaussians", lambda u, out: workers.append(threading.get_ident()) or gaussians(u, out))
+    before = threading.active_count()
+    cfg = SimulationConfig(dt=1e-2, horizon=3 * montecarlo._NOISE_CHUNK * 1e-2, paths=20, seed=4, radii=(16.0,))
+    simulate_ensemble(OU, [1.0, 0.0], cfg)
+    assert threading.active_count() == before
+    assert len(workers) == 3 and len(set(workers)) == 1 and workers[0] != threading.get_ident()
+    workers.clear()
+    simulate_ensemble(OU, [1.0, 0.0], replace(cfg, paths=1))  # a one-path batch converts inline
+    assert workers == [threading.get_ident()] * 3
 
 
 def test_clip_accounting_zero_for_lipschitz():
@@ -566,8 +673,10 @@ def test_degenerate_diffusion_fails_in_both_loops(paths, a22):
     # (|x|^2 > 60); the error names the first state where it is
     cs = build_coefficient_set([["1", "0"], [a22]], None, ["x1", "x2"], d=2)
     cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=paths, seed=5, radii=(16.0,))
+    before = threading.active_count()
     with pytest.raises(calc.DegenerateDiffusionError, match="diffusion matrix degenerate at x = ") as err:
         simulate_ensemble(cs, [1.0, 0.0], cfg)
+    assert threading.active_count() == before  # the worker is joined when a step raises
     x = json.loads(str(err.value).split("x = ")[1].split(":")[0])
     assert sum(v * v for v in x) >= (27.63 if a22.startswith("exp") else 60.0)
 
@@ -580,8 +689,10 @@ def test_a_drift_that_is_not_finite_ends_the_run(paths, a11):
     # is, naming the step and the last finite state (past x1 = 1)
     cs = build_coefficient_set([[a11, "0"], ["1"]], None, ["sqrt(1 - x1)", "0"], d=2)
     cfg = SimulationConfig(dt=1e-2, horizon=5.0, paths=paths, seed=3, radii=(4.0,))
+    before = threading.active_count()
     with pytest.raises(MonteCarloError, match=r"^path 0: the state is not finite after step \d+; ") as err:
         simulate_ensemble(cs, [0.0, 0.0], cfg)
+    assert threading.active_count() == before  # the worker is joined when a step raises
     step = int(str(err.value).split("after step ")[1].split(";")[0])
     x = json.loads(str(err.value).split("x = ")[1])
     assert step > 1 and x[0] > 1.0 and all(map(math.isfinite, x))
@@ -826,7 +937,7 @@ def test_float_loop_draws_no_noise_after_its_path_leaves(monkeypatch):
     cs = cs_identity(H=["4*x1", "4*x2"])
     dt = 1e-2
     cfg = SimulationConfig(dt=dt, horizon=3 * montecarlo._NOISE_CHUNK * dt, paths=1, seed=9, radii=(2.0, 3.0))
-    kw = dict(save_times=[0.5, 2.0, 5.0, 10.0], accumulate={"r2": parse_expr("norm2(x)", 2)})
+    kw = dict(save_times=[0.5, 1.0, 2.0, 3.0], accumulate={"r2": parse_expr("norm2(x)", 2)})
     one = simulate_ensemble(cs, [1.0, 0.0], cfg, **kw)
     assert one.status[0] == 1 and one.exit_times[3.0][0] < 0.5
     assert drawn == [0]
