@@ -973,7 +973,8 @@ def invariance_check(cs: CoefficientSet, rho: DensityField, halfwidth: float) ->
 
 def diffusion_root_batch(A_vals: np.ndarray) -> np.ndarray:
     """Symmetric positive-definite square roots of a batch ``(n, d, d)`` of SPD
-    matrices: the ``LINEAR_GROWTH_MOMENT`` margin reads their largest entry.
+    matrices.  No sdelab layer calls it; ``perfbench/spans.py`` still wraps
+    it by name, so it stays until that table drops it.
 
     Eigendecomposition with descending eigenvalues; the root is
     ``V sqrt(diag) V^T``, which does not depend on the eigenvector signs.  A

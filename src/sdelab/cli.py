@@ -759,16 +759,17 @@ def _pick_density(ref: Optional[DensityRef], analytic: List[DensityField], solve
 
 def run_density_stage(
     scenario: Scenario, cs: CoefficientSet, analytic: List[DensityField]
-) -> Tuple[dict, Dict[str, Table], Optional[dens.DensityApproximation]]:
-    """The density blob, its tables, and the solved density (None without a solve block).
+) -> Tuple[dict, Dict[str, Table], Solved]:
+    """The density blob, its tables, and the solved density (None without a
+    solve block, the reason where the solve failed).
 
-    A part that fails numerically (an analytic row, the checks of a solved
-    density, the volume profile) carries its own ``error`` and leaves the
-    others as they are; a solve that fails fails the stage.
+    A part that fails numerically (an analytic row, the solve, the checks of
+    a solved density, the volume profile) carries its own ``error`` and
+    leaves the others as they are.
     """
     out: Dict[str, object] = {}
     tables: Dict[str, Table] = {}
-    last = None
+    last: Solved = None
     block = scenario.density
     if analytic:
         rows = []
@@ -800,37 +801,37 @@ def run_density_stage(
     solve = block.solve
     if solve is not None:
         ladder = list(solve.R_ladder)
-        approxes = [dens.solve_density(cs, R, solve.n, solve.boundary) for R in ladder]
-        last = approxes[-1]
-        out["solve"] = blob = {
-            "R_ladder": ladder,
-            "n": solve.n,
-            "positivity_min": last.positivity_min,
-            "valid": last.valid,
-            "diagnostics": last.diagnostics,
-        }
-        try:  # an invalid mesh is no density: these checks read it as one
-            if len(approxes) >= 2:
-                inner = min(ladder) / 4.0
-                pts = calc.lattice([np.linspace(-inner, inner, 25)] * cs.d)
-                va = approxes[-2].to_density_field().rho(pts)
-                vb = last.to_density_field().rho(pts)
-                blob["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
-                blob["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
-            check = dens.invariance_of_solution(cs, last)
-            blob["invariance_residual"] = check.max_residual
-            blob["invariance_scale"] = check.scale
-            blob["divergence_residual"] = check.max_divergence
-            blob["skipped_nodes"] = check.skipped_nodes
+        out["solve"] = blob = {"R_ladder": ladder, "n": solve.n}
+        try:
+            approxes = [dens.solve_density(cs, R, solve.n, solve.boundary) for R in ladder]
         except _NUMERICAL_ERRORS as err:
             blob["error"] = str(err)
-        mesh = last.mesh
-        pts, vals = calc.lattice(mesh.axes()), last.values.reshape(-1)
-        tables["density_grid.csv"] = Table(
-            ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"],
-            [[i, *pts[i], vals[i]] for i in range(len(vals))],
-            f"# R={_fmt(mesh.R)},n={mesh.n},d={mesh.d}",
-        )
+            approxes, last = [], f"no solved density: the solve failed: {err}"
+        if approxes:
+            last = approxes[-1]
+            blob.update(positivity_min=last.positivity_min, valid=last.valid, diagnostics=last.diagnostics)
+            try:  # an invalid mesh is no density: these checks read it as one
+                if len(approxes) >= 2:
+                    inner = min(ladder) / 4.0
+                    pts = calc.lattice([np.linspace(-inner, inner, 25)] * cs.d)
+                    va = approxes[-2].to_density_field().rho(pts)
+                    vb = last.to_density_field().rho(pts)
+                    blob["nested_agreement_rel"] = float(np.max(np.abs(va - vb) / np.abs(vb)))
+                    blob["nested_agreement_region"] = f"[-{inner}, {inner}]^{cs.d}"
+                check = dens.invariance_of_solution(cs, last)
+                blob["invariance_residual"] = check.max_residual
+                blob["invariance_scale"] = check.scale
+                blob["divergence_residual"] = check.max_divergence
+                blob["skipped_nodes"] = check.skipped_nodes
+            except _NUMERICAL_ERRORS as err:
+                blob["error"] = str(err)
+            mesh = last.mesh
+            pts, vals = calc.lattice(mesh.axes()), last.values.reshape(-1)
+            tables["density_grid.csv"] = Table(
+                ["index"] + [f"x{i+1}" for i in range(mesh.d)] + ["value"],
+                [[i, *pts[i], vals[i]] for i in range(len(vals))],
+                f"# R={_fmt(mesh.R)},n={mesh.n},d={mesh.d}",
+            )
     profile = block.volume_profile
     if profile is not None:
         try:

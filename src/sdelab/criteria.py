@@ -380,12 +380,14 @@ def _handle_linear_growth_moment(spec, cs, rho):
     pts = spec.region.points(cs.d)
     M = spec.constants["M"]
     A = cs.eval_A(pts)
-    sigma = calc.diffusion_root_batch(A)
     G = cs.eval_G(pts)
     r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
     h1v = np.abs(evaluate(spec.h1, pts)) if spec.h1 is not None else 0.0
     h2v = np.abs(evaluate(spec.h2, pts)) if spec.h2 is not None else 0.0
-    smax = np.max(np.abs(sigma), axis=(1, 2))
+    # every root sigma of A has |sigma_ij| <= sqrt(a_ii), the norm of its row i,
+    # with equality for a diagonal A; a negative a_ii gives a skipped margin
+    with np.errstate(invalid="ignore"):
+        smax = np.max(np.sqrt(np.einsum("nii->ni", A)), axis=1)
     gmax = np.max(np.abs(G), axis=1)
     if spec.variant == "split":
         m_sigma = h1v + M * (np.sqrt(r) + 1.0) - smax

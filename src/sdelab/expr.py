@@ -618,6 +618,18 @@ _TEMPLATES = {
     Min: "_np.minimum({}, {})",
     SelGe: "_np.where({} >= {}, {}, {})",
 }
+# the templates for one point as Python floats, where numpy's dispatch costs
+# most: each gives its ufunc's bits (``max`` and ``min`` keep a NaN and, on a
+# tie, return the second argument, as numpy does); ``exp``, ``ln``, ``^`` and
+# ``erf`` keep their ufuncs, whose results the C library may not match
+_FLOAT_TEMPLATES = {
+    **_TEMPLATES,
+    Div: "{0} / {1} if {1} else _np.divide({0}, {1})",
+    Sqrt: "_sqrt({0}) if {0} >= 0.0 else _np.sqrt({0})",
+    Max: "{0} if {0} > {1} or {0} != {0} else {1}",
+    Min: "{0} if {0} < {1} or {0} != {0} else {1}",
+    SelGe: "{2} if {0} >= {1} else {3}",
+}
 
 
 @functools.lru_cache(maxsize=256)
@@ -638,10 +650,15 @@ class Program:
     The function is generated per dimension (``norm2`` reads it) on first use;
     it keeps no state between calls, so one program may serve several threads.
 
-    :meth:`function` ``(d)`` is that function of ``(x1, .., xd)``: the
+    :meth:`function` ``(d)`` is that function of ``(x1, .., xd)``, then of
+    any higher coordinate up to the highest one the expressions mention
+    (more inputs, such as a step's noise, which ``norm2`` does not read): the
     coordinate columns ``(n,)`` of a point batch, or one point as Python
     floats; it returns one value per expression, with the same bits either
     way; a constant expression's value is a Python float either way.
+    ``function(d, floats=True)`` takes Python floats only: it writes ``/``,
+    ``sqrt``, ``max``, ``min`` and ``selge`` as Python operations with the
+    ufuncs' bits, several times cheaper on one point.
     ``norm2`` is the in-order sum ``x1*x1 + ... + xd*xd`` in every d, so its
     bits do not depend on the host.  Calling the program evaluates under
     ``np.errstate(all="ignore")``: a single expression maps ``(n, d)`` points
@@ -653,13 +670,15 @@ class Program:
         self._scalar = isinstance(exprs, Expr)
         self._consts: dict = {}  # name -> value
         self._code: list = []  # (name, node type, argument names) in topological order
-        self._fns: dict = {}  # d -> generated function
+        self._fns: dict = {}  # (d, floats) -> generated function
+        self._arity = 0  # one more than the highest coordinate axis mentioned
         names: dict = {}  # structural key -> name
 
         def visit(e: Expr) -> str:
             if isinstance(e, Const):
                 key = (Const, type(e.value), e.value, math.copysign(1.0, e.value))
             elif isinstance(e, Coord):
+                self._arity = max(self._arity, e.axis + 1)
                 return f"x{e.axis + 1}"
             elif isinstance(e, Pow):
                 key = (Pow, visit(e.base), visit(Const(e.exponent)))
@@ -675,26 +694,26 @@ class Program:
 
         self._outputs = tuple(visit(e) for e in ([exprs] if self._scalar else exprs))
 
-    def function(self, d: int):
-        fn = self._fns.get(d)
+    def function(self, d: int, floats: bool = False):
+        fn = self._fns.get((d, floats))
         if fn is None:
-            fn = self._fns[d] = self._generate(d)
+            fn = self._fns[d, floats] = self._generate(d, _FLOAT_TEMPLATES if floats else _TEMPLATES)
         return fn
 
-    def _generate(self, d: int):
+    def _generate(self, d: int, templates: dict):
         last = {a: name for name, _, args in self._code for a in args}  # argument -> its last user
         temporaries = {name for name, _, _ in self._code} - set(self._outputs)
-        coords = [f"x{k + 1}" for k in range(d)]
+        coords = [f"x{k + 1}" for k in range(max(d, self._arity))]
         lines = [f"def program({', '.join(coords)}):"]
         for name, kind, args in self._code:
             if kind is Norm2:  # in order: the same bits on floats, on columns and on every host
-                src = " + ".join(f"{x} * {x}" for x in coords)
+                src = " + ".join(f"{x} * {x}" for x in coords[:d])
             else:
-                src = _TEMPLATES[kind].format(*args)
+                src = templates[kind].format(*args)
             dead = [a for a in dict.fromkeys(args) if a in temporaries and last[a] == name]
             lines.append(f"    {name} = {src}" + (f"; del {', '.join(dead)}" if dead else ""))
         lines.append(f"    return ({''.join(o + ', ' for o in self._outputs)})")
-        scope = {"_np": np, "_erf": scipy.special.erf, **self._consts}
+        scope = {"_np": np, "_erf": scipy.special.erf, "_sqrt": math.sqrt, **self._consts}
         exec(_compiled("\n".join(lines)), scope)
         return scope["program"]
 

@@ -24,16 +24,19 @@ runs the inverse CDF (``ndtri``, which releases the GIL) on chunk k+1 while
 the batch steps through chunk k; a one-path batch converts each chunk inline
 when it needs it.
 
-Two loops step a batch, with the same operations in the same order: each
-step calls one compiled :class:`~sdelab.expr.Program` for the drift, every
-accumulator and :attr:`CoefficientSet.cholesky` (``L``, then a margin that
-raises :class:`~sdelab.calculus.DegenerateDiffusionError` where it is not
-positive).  :func:`_step_batch` steps the batch's paths together, with few
-numpy calls per step; :func:`_step_path` steps a batch of one path on Python
-floats, at a tenth of the cost per step.  Every sum (``norm2``,
-:func:`_row_norms`, the noise ``sum_{j<=i} L_ij xi_j``, :func:`_mix`) is in
-order and elementwise, so a path's bits do not depend on its batch.  A
-non-finite accumulator increment (a path on a singular set) is skipped and
+One generated :class:`~sdelab.expr.Program` computes the whole step
+(:func:`_step_program`) from the state and the step's noise: the new state,
+its norm, the drift's clip scale, every accumulator, and the margin of
+:attr:`CoefficientSet.cholesky` that raises
+:class:`~sdelab.calculus.DegenerateDiffusionError` where it is not positive.
+Two loops call it and keep only the ladder, the saves and the counts:
+:func:`_step_batch` steps the batch's paths together on columns, and
+:func:`_step_path` steps a batch of one path on Python floats, through the
+program's float templates, at a tenth of the cost per step.  Every sum
+(``norm2``, the drift's and the new state's squares, the noise
+``sum_{j<=i} L_ij xi_j``) is in order and elementwise, and the float
+templates give the ufuncs' bits, so a path's bits do not depend on its batch.
+A non-finite accumulator increment (a path on a singular set) is skipped and
 counted in ``PathEnsemble.skipped``, as :func:`calculus.integrate_masked`
 skips and counts quadrature nodes.  A step to a state that is not finite
 raises :class:`MonteCarloError`; the ladder test finds it (its norm is
@@ -45,14 +48,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import calculus as calc
 from .calculus import CoefficientSet, DensityField, QuadratureRule
-from .expr import Const, Expr, Max, Program, columns, mul
+from .expr import Add, Const, Coord, Div, Expr, Max, Min, Mul, Program, Sqrt, columns, fold_const, mul
 
 __all__ = [
     "MonteCarloError",
@@ -132,21 +136,6 @@ class PathEnsemble:
         return self.states[:, k, :]
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Row norms, the squares summed column by column in order, as ``norm2``
-    sums them and as :func:`_step_path` sums them on floats.
-
-    Below 8 columns numpy adds a row's squares in order too, so this is
-    ``np.linalg.norm(x, axis=1)`` bit for bit there, at about a quarter of
-    its cost at 2000 rows and d=2; from 8 columns on numpy sums pairwise,
-    and the two may differ in the last bit.
-    """
-    s = x[:, 0] * x[:, 0]
-    for k in range(1, x.shape[1]):
-        s = s + x[:, k] * x[:, k]
-    return np.sqrt(s)
-
-
 def _batch_bounds(paths: int, n_steps: int, d: int) -> List[Tuple[int, int]]:
     """Path ranges whose three noise buffers (:func:`_noise`) hold at most
     ``_BATCH_FLOATS`` numbers."""
@@ -210,19 +199,6 @@ def _noise(
         yield xi, xi_rows
 
 
-def _mix(e: np.ndarray, V: Sequence, rows: List[Tuple[int, int, range]]) -> np.ndarray:
-    """``out[:, i]`` is the in-order sum over ``j <= i`` of ``e[:, j] * L_ij``,
-    ``L`` read from a program's values ``V`` at ``rows`` (``_Job.rows``),
-    elementwise: a path's bits do not depend on its batch, as a matmul's do."""
-    out = np.empty(e.shape)
-    for i, o, js in rows:
-        s = e[:, 0] * V[o]
-        for j in js:
-            s = s + e[:, j] * V[o + j]
-        out[:, i] = s
-    return out
-
-
 def _rows_at(rows: np.ndarray, ids: np.ndarray):
     """Where the batch indices ``ids`` sit in a chunk's sorted ``rows``, which
     hold them all: every row (a slice, so a view) when nothing else is there."""
@@ -244,6 +220,30 @@ def _not_finite(k: int, paths, before, after) -> MonteCarloError:
     return MonteCarloError(f"{where}; the last finite state is x = {np.asarray(before[i]).tolist()}")
 
 
+def _step_program(cs: CoefficientSet, cfg: SimulationConfig, accumulate: List[Expr]) -> Program:
+    """The Euler step as one program of the state ``x1 .. xd`` and the noise
+    ``x(d+1) .. x(2d)``.  Its values are the new state
+    ``x_i + (G_i s) dt + sqrt(dt) sum_{j<=i} xi_j L_ij``, the new state's
+    norm, the clip scale ``s = min(1, clip / (|G| dt))``, the accumulators,
+    and the degeneracy margin.  The step is built from raw nodes, which fold
+    nothing (``xi_j * 0.0`` keeps the sign of its zero), and every sum is in
+    order.  Only exact folds are made: a constant drift's clip scale and drift
+    term, and a unit entry of ``L`` (``xi_j * 1.0`` is ``xi_j`` bit for bit)."""
+    d = cs.d
+    dt, sqrt_dt = Const(float(cfg.dt)), Const(math.sqrt(cfg.dt))
+    G, chol = cs.G, cs.cholesky
+    drift_norm = Sqrt(reduce(Add, (Mul(g, g) for g in G)))
+    scale = fold_const(Min(Const(1.0), Div(Const(float(cfg.clip)), Mul(drift_norm, dt))))
+    xi = [Coord(d + j) for j in range(d)]
+    new = []
+    for i in range(d):
+        L_i = chol[i * (i + 1) // 2 :][: i + 1]
+        noise = reduce(Add, (e if l == Const(1.0) else Mul(e, l) for e, l in zip(xi, L_i)))
+        new.append(Add(Add(Coord(i), fold_const(Mul(Mul(G[i], scale), dt))), Mul(sqrt_dt, noise)))
+    norm = Sqrt(reduce(Add, (Mul(x, x) for x in new)))
+    return Program((*new, norm, scale, *accumulate, chol[-1]))
+
+
 @dataclass
 class _Job:
     """An ensemble's step settings and the result arrays that both stepping
@@ -251,8 +251,7 @@ class _Job:
 
     cfg: SimulationConfig
     x0: np.ndarray
-    fused: Callable  # the generated function of the drift's d columns, one per accumulator, then cs.cholesky
-    rows: List[Tuple[int, int, range]]  # per row i of L: i, L_i0's index from the values' end, the j > 0
+    step: Program  # see _step_program
     acc_start: int
     save_pos: Dict[int, int]  # step -> save slot
     states: np.ndarray
@@ -320,8 +319,7 @@ def simulate_ensemble(
     job = _Job(
         cfg=cfg,
         x0=x0,
-        fused=Program(tuple(cs.G) + tuple(accumulate.values()) + cs.cholesky).function(d),
-        rows=[(i, i * (i + 1) // 2 - len(cs.cholesky), range(1, i + 1)) for i in range(d)],
+        step=_step_program(cs, cfg, list(accumulate.values())),
         acc_start=int(round(accumulate_from / dt)),
         save_pos={k: i for i, k in enumerate(save_idx)},
         states=np.empty((paths, n_saved, d)),
@@ -359,12 +357,13 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[Tuple[np.ndarray, n
     """Step paths ``lo .. hi-1`` together, one numpy operation per step over
     the living paths, until the horizon or until every path has left."""
     cfg, d = job.cfg, len(job.x0)
-    dt, sqrt_dt = cfg.dt, math.sqrt(cfg.dt)
+    dt = cfg.dt
     n_acc = job.accs.shape[2]
     radii = np.array(cfg.radii, dtype=float)
     n_radii = len(radii)
     next_radius = np.append(radii, np.inf)  # a path past the last radius has none
     cols = np.arange(n_radii)
+    fused = job.step.function(d)
     B = hi - lo
     X = np.tile(job.x0, (B, 1))
     totals = np.zeros((B, n_acc))
@@ -379,28 +378,20 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[Tuple[np.ndarray, n
             xi, rows = next(noise)  # rows: the paths alive when the chunk was drawn
             at = _rows_at(rows, ids)
         Xa = X[live]
-        e = xi[c][at]
-        V = job.fused(*Xa.T)
+        V = fused(*Xa.T, *xi[c][at].T)
         if not np.all(V[-1] > 0):
             raise _degenerate(Xa, V[-1])
-        W = columns(V[: d + n_acc], len(Xa))
-        G = W[:, :d]
         if k >= job.acc_start:
-            inc = W[:, d:] * dt
+            inc = columns(V[d + 2 : -1], len(Xa)) * dt
             ok = np.isfinite(inc)
             if np.count_nonzero(ok) < ok.size:
                 job.skipped[:] += len(ok) - ok.sum(axis=0)
                 inc[~ok] = 0.0
             totals[live] += inc
-        gn = _row_norms(G)
-        too_big = gn * dt > cfg.clip
-        if np.count_nonzero(too_big):
-            scale = np.ones(len(Xa))
-            scale[too_big] = cfg.clip / (gn[too_big] * dt)
-            G = G * scale[:, None]
-            job.clip_counts[lo + ids[too_big]] += 1
-        Xn = Xa + G * dt + sqrt_dt * _mix(e, V, job.rows)
-        rn = _row_norms(Xn)
+        clipped = V[d + 1] < 1.0  # a constant drift's is one bool
+        if np.any(clipped):
+            job.clip_counts[lo + ids[np.broadcast_to(clipped, ids.shape)]] += 1
+        Xn, rn = columns(V[:d], len(Xa)), V[d]
         hit = ~(rn < thr[live])  # a NaN norm too: its state is not finite
         hits = np.count_nonzero(hit)
         if hits and not np.isfinite(Xn[hit]).all():
@@ -428,16 +419,15 @@ def _step_batch(job: _Job, lo: int, hi: int, noise: Iterator[Tuple[np.ndarray, n
 
 
 def _step_path(job: _Job, p: int, noise: Iterator[Tuple[np.ndarray, np.ndarray]]) -> None:
-    """Step path ``p`` alone on Python floats, with :func:`_step_batch`'s
-    operations in its order: the program's function takes the point as
-    floats, the noise rows are one chunk's ``.tolist()``, :func:`_mix` is
-    written out, and the clip and the ladder are ``if``s.  No noise is drawn
-    after the path leaves."""
+    """Step path ``p`` alone on Python floats, through the step program's
+    float templates: the point and the noise rows (one chunk's ``.tolist()``)
+    are floats, and the ladder is ``if``s.  No noise is drawn after the path
+    leaves."""
     cfg, d = job.cfg, len(job.x0)
-    dt, sqrt_dt, clip = cfg.dt, math.sqrt(cfg.dt), cfg.clip
+    dt = cfg.dt
     radii = cfg.radii
     n_radii = len(radii)
-    fused = job.fused
+    fused = job.step.function(d, floats=True)
     n_acc = job.accs.shape[2]
     x = job.x0.tolist()
     totals = [0.0] * n_acc
@@ -448,36 +438,19 @@ def _step_path(job: _Job, p: int, noise: Iterator[Tuple[np.ndarray, np.ndarray]]
         c = k % _NOISE_CHUNK
         if c == 0:
             chunk = next(noise)[0][:, 0].tolist()
-        V = fused(*x)
+        V = fused(*x, *chunk[c])
         if not V[-1] > 0:
             raise _degenerate([x], V[-1])
         if k >= job.acc_start:
             for j in range(n_acc):
-                inc = V[d + j] * dt
+                inc = V[d + 2 + j] * dt
                 if math.isfinite(inc):
                     totals[j] += inc
                 else:
                     skipped[j] += 1
-        G = V[:d]
-        s = G[0] * G[0]
-        for g in G[1:]:
-            s = s + g * g
-        gn = math.sqrt(s)
-        if gn * dt > clip:
-            scale = clip / (gn * dt)
-            G = [g * scale for g in G]
+        if V[d + 1] < 1.0:
             clips += 1
-        e = chunk[c]
-        xn = []
-        for i, o, js in job.rows:
-            s = e[0] * V[o]
-            for j in js:
-                s = s + e[j] * V[o + j]
-            xn.append(x[i] + G[i] * dt + sqrt_dt * s)
-        s = xn[0] * xn[0]
-        for v in xn[1:]:
-            s = s + v * v
-        r = math.sqrt(s)
+        xn, r = V[:d], V[d]
         if not r < thr and not all(map(math.isfinite, xn)):
             raise _not_finite(k, [p], [x], [xn])
         x = xn

@@ -564,18 +564,21 @@ def test_builtin_reports_hold_no_nan(tmp_path):
 
 
 def test_failed_solve_fails_a_stage_that_reads_it(tmp_path):
-    # ln(x1) is undefined on half of the box, so the solve fails at a face center
+    # ln(x1) is undefined on half of the box, so the solve fails at a face
+    # center; the density stage keeps its analytic row
     cfg = tiny_bm_config(
-        density={"solve": {"R_ladder": [3.0], "n": 16}},
+        density={"analytic": ["1"], "solve": {"R_ladder": [3.0], "n": 16}},
         criteria=[{"id": "INVARIANCE_LOG_GROWTH", "constants": {"M": 2}, "density": "solved"}],
     )
     cfg["coefficients"]["H"] = ["ln(x1)", "-x2"]
     cfg.pop("simulation")
     report = run_scenario(cfg, tmp_path, stages=("density", "criteria"))
     assert report["status"]["exit_code"] == 3
-    assert "error" in report["stages"]["density"]
-    note = report["status"]["notes"][1]
-    assert note.startswith("stage criteria error: no solved density: the density stage failed")
+    density = report["stages"]["density"]
+    assert [row["index"] for row in density["analytic"]] == [0]
+    assert sorted(density["solve"]) == ["R_ladder", "error", "n"]
+    note = report["status"]["notes"][-1]
+    assert note.startswith("stage criteria error: no solved density: the solve failed")
     # without the density stage, a solved reference stays a config error
     assert run_scenario(cfg, stages=("criteria",))["status"]["exit_code"] == 4
 
@@ -614,11 +617,16 @@ def test_an_invalid_mesh_fails_only_the_parts_that_read_it(tmp_path):
 
 def test_zero_boundary_solve_is_a_numerical_failure(tmp_path):
     # boundary data 0 on every boundary node leave the tau column empty
-    cfg = tiny_bm_config(density={"solve": {"R_ladder": [2.0], "n": 8, "boundary": "0*x1"}}, criteria=[])
+    cfg = tiny_bm_config(
+        density={"analytic": ["1"], "solve": {"R_ladder": [2.0], "n": 8, "boundary": "0*x1"}}, criteria=[]
+    )
     cfg.pop("simulation")
     report = run_scenario(cfg, tmp_path, stages=("density",))
     assert report["status"]["exit_code"] == 3
-    assert "exactly singular" in report["stages"]["density"]["error"]
+    density = report["stages"]["density"]
+    assert "exactly singular" in density["solve"]["error"]
+    (row,) = density["analytic"]
+    assert row["invariant_on_grid"]
 
 
 @pytest.mark.parametrize("paths", [1, 50])

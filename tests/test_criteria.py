@@ -398,6 +398,18 @@ def test_linear_growth_moment_bm():
     assert v.verdict == "holds-on-grid"
 
 
+def test_linear_growth_moment_bounds_every_root_by_the_diagonal():
+    # every root sigma of A has |sigma_ij| <= sqrt(a_ii); for a non-diagonal A
+    # the margin reads max_i sqrt(a_ii) = 2, above the symmetric root's
+    # largest entry
+    spec = CriterionSpec(id="LINEAR_GROWTH_MOMENT", constants={"M": 3.0}, variant="joint")
+    w, V = np.linalg.eigh([[4.0, 1.5], [1.5, 1.0]])
+    assert np.abs((V * np.sqrt(w)) @ V.T).max() < 2.0
+    v = evaluate_criterion(spec, build_coefficient_set([["4", "1.5"], ["1"]], None, ["0", "0"], d=2))
+    assert v.witness == (1e-06, 0.0)
+    assert v.min_margin == pytest.approx(3.0 * (1e-06 + 1.0) - 2.0, rel=1e-12)
+
+
 def test_volume_conservative_bounded_density():
     # bounded density, zero mu-divergence remainder: polynomial volume bound
     rho_src = "1 + exp(-norm2(x))"

@@ -401,14 +401,41 @@ def test_reprint_is_stable(tree):
     assert to_source(parse_expr(once, 2)) == once
 
 
-@settings(max_examples=200, deadline=None)
-@given(_exprs(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.5, -7.25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_SPECIAL)), min_size=2, max_size=2))
 def test_program_on_floats_matches_arrays(tree, point):
-    # one point as Python floats gives the bits of that point in a batch:
-    # every node calls the numpy ufunc, and a zero divisor does not raise
-    prog = ex.Program([tree, ex.Div(Const(1.0), ex.Sub(Coord(0), Coord(0)))])
+    # one point as Python floats gives the bits of that point in a batch,
+    # through the ufunc templates and through the float templates: a zero
+    # divisor does not raise, and max and min keep a NaN and, on a tie of
+    # zeros, return the second argument's sign as numpy does
+    sel = ex.SelGe(tree, Coord(1), Coord(0), tree)
+    prog = ex.Program([tree, sel, ex.Div(Const(1.0), ex.Sub(Coord(0), Coord(0)))])
     pts = np.array([point, [0.5, -1.5]])
     with np.errstate(all="ignore"):
-        floats = prog.function(2)(*point)
-        arrays = prog(pts)[0]
-    assert repr([float(v) for v in floats]) == repr(arrays.tolist())
+        arrays = repr(prog(pts)[0].tolist())
+        for floats in (False, True):
+            assert repr([float(v) for v in prog.function(2, floats=floats)(*point)]) == arrays
+
+
+def test_float_templates_on_every_special_pair():
+    # each float template against its ufunc on all 81 pairs of special values
+    x1, x2 = Coord(0), Coord(1)
+    prog = ex.Program([ex.Div(x1, x2), ex.Sqrt(x1), Max(x1, x2), ex.Min(x1, x2), ex.SelGe(x1, x2, x2, x1)])
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    with np.errstate(all="ignore"):
+        arrays = prog(np.array(pairs)).tolist()
+        floats = [[float(v) for v in prog.function(2, floats=True)(a, b)] for a, b in pairs]
+    assert repr(floats) == repr(arrays)
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_coordinates_beyond_d_are_more_arguments(floats):
+    # x3 becomes the third argument of the d = 2 function; norm2 still sums x1, x2 only
+    prog = ex.Program([ex.Add(ex.Norm2(), Coord(2))])
+    fn = prog.function(2, floats=floats)
+    assert fn.__code__.co_varnames[: fn.__code__.co_argcount] == ("x1", "x2", "x3")
+    assert fn(1.0, 2.0, 0.5) == (5.5,)
+    assert prog.function(3, floats=floats)(1.0, 2.0, 0.5) == (5.75,)

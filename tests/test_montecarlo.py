@@ -597,45 +597,6 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
     assert np.isfinite(ens.accumulators["log"]).all()
 
 
-@pytest.mark.parametrize("d", range(2, 11))
-def test_row_norms_equal_linalg_norm_bit_for_bit(d):
-    # the squares are summed in order in every d; below 8 columns numpy does
-    # too, and from 8 on it sums pairwise
-    rng = np.random.default_rng(d)
-    for magnitude in (1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200):
-        x = magnitude * rng.standard_normal((200, d)) * np.exp(rng.standard_normal((200, d)))
-        with np.errstate(all="ignore"):
-            got = montecarlo._row_norms(x)
-            if d < 8:
-                want = np.linalg.norm(x, axis=1)
-            else:
-                want = np.sqrt(sum((x[:, k] * x[:, k] for k in range(1, d)), x[:, 0] * x[:, 0]))
-        assert repr(got.tolist()) == repr(want.tolist())
-
-
-def test_mix_is_the_in_order_float_sum():
-    # out[:, i] = e[:, 0] * L_i0 + ... + e[:, i] * L_ii, added left to right
-    # as on Python floats, with L's entries as Python floats (a constant A)
-    # and as one column per path; in d = 3 the values end with L's 6 entries
-    # and the margin, so row i starts i(i+1)/2 - 7 from their end
-    rng = np.random.default_rng(7)
-    e = rng.standard_normal((3334, 3))
-    rows = [(0, -7, range(1, 1)), (1, -6, range(1, 2)), (2, -4, range(1, 3))]
-    for L in (rng.standard_normal(6).tolist(), list(rng.standard_normal((6, 3334)))):
-        per_path = np.broadcast_to(np.array(L).T, (3334, 6)).tolist()
-        want = []
-        for v, l in zip(e.tolist(), per_path):
-            out = []
-            for i, o, js in rows:
-                s = v[0] * l[o + 7]
-                for j in js:
-                    s = s + v[j] * l[o + 7 + j]
-                out.append(s)
-            want.append(out)
-        got = montecarlo._mix(e, (None,) + tuple(L) + (1.0,), rows)  # a drift value, L, the margin
-        assert repr(got.tolist()) == repr(want)
-
-
 @pytest.mark.parametrize(
     "a", [(1.0, 1.0), (2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 2.0, 7.0)], ids=["I2", "diag_2_3", "I3", "diag_05_2_7"]
 )
