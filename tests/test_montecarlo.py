@@ -597,6 +597,54 @@ def test_fused_kernel_matches_plain_stepper(monkeypatch):
     assert np.isfinite(ens.accumulators["log"]).all()
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_row_norms_equal_linalg_norm_bit_for_bit(d):
+    # the step program's norm of the new state sums the squares in order in
+    # every d, on columns and on floats; below 8 columns numpy does too, and
+    # from 8 on it sums pairwise
+    rng = np.random.default_rng(d)
+    step = montecarlo._step_program(cs_ou(d), SimulationConfig(dt=1e-2, horizon=1.0, paths=1, seed=1), [])
+    on_columns, on_floats = step.function(d), step.function(d, floats=True)
+    for magnitude in (1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200):
+        x = magnitude * rng.standard_normal((200, d)) * np.exp(rng.standard_normal((200, d)))
+        xi = rng.standard_normal((200, d))
+        with np.errstate(all="ignore"):
+            V = on_columns(*x.T, *xi.T)
+            new, got = ex.columns(V[:d], 200), V[d]
+            if d < 8:
+                want = np.linalg.norm(new, axis=1)
+            else:
+                want = np.sqrt(sum((new[:, k] * new[:, k] for k in range(1, d)), new[:, 0] * new[:, 0]))
+            floats = [on_floats(*p, *e)[d] for p, e in zip(x.tolist(), xi.tolist())]
+        assert repr(got.tolist()) == repr(want.tolist()) == repr(floats)
+
+
+def test_mix_is_the_in_order_float_sum():
+    # the step's noise term xi_0 * L_i0 + ... + xi_i * L_ii is added left to
+    # right as on Python floats, with L's entries constant (a constant A) and
+    # one per path (an A that varies with x); a zero drift and dt = 1 make
+    # the new state x_i + 0.0 + 1.0 * term
+    rng = np.random.default_rng(7)
+    x, xi = rng.standard_normal((3334, 3)), rng.standard_normal((3334, 3))
+    cfg = SimulationConfig(dt=1.0, horizon=1.0, paths=1, seed=1)
+    for A in ([["2", "0.5", "-0.25"], ["3", "0.75"], ["1.5"]], [["2 + x1^2", "0.5*x2", "-0.25"], ["3 + x3^2", "0.75*x1"], ["5"]]):
+        cs = build_coefficient_set(A, G=["0", "0", "0"], d=3)
+        assert isinstance(cs.cholesky[0], ex.Const) == (A[2] == ["1.5"])
+        L = Program(list(cs.cholesky[:-1]))(x).tolist()  # L's 6 entries at each path's state
+        want = []
+        for p, e, l in zip(x.tolist(), xi.tolist(), L):
+            out = []
+            for i in range(3):
+                row = l[i * (i + 1) // 2 :][: i + 1]
+                s = e[0] * row[0]
+                for j in range(1, i + 1):
+                    s = s + e[j] * row[j]
+                out.append(p[i] + 0.0 + 1.0 * s)
+            want.append(out)
+        V = montecarlo._step_program(cs, cfg, []).function(3)(*x.T, *xi.T)
+        assert repr(ex.columns(V[:3], 3334).tolist()) == repr(want)
+
+
 @pytest.mark.parametrize(
     "a", [(1.0, 1.0), (2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 2.0, 7.0)], ids=["I2", "diag_2_3", "I3", "diag_05_2_7"]
 )
