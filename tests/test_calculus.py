@@ -1,4 +1,6 @@
 import math
+import platform
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
+import sdelab
 from sdelab import calculus as calc
+from sdelab import cli
 from sdelab import expr as ex
 from sdelab.calculus import (
     CoefficientSet,
@@ -343,6 +347,36 @@ def test_residual_scale_counts_the_bump_centre():
     # max|f| = 1 at each bump's centre, which no Gauss node hits; the box mass of 1 on [-3, 3]^2 is 36
     check = calc.invariance_check(identity_cs(), DensityField.from_expression("1", 2), 3.0)
     assert check.scale == pytest.approx(36.0, rel=1e-12)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="import raises glibc's mmap threshold only")
+def test_a_repeated_invariance_check_reuses_freed_memory():
+    # each column of a bump's 2^16-node rule is 512 KiB; below the raised mmap
+    # threshold its freed buffer stays in the heap, and the second check
+    # touches no fresh page (at glibc's defaults it takes about 22,000 faults)
+    resource = pytest.importorskip("resource")
+    cs, (rho,) = cli.build_problem(cli.load_config("ou_2d"))
+    calc.invariance_check(cs, rho, 3.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calc.invariance_check(cs, rho, 3.0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
+
+
+@pytest.mark.parametrize("libc", [
+    types.SimpleNamespace(),
+    types.SimpleNamespace(mallopt=lambda param, value: 0),
+    types.SimpleNamespace(mallopt=lambda param, value: 0 if param == -1 else 1),
+], ids=["no-mallopt", "mallopt-refuses", "trim-refused"])
+def test_allocator_setting_off_glibc_is_false_and_raises_nothing(libc):
+    assert sdelab._keep_freed_memory(libc) is False
+
+
+def test_allocator_setting_applies_both_thresholds():
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    assert sdelab._keep_freed_memory(libc) is True
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 def test_diffusion_root_identity_and_diag():
