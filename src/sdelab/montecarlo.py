@@ -15,14 +15,21 @@ state of an ensemble stepped for other estimators.  Everything is
 bit-reproducible for a fixed config, however the paths are split into
 batches.
 
-Noise is drawn for living paths only: a chunk covers the paths alive when
-its draw starts, and a batch whose paths have all left stops, its later save
-slots holding the frozen states and totals.  :func:`_noise` draws every
-uniform on the calling thread, stream by stream in path order, so no stream
-depends on thread timing.  For a batch of several paths one worker thread
-runs the inverse CDF (``ndtri``, which releases the GIL) on chunk k+1 while
-the batch steps through chunk k; a one-path batch converts each chunk inline
-when it needs it.
+Each stream's Philox key is the two exact 64-bit words ``(seed mod 2^64,
+p mod 2^64)`` (:class:`_Key`), so no two seeds that differ mod 2^64 share
+their noise, and setting a stream up reads no OS entropy.  Noise is drawn
+for living paths only: a chunk covers the paths alive when its draw starts,
+and a batch whose paths have all left stops, its later save slots holding
+the frozen states and totals.  :func:`_noise` draws every uniform on the
+calling thread, stream by stream in path order, so no stream depends on
+thread timing.  A chunk's inverse CDF (``ndtri``, which releases the GIL) is
+split into row slices (:class:`_Conversion`).  For a batch of several paths
+one worker thread starts taking the slices of chunk k+1 as soon as it is
+drawn, while the batch steps through chunk k; when the batch reaches chunk
+k+1 the calling thread converts the slices nobody has taken yet and waits
+only for the one the worker holds.  A one-path batch converts each chunk
+inline when it needs it.  ``ndtri`` works element by element, so the
+numbers do not depend on which thread converts which slice.
 
 One generated :class:`~sdelab.expr.Program` computes the whole step
 (:func:`_step_program`) from the state and the step's noise: the new state,
@@ -46,12 +53,14 @@ not below the next radius) and names the step and the last finite state.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from . import calculus as calc
@@ -75,6 +84,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _NOISE_CHUNK = 128  # time steps of Gaussian noise drawn per path at a time
 _BATCH_FLOATS = 1 << 22  # noise numbers held per batch in its three buffers (32 MiB)
+_SLICE_FLOATS = 1 << 15  # noise numbers per slice of a chunk's inverse CDF, at most
 _REF_BOX = 6.0  # half-width of the box a transition reference is normalized on
 _BATCHES = 20  # batch means behind the ergodic average's standard error
 _CDF_POINTS = 2**22  # points per axis of a marginal CDF rule, at most
@@ -144,13 +154,53 @@ def _batch_bounds(paths: int, n_steps: int, d: int) -> List[Tuple[int, int]]:
     return [(s, min(s + batch, paths)) for s in range(0, paths, batch)]
 
 
-def _gaussians(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The standard Gaussians of the path-major uniforms ``u`` (rows, steps,
-    d), written step-major into the flat buffer ``out``; ``u`` is changed."""
-    g = out[: u.size].reshape(u.shape[1], u.shape[0], u.shape[2])
+class _Key(ISeedSequence):
+    """A Philox key given as two exact 64-bit words.  ``Philox(key=[a, b])``
+    turns a list holding a word of 2^63 or more into float64, which rounds
+    it, and it reads OS entropy for a seed sequence it then drops; a
+    :class:`_Key` does neither and gives the same stream where both words
+    are below 2^63."""
+
+    def __init__(self, a: int, b: int):
+        self.words = (a, b)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its key as two uint64 words
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _gaussians(u: np.ndarray, g: np.ndarray) -> None:
+    """Write the standard Gaussians of the path-major uniforms ``u`` (rows,
+    steps, d) into the step-major ``g`` (steps, rows, d); ``u`` is changed."""
     u[u == 0.0] = 2.0**-54
     ndtri(u, out=g.transpose(1, 0, 2))
-    return g
+
+
+class _Conversion:
+    """One chunk's inverse CDF, from the path-major uniforms ``u`` (rows,
+    steps, d), which it changes, into the step-major Gaussians ``g`` (steps,
+    rows, d) it writes at the start of the flat buffer ``out``.  The rows are
+    split into slices of at most ``_SLICE_FLOATS`` numbers that threads take
+    in turn from one counter, so each slice is converted once, by the thread
+    that took it."""
+
+    def __init__(self, u: np.ndarray, out: np.ndarray):
+        rows, steps, d = u.shape
+        self.u, self.g = u, out[: u.size].reshape(steps, rows, d)
+        self.per = max(1, _SLICE_FLOATS // (steps * d))
+        self.slices = -(-rows // self.per)
+        self.taken = 0
+        self.lock = threading.Lock()
+
+    def run(self) -> None:
+        """Convert slices until none is left untaken."""
+        while True:
+            with self.lock:
+                i, self.taken = self.taken, self.taken + 1
+            if i >= self.slices:
+                return
+            a, b = i * self.per, (i + 1) * self.per
+            _gaussians(self.u[a:b], self.g[:, a:b])
 
 
 def _noise(
@@ -160,42 +210,47 @@ def _noise(
     ``(steps, rows, d)`` chunk of at most ``_NOISE_CHUNK`` steps at a time,
     each with the batch indices of its rows.
 
-    ``status`` is the batch's view of the ensemble's status; a chunk's rows
-    are the paths whose status is 0 (alive) when its draw starts, and no
-    other stream is advanced.  The calling thread draws each row's uniforms
-    into one path-major buffer, contiguously, stream by stream in path order.
-    With ``pool`` its worker converts chunk k+1 into one of two step-major
-    buffers while the caller steps through chunk k; without one each chunk is
-    converted when it is asked for.
+    Path ``p`` reads the Philox stream keyed by the two exact 64-bit words
+    ``seed & _MASK64`` and ``p & _MASK64``.  ``status`` is the batch's view
+    of the ensemble's status; a chunk's rows are the paths whose status is 0
+    (alive) when its draw starts, and no other stream is advanced.  The
+    calling thread draws each row's uniforms into one path-major buffer,
+    contiguously, stream by stream in path order.  With ``pool`` its worker
+    takes slices of chunk k+1's conversion, into one of two step-major
+    buffers, while the caller steps through chunk k; when the caller asks
+    for chunk k+1 it converts the slices left and waits for the worker's
+    last one.  Without a pool each chunk is converted when it is asked for.
     """
-    gens = [
-        np.random.Generator(np.random.Philox(key=[seed & _MASK64, p & _MASK64]))
-        for p in range(lo, hi)
-    ]
+    key = seed & _MASK64
+    gens = [np.random.Generator(np.random.Philox(_Key(key, p & _MASK64))) for p in range(lo, hi)]
     size = min(n_steps, _NOISE_CHUNK) * (hi - lo) * d
     u, out = np.empty(size), (np.empty(size), np.empty(size))
 
-    def draw(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def draw(k: int, buf: np.ndarray) -> Tuple[_Conversion, np.ndarray]:
         # successive draws continue each path's stream, so the numbers do
         # not depend on the chunk length
         rows, steps = np.flatnonzero(status == 0), min(_NOISE_CHUNK, n_steps - k)
         v = u[: len(rows) * steps * d].reshape(len(rows), steps, d)
         for r, i in enumerate(rows.tolist()):
             gens[i].random(out=v[r])
-        return v, rows
+        return _Conversion(v, buf), rows
 
     if pool is None:
         for k in range(0, n_steps, _NOISE_CHUNK):
-            v, rows = draw(k)
-            yield _gaussians(v, out[0]), rows
+            conv, rows = draw(k, out[0])
+            _gaussians(conv.u, conv.g)  # no other thread takes slices
+            yield conv.g, rows
         return
-    v, rows = draw(0)
-    ahead = pool.submit(_gaussians, v, out[0])
+    conv, rows = draw(0, out[0])
+    ahead = pool.submit(conv.run)
     for i, k in enumerate(range(0, n_steps, _NOISE_CHUNK)):
-        xi, xi_rows = ahead.result(), rows
+        conv.run()
+        if not ahead.cancel():  # the worker has started: wait for its last slice
+            ahead.result()
+        xi, xi_rows = conv.g, rows
         if k + _NOISE_CHUNK < n_steps:
-            v, rows = draw(k + _NOISE_CHUNK)
-            ahead = pool.submit(_gaussians, v, out[(i + 1) % 2])
+            conv, rows = draw(k + _NOISE_CHUNK, out[(i + 1) % 2])
+            ahead = pool.submit(conv.run)
         yield xi, xi_rows
 
 

@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -186,17 +188,105 @@ def test_concurrent_ensembles_keep_their_bytes():
     assert together == alone
 
 
-def test_the_inverse_cdf_runs_on_one_worker_thread_that_ends_with_the_run(monkeypatch):
-    workers, gaussians = [], montecarlo._gaussians
-    monkeypatch.setattr(montecarlo, "_gaussians", lambda u, out: workers.append(threading.get_ident()) or gaussians(u, out))
+def test_the_inverse_cdf_runs_on_the_caller_and_one_worker_that_ends_with_the_run(monkeypatch):
+    # a batch's slices are converted by the calling thread and by one worker
+    # at most, each slice once (20 paths make one slice a chunk); the worker
+    # is joined when the run ends, and a one-path batch converts inline
+    by, gaussians = [], montecarlo._gaussians
+    monkeypatch.setattr(montecarlo, "_gaussians", lambda u, g: by.append(threading.get_ident()) or gaussians(u, g))
     before = threading.active_count()
     cfg = SimulationConfig(dt=1e-2, horizon=3 * montecarlo._NOISE_CHUNK * 1e-2, paths=20, seed=4, radii=(16.0,))
     simulate_ensemble(OU, [1.0, 0.0], cfg)
     assert threading.active_count() == before
-    assert len(workers) == 3 and len(set(workers)) == 1 and workers[0] != threading.get_ident()
-    workers.clear()
+    assert len(by) == 3 and len(set(by) - {threading.get_ident()}) <= 1
+    by.clear()
     simulate_ensemble(OU, [1.0, 0.0], replace(cfg, paths=1))  # a one-path batch converts inline
-    assert workers == [threading.get_ident()] * 3
+    assert by == [threading.get_ident()] * 3
+
+
+def _bm_states_match_the_streams(cfg, x0=(0.3, -0.2)):
+    """Step BM and check that each path's saved states are the running sums
+    of ``sqrt(dt)`` times one long read of its stream; the states."""
+    dt, n_steps = cfg.dt, cfg.n_steps
+    x0 = np.array(x0)
+    ens = simulate_ensemble(BM, x0, cfg, save_times=[k * dt for k in range(n_steps + 1)])
+    for p in range(cfg.paths):
+        steps = math.sqrt(dt) * _philox_normals(cfg.seed, p, (n_steps, 2))
+        assert np.array_equal(ens.states[p], np.cumsum(np.vstack([x0, steps]), axis=0))
+    return ens.states
+
+
+def _wait_for(ready, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not ready():
+        assert time.monotonic() < deadline
+        time.sleep(1e-4)
+
+
+def _slow_worker(monkeypatch, hold):
+    """Slices of two rows, each of which the worker converts 5 ms late; with
+    ``hold``, only once every slice of its chunk is taken.  The threads that
+    converted the slices, in order."""
+    monkeypatch.setattr(montecarlo, "_SLICE_FLOATS", 2 * montecarlo._NOISE_CHUNK * 2)
+    caller, by, chunk = threading.get_ident(), [], {}
+    run, gaussians = montecarlo._Conversion.run, montecarlo._gaussians
+
+    def tracked(conv):
+        chunk[threading.get_ident()] = conv
+        run(conv)
+
+    def slow(u, g):
+        me = threading.get_ident()
+        if me != caller:
+            conv = chunk[me]
+            _wait_for(lambda: not hold or conv.taken >= conv.slices)
+            time.sleep(5e-3)
+        gaussians(u, g)
+        by.append(me)
+
+    monkeypatch.setattr(montecarlo._Conversion, "run", tracked)
+    monkeypatch.setattr(montecarlo, "_gaussians", slow)
+    return by
+
+
+def test_the_stepping_thread_converts_what_a_slow_worker_leaves(monkeypatch):
+    # 10 slices in each full chunk and 2 in the last (20 steps); the worker
+    # holds the one slice it takes until the calling thread has taken the
+    # rest, so the caller converts all but one slice of each chunk and then
+    # waits for the worker's
+    by = _slow_worker(monkeypatch, hold=True)
+    cfg = SimulationConfig(dt=1e-3, horizon=(3 * montecarlo._NOISE_CHUNK + 20) * 1e-3, paths=20, seed=8, radii=(16.0,))
+    _bm_states_match_the_streams(cfg)
+    assert len(by) == 32 and by.count(threading.get_ident()) >= 28
+
+
+def test_a_chunk_the_worker_converts_alone_is_read_after_its_last_slice(monkeypatch):
+    # the calling thread takes no slice until the worker has taken every one,
+    # and the worker's slices are slow: the caller reads a chunk only once the
+    # worker's last slice is written
+    by = _slow_worker(monkeypatch, hold=False)
+    caller, run = threading.get_ident(), montecarlo._Conversion.run
+
+    def late(conv):
+        if threading.get_ident() == caller:
+            _wait_for(lambda: conv.taken >= conv.slices)
+        run(conv)
+
+    monkeypatch.setattr(montecarlo._Conversion, "run", late)
+    cfg = SimulationConfig(dt=1e-3, horizon=(3 * montecarlo._NOISE_CHUNK + 20) * 1e-3, paths=20, seed=8, radii=(16.0,))
+    _bm_states_match_the_streams(cfg)
+    assert len(by) == 32 and caller not in by
+
+
+def test_seeds_that_differ_mod_2_64_read_different_streams():
+    # Philox(key=[a, b]) rounds a list holding a word of 2^63 or more
+    # through float64, which would give seeds 0, -1 and -2 (and 2^63 and
+    # 2^63 + 1) one ensemble; path p reads the stream keyed by the exact
+    # words (seed mod 2^64, p)
+    cfg = SimulationConfig(dt=1e-3, horizon=(montecarlo._NOISE_CHUNK + 8) * 1e-3, paths=3, seed=0, radii=(16.0,))
+    states = [_bm_states_match_the_streams(replace(cfg, seed=seed)) for seed in (0, -1, -2, 2**63, 2**63 + 1)]
+    for a, b in itertools.combinations(states, 2):
+        assert not np.array_equal(a, b)
 
 
 def test_clip_accounting_zero_for_lipschitz():
@@ -387,7 +477,7 @@ def test_ergodic_average_ou_radial_second_moment():
 
 def _philox_normals(seed, path, shape):
     """One path's noise drawn as a single block of Philox uniforms."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, path]))
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), path], dtype=np.uint64)))
     u = gen.random(shape)
     u[u == 0.0] = 2.0**-54
     return ndtri(u)
