@@ -73,7 +73,6 @@ __all__ = [
     "diffusion_root_batch",
     "lattice",
     "integrate",
-    "exact_sum",
     "default_bump_library",
     "bump_expression",
 ]
@@ -607,74 +606,29 @@ def ball_integrals(
     return np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(ends, radii)], skipped
 
 
-# Adding and then subtracting this rounds a frexp mantissa, |m| < 1, to a
-# multiple of 2**-27; the remainder is a multiple of 2**-53 below 2**-28.
-_SPLIT = 1.5 * 2.0**25
-
-
-def exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of a float array, bit-equal to
-    ``math.fsum(x.tolist())`` but without a Python list.
-
-    Each value is ``m * 2**e`` with ``m`` from :func:`numpy.frexp`; ``m``
-    splits exactly into a multiple of ``2**-27`` and a remainder, and each
-    part is summed per exponent ``e`` by ``np.bincount``.  Every partial sum
-    is an integer multiple of the part's unit below ``2**53``, so the bucket
-    sums are exact while a bucket holds fewer than ``2**26`` terms.  The
-    buckets join into one Python int, rounded once by int/int division.  An
-    exact zero total is ``+0.0``, as fsum gives.  Input that is empty, has a
-    non-finite value, has ``2**26`` or more terms, or is large enough that
-    fsum's running sum could overflow goes to ``math.fsum``, so ``inf``,
-    ``nan``, ``ValueError`` and ``OverflowError`` come out as fsum's.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    m, e = np.frexp(x)
-    if (
-        x.size == 0
-        or x.size >= 1 << 26
-        or not np.isfinite(x).all()
-        # fsum's running sums stay below n * 2**max(e); this keeps them far from 2**1024
-        or e.max() + x.size.bit_length() > 1020
-    ):
-        return math.fsum(x.tolist())
-    lo = int(e.min())
-    high = m + _SPLIT
-    high -= _SPLIT
-    m -= high
-    bucket = np.subtract(e, lo, dtype=np.intp)
-    # bucket k's sums in units of 2**(lo + k - 53): integral floats below 2**80
-    high_k = np.bincount(bucket, weights=high) * 2.0**53
-    low_k = np.bincount(bucket, weights=m) * 2.0**53
-    total = 0
-    for k in np.flatnonzero((high_k != 0.0) | (low_k != 0.0)).tolist():
-        total += (int(high_k[k]) + int(low_k[k])) << k
-    shift = lo - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
-
-
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:
     """Tensor-product quadrature of ``f``, which maps ``(n, d)`` points to
-    ``(n,)``; the sum is correctly rounded, equal to ``math.fsum``
-    (:func:`exact_sum`)."""
+    ``(n,)``.
+
+    The products ``w * f`` are added by numpy's pairwise sum, off by at most
+    about ``log2(n) * eps * sum |w * f|``; ``np.sum`` rather than a BLAS dot,
+    whose result may depend on the BLAS thread count."""
     pts, w = rule.points_and_weights()
     vals = np.asarray(f(pts), dtype=float)
     vals = np.broadcast_to(vals, w.shape)
-    return exact_sum(w * vals)
+    return float(np.sum(w * vals))
 
 
 def integrate_masked(values: np.ndarray, rule: QuadratureRule) -> Tuple[float, int]:
     """Quadrature of ``values`` given at the rule's nodes, skipping (and
-    counting) the non-finite ones; the sum is correctly rounded, equal to
-    ``math.fsum`` (:func:`exact_sum`).
+    counting) the non-finite ones; the sum is pairwise, as in :func:`integrate`.
 
     Isolated singular points of otherwise integrable fields land on nodes for
     centered rules; skipping them is reported, never silent.
     """
     w = rule.points_and_weights()[1]
     ok = np.isfinite(values)
-    if ok.all():
-        return exact_sum(w * values), 0
-    return exact_sum(w[ok] * values[ok]), int(np.sum(~ok))
+    return float(np.sum(w[ok] * values[ok])), int(np.count_nonzero(~ok))
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,15 @@ _floats = _list(_float, nonempty=True)
 
 def _ladder(v, path, d) -> Tuple[float, ...]:
     out = _list(_positive, nonempty=True)(v, path, d)
-    if list(out) != sorted(out):
-        raise ConfigError("must be increasing", path)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigError("must be strictly increasing", path)
     return out
+
+
+def _probability(v, path, d=0) -> float:
+    if not 0 <= _float(v, path) <= 1:
+        raise ConfigError("must lie in [0, 1]", path)
+    return float(v)
 
 
 def _expr(v, path, d) -> Expr:
@@ -492,13 +498,13 @@ class Check:
     value: Union[None, float, Tuple[float, ...]] = _key(
         lambda v, path, d: _vector(_float)(v, path, d) if isinstance(v, list) else _float(v, path), None
     )
-    n_se: Optional[float] = _key(_float, None)
-    tol: Optional[float] = _key(_float, None)
+    n_se: Optional[float] = _key(_positive, None)
+    tol: Optional[float] = _key(_positive, None)
     level: Optional[str] = _key(_choice(mc.KS_FACTOR), None)
     radius: Optional[float] = _key(_float, None)
-    min: Optional[float] = _key(_float, None)
-    max: Optional[float] = _key(_float, None)
-    rel_tol: Optional[float] = _key(_float, None)
+    min: Optional[float] = _key(_probability, None)
+    max: Optional[float] = _key(_probability, None)
+    rel_tol: Optional[float] = _key(_positive, None)
 
 
 @dataclass(frozen=True)
@@ -507,9 +513,9 @@ class Simulation:
     horizon: float = _key(_positive)
     paths: int = _key(_count)
     seed: int = _key(_int)
-    radii: Tuple[float, ...] = _key(_floats)
+    radii: Tuple[float, ...] = _key(_ladder)
     x0: Tuple[float, ...] = _key(_vector(_float))
-    clip: float = _key(_float, mc.SimulationConfig.clip)
+    clip: float = _key(_positive, mc.SimulationConfig.clip)
     moments: Optional[Moments] = _key(_block(Moments), None)
     ergodic: Optional[Ergodic] = _key(_block(Ergodic), None)
     krylov: Optional[Krylov] = _key(_block(Krylov), None)
@@ -684,6 +690,10 @@ def _check_simulation(sim: Simulation, d: int, ref: Callable[[Optional[DensityRe
             raise ConfigError("not one of simulation.moments.times", f"{where}.time")
         if chk.type == "mean_at" and chk.time not in (None, block.t):
             raise ConfigError("must equal simulation.transition.t", f"{where}.time")
+        if chk.type == "exit_prob" and chk.min is None and chk.max is None:
+            raise ConfigError("exit_prob check needs min or max", where)
+        if chk.type == "exit_prob" and None not in (chk.min, chk.max) and chk.min > chk.max:
+            raise ConfigError("must not exceed max", f"{where}.min")
         if kind.block == "exit" and chk.radius not in exit_radii:
             raise ConfigError("not one of the exit radii", f"{where}.radius")
         if chk.type in ("ks_below_critical", "not_normalizable") and block.reference is None:

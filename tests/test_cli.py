@@ -261,6 +261,24 @@ def malformed_inputs():
         (crit0(density="analytic:x"), "$.criteria[0].density", "expected 'analytic:<index>' or 'solved'"),
         (crit0(density="analytic:4"), "$.criteria[0].density", "no such density is declared"),
         (sim(radii=[]), "$.simulation.radii", "must not be empty"),
+        (sim(radii=[16.0, 8.0]), "$.simulation.radii", "must be strictly increasing"),
+        (sim(clip=-1), "$.simulation.clip", "must be positive"),
+        (tiny_bm_config(density={"analytic": ["1"], "solve": {"R_ladder": [3.0, 3.0], "n": 16}}),
+         "$.density.solve.R_ladder", "must be strictly increasing"),
+        # check fields that validated and then made the check always fail, or always pass
+        (sim(checks=[{"type": "moment_value", "time": 0.5, "value": 2.0, "n_se": -3}]),
+         "$.simulation.checks[0].n_se", "must be positive"),
+        (sim(ergodic={"f": "1", "horizon": 2.0, "burn_in": 0.5},
+             checks=[{"type": "ergodic_value", "value": 1.0, "tol": -0.1}]),
+         "$.simulation.checks[0].tol", "must be positive"),
+        (sim(exit={}, checks=[{"type": "exit_mean_time", "radius": 8.0, "value": 1.0, "rel_tol": 0}]),
+         "$.simulation.checks[0].rel_tol", "must be positive"),
+        (sim(exit={}, checks=[{"type": "exit_prob", "radius": 8.0}]),
+         "$.simulation.checks[0]", "exit_prob check needs min or max"),
+        (sim(exit={}, checks=[{"type": "exit_prob", "radius": 8.0, "max": 1.5}]),
+         "$.simulation.checks[0].max", "must lie in [0, 1]"),
+        (sim(exit={}, checks=[{"type": "exit_prob", "radius": 8.0, "min": 0.6, "max": 0.4}]),
+         "$.simulation.checks[0].min", "must not exceed max"),
         (sim(x0=["a", 0]), "$.simulation.x0[0]", "expected a number"),
         (sim(moments={"phi": "norm2(x) + 1", "times": [0.5, "x"]}),
          "$.simulation.moments.times[1]", "expected a number"),
