@@ -5,6 +5,8 @@ import types
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 import sdelab
@@ -463,6 +465,37 @@ def test_integrate_masked_skips_and_counts_non_finite_nodes():
     values[[3, 40, 77]] = [math.inf, math.nan, -math.inf]
     ok = np.isfinite(values)
     assert integrate_masked(values, rule) == (np.sum(w[ok] * values[ok]), 3)
+
+
+def test_integrate_masked_with_no_finite_node_is_zero_and_skips_every_node():
+    rule = QuadratureRule(lo=(-1.0, -1.0), hi=(1.0, 1.0), nodes=(8, 16))
+    values = np.full(rule.points_and_weights()[1].size, math.nan)
+    values[::3] = math.inf
+    values[1::5] = -math.inf
+    assert repr(integrate_masked(values, rule)) == repr((0.0, 128))
+
+
+# values over the whole exponent range (1e+-300 magnitudes, subnormals, +-0.0),
+# with cancelling pairs
+_sum_terms = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(8,), (64,), (8, 8), (16, 24)]), st.data())
+def test_integrate_is_within_the_pairwise_bound_of_fsum(nodes, data):
+    rule = QuadratureRule(lo=(-1.5,) * len(nodes), hi=(2.0,) * len(nodes), nodes=nodes)
+    w = rule.points_and_weights()[1]
+    terms = data.draw(st.lists(_sum_terms, min_size=w.size // 2, max_size=w.size // 2))
+    values = np.array(data.draw(st.permutations(terms + [-t for t in terms])), dtype=float)
+    products = w * values
+    exact = math.fsum(products.tolist())
+    bound = 1e-14 * math.fsum(np.abs(products).tolist())
+    assert abs(integrate(lambda pts: values, rule) - exact) <= bound
+    assert abs(integrate_masked(values, rule)[0] - exact) <= bound
 
 
 def test_bump_residual_sums_agree_with_fsum(monkeypatch):
