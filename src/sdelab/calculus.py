@@ -109,9 +109,8 @@ class DegenerateDiffusionError(CalculusError):
 class VectorField:
     """Point function ``(n, d) -> (n, m)``: a compiled program or a raw callable."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], exprs: Optional[Tuple[Expr, ...]] = None):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
-        self.exprs = exprs
 
     @batched
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -119,8 +118,7 @@ class VectorField:
 
     @classmethod
     def from_exprs(cls, exprs: Sequence[Expr]) -> "VectorField":
-        exprs = tuple(exprs)
-        return cls(Program(exprs), exprs)
+        return cls(Program(tuple(exprs)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +363,7 @@ class DensityField:
             raise ValueError("give exactly one of expr= or (axes=, values=)")
         self.expr = expr
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes) if axes is not None else None
-        self.values = np.asarray(values, dtype=float) if values is not None else None
-        self._grad_values = None
+        self.values = np.ascontiguousarray(values, dtype=float) if values is not None else None
         self._grad_programs: dict = {}  # analytic mode: d -> program of [d_1 rho, ..., d_d rho]
         if self.values is not None:
             if self.axes is None or self.values.shape != tuple(len(a) for a in self.axes):
@@ -399,7 +396,7 @@ class DensityField:
     def rho(self, pts: np.ndarray) -> np.ndarray:
         if self.expr is not None:
             return self._rho(pts)
-        return self._interp(self.values, pts)
+        return self._interp([self.values], pts)[0]
 
     @batched
     def grad_rho(self, pts: np.ndarray) -> np.ndarray:
@@ -408,50 +405,54 @@ class DensityField:
             if d not in self._grad_programs:
                 self._grad_programs[d] = Program(gradient(self.expr, d, piecewise=True))
             return self._grad_programs[d](pts)
-        if self._grad_values is None:
-            self._grad_values = [
-                _grid_derivative(self.values, self.axes, axis) for axis in range(len(self.axes))
-            ]
-        return np.stack([self._interp(g, pts) for g in self._grad_values], axis=-1)
+        return np.stack(self._interp(self._grad_grids, pts), axis=-1)
 
     @batched
     def log_grad(self, pts: np.ndarray) -> np.ndarray:
         """grad(rho)/rho; raises if rho <= 0 at an evaluation point."""
-        return self._log_grad(pts, self.rho(pts))
+        r, *grad = self._rho_and_grad(pts)
+        return np.stack(grad, axis=-1) / r[:, None]
 
-    def _log_grad(self, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """:meth:`log_grad` at ``(n, d)`` points where the density is ``r``."""
+    def _rho_and_grad(self, pts: np.ndarray) -> List[np.ndarray]:
+        """The density and its ``d`` gradient components at ``(n, d)`` points,
+        a grid density's from one set of corner weights; raises where the
+        density is not positive."""
+        if self.expr is None:
+            r, *grad = self._interp([self.values, *self._grad_grids], pts)
+        else:
+            r, *grad = [self._rho(pts), *self.grad_rho(pts).T]
         if np.any(~np.isfinite(r)) or np.any(r <= 0):
             bad = pts[np.argmin(r)]
-            raise PositivityError(
-                f"density non-positive at evaluation point {bad.tolist()}",
-                witness=tuple(float(v) for v in bad),
-            )
-        return self.grad_rho(pts) / r[:, None]
+            msg = f"density non-positive at evaluation point {bad.tolist()}"
+            raise PositivityError(msg, witness=tuple(map(float, bad)))
+        return [r, *grad]
 
-    def _interp(self, grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; exact at grid nodes."""
-        idx_frac = []
+    @cached_property
+    def _grad_grids(self) -> List[np.ndarray]:
+        return [_grid_derivative(self.values, self.axes, axis) for axis in range(len(self.axes))]
+
+    def _interp(self, grids: Sequence[np.ndarray], pts: np.ndarray) -> List[np.ndarray]:
+        """Multilinear interpolation of each of ``grids`` (shaped as ``values``) at
+        ``(n, d)`` points from one set of corner weights: a node's value at a node (to the
+        rounding of its position), and linear in the edge cell outside the box."""
+        strides = np.cumprod((1,) + self.values.shape[:0:-1])[::-1]  # flat index step per axis
+        ends = []  # per axis: (flat offset, weight) of the cell's lower and upper node
         for axis, ax in enumerate(self.axes):
             h = ax[1] - ax[0]
             t = (pts[:, axis] - ax[0]) / h
             i0 = np.clip(np.floor(t).astype(int), 0, len(ax) - 2)
-            idx_frac.append((i0, t - i0))
-        out = np.zeros(pts.shape[0])
-        d = len(self.axes)
-        for corner in range(1 << d):
-            w = np.ones(pts.shape[0])
-            ix = []
-            for axis in range(d):
-                i0, frac = idx_frac[axis]
-                if corner >> axis & 1:
-                    ix.append(i0 + 1)
-                    w = w * frac
-                else:
-                    ix.append(i0)
-                    w = w * (1.0 - frac)
-            out += w * grid[tuple(ix)]
-        return out
+            frac = t - i0
+            ends.append(((i0 * strides[axis], 1.0 - frac), ((i0 + 1) * strides[axis], frac)))
+        flats = [grid.reshape(-1) for grid in grids]
+        outs = [np.zeros(pts.shape[0]) for _ in grids]
+        for corner in range(1 << len(ends)):
+            k, w = 0, np.ones(pts.shape[0])
+            for axis, (lower, upper) in enumerate(ends):
+                offset, weight = upper if corner >> axis & 1 else lower
+                k, w = k + offset, w * weight
+            for out, flat in zip(outs, flats):
+                out += w * flat[k]
+        return outs
 
 
 def _grid_derivative(values: np.ndarray, axes, axis: int) -> np.ndarray:
@@ -467,7 +468,7 @@ def _grid_derivative(values: np.ndarray, axes, axis: int) -> np.ndarray:
     out[1] = (v[2] - v[0]) / (2 * h)
     out[-2] = (v[-1] - v[-3]) / (2 * h)
     out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+    return np.ascontiguousarray(np.moveaxis(out, 0, axis))  # C order: _interp flattens it without a copy
 
 
 # ---------------------------------------------------------------------------
@@ -652,41 +653,45 @@ def add_half_divergence(start: Sequence[Expr], m: Callable[[int, int], Expr]) ->
     return _add_half_sum(start, lambda i, j: differentiate(m(i, j), j))
 
 
-def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
-    """``beta_i = 1/2 sum_j (d_j a_ij + a_ij d_j rho / rho)``.
+def _sum(terms) -> Expr:
+    """``0 + t_1 + t_2 + ...`` of raw nodes: the bits of Python's ``sum`` of their values."""
+    return reduce(ex.Add, terms, Const(0.0))
 
-    Symbolic throughout in analytic mode; in grid mode the density's log
-    gradient is sampled from the stored values.
-    """
+
+def _density_terms(cs: CoefficientSet, rho: DensityField) -> Tuple[Expr, Tuple[Expr, ...], int]:
+    """``rho``, ``beta`` and the number of inputs they read: ``x1 .. xd``, then a grid
+    density's value and gradient (:meth:`DensityField._rho_and_grad`), in whose
+    ``beta_i = 1/2 div A_i + 1/2 sum_j a_ij d_j rho / rho`` the sum is in order of ``j``."""
+    d = cs.d
+    div_a = add_half_divergence([Const(0.0)] * d, cs.a_entry)
     if rho.mode == "analytic":
-        div_a = add_half_divergence([Const(0.0)] * cs.d, cs.a_entry)
-        return VectorField.from_exprs(add_half_a_log_grad(div_a, cs.a_entry, rho.expr))
-    beta = _grid_beta(cs, rho)
-    return VectorField(lambda pts: beta(pts, rho.rho(pts)))
+        return rho.expr, add_half_a_log_grad(div_a, cs.a_entry, rho.expr), d
+    r, grad = ex.Coord(d), [ex.Coord(d + 1 + j) for j in range(d)]
+    a_log_grad = [_sum(ex.Mul(cs.a_entry(i, j), ex.Div(grad[j], r)) for j in range(d)) for i in range(d)]
+    return r, tuple(ex.Add(div_a[i], ex.Mul(Const(0.5), a_log_grad[i])) for i in range(d)), 2 * d + 1
 
 
-def _grid_beta(cs: CoefficientSet, rho: DensityField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``(pts, r) -> beta`` of a grid density at ``(n, d)`` points where it is ``r``."""
-    div_a = VectorField.from_exprs(add_half_divergence([Const(0.0)] * cs.d, cs.a_entry))
-    return lambda pts, r: div_a(pts) + 0.5 * np.einsum("nij,nj->ni", cs.eval_A(pts), rho._log_grad(pts, r))
+def _density_field(cs: CoefficientSet, rho: DensityField, exprs: Sequence[Expr]) -> VectorField:
+    """The point function of ``exprs`` in the inputs of :func:`_density_terms`."""
+    program = Program(exprs)
+
+    def fn(pts):
+        density = rho._rho_and_grad(pts) if rho.mode == "grid" else []
+        with np.errstate(all="ignore"):
+            return ex.columns(program.function(cs.d)(*pts.T, *density), len(pts))
+
+    return VectorField(fn)
+
+
+def log_derivative_beta(cs: CoefficientSet, rho: DensityField) -> VectorField:
+    """``beta_i = 1/2 sum_j (d_j a_ij + a_ij d_j rho / rho)``: symbolic throughout in analytic
+    mode; in grid mode the density and its gradient are interpolated (:func:`_density_terms`)."""
+    return _density_field(cs, rho, _density_terms(cs, rho)[1])
 
 
 def b_field(cs: CoefficientSet, rho: DensityField) -> VectorField:
-    """``B = G - beta``; symbolic when ``beta`` is."""
-    beta = log_derivative_beta(cs, rho)
-    if beta.exprs is not None:
-        return VectorField.from_exprs([sub(cs.G[i], beta.exprs[i]) for i in range(cs.d)])
-    return VectorField(lambda pts: cs.eval_G(pts) - beta(pts))
-
-
-def _b_given_rho(cs: CoefficientSet, rho: DensityField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``(pts, r) -> B`` at ``(n, d)`` points where the density is ``r``: a grid
-    density's ``beta`` divides by ``r`` and does not interpolate it again."""
-    if rho.mode == "analytic":
-        B = b_field(cs, rho)
-        return lambda pts, r: B(pts)
-    beta = _grid_beta(cs, rho)
-    return lambda pts, r: cs.eval_G(pts) - beta(pts, r)
+    """``B = G - beta``."""
+    return _density_field(cs, rho, [sub(g, b) for g, b in zip(cs.G, _density_terms(cs, rho)[1])])
 
 
 @dataclass(frozen=True)
@@ -851,38 +856,49 @@ def invariance_residual(
     ``rho`` on the box ``[-halfwidth, halfwidth]^d``, or one report per bump
     given a list of them.
 
-    This is the only loop over test functions.  Each bump is integrated on
-    the :func:`gauss_rule` of its support box, where ``rho``, ``A``, ``G`` and
-    ``B = G - beta`` are evaluated on its nodes and its derivatives are outer
-    products of its factors (:meth:`Bump.derivatives`).  The box mass of
-    ``rho`` is integrated once per call.  A test function that is not a
-    :class:`Bump` raises :class:`CalculusError`.
+    This is the only loop over test functions.  Each bump is integrated on the
+    :func:`gauss_rule` of its support box, where its derivatives are outer products
+    of its factors (:meth:`Bump.derivatives`) and one generated program
+    (:func:`_residual_program`) evaluates each node of ``rho``, ``A``, ``G`` and
+    ``beta`` once.  The box mass of ``rho`` is integrated once per call.  A test
+    function that is not a :class:`Bump` raises :class:`CalculusError`.
     """
     bumps = f if isinstance(f, list) else [f]
     if not all(isinstance(g, Bump) for g in bumps):
         raise CalculusError("a test function must be a Bump, a product of 1-d factors on its support box")
     lo, hi = (-float(halfwidth),) * cs.d, (float(halfwidth),) * cs.d
     mass = abs(integrate(rho.rho, gauss_rule(lo, hi)))
-    B = _b_given_rho(cs, rho)
-    reports = [_bump_report(cs, rho, B, g, mass) for g in bumps]
+    residuals = _residual_program(cs, rho).function(cs.d)
+    reports = [_bump_report(rho, residuals, g, mass) for g in bumps]
     return reports if isinstance(f, list) else reports[0]
 
 
-def _bump_report(cs, rho, B, bump: Bump, mass: float) -> ResidualReport:
-    """One bump's residuals on the rule of its support box: the integrands
-    ``(1/2 sum_ij a_ij d_ij f + sum_i G_i d_i f) rho`` and
-    ``(sum_i B_i d_i f) rho``, summed column by column."""
+def _residual_program(cs: CoefficientSet, rho: DensityField) -> Program:
+    """The integrands ``(1/2 sum_ij a_ij d_ij f + sum_i G_i d_i f) rho`` and ``(sum_i B_i d_i f) rho``
+    of the inputs of :func:`_density_terms`, then ``d_i f`` and ``d_ij f`` (``i <= j``, as
+    :meth:`Bump.derivatives` orders them), from raw nodes with each sum in order from 0."""
+    d = cs.d
+    r, beta, k = _density_terms(cs, rho)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    grad, hess = [ex.Coord(k + i) for i in range(d)], [ex.Coord(k + d + m) for m in range(len(pairs))]
+    a = [ex.Mul(Const(0.5), cs.a_entry(i, i)) if i == j else cs.a_entry(i, j) for i, j in pairs]
+    a_hess = (ex.Mul(a_ij, h) for a_ij, h in zip(a, hess))
+    lf = ex.Add(_sum(a_hess), _sum(ex.Mul(g, df) for g, df in zip(cs.G, grad)))
+    b_grad = _sum(ex.Mul(sub(g, b), df) for g, b, df in zip(cs.G, beta, grad))
+    return Program((ex.Mul(lf, r), ex.Mul(b_grad, r)))
+
+
+def _bump_report(rho: DensityField, residuals, bump: Bump, mass: float) -> ResidualReport:
+    """One bump's residuals: the function of :func:`_residual_program` on its rule's
+    nodes, where a grid density is interpolated once, summed column by column."""
     rule = gauss_rule(bump.lo, bump.hi)
     pts = rule.points_and_weights()[0]
     value, grad, hess = bump.derivatives(rule)
     # a bump peaks at its centre, where no Gauss node lies
     centre = math.prod(float(bump.factor(k, (a + b) / 2)[0]) for k, (a, b) in enumerate(zip(bump.lo, bump.hi)))
+    density = rho._rho_and_grad(pts) if rho.mode == "grid" else []
     with np.errstate(all="ignore"):
-        r, A, G = rho.rho(pts), cs.eval_A(pts), cs.eval_G(pts)
-        Bv = B(pts, r)
-        lf = sum((0.5 if i == j else 1.0) * A[:, i, j] * h for (i, j), h in hess.items())
-        lf_rho = (lf + sum(G[:, i] * g for i, g in enumerate(grad))) * r
-        div_rho = sum(Bv[:, i] * g for i, g in enumerate(grad)) * r
+        lf_rho, div_rho = residuals(*pts.T, *density, *grad, *hess.values())
     (residual, skipped), (divergence, divergence_skipped) = (integrate_masked(v, rule) for v in (lf_rho, div_rho))
     fmax = max(float(value.max()), centre)
     return ResidualReport(residual, divergence, mass, fmax * mass, skipped, divergence_skipped)

@@ -30,6 +30,7 @@ from sdelab.calculus import (
     log_derivative_beta,
 )
 from sdelab.expr import Program, evaluate, parse_expr
+from test_expr import _exprs
 
 
 def identity_cs(d=2, H=None):
@@ -229,23 +230,132 @@ def test_invariance_residual_unit_drift():
 
 
 def test_a_grid_density_is_interpolated_once_on_each_bump(monkeypatch):
-    # rho on a bump's nodes serves the residuals and B, whose beta divides
-    # by it: the box mass, then rho and its two gradient components, are the
-    # only interpolations; the residuals are those of B evaluated on its own
+    # one set of corner weights for the box mass, then one per bump for rho
+    # and its two gradient components together; the divergence residual is
+    # that of B = b_field(cs, rho) evaluated on its own
     xs = np.linspace(-3.0, 3.0, 61)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     rho = DensityField(axes=(xs, xs), values=np.exp(-(X**2 + X * Y + Y**2)))
     cs = build_coefficient_set([["1", "0.3"], ["1.5"]], None, ["-x1", "-x2"], d=2)
     f = bump_expression([0.2, -0.1], [1.0, 1.2], 2)
     calls, interp = [], DensityField._interp
-    monkeypatch.setattr(DensityField, "_interp", lambda self, grid, pts: calls.append(len(pts)) or interp(self, grid, pts))
+    monkeypatch.setattr(
+        DensityField, "_interp", lambda self, grids, pts: calls.append((len(pts), len(grids))) or interp(self, grids, pts)
+    )
     rep = invariance_residual(cs, rho, f, 3.0)
-    nodes = calc.gauss_rule(f.lo, f.hi).points_and_weights()[1].size
-    assert calls == [calc.gauss_rule((-3.0, -3.0), (3.0, 3.0)).points_and_weights()[1].size] + [nodes] * 3
-    B = calc.b_field(cs, rho)
-    monkeypatch.setattr(calc, "_b_given_rho", lambda cs, rho: lambda pts, r: B(pts))
-    assert repr(invariance_residual(cs, rho, f, 3.0)) == repr(rep)
+    rule = calc.gauss_rule(f.lo, f.hi)
+    pts = rule.points_and_weights()[0]
+    assert calls == [(calc.gauss_rule((-3.0, -3.0), (3.0, 3.0)).points_and_weights()[1].size, 1), (len(pts), 3)]
+    _, grad, _ = f.derivatives(rule)
+    B = calc.b_field(cs, rho)(pts)
+    div_rho = sum(B[:, i] * g for i, g in enumerate(grad)) * rho.rho(pts)
+    assert repr(integrate_masked(div_rho, rule)) == repr((rep.divergence, rep.divergence_skipped))
     assert rep.divergence != 0.0
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays, bit for bit (``-0.0`` is not ``0.0``), a NaN of either sign matching a NaN."""
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    bits_a, bits_b = (np.where(nan, 0.0, v).view(np.int64) for v, nan in ((a, nan_a), (b, nan_b)))
+    return np.array_equal(nan_a, nan_b) and np.array_equal(bits_a, bits_b)
+
+
+def _reference_reports(cs, rho, bumps, R):
+    """The bump residuals as separate evaluations of rho, A, G and B on each
+    bump's nodes, summed column by column.  B is b_field's for an analytic
+    density; for a grid density beta is div A / 2 + 1/2 sum_j a_ij d_j rho / rho
+    of the separately interpolated rho and gradient, summed in order of j:
+    the bits of np.einsum in d <= 2 (in d = 3 its vector lanes may add
+    (t0 + t2) + t1)."""
+    d = cs.d
+    mass = abs(integrate(rho.rho, calc.gauss_rule((-R,) * d, (R,) * d)))
+    b_field = calc.b_field(cs, rho)
+    div_a = calc.VectorField.from_exprs(calc.add_half_divergence([ex.Const(0.0)] * d, cs.a_entry))
+    reports = []
+    for bump in bumps:
+        rule = calc.gauss_rule(bump.lo, bump.hi)
+        pts = rule.points_and_weights()[0]
+        value, grad, hess = bump.derivatives(rule)
+        centre = math.prod(float(bump.factor(k, (a + b) / 2)[0]) for k, (a, b) in enumerate(zip(bump.lo, bump.hi)))
+        with np.errstate(all="ignore"):
+            r, A, G = rho.rho(pts), cs.eval_A(pts), cs.eval_G(pts)
+            if rho.mode == "analytic":
+                Bv = b_field(pts)
+            else:
+                log_grad = rho.grad_rho(pts) / r[:, None]
+                a_log_grad = sum(A[:, :, j] * log_grad[:, j, None] for j in range(d))
+                if d <= 2:
+                    assert _same_bits(a_log_grad, np.einsum("nij,nj->ni", A, log_grad))
+                Bv = G - (div_a(pts) + 0.5 * a_log_grad)
+            lf = sum((0.5 if i == j else 1.0) * A[:, i, j] * h for (i, j), h in hess.items())
+            lf_rho = (lf + sum(G[:, i] * g for i, g in enumerate(grad))) * r
+            div_rho = sum(Bv[:, i] * g for i, g in enumerate(grad)) * r
+        (res, skipped), (div, div_skipped) = (integrate_masked(v, rule) for v in (lf_rho, div_rho))
+        fmax = max(float(value.max()), centre)
+        reports.append(calc.ResidualReport(res, div, mass, fmax * mass, skipped, div_skipped))
+    return reports
+
+
+def _diffusions(d):
+    """Positive diagonal, non-diagonal and non-constant diffusion matrices, as upper-triangle rows."""
+    diagonal = st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d).map(
+        lambda v: [[repr(v[i]) if j == i else "0" for j in range(i, d)] for i in range(d)]
+    )
+    non_diagonal = st.lists(st.floats(-0.4, 0.4), min_size=d * d, max_size=d * d).map(
+        lambda v: [["2.0" if j == i else repr(v[i * d + j]) for j in range(i, d)] for i in range(d)]
+    )
+    varying = st.just(
+        [[f"1.5 + 0.5*erf(x{i + 1})" if j == i else f"0.25*erf(x{i + 1} - x{j + 1})" for j in range(i, d)] for i in range(d)]
+    )
+    return st.one_of(varying, non_diagonal, diagonal)
+
+
+_DENSITIES = ["exp(x1 - 0.3*norm2(x))", "(1 + 0.5*erf(x1)) / (1 + norm2(x))^2", "exp(-norm2(x))", "1"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_generated_residuals_keep_the_bits_of_separate_evaluations(data):
+    # the one generated residual program against rho, A, G and B evaluated on
+    # their own, for the drawn density and for its samples on a grid of the box;
+    # each choice lists its richest case first, which hypothesis draws first
+    d = data.draw(st.sampled_from([3, 2, 1]))
+    A = data.draw(_diffusions(d))
+    H = data.draw(st.lists(_exprs(d), min_size=d, max_size=d))
+    C = data.draw(st.one_of(st.just([[f"0.7*x{i + 1}" for _ in range(i + 1, d)] for i in range(d)]), st.none()))
+    cs = build_coefficient_set(A, C, H, d=d)
+    rho = DensityField.from_expression(data.draw(st.sampled_from(_DENSITIES)), d)
+    R = data.draw(st.sampled_from([3.0, 2.5, 2.0]))
+    axes = (np.linspace(-R, R, data.draw(st.integers(25, 61))),) * d
+    grid = DensityField(axes=axes, values=rho.rho(calc.lattice(axes)).reshape([len(a) for a in axes]))
+    bumps = default_bump_library([-R] * d, [R] * d, d)
+    for density in (rho, grid):
+        assert repr(invariance_residual(cs, density, bumps, R)) == repr(_reference_reports(cs, density, bumps, R))
+
+
+def test_one_interpolation_of_several_grids_keeps_the_bits_of_each():
+    # shared corner weights against one grid at a time: at nodes, inside
+    # cells, on the box faces and at points outside the box, which take the
+    # edge cell's linear extension
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 3):
+        axes = tuple(np.linspace(-2.0 + 0.1 * k, 1.5 + 0.2 * k, 9 + k) for k in range(d))
+        shape = tuple(len(a) for a in axes)
+        grids = [rng.uniform(0.5, 2.0, shape) for _ in range(3)]
+        rho = DensityField(axes=axes, values=grids[0])
+        nodes = calc.lattice(axes)
+        inside = rng.uniform([a[0] for a in axes], [a[-1] for a in axes], (200, d))
+        faces = inside.copy()
+        for p, (k, end) in enumerate(zip(rng.integers(0, d, 200), rng.integers(0, 2, 200))):
+            faces[p, k] = (axes[k][0], axes[k][-1])[end]
+        outside = rng.uniform([a[0] - 1.0 for a in axes], [a[-1] + 1.0 for a in axes], (200, d))
+        for pts in (nodes, inside, faces, outside):
+            shared = rho._interp(grids, pts)
+            for grid, values in zip(grids, shared):
+                assert _same_bits(values, rho._interp([grid], pts)[0])
+        # a node's position is rounded in t = (x - x_0) / h, so its value may be mixed with a neighbour's in the last bits
+        assert all(np.allclose(v, g.reshape(-1), rtol=1e-13, atol=0.0) for v, g in zip(rho._interp(grids, nodes), grids))
+        assert _same_bits(rho.rho(outside), rho._interp([grids[0]], outside)[0])
 
 
 def test_invariance_residual_non_invariant_pair():
